@@ -83,15 +83,11 @@ let run (ctx : Bench_util.ctx) =
     let qa =
       {
         Service.Job.default_qa with
-        Service.Job.backend =
+        Service.Job.faults =
           {
-            Anneal.Backend.default_spec with
-            Anneal.Backend.faults =
-              {
-                Anneal.Backend.default_faults with
-                Anneal.Backend.fail_rate = ctx.fault_rate;
-                fault_seed = ctx.seed + 13;
-              };
+            Anneal.Backend.default_faults with
+            Anneal.Backend.fail_rate = ctx.fault_rate;
+            fault_seed = ctx.seed + 13;
           };
       }
     in

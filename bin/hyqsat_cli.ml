@@ -94,7 +94,7 @@ let write_proof path (r : Service.Batch.job_result) =
 
 let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retries
     max_iterations json_out certify proof_file trace_file metrics warm_start maxsat
-    gap_limit opt_timeout qa_reads qa_domains qa_backend qa_fault_rate qa_timeout_us
+    gap_limit opt_timeout qa_reads qa_domains qa_fault_rate qa_timeout_us
     qa_retries =
   if paths = [] then begin
     Printf.eprintf "hyqsat: no input files\n";
@@ -115,15 +115,11 @@ let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retrie
   let log_proof = certify || proof_file <> None in
   let qa =
     {
-      Service.Job.backend =
+      Service.Job.faults =
         {
-          Anneal.Backend.flavor = qa_backend;
-          faults =
-            {
-              Anneal.Backend.default_faults with
-              Anneal.Backend.fail_rate = qa_fault_rate;
-              fault_seed = seed + 13;
-            };
+          Anneal.Backend.default_faults with
+          Anneal.Backend.fail_rate = qa_fault_rate;
+          fault_seed = seed + 13;
         };
       supervision =
         Anneal.Supervisor.make_policy ?timeout_us:qa_timeout_us ~retries:(max 0 qa_retries) ();
@@ -378,20 +374,6 @@ let qa_domains_arg =
           "Worker domains fanning the $(b,--qa-reads) samples of one QA call.  The answer is \
            deterministic in the seed whatever $(docv) is; mind the multiplication with \
            $(b,--jobs) and $(b,--portfolio) domains.")
-
-let qa_backend_arg =
-  let flavors =
-    [ ("incremental", `Incremental); ("reference", `Reference); ("best-of", `Best_of) ]
-  in
-  Arg.(
-    value
-    & opt (enum flavors) `Best_of
-    & info [ "qa-backend" ] ~docv:"KIND"
-        ~doc:
-          "Annealer backend for hybrid solves: $(b,incremental) (O(1)-delta kernel, serial \
-           reads), $(b,reference) (field-recomputing kernel, serial reads) or $(b,best-of) \
-           (honours $(b,--qa-reads)/$(b,--qa-domains)).  All three return identical answers \
-           for a given seed; they differ only in speed.")
 
 let qa_fault_rate_arg =
   Arg.(
@@ -682,7 +664,7 @@ let solve_term =
     const main $ paths_arg $ solver_arg $ portfolio_arg $ noisy_arg $ grid_arg $ seed_arg
     $ verbose_arg $ jobs_arg $ timeout_arg $ retries_arg $ max_iterations_arg $ json_arg
     $ certify_arg $ proof_arg $ trace_arg $ metrics_arg $ warm_start_arg $ maxsat_arg
-    $ gap_limit_arg $ opt_timeout_arg $ qa_reads_arg $ qa_domains_arg $ qa_backend_arg
+    $ gap_limit_arg $ opt_timeout_arg $ qa_reads_arg $ qa_domains_arg
     $ qa_fault_rate_arg $ qa_timeout_us_arg $ qa_retries_arg)
 
 let solve_cmd =

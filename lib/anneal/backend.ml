@@ -23,11 +23,7 @@ let failure_label = function
   | Chain_break_storm -> "chain_break_storm"
   | Breaker_open -> "breaker_open"
 
-type capabilities = {
-  forced_kernel : Sampler.kernel option;
-  parallel_reads : bool;
-  fallible : bool;
-}
+type capabilities = { fallible : bool }
 
 module type S = sig
   val name : string
@@ -41,8 +37,7 @@ let name (module B : S) = B.name
 let capabilities (module B : S) = B.capabilities
 let sample ?obs (module B : S) rng req = B.sample ?obs rng req
 
-let of_fn ~name:n ?(capabilities = { forced_kernel = None; parallel_reads = false; fallible = true })
-    fn : t =
+let of_fn ~name:n ?(capabilities = { fallible = true }) fn : t =
   (module struct
     let name = n
     let capabilities = capabilities
@@ -54,35 +49,20 @@ let model_time_us req =
   if req.params.Sampler.reads <= 1 then Timing.single_sample_us req.timing
   else Timing.multi_sample_us req.timing ~samples:req.params.Sampler.reads
 
-(* All three simulator backends make identical RNG draws and accept
-   decisions (the two kernels are decision-equivalent, reads are stream-
-   split), so for a given seed they return identical spins — swapping
-   backends never changes an answer, only wall-clock. *)
-let simulator ~name:n ~forced_kernel ~parallel_reads : t =
+(* the one simulator: spins are a pure function of the caller's RNG state,
+   whatever [req.domains] says (reads are stream-split) *)
+let best_of : t =
   (module struct
-    let name = n
-    let capabilities = { forced_kernel; parallel_reads; fallible = false }
+    let name = "best-of"
+    let capabilities = { fallible = false }
 
     let sample ?obs rng req =
-      let params =
-        match forced_kernel with
-        | None -> req.params
-        | Some k -> { req.params with Sampler.kernel = k }
-      in
-      let domains = if parallel_reads then max 1 req.domains else 1 in
       let spins =
-        Sampler.sample ?obs ~params ?init:req.init ?pool:req.pool ~domains rng req.ising
+        Sampler.sample ?obs ~params:req.params ?init:req.init ?pool:req.pool
+          ~domains:(max 1 req.domains) rng req.ising
       in
       Ok { spins; energy = Sparse_ising.energy req.ising spins; time_us = model_time_us req }
   end)
-
-let incremental =
-  simulator ~name:"incremental" ~forced_kernel:(Some `Incremental) ~parallel_reads:false
-
-let reference =
-  simulator ~name:"reference" ~forced_kernel:(Some `Reference) ~parallel_reads:false
-
-let best_of = simulator ~name:"best-of" ~forced_kernel:None ~parallel_reads:true
 
 (* ------------------------------------------------------------------ *)
 (* fault injection *)
@@ -116,7 +96,7 @@ let pick_weighted rng mix =
 let with_faults profile (module Inner : S) : t =
   (module struct
     let name = Inner.name ^ "+faults"
-    let capabilities = { Inner.capabilities with fallible = true }
+    let capabilities = { fallible = true }
 
     (* the fault stream is private to the wrapper: deciding whether a call
        fails (and which latency it gets) never touches the caller's RNG, so
@@ -138,33 +118,5 @@ let with_faults profile (module Inner : S) : t =
               Ok { resp with time_us = resp.time_us +. Stats.Rng.float frng (2. *. profile.latency_us) }
   end)
 
-(* ------------------------------------------------------------------ *)
-(* named specs, for configs / job policies / the CLI *)
-
-type flavor = [ `Incremental | `Reference | `Best_of ]
-
-type spec = { flavor : flavor; faults : fault_profile }
-
-let default_spec = { flavor = `Best_of; faults = default_faults }
-
-let flavor_names = [ "incremental"; "reference"; "best-of" ]
-
-let flavor_label = function
-  | `Incremental -> "incremental"
-  | `Reference -> "reference"
-  | `Best_of -> "best-of"
-
-let flavor_of_string = function
-  | "incremental" -> Some `Incremental
-  | "reference" -> Some `Reference
-  | "best-of" | "best_of" | "bestof" -> Some `Best_of
-  | _ -> None
-
-let of_flavor = function
-  | `Incremental -> incremental
-  | `Reference -> reference
-  | `Best_of -> best_of
-
-let of_spec s =
-  let b = of_flavor s.flavor in
-  if s.faults.fail_rate > 0. || s.faults.latency_us > 0. then with_faults s.faults b else b
+let simulator faults =
+  if faults.fail_rate > 0. || faults.latency_us > 0. then with_faults faults best_of else best_of

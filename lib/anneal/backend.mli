@@ -13,7 +13,7 @@
 
 type request = {
   ising : Sparse_ising.t;  (** the physical problem, noise-free *)
-  params : Sampler.params;  (** schedule / kernel / noise / reads *)
+  params : Sampler.params;  (** schedule / noise / reads *)
   init : int array option;  (** per-read initial spins (chain-coherent) *)
   domains : int;  (** parallelism hint; result-invariant *)
   pool : Parallel.Tasks.t option;
@@ -39,12 +39,7 @@ type failure =
 val failure_label : failure -> string
 (** Stable lower-snake label, used as the [reason] metric label. *)
 
-type capabilities = {
-  forced_kernel : Sampler.kernel option;
-      (** [Some k] if the backend ignores [params.kernel] *)
-  parallel_reads : bool;  (** honours [request.domains] *)
-  fallible : bool;  (** can return [Error _] *)
-}
+type capabilities = { fallible : bool  (** can return [Error _] *) }
 
 module type S = sig
   val name : string
@@ -64,28 +59,20 @@ val of_fn :
   (?obs:Obs.Ctx.t -> Stats.Rng.t -> request -> (response, failure) result) ->
   t
 (** Wrap a function as a backend — the test suite scripts failing devices
-    with this.  Default capabilities: no forced kernel, serial, fallible. *)
+    with this.  Default capabilities: fallible. *)
 
 val model_time_us : request -> float
 (** Modelled device time of one call under the request's {!Timing} model:
     [single_sample_us] for one read, [multi_sample_us] otherwise.  The
     supervisor compares this (plus injected latency) against deadlines. *)
 
-(** {1 Simulator backends}
-
-    The three simulators make identical RNG draws and accept decisions
-    (the kernels are decision-equivalent, reads are stream-split), so for
-    a given seed they return identical spins — switching backends never
-    changes an answer, only speed. *)
-
-val incremental : t
-(** Forces the O(1)-delta {!Kernel} sweep; serial reads. *)
-
-val reference : t
-(** Forces the field-recomputing reference sweep; serial reads. *)
+(** {1 The simulator} *)
 
 val best_of : t
-(** Honours [params.kernel] and fans reads across [request.domains]. *)
+(** The dwave-neal-style simulated-annealing device: {!Sampler.sample}
+    with the request's params, fanning [params.reads] across
+    [request.domains].  Infallible; the spins are a pure function of the
+    caller's RNG state, whatever [request.domains] says. *)
 
 (** {1 Fault injection} *)
 
@@ -110,23 +97,7 @@ val with_faults : fault_profile -> t -> t
     RNG where it was — a retry reproduces what the original call would
     have returned.  Failures follow the weighted [p.mix]. *)
 
-(** {1 Named specs}
-
-    A serialisable description of a backend, carried by job policies and
-    built from CLI flags. *)
-
-type flavor = [ `Incremental | `Reference | `Best_of ]
-
-type spec = { flavor : flavor; faults : fault_profile }
-
-val default_spec : spec
-(** [`Best_of] with {!default_faults}. *)
-
-val flavor_names : string list
-val flavor_label : flavor -> string
-val flavor_of_string : string -> flavor option
-val of_flavor : flavor -> t
-
-val of_spec : spec -> t
-(** Instantiates the flavor and wraps it in {!with_faults} when the
-    profile injects anything. *)
+val simulator : fault_profile -> t
+(** {!best_of}, wrapped in {!with_faults} only when the profile injects
+    failures or latency — the backend every job policy and CLI run
+    builds. *)

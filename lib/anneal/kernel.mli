@@ -9,7 +9,8 @@
     table cell fall back to the exact test.
 
     The kernel is decision-for-decision and RNG-draw-for-RNG-draw
-    equivalent to {!Sampler}'s reference sweep: downhill moves consume no
+    equivalent to the field-recomputing reference sweep kept in the
+    test/bench-only [oracle] library: downhill moves consume no
     randomness, uphill moves consume exactly one draw, and the fast paths
     can never disagree with the exact Metropolis test.  Field values are
     accumulated incrementally, so they may differ from a fresh summation
@@ -17,8 +18,7 @@
     {!tie_eps} as downhill so a mathematically-zero flip whose rounding
     residue straddles zero cannot desynchronise the two RNG streams.
 
-    Used through [Sampler.sample ~kernel:`Incremental] (the default); the
-    reference loop survives for differential testing. *)
+    {!Sampler.sample} runs every sweep through this kernel. *)
 
 type t
 

@@ -248,4 +248,4 @@ let run ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domai
       ~sample rng job
   with
   | Ok outcome -> outcome
-  | Error _ -> assert false (* the simulator backends are infallible *)
+  | Error _ -> assert false (* the simulator is infallible *)

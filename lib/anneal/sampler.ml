@@ -3,23 +3,18 @@ type schedule = { sweeps : int; beta_min : float; beta_max : float }
 let default_schedule = { sweeps = 256; beta_min = 0.1; beta_max = 16.0 }
 let quick_schedule = { sweeps = 96; beta_min = 0.1; beta_max = 8.0 }
 
-type kernel = [ `Reference | `Incremental ]
-
 type params = {
   schedule : schedule;
-  kernel : kernel;
   noise : Noise.t;
   reads : int;
 }
 
-let default_params =
-  { schedule = default_schedule; kernel = `Incremental; noise = Noise.noise_free; reads = 1 }
+let default_params = { schedule = default_schedule; noise = Noise.noise_free; reads = 1 }
 
-let make_params ?(base = default_params) ?schedule ?kernel ?noise ?reads () =
+let make_params ?(base = default_params) ?schedule ?noise ?reads () =
   let v d o = Option.value ~default:d o in
   {
     schedule = v base.schedule schedule;
-    kernel = v base.kernel kernel;
     noise = v base.noise noise;
     reads = v base.reads reads;
   }
@@ -28,43 +23,20 @@ let beta_ratio schedule =
   if schedule.sweeps <= 1 then 1.0
   else (schedule.beta_max /. schedule.beta_min) ** (1.0 /. float_of_int (schedule.sweeps - 1))
 
-(* Anneal [spins] in place over the schedule; returns the accepted-flip
-   count.  The reference loop recomputes the O(deg) local field on every
-   attempt and calls [exp] on every uphill move — it is kept verbatim as
-   the differential-testing baseline for the incremental kernel. *)
-let anneal_in_place ~kernel ~schedule rng (ising : Sparse_ising.t) spins =
-  let n = ising.Sparse_ising.n in
-  let accepted = ref 0 in
-  if n > 0 then begin
+(* Anneal [spins] in place over the schedule with the {!Kernel} sweep;
+   returns the accepted-flip count. *)
+let anneal_in_place ~schedule rng (ising : Sparse_ising.t) spins =
+  if ising.Sparse_ising.n = 0 then 0
+  else begin
     let ratio = beta_ratio schedule in
     let beta = ref schedule.beta_min in
-    (match kernel with
-    | `Reference ->
-        for _ = 1 to schedule.sweeps do
-          for i = 0 to n - 1 do
-            let field = Sparse_ising.local_field ising spins i in
-            let delta = -2.0 *. float_of_int spins.(i) *. field in
-            (* delta = E(flipped) - E(current); ties within [Kernel.tie_eps]
-               are downhill so both kernels draw identically on degenerate
-               (mathematically-zero) flips whose rounding differs between
-               fresh summation and incremental accumulation *)
-            if delta <= Kernel.tie_eps || Stats.Rng.float rng 1.0 < exp (-. !beta *. delta)
-            then begin
-              spins.(i) <- -spins.(i);
-              incr accepted
-            end
-          done;
-          beta := !beta *. ratio
-        done
-    | `Incremental ->
-        let k = Kernel.init ising spins in
-        for _ = 1 to schedule.sweeps do
-          Kernel.sweep k ~beta:!beta rng;
-          beta := !beta *. ratio
-        done;
-        accepted := Kernel.accepted k)
-  end;
-  !accepted
+    let k = Kernel.init ising spins in
+    for _ = 1 to schedule.sweeps do
+      Kernel.sweep k ~beta:!beta rng;
+      beta := !beta *. ratio
+    done;
+    Kernel.accepted k
+  end
 
 let random_spins_into rng spins =
   for i = 0 to Array.length spins - 1 do
@@ -82,7 +54,7 @@ let count_obs obs ~sweeps ~accepted =
 
 (* one read, drawing directly from [rng] — the historical single-shot draw
    sequence, kept bit-identical so noise-free seeds reproduce across PRs *)
-let sample_single ~obs ~schedule ~kernel ?init rng (ising : Sparse_ising.t) =
+let sample_single ~obs ~schedule ?init rng (ising : Sparse_ising.t) =
   let n = ising.Sparse_ising.n in
   let spins =
     match init with
@@ -91,7 +63,7 @@ let sample_single ~obs ~schedule ~kernel ?init rng (ising : Sparse_ising.t) =
         Array.copy s
     | None -> Array.init n (fun _ -> if Stats.Rng.bool rng then 1 else -1)
   in
-  let accepted = anneal_in_place ~kernel ~schedule rng ising spins in
+  let accepted = anneal_in_place ~schedule rng ising spins in
   count_obs obs ~sweeps:schedule.sweeps ~accepted;
   spins
 
@@ -111,7 +83,7 @@ let scratch_for n =
       Hashtbl.add tbl n b;
       b
 
-let sample_multi ~obs ~schedule ~kernel ?init ?pool ~domains rng (ising : Sparse_ising.t) k =
+let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t) k =
   let n = ising.Sparse_ising.n in
   Option.iter (checked_init n) init;
   (* every read gets its own RNG stream, split off the caller's generator
@@ -131,7 +103,7 @@ let sample_multi ~obs ~schedule ~kernel ?init ?pool ~domains rng (ising : Sparse
     for r = lo to hi - 1 do
       let stream = streams.(r) in
       seed_spins scratch stream;
-      total := !total + anneal_in_place ~kernel ~schedule stream ising scratch;
+      total := !total + anneal_in_place ~schedule stream ising scratch;
       let e = Sparse_ising.energy ising scratch in
       if e < !best_e then begin
         best_e := e;
@@ -201,10 +173,9 @@ let sample ?(obs = Obs.Ctx.null) ?(params = default_params) ?init ?pool ?(domain
   if params.reads < 1 then invalid_arg "Sampler.sample: reads";
   let programmed = Noise.apply_coeff params.noise rng ising in
   let spins =
-    if params.reads = 1 then
-      sample_single ~obs ~schedule:params.schedule ~kernel:params.kernel ?init rng programmed
+    if params.reads = 1 then sample_single ~obs ~schedule:params.schedule ?init rng programmed
     else
-      sample_multi ~obs ~schedule:params.schedule ~kernel:params.kernel ?init ?pool ~domains
-        rng programmed params.reads
+      sample_multi ~obs ~schedule:params.schedule ?init ?pool ~domains rng programmed
+        params.reads
   in
   Noise.apply_readout params.noise rng spins

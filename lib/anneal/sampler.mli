@@ -1,10 +1,10 @@
 (** Simulated-annealing Ising sampler (the dwave-neal [19] substitution for
     real QA hardware — see DESIGN.md §2).
 
-    Runs Metropolis sweeps over a geometric inverse-temperature schedule.
-    One [sample] models one annealing cycle of the physical machine:
-    program (with control noise), anneal [reads] times, read out (with
-    readout noise).  All knobs live in one {!params} record so every
+    Runs {!Kernel} Metropolis sweeps over a geometric inverse-temperature
+    schedule.  One [sample] models one annealing cycle of the physical
+    machine: program (with control noise), anneal [reads] times, read out
+    (with readout noise).  All knobs live in one {!params} record so every
     {!Backend} implementation shares a single request shape. *)
 
 type schedule = { sweeps : int; beta_min : float; beta_max : float }
@@ -17,17 +17,8 @@ val quick_schedule : schedule
 (** 96 sweeps: a deliberately shallow anneal that leaves residual thermal
     excitation, used to emulate a noisy single-shot device. *)
 
-type kernel = [ `Reference | `Incremental ]
-(** Sweep implementation.  [`Incremental] (the default) is {!Kernel}: O(1)
-    flip deltas from a maintained local-field array plus a precomputed
-    acceptance-threshold table.  [`Reference] is the original
-    field-recomputing loop, kept for differential testing — both consume
-    the RNG identically and make identical accept decisions, so they
-    produce identical spins for identical seeds. *)
-
 type params = {
   schedule : schedule;
-  kernel : kernel;
   noise : Noise.t;  (** applied inside [sample]: coefficients before the
                         anneal, readout flips after *)
   reads : int;  (** independent anneals per call, best-of by energy;
@@ -38,12 +29,11 @@ type params = {
     machine facade exchange a single value. *)
 
 val default_params : params
-(** [default_schedule], [`Incremental], {!Noise.noise_free}, 1 read. *)
+(** [default_schedule], {!Noise.noise_free}, 1 read. *)
 
 val make_params :
   ?base:params ->
   ?schedule:schedule ->
-  ?kernel:kernel ->
   ?noise:Noise.t ->
   ?reads:int ->
   unit ->

@@ -118,7 +118,7 @@ let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
   let qa = Job.default_qa in
   let supervisor =
     Anneal.Supervisor.create ~obs ~policy:qa.Job.supervision ~seed:(config.seed + 77)
-      (Anneal.Backend.of_spec qa.Job.backend)
+      (Anneal.Backend.simulator qa.Job.faults)
   in
   let traced = not (Obs.Ctx.is_null obs) in
   let comp_mutex = Mutex.create () in

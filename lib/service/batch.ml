@@ -265,7 +265,7 @@ let process ?(cancel = fun () -> false) ?warm ~members ~obs ~parent (spec : Job.
   | None -> process_decision ~cancel ?warm ~members ~obs ~parent spec ~enqueued_at ()
 
 let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~members jobs =
-  let workers = max 1 (min 64 workers) in (* same clamp as Pool.create *)
+  let workers = max 1 (min 64 workers) in (* same clamp as Parallel.Pool.create *)
   let warm = if warm_start then Some (Warm.create ()) else None in
   let traced = not (Obs.Ctx.is_null obs) in
   let batch_span =
@@ -281,10 +281,11 @@ let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~memb
   in
   let t0 = Unix.gettimeofday () in
   (* workers-1 spawned domains: the calling domain helps execute the batch
-     through [Pool.run], so exactly [workers] jobs are in flight and the
-     helper's span worker id ([workers - 1]) stays inside [0, workers-1] *)
+     through [Parallel.Pool.run], so exactly [workers] jobs are in flight
+     and the helper's span worker id ([workers - 1]) stays inside
+     [0, workers-1] *)
   let pool =
-    Pool.create ~workers:(workers - 1) (fun ~worker (spec, enqueued_at) ->
+    Parallel.Pool.create ~workers:(workers - 1) (fun ~worker (spec, enqueued_at) ->
         let jspan =
           if traced then
             Obs.Span.start obs ~parent:batch_span
@@ -309,10 +310,10 @@ let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~memb
   in
   let results =
     Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
       (fun () ->
         let now = Unix.gettimeofday () in
-        Pool.run pool (List.map (fun spec -> (spec, now)) jobs))
+        Parallel.Pool.run pool (List.map (fun spec -> (spec, now)) jobs))
   in
   Obs.Span.stop batch_span;
   let wall_time_s = Unix.gettimeofday () -. t0 in

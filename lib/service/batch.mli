@@ -1,7 +1,7 @@
-(** Batch solving service: schedule {!Job.spec}s onto a {!Pool} of worker
-    domains, each job solved by a (possibly 1-member) {!Portfolio} race
-    under its deadline, with bounded reseeding retries and full
-    {!Telemetry}.
+(** Batch solving service: schedule {!Job.spec}s onto a {!Parallel.Pool}
+    of worker domains, each job solved by a (possibly 1-member)
+    {!Portfolio} race under its deadline, with bounded reseeding retries
+    and full {!Telemetry}.
 
     Results come back in submission order regardless of worker count, and
     per-job outcomes depend only on the job's seeds — never on scheduling —
@@ -61,8 +61,8 @@ val run :
     with {!Job.attempt_seed} so every attempt searches differently.
     [workers] defaults to 1 and counts {e concurrent jobs}: the pool spawns
     [workers - 1] domains and the calling domain helps execute the batch
-    ({!Pool.run}), so [workers = 1] runs everything inline with no domain
-    spawned at all.  A worker exception is re-raised after the batch
+    ({!Parallel.Pool.run}), so [workers = 1] runs everything inline with
+    no domain spawned at all.  A worker exception is re-raised after the batch
     completes (a raising portfolio member is absorbed by the race itself —
     see {!Portfolio.race}).
 

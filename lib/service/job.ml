@@ -1,5 +1,5 @@
 type qa_policy = {
-  backend : Anneal.Backend.spec;
+  faults : Anneal.Backend.fault_profile;
   supervision : Anneal.Supervisor.policy;
   reads : int;
   domains : int;
@@ -7,7 +7,7 @@ type qa_policy = {
 
 let default_qa =
   {
-    backend = Anneal.Backend.default_spec;
+    faults = Anneal.Backend.default_faults;
     supervision = Anneal.Supervisor.default_policy;
     reads = 1;
     domains = 1;

@@ -13,17 +13,18 @@
     the solved formula (DRAT proofs) before they leave the service. *)
 
 type qa_policy = {
-  backend : Anneal.Backend.spec;  (** which annealer device, with faults *)
+  faults : Anneal.Backend.fault_profile;  (** faults injected into the simulator *)
   supervision : Anneal.Supervisor.policy;  (** deadline/retry/breaker *)
   reads : int;  (** annealer samples per QA call *)
   domains : int;  (** OCaml domains fanning the reads *)
 }
 (** The annealer policy hybrid members solve the job under.  Serialisable
-    by construction (backend is a {!Anneal.Backend.spec}, not a closure)
-    so specs can travel to worker domains and into telemetry. *)
+    by construction (the device is {!Anneal.Backend.simulator} of
+    [faults], not a closure) so specs can travel to worker domains and
+    into telemetry. *)
 
 val default_qa : qa_policy
-(** Fault-free best-of backend, default supervision, single-shot reads. *)
+(** Fault-free simulator, default supervision, single-shot reads. *)
 
 type spec = {
   id : int;  (** caller-chosen, reported back in telemetry *)

@@ -64,7 +64,7 @@ let hybrid_member ?supervisor ?embed_cache ~name ~base ~grid ~seed ~log_proof ~q
                else Chimera.Graph.create ~rows:grid ~cols:grid)
             ~cdcl:(if log_proof then Cdcl.Config.with_proof_logging cdcl else cdcl)
             ~qa_reads:qa.Job.reads ~qa_domains:qa.Job.domains
-            ~backend:(Anneal.Backend.of_spec qa.Job.backend)
+            ~backend:(Anneal.Backend.simulator qa.Job.faults)
             ~supervisor:qa.Job.supervision ~seed ()
         in
         stats_of_report
@@ -135,19 +135,6 @@ let members_named ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed names =
 
 let default_members ?grid ?log_proof ?qa ?supervisor ~seed () =
   members_named ?grid ?log_proof ?qa ?supervisor ~seed member_names
-
-(* same base config, same seed, one member per backend flavor: the race is
-   across devices, not across solver randomisations — any flavor winning
-   yields the same answer, so this measures device speed under faults *)
-let backend_race_members ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ~seed () =
-  List.map
-    (fun flavor ->
-      let backend = { qa.Job.backend with Anneal.Backend.flavor } in
-      hybrid_member
-        ~name:("hybrid:" ^ Anneal.Backend.flavor_label flavor)
-        ~base:Hyqsat.Hybrid_solver.default_config ~grid ~seed ~log_proof
-        ~qa:{ qa with Job.backend } ())
-    [ `Incremental; `Reference; `Best_of ]
 
 let is_decisive = function Cdcl.Solver.Sat _ | Cdcl.Solver.Unsat -> true | Cdcl.Solver.Unknown _ -> false
 

@@ -76,7 +76,7 @@ val default_members :
     D-Wave 2000Q).  [log_proof] (default [false]) makes the CDCL-backed
     members record DRAT derivations so Unsat answers are checkable.
     [qa] (default {!Job.default_qa}) is the annealer policy of the hybrid
-    members: backend + faults, supervision, and best-of-k reads fanned
+    members: simulator faults, supervision, and best-of-k reads fanned
     over that many domains — mind the domain product with the pool and
     race layers.  [supervisor] makes the hybrid members go through that
     shared (domain-safe) supervised device instead of building a private
@@ -99,15 +99,6 @@ val members_named :
     selections or otherwise guarantee exclusive use — the server dispatcher
     leases it per session with a mutex.
     @raise Invalid_argument on an unknown name. *)
-
-val backend_race_members :
-  ?grid:int -> ?log_proof:bool -> ?qa:Job.qa_policy -> seed:int -> unit -> member list
-(** One ["hybrid:<flavor>"] member per {!Anneal.Backend.flavor}, all with
-    the {e same} base config and seed — racing the same solve instance
-    across devices rather than across randomisations.  The simulator
-    backends are answer-equivalent for a given seed, so the race measures
-    which device (under [qa.backend.faults] and [qa.supervision]) decides
-    first; the winner's answer is the answer any of them would give. *)
 
 val race :
   ?deadline:Deadline.t ->

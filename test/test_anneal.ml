@@ -201,20 +201,17 @@ let random_ising r =
   SI.build ~n ~h ~couplings:(chain @ extra) ~offset:0.
 
 (* the incremental kernel must be a pure optimisation: identical spins to
-   the reference loop for identical seeds, across instances and schedules *)
+   the oracle's field-recomputing sweep for identical seeds, across
+   instances and schedules *)
 let kernel_matches_reference () =
   let r = Testutil.rng 29 in
   for case = 1 to 20 do
     let ising = random_ising r in
     let schedule = if case mod 2 = 0 then Sampler.default_schedule else Sampler.quick_schedule in
     let seed = 1000 + case in
-    let s_ref =
-      Sampler.sample ~params:(Sampler.make_params ~schedule ~kernel:`Reference ())
-        (Testutil.rng seed) ising
-    in
+    let s_ref = Oracle.Anneal_sweep.sample ~schedule (Testutil.rng seed) ising in
     let s_inc =
-      Sampler.sample ~params:(Sampler.make_params ~schedule ~kernel:`Incremental ())
-        (Testutil.rng seed) ising
+      Sampler.sample ~params:(Sampler.make_params ~schedule ()) (Testutil.rng seed) ising
     in
     Alcotest.(check (array int))
       (Printf.sprintf "case %d (n=%d)" case ising.SI.n)

@@ -315,7 +315,7 @@ let dpll_agrees_with_brute =
   QCheck.Test.make ~name:"dpll agrees with brute force" ~count:150 Testutil.small_cnf_arb
     (fun f ->
       let expected = Sat.Brute.solve f <> None in
-      match Cdcl.Dpll.solve f with
+      match Oracle.Dpll.solve f with
       | Cdcl.Solver.Sat m, _ -> expected && Testutil.check_model f m
       | Cdcl.Solver.Unsat, _ -> not expected
       | Cdcl.Solver.Unknown _, _ -> false)
@@ -323,8 +323,9 @@ let dpll_agrees_with_brute =
 let dpll_budget () =
   let r = Testutil.rng 301 in
   let f = Testutil.random_cnf r ~n:40 ~m:170 ~k:3 in
-  match Cdcl.Dpll.solve ~max_decisions:1 f with
-  | Cdcl.Solver.Unknown _, st -> Alcotest.(check bool) "counted" true (st.Cdcl.Dpll.decisions >= 1)
+  match Oracle.Dpll.solve ~max_decisions:1 f with
+  | Cdcl.Solver.Unknown _, st ->
+      Alcotest.(check bool) "counted" true (st.Oracle.Dpll.decisions >= 1)
   | (Cdcl.Solver.Sat _ | Cdcl.Solver.Unsat), _ -> () (* solved by propagation alone *)
 
 let cdcl_beats_dpll_on_structure () =
@@ -333,10 +334,10 @@ let cdcl_beats_dpll_on_structure () =
   let s = Solver.create f in
   ignore (Solver.solve s);
   let cdcl_decisions = (Solver.stats s).Solver.decisions in
-  match Cdcl.Dpll.solve f with
+  match Oracle.Dpll.solve f with
   | Cdcl.Solver.Unsat, st ->
       Alcotest.(check bool) "fewer decisions with learning" true
-        (cdcl_decisions < st.Cdcl.Dpll.decisions)
+        (cdcl_decisions < st.Oracle.Dpll.decisions)
   | _ -> Alcotest.fail "php unsat"
 
 let walksat_finds_planted_models () =

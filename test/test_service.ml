@@ -2,7 +2,7 @@
    determinism, deadlines, first-winner cancellation, telemetry JSON. *)
 
 module Job = Service.Job
-module Pool = Service.Pool
+module Pool = Parallel.Pool
 module Deadline = Service.Deadline
 module Portfolio = Service.Portfolio
 module Batch = Service.Batch

@@ -10,7 +10,6 @@ module Sup = Anneal.Supervisor
 module Timing = Anneal.Timing
 module Job = Service.Job
 module Batch = Service.Batch
-module Portfolio = Service.Portfolio
 module Telemetry = Service.Telemetry
 
 let fcheck = Alcotest.(check (float 1e-9))
@@ -187,27 +186,27 @@ let supervisor_metrics_exported () =
   Obs.Ctx.close obs
 
 (* ------------------------------------------------------------------ *)
-(* fault injector & backend equivalence (the Noise draw-order contract:
-   a zero-rate injector and a zero-rate noise model draw nothing, so
-   wrapping is bit-identical) *)
+(* fault injector & read fan-out equivalence (the Noise draw-order
+   contract: a zero-rate injector and a zero-rate noise model draw nothing,
+   so wrapping is bit-identical; reads are stream-split, so the domain
+   count never changes the spins) *)
 
-let zero_rate_wrapper_and_flavors_agree () =
+let zero_rate_wrapper_and_serial_reads_agree () =
   let ising = glass_ising (Testutil.rng 67) in
   let params =
     Sampler.make_params ~schedule:Sampler.quick_schedule ~noise:Anneal.Noise.default_2000q
       ~reads:3 ()
   in
-  let req = request ~params ~domains:2 ising in
-  let run backend seed =
-    match Backend.sample backend (Testutil.rng seed) req with
+  let run ?(domains = 2) backend seed =
+    match Backend.sample backend (Testutil.rng seed) (request ~params ~domains ising) with
     | Ok r -> r.Backend.spins
     | Error f -> Alcotest.failf "simulator failed: %s" (Backend.failure_label f)
   in
   let base = run Backend.best_of 73 in
   Alcotest.(check (array int)) "zero-rate fault wrapper is bit-identical" base
     (run (Backend.with_faults Backend.default_faults Backend.best_of) 73);
-  Alcotest.(check (array int)) "incremental backend agrees" base (run Backend.incremental 73);
-  Alcotest.(check (array int)) "reference backend agrees" base (run Backend.reference 73)
+  Alcotest.(check (array int)) "serial reads agree with 2-domain reads" base
+    (run ~domains:1 Backend.best_of 73)
 
 let failed_attempts_consume_no_caller_rng () =
   (* the injector draws from its own stream, so a supervised call over a
@@ -262,7 +261,7 @@ let full_fault_hybrid_equals_classic () =
   in
   let config =
     Hyqsat.Hybrid_solver.make_config
-      ~backend:(Backend.of_spec { Backend.flavor = `Best_of; faults })
+      ~backend:(Backend.simulator faults)
       ()
   in
   Alcotest.(check string) "mode labels" "hybrid"
@@ -283,25 +282,10 @@ let full_fault_hybrid_equals_classic () =
   Alcotest.(check int) "classic reports zero degradation" 0
     classic.Hyqsat.Hybrid_solver.qa_degraded
 
-let backend_race_members_find_valid_answer () =
-  let f = Workload.Uniform.uf (Testutil.rng 93) 30 in
-  let members = Portfolio.backend_race_members ~seed:7 () in
-  Alcotest.(check (list string)) "one member per device flavor"
-    [ "hybrid:incremental"; "hybrid:reference"; "hybrid:best-of" ]
-    (List.map (fun m -> m.Portfolio.name) members);
-  let report = Portfolio.race members f in
-  match report.Portfolio.winner with
-  | Some w -> (
-      match w.Portfolio.stats.Portfolio.result with
-      | Cdcl.Solver.Sat m ->
-          Alcotest.(check bool) "winning model satisfies" true (Testutil.check_model f m)
-      | _ -> Alcotest.fail "planted instance must be SAT")
-  | None -> Alcotest.fail "backend race found no answer"
-
 let faulty_certified_batch_stays_sound () =
   let rng = Testutil.rng 97 in
   let faults = { Backend.default_faults with Backend.fail_rate = 0.3; fault_seed = 5 } in
-  let qa = { Job.default_qa with Job.backend = { Backend.default_spec with Backend.faults } } in
+  let qa = { Job.default_qa with Job.faults } in
   let jobs =
     List.init 6 (fun i ->
         Job.make
@@ -340,8 +324,8 @@ let suite =
       ] );
     ( "anneal.backend",
       [
-        Alcotest.test_case "zero-rate wrapper & flavors agree" `Quick
-          zero_rate_wrapper_and_flavors_agree;
+        Alcotest.test_case "zero-rate wrapper & serial reads agree" `Quick
+          zero_rate_wrapper_and_serial_reads_agree;
         Alcotest.test_case "failures consume no caller RNG" `Quick
           failed_attempts_consume_no_caller_rng;
         Alcotest.test_case "injected latency charged" `Quick injected_latency_is_charged;
@@ -349,7 +333,6 @@ let suite =
     ( "anneal.degradation",
       [
         Alcotest.test_case "100% faults = classic" `Quick full_fault_hybrid_equals_classic;
-        Alcotest.test_case "backend race members" `Quick backend_race_members_find_valid_answer;
         Alcotest.test_case "30% faults, certified batch" `Quick faulty_certified_batch_stays_sound;
       ] );
   ]
