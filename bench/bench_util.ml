@@ -46,6 +46,29 @@ let out_path name =
   in
   match up (Sys.getcwd ()) with None -> name | Some root -> Filename.concat root name
 
+(* a measured value for a BENCH_*.json row, rounded to four significant
+   digits: timings on a shared machine carry no more than that *)
+let num x = Json.Num (float_of_string (Printf.sprintf "%.4g" x))
+
+(* Writes BENCH_<name>.json at the repo root: the shared schema tag, the
+   experiment name and the machine it ran on, then the experiment's own
+   fields. *)
+let write_json ctx name fields =
+  let env =
+    Json.Obj
+      [
+        ("cores", Int (Domain.recommended_domain_count ()));
+        ("ocaml", Str Sys.ocaml_version);
+        ("scale", Str (match ctx.scale with `Paper -> "paper" | `Small -> "small"));
+      ]
+  in
+  let doc =
+    Json.Obj (("schema", Str "hyqsat/bench/v2") :: ("bench", Str name) :: ("env", env) :: fields)
+  in
+  let path = out_path ("BENCH_" ^ name ^ ".json") in
+  Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string doc ^ "\n"));
+  Printf.printf "wrote %s\n" path
+
 (* Bechamel micro-benchmark: returns estimated ns/run *)
 let bechamel_ns ?(quota_s = 0.25) name f =
   let open Bechamel in

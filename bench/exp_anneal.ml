@@ -112,82 +112,6 @@ let cache_exercise () =
   done;
   Hyqsat.Frontend.cache_stats cache
 
-let json_out ~scale ~n ~sweeps ~repeats ~ref_wall ~ref_fps ~inc_wall ~inc_fps
-    ~regimes ~reads ~bo_trials ~serial_wall ~par_rows ~hits ~misses =
-  let fin x = if Float.is_finite x then x else 0. in
-  let hit_rate =
-    if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": 2,\n";
-  Printf.bprintf b "  \"experiment\": \"anneal\",\n";
-  Printf.bprintf b "  \"scale\": \"%s\",\n" scale;
-  Printf.bprintf b "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.bprintf b "  \"n_spins\": %d,\n" n;
-  Printf.bprintf b "  \"sweeps\": %d,\n" sweeps;
-  Printf.bprintf b "  \"repeats\": %d,\n" repeats;
-  Printf.bprintf b "  \"reference\": { \"wall_s\": %.6f, \"flips_per_sec\": %.0f },\n"
-    (fin ref_wall) (fin ref_fps);
-  Printf.bprintf b "  \"incremental\": { \"wall_s\": %.6f, \"flips_per_sec\": %.0f },\n"
-    (fin inc_wall) (fin inc_fps);
-  Printf.bprintf b "  \"kernel_speedup\": %.3f,\n" (fin (inc_fps /. ref_fps));
-  Printf.bprintf b "  \"regimes\": [\n";
-  List.iteri
-    (fun idx (beta, rf, inc) ->
-      Printf.bprintf b
-        "    { \"beta\": %.2f, \"reference_flips_per_sec\": %.0f, \
-         \"incremental_flips_per_sec\": %.0f, \"speedup\": %.3f }%s\n"
-        beta (fin rf) (fin inc)
-        (fin (inc /. rf))
-        (if idx = List.length regimes - 1 then "" else ","))
-    regimes;
-  Printf.bprintf b "  ],\n";
-  (* the best timed row keeps the schema-1 summary fields alive: the CI
-     trend reader and the speedup gate both look at [parallel_speedup];
-     with no timed row the summary is the serial row *)
-  let best_d, best_wall, best_speedup =
-    List.fold_left
-      (fun (bd, bw, bs) -> function
-        | d, Some (w, s) when s > bs -> (d, w, s)
-        | _ -> (bd, bw, bs))
-      (1, serial_wall, 1.0) par_rows
-  in
-  Printf.bprintf b
-    "  \"best_of\": {\n\
-    \    \"reads\": %d, \"trials\": %d, \"serial_wall_s\": %.6f, \
-     \"reads_per_sec_serial\": %.2f,\n\
-    \    \"parallel\": [\n"
-    reads bo_trials (fin serial_wall)
-    (fin (float_of_int reads /. serial_wall));
-  List.iteri
-    (fun idx (d, timed) ->
-      let sep = if idx = List.length par_rows - 1 then "" else "," in
-      match timed with
-      | Some (w, s) ->
-          Printf.bprintf b
-            "      { \"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.3f, \
-             \"reads_per_sec\": %.2f }%s\n"
-            d (fin w) (fin s)
-            (fin (float_of_int reads /. w))
-            sep
-      | None ->
-          Printf.bprintf b "      { \"domains\": %d, \"skipped\": \"cores < domains\" }%s\n" d
-            sep)
-    par_rows;
-  Printf.bprintf b
-    "    ],\n\
-    \    \"parallel_domains\": %d, \"parallel_wall_s\": %.6f, \
-     \"parallel_speedup\": %.3f, \"reads_per_sec_parallel\": %.2f\n\
-    \  },\n"
-    best_d (fin best_wall) (fin best_speedup)
-    (fin (float_of_int reads /. best_wall));
-  Printf.bprintf b "  \"embed_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f },\n"
-    hits misses hit_rate;
-  Printf.bprintf b "  \"floor_flips_per_sec\": %.0f\n" floor_flips_per_sec;
-  Printf.bprintf b "}\n";
-  Buffer.contents b
-
 let run (ctx : Bench_util.ctx) =
   Bench_util.header "Annealing-engine throughput"
     "no paper analogue; incremental-field kernel, domain-parallel reads, embedding cache";
@@ -267,15 +191,74 @@ let run (ctx : Bench_util.ctx) =
   let hits, misses = cache_exercise () in
   Printf.printf "embed cache: %d hits / %d misses (%.1f %% hit rate)\n" hits misses
     (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)));
-  let scale = match ctx.scale with `Paper -> "paper" | `Small -> "small" in
-  let json =
-    json_out ~scale ~n ~sweeps ~repeats ~ref_wall ~ref_fps ~inc_wall ~inc_fps ~regimes
-      ~reads ~bo_trials ~serial_wall ~par_rows ~hits ~misses
+  let num = Bench_util.num in
+  let per_sec wall = num (float_of_int reads /. wall) in
+  let kernel wall fps = Json.Obj [ ("wall_s", num wall); ("flips_per_sec", num fps) ] in
+  (* the best timed row keeps the schema-1 summary fields alive: the CI
+     trend reader and the speedup gate both look at [parallel_speedup];
+     with no timed row the summary is the serial row *)
+  let best_d, best_wall, best_speedup =
+    List.fold_left
+      (fun (bd, bw, bs) -> function
+        | d, Some (w, s) when s > bs -> (d, w, s)
+        | _ -> (bd, bw, bs))
+      (1, serial_wall, 1.0) par_rows
   in
-  let path = Bench_util.out_path "BENCH_anneal.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc json);
-  Printf.printf "wrote %s\n" path;
+  Bench_util.write_json ctx "anneal"
+    [
+      ("n_spins", Int n);
+      ("sweeps", Int sweeps);
+      ("repeats", Int repeats);
+      ("reference", kernel ref_wall ref_fps);
+      ("incremental", kernel inc_wall inc_fps);
+      ("kernel_speedup", num (inc_fps /. ref_fps));
+      ( "regimes",
+        Arr
+          (List.map
+             (fun (beta, rf, inc) ->
+               Json.Obj
+                 [
+                   ("beta", num beta);
+                   ("reference_flips_per_sec", num rf);
+                   ("incremental_flips_per_sec", num inc);
+                   ("speedup", num (inc /. rf));
+                 ])
+             regimes) );
+      ( "best_of",
+        Obj
+          [
+            ("reads", Int reads);
+            ("trials", Int bo_trials);
+            ("serial_wall_s", num serial_wall);
+            ("reads_per_sec_serial", per_sec serial_wall);
+            ( "parallel",
+              Arr
+                (List.map
+                   (function
+                     | d, Some (w, s) ->
+                         Json.Obj
+                           [
+                             ("domains", Int d);
+                             ("wall_s", num w);
+                             ("speedup", num s);
+                             ("reads_per_sec", per_sec w);
+                           ]
+                     | d, None -> Obj [ ("domains", Int d); ("skipped", Str "cores < domains") ])
+                   par_rows) );
+            ("parallel_domains", Int best_d);
+            ("parallel_wall_s", num best_wall);
+            ("parallel_speedup", num best_speedup);
+            ("reads_per_sec_parallel", per_sec best_wall);
+          ] );
+      ( "embed_cache",
+        Obj
+          [
+            ("hits", Int hits);
+            ("misses", Int misses);
+            ("hit_rate", num (float_of_int hits /. float_of_int (max 1 (hits + misses))));
+          ] );
+      ("floor_flips_per_sec", num floor_flips_per_sec);
+    ];
   if inc_fps < floor_flips_per_sec /. 2.0 then begin
     Printf.eprintf
       "bench anneal: PERF REGRESSION — incremental kernel at %.2e flips/s, more than 2x below \

@@ -146,47 +146,43 @@ let run (ctx : Bench_util.ctx) =
     arena_pps
     (float_of_int total_confl /. sum_arena)
     ref_pps speedup floor_props_per_sec (floor_props_per_sec /. 2.);
-  (* JSON artifact *)
-  let fin x = if Float.is_finite x then x else 0. in
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf "{\n  \"schema\": \"hyqsat/bench-cdcl/v1\",\n";
-  Printf.bprintf buf "  \"scale\": \"%s\",\n"
-    (match ctx.Bench_util.scale with `Paper -> "paper" | `Small -> "small");
-  Printf.bprintf buf "  \"max_conflicts\": %d,\n" max_conflicts;
-  Printf.bprintf buf "  \"trials\": %d,\n" trials;
-  Printf.bprintf buf "  \"floor_props_per_sec\": %.3e,\n" floor_props_per_sec;
-  Printf.bprintf buf "  \"instances\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf buf
-        "    { \"name\": \"%s\", \"vars\": %d, \"clauses\": %d, \"answer\": \
-         \"%s\",\n\
-        \      \"conflicts\": %d, \"propagations\": %d,\n\
-        \      \"wall_arena_s\": %.6f, \"wall_reference_s\": %.6f,\n\
-        \      \"arena_props_per_sec\": %.3e, \"reference_props_per_sec\": \
-         %.3e,\n\
-        \      \"speedup\": %.3f }%s\n"
-        r.name r.vars r.clauses r.answer r.conflicts r.propagations
-        r.wall_arena r.wall_reference
-        (fin (float_of_int r.propagations /. r.wall_arena))
-        (fin (float_of_int r.propagations /. r.wall_reference))
-        (fin (r.wall_reference /. r.wall_arena))
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf
-    "  \"aggregate\": { \"propagations\": %d, \"conflicts\": %d,\n\
-    \    \"arena_props_per_sec\": %.3e, \"reference_props_per_sec\": %.3e,\n\
-    \    \"arena_conflicts_per_sec\": %.3e, \"speedup\": %.3f }\n}\n"
-    total_props total_confl (fin arena_pps) (fin ref_pps)
-    (fin (float_of_int total_confl /. sum_arena))
-    (fin speedup);
-  let path = Bench_util.out_path "BENCH_cdcl.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "wrote %s\n" path;
+  let num = Bench_util.num in
+  let rate count wall = num (float_of_int count /. wall) in
+  Bench_util.write_json ctx "cdcl"
+    [
+      ("max_conflicts", Int max_conflicts);
+      ("trials", Int trials);
+      ("floor_props_per_sec", num floor_props_per_sec);
+      ( "instances",
+        Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Str r.name);
+                   ("vars", Int r.vars);
+                   ("clauses", Int r.clauses);
+                   ("answer", Str r.answer);
+                   ("conflicts", Int r.conflicts);
+                   ("propagations", Int r.propagations);
+                   ("wall_arena_s", num r.wall_arena);
+                   ("wall_reference_s", num r.wall_reference);
+                   ("arena_props_per_sec", rate r.propagations r.wall_arena);
+                   ("reference_props_per_sec", rate r.propagations r.wall_reference);
+                   ("speedup", num (r.wall_reference /. r.wall_arena));
+                 ])
+             rows) );
+      ( "aggregate",
+        Obj
+          [
+            ("propagations", Int total_props);
+            ("conflicts", Int total_confl);
+            ("arena_props_per_sec", num arena_pps);
+            ("reference_props_per_sec", num ref_pps);
+            ("arena_conflicts_per_sec", rate total_confl sum_arena);
+            ("speedup", num speedup);
+          ] );
+    ];
   if arena_pps < floor_props_per_sec /. 2. then begin
     Printf.eprintf
       "bench cdcl: PERF REGRESSION — arena propagation rate %.3e props/s is \

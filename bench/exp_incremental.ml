@@ -40,24 +40,6 @@ let run_warm f queries =
       (answer, delta))
     queries
 
-let json_out ~n ~m ~count ~k ~trials ~cold_wall ~warm_wall ~cold_conflicts ~warm_conflicts
-    ~speedup =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"bench\": \"incremental\",\n";
-  Printf.bprintf b "  \"vars\": %d,\n" n;
-  Printf.bprintf b "  \"clauses\": %d,\n" m;
-  Printf.bprintf b "  \"queries\": %d,\n" count;
-  Printf.bprintf b "  \"assumptions_per_query\": %d,\n" k;
-  Printf.bprintf b "  \"trials\": %d,\n" trials;
-  Printf.bprintf b "  \"cold_wall_s\": %.6f,\n" cold_wall;
-  Printf.bprintf b "  \"warm_wall_s\": %.6f,\n" warm_wall;
-  Printf.bprintf b "  \"cold_conflicts\": %d,\n" cold_conflicts;
-  Printf.bprintf b "  \"warm_conflicts\": %d,\n" warm_conflicts;
-  Printf.bprintf b "  \"warm_speedup\": %.3f\n" speedup;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
 let run (ctx : Bench_util.ctx) =
   Bench_util.header "Incremental solving: warm session vs cold re-solves"
     "no paper analogue; assumption-query stream over one formula";
@@ -103,14 +85,19 @@ let run (ctx : Bench_util.ctx) =
     (float_of_int cold_conflicts /. float_of_int (max 1 warm_conflicts))
     count;
 
-  let json =
-    json_out ~n ~m ~count ~k ~trials ~cold_wall ~warm_wall ~cold_conflicts ~warm_conflicts
-      ~speedup
-  in
-  let path = Bench_util.out_path "BENCH_incremental.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc json);
-  Printf.printf "wrote %s\n" path;
+  Bench_util.write_json ctx "incremental"
+    [
+      ("vars", Int n);
+      ("clauses", Int m);
+      ("queries", Int count);
+      ("assumptions_per_query", Int k);
+      ("trials", Int trials);
+      ("cold_wall_s", Bench_util.num cold_wall);
+      ("warm_wall_s", Bench_util.num warm_wall);
+      ("cold_conflicts", Int cold_conflicts);
+      ("warm_conflicts", Int warm_conflicts);
+      ("warm_speedup", Bench_util.num speedup);
+    ];
 
   (* the gate: retaining the session must never lose to starting over.
      Conflicts are deterministic; wall clock is a median, so a timing

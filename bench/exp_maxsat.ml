@@ -96,26 +96,6 @@ let run_workload name w =
     core_calls = cg.O.cdcl_calls;
   }
 
-let json_out ~instances ~mismatches rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"bench\": \"maxsat\",\n";
-  Printf.bprintf b "  \"fuzz_instances\": %d,\n" instances;
-  Printf.bprintf b "  \"fuzz_mismatches\": %d,\n" mismatches;
-  Buffer.add_string b "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"name\": %S, \"vars\": %d, \"hard\": %d, \"soft\": %d, \"optimum\": %d, \
-         \"linear_wall_s\": %.6f, \"linear_cdcl_calls\": %d, \"core_wall_s\": %.6f, \
-         \"core_cdcl_calls\": %d}%s\n"
-        r.name r.vars r.n_hard r.n_soft r.optimum r.linear_wall r.linear_calls r.core_wall
-        r.core_calls
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
 let run (ctx : Bench_util.ctx) =
   Bench_util.header "Weighted MaxSAT: exact optimisers vs brute force and each other"
     "no paper analogue; extension of reference [8] (Bian et al.)";
@@ -155,11 +135,28 @@ let run (ctx : Bench_util.ctx) =
   Printf.printf "both algorithms certified the same optimum on all %d workloads\n\n"
     (List.length rows);
 
-  let json = json_out ~instances ~mismatches rows in
-  let path = Bench_util.out_path "BENCH_maxsat.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc json);
-  Printf.printf "wrote %s\n" path;
+  Bench_util.write_json ctx "maxsat"
+    [
+      ("fuzz_instances", Int instances);
+      ("fuzz_mismatches", Int mismatches);
+      ( "workloads",
+        Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Str r.name);
+                   ("vars", Int r.vars);
+                   ("hard", Int r.n_hard);
+                   ("soft", Int r.n_soft);
+                   ("optimum", Int r.optimum);
+                   ("linear_wall_s", Bench_util.num r.linear_wall);
+                   ("linear_cdcl_calls", Int r.linear_calls);
+                   ("core_wall_s", Bench_util.num r.core_wall);
+                   ("core_cdcl_calls", Int r.core_calls);
+                 ])
+             rows) );
+    ];
 
   (* the gate: an exact optimiser that misses the brute optimum is a
      soundness regression, never a perf artifact *)

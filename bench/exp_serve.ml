@@ -19,26 +19,6 @@ let instances (ctx : Bench_util.ctx) count =
   List.init count (fun i ->
       (Printf.sprintf "uf30-%02d" i, Workload.Uniform.uf rng 30, ctx.seed + (101 * i)))
 
-let json_out ~count ~trials ~direct_wall ~wire_wall ~outcomes =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" count);
-  Buffer.add_string b (Printf.sprintf "  \"trials\": %d,\n" trials);
-  Buffer.add_string b (Printf.sprintf "  \"direct_wall_s\": %.6f,\n" direct_wall);
-  Buffer.add_string b
-    (Printf.sprintf "  \"direct_jobs_per_s\": %.3f,\n" (float_of_int count /. direct_wall));
-  Buffer.add_string b (Printf.sprintf "  \"wire_wall_s\": %.6f,\n" wire_wall);
-  Buffer.add_string b
-    (Printf.sprintf "  \"wire_jobs_per_s\": %.3f,\n" (float_of_int count /. wire_wall));
-  Buffer.add_string b
-    (Printf.sprintf "  \"overhead_ms_per_job\": %.3f,\n"
-       (1000. *. (wire_wall -. direct_wall) /. float_of_int count));
-  Buffer.add_string b
-    (Printf.sprintf "  \"outcomes\": [%s]\n"
-       (String.concat ", " (List.map (fun o -> Printf.sprintf "\"%s\"" o) outcomes)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
 let run (ctx : Bench_util.ctx) =
   Bench_util.header "Daemon wire-protocol throughput"
     "no paper analogue; hyqsat serve overhead vs in-process batch on uf30";
@@ -151,12 +131,18 @@ let run (ctx : Bench_util.ctx) =
     wire_wall
     (1000. *. (wire_wall -. direct_wall) /. float_of_int count);
 
-  let json =
-    json_out ~count ~trials ~direct_wall ~wire_wall ~outcomes:direct_outcomes
-  in
-  let path = Bench_util.out_path "BENCH_serve.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc json);
-  Printf.printf "wrote %s\n" path;
+  let jobs_per_s wall = Bench_util.num (float_of_int count /. wall) in
+  Bench_util.write_json ctx "serve"
+    [
+      ("jobs", Int count);
+      ("trials", Int trials);
+      ("direct_wall_s", Bench_util.num direct_wall);
+      ("direct_jobs_per_s", jobs_per_s direct_wall);
+      ("wire_wall_s", Bench_util.num wire_wall);
+      ("wire_jobs_per_s", jobs_per_s wire_wall);
+      ( "overhead_ms_per_job",
+        Bench_util.num (1000. *. (wire_wall -. direct_wall) /. float_of_int count) );
+      ("outcomes", Arr (List.map (fun o -> Json.Str o) direct_outcomes));
+    ];
   Printf.printf "wire outcomes match the in-process batch (%d jobs x %d rounds)\n" count
     trials

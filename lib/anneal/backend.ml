@@ -3,7 +3,6 @@ type request = {
   params : Sampler.params;
   init : int array option;
   domains : int;
-  pool : Parallel.Tasks.t option;
   timing : Timing.t;
 }
 
@@ -58,7 +57,7 @@ let best_of : t =
 
     let sample ?obs rng req =
       let spins =
-        Sampler.sample ?obs ~params:req.params ?init:req.init ?pool:req.pool
+        Sampler.sample ?obs ~params:req.params ?init:req.init
           ~domains:(max 1 req.domains) rng req.ising
       in
       Ok { spins; energy = Sparse_ising.energy req.ising spins; time_us = model_time_us req }

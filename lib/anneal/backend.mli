@@ -16,10 +16,6 @@ type request = {
   params : Sampler.params;  (** schedule / noise / reads *)
   init : int array option;  (** per-read initial spins (chain-coherent) *)
   domains : int;  (** parallelism hint; result-invariant *)
-  pool : Parallel.Tasks.t option;
-      (** persistent pool for parallel reads; [None] = the process-wide
-          {!Parallel.Tasks.shared}.  Host-side machinery, result-invariant
-          like [domains]. *)
   timing : Timing.t;  (** device timing model for [time_us] *)
 }
 

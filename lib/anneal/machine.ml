@@ -74,7 +74,7 @@ let greedy_descent objective lookup =
 
 let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
     ?(chain_strength = 2.0) ?(postprocess = true)
-    ?(timing = Timing.d_wave_2000q) ?(reads = 1) ?(domains = 1) ?pool ~sample rng job =
+    ?(timing = Timing.d_wave_2000q) ?(reads = 1) ?(domains = 1) ~sample rng job =
   if reads < 1 then invalid_arg "Machine.run: reads";
   let schedule =
     match schedule with
@@ -159,7 +159,6 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
       params = Sampler.make_params ~schedule ~noise ~reads ();
       init = Some (Array.sub init 0 n_phys);
       domains;
-      pool;
       timing;
     }
   in
@@ -240,12 +239,11 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
           time_us = resp.Backend.time_us;
         }
 
-let run ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domains ?pool rng
-    job =
+let run ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domains rng job =
   let sample rng req = Backend.sample ?obs Backend.best_of rng req in
   match
-    run_via ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domains ?pool
-      ~sample rng job
+    run_via ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domains ~sample
+      rng job
   with
   | Ok outcome -> outcome
   | Error _ -> assert false (* the simulator is infallible *)

@@ -42,7 +42,6 @@ val run_via :
   ?timing:Timing.t ->
   ?reads:int ->
   ?domains:int ->
-  ?pool:Parallel.Tasks.t ->
   sample:(Stats.Rng.t -> Backend.request -> (Backend.response, Backend.failure) result) ->
   Stats.Rng.t ->
   job ->
@@ -57,10 +56,10 @@ val run_via :
     degrade on.
 
     [reads] (default 1) requests the multi-sample device mode (best of
-    [reads] anneals, fanned over [domains] — on [pool] when given, else
-    the process-wide {!Parallel.Tasks.shared} — when the backend supports
-    it); [noise] rides inside the request's {!Sampler.params}.  [postprocess]
-    (default [true]) runs the machine-side sample repair — a logical-level
+    [reads] anneals, fanned over [domains] on the process-wide
+    {!Parallel.Tasks.shared} pool when the backend supports it); [noise]
+    rides inside the request's {!Sampler.params}.  [postprocess] (default
+    [true]) runs the machine-side sample repair — a logical-level
     anneal plus greedy descent — {e host-side}, never through the backend;
     it cannot turn an unsatisfiable clause set's energy to zero, only
     remove thermal/chain-break residue.  With a live [obs] the call adds
@@ -80,7 +79,6 @@ val run :
   ?timing:Timing.t ->
   ?reads:int ->
   ?domains:int ->
-  ?pool:Parallel.Tasks.t ->
   Stats.Rng.t ->
   job ->
   outcome

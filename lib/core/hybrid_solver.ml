@@ -11,7 +11,6 @@ type config = {
   warmup_fraction : float;
   qa_reads : int;
   qa_domains : int;
-  qa_pool : Parallel.Tasks.t option;
   backend : Anneal.Backend.t;
   supervision : Anneal.Supervisor.policy;
   seed : int;
@@ -31,7 +30,6 @@ let default_config =
     warmup_fraction = 1.0;
     qa_reads = 1;
     qa_domains = 1;
-    qa_pool = None;
     backend = Anneal.Backend.best_of;
     supervision = Anneal.Supervisor.default_policy;
     seed = 20230225;
@@ -39,7 +37,7 @@ let default_config =
 
 let make_config ?(base = default_config) ?cdcl ?graph ?noise ?timing ?calibration
     ?queue_mode ?adjust_coefficients ?strategies ?qa_period ?warmup_fraction
-    ?qa_reads ?qa_domains ?qa_pool ?backend ?supervisor ?seed () =
+    ?qa_reads ?qa_domains ?backend ?supervisor ?seed () =
   let v d o = Option.value ~default:d o in
   {
     cdcl = v base.cdcl cdcl;
@@ -54,7 +52,6 @@ let make_config ?(base = default_config) ?cdcl ?graph ?noise ?timing ?calibratio
     warmup_fraction = v base.warmup_fraction warmup_fraction;
     qa_reads = v base.qa_reads qa_reads;
     qa_domains = v base.qa_domains qa_domains;
-    qa_pool = (match qa_pool with None -> base.qa_pool | some -> some);
     backend = v base.backend backend;
     supervision = v base.supervision supervisor;
     seed = v base.seed seed;
@@ -218,7 +215,6 @@ let solve_hybrid ~config ?supervisor ~max_iterations ~should_stop ~obs ~parent
           let qa_result =
             Anneal.Machine.run_via ~obs ~noise:config.noise ~timing:config.timing
               ~reads:config.qa_reads ~domains:config.qa_domains
-              ?pool:config.qa_pool
               ~sample:(Anneal.Supervisor.sample supervisor)
               rng prepared.Frontend.job
           in

@@ -24,10 +24,6 @@ type config = {
   qa_domains : int;
       (** OCaml domains fanning the [qa_reads] samples; the answer is
           deterministic in the seed whatever this is set to *)
-  qa_pool : Parallel.Tasks.t option;
-      (** persistent pool carrying the parallel reads; [None] (the default)
-          = the process-wide {!Parallel.Tasks.shared}.  Host-side machinery
-          only — result-invariant like [qa_domains] *)
   backend : Anneal.Backend.t;
       (** the annealer device every QA call goes through (default
           {!Anneal.Backend.best_of}); wrap with
@@ -54,7 +50,6 @@ val make_config :
   ?warmup_fraction:float ->
   ?qa_reads:int ->
   ?qa_domains:int ->
-  ?qa_pool:Parallel.Tasks.t ->
   ?backend:Anneal.Backend.t ->
   ?supervisor:Anneal.Supervisor.policy ->
   ?seed:int ->

@@ -1,75 +1,48 @@
-(* JSON string escaping, sufficient for metric/span names and attrs. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Counters are conceptually integers most of the time: an exact integer
+   prints without a fractional part (and travels in JSON as [Int]),
+   anything else with enough digits to round-trip. *)
+let json_num x =
+  if Float.is_integer x && Float.abs x < 1e15 then Json.Int (int_of_float x) else Json.Num x
 
-(* Counters are conceptually integers most of the time; print them without
-   a fractional part when exact, otherwise with enough digits to
-   round-trip. *)
-let num x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.9g" x
+let num x = match json_num x with Int i -> string_of_int i | _ -> Printf.sprintf "%.9g" x
+
+(* span times keep the clock's microsecond resolution, as the trace
+   always has *)
+let json_us x = Json.Num (Float.round (x *. 1e6) /. 1e6)
+
+let line fields = Json.to_string (Obj fields) ^ "\n"
 
 let span_line (r : Ctx.span_record) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"type\":\"span\",\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"start_s\":%.6f,\"dur_s\":%.6f"
-       r.id r.parent (escape r.name) r.start_s r.dur_s);
-  if r.attrs <> [] then begin
-    Buffer.add_string buf ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
-      r.attrs;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  line
+    ([
+       ("type", Json.Str "span");
+       ("id", Int r.id);
+       ("parent", Int r.parent);
+       ("name", Str r.name);
+       ("start_s", json_us r.start_s);
+       ("dur_s", json_us r.dur_s);
+     ]
+    @
+    if r.attrs = [] then []
+    else [ ("attrs", Obj (List.map (fun (k, v) -> (k, Json.Str v)) r.attrs)) ])
 
 let metric_line (name, m) =
+  let typed kind fields = line (("type", Json.Str kind) :: ("name", Str name) :: fields) in
   match (m : Ctx.metric) with
-  | Ctx.Counter c ->
-      Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%s}\n"
-        (escape name) (num c.count)
-  | Ctx.Gauge g ->
-      Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s}\n"
-        (escape name) (num g.value)
+  | Ctx.Counter c -> typed "counter" [ ("value", json_num c.count) ]
+  | Ctx.Gauge g -> typed "gauge" [ ("value", json_num g.value) ]
   | Ctx.Histogram h ->
-      let buf = Buffer.create 128 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%s,\"buckets\":["
-           (escape name) h.observations (num h.sum));
-      let first = ref true in
-      Array.iteri
-        (fun i n ->
-          if n > 0 then begin
-            if not !first then Buffer.add_char buf ',';
-            first := false;
-            let le =
-              if i < Array.length h.bounds then num h.bounds.(i) else "\"+Inf\""
-            in
-            Buffer.add_string buf (Printf.sprintf "{\"le\":%s,\"n\":%d}" le n)
-          end)
-        h.counts;
-      Buffer.add_string buf "]}\n";
-      Buffer.contents buf
+      let bucket i n =
+        let le = if i < Array.length h.bounds then json_num h.bounds.(i) else Str "+Inf" in
+        Json.Obj [ ("le", le); ("n", Int n) ]
+      in
+      let buckets =
+        Array.to_list h.counts
+        |> List.mapi (fun i n -> if n > 0 then Some (bucket i n) else None)
+        |> List.filter_map Fun.id
+      in
+      typed "histogram"
+        [ ("count", Int h.observations); ("sum", json_num h.sum); ("buckets", Arr buckets) ]
 
 let jsonl ~write ?(on_close = fun () -> ()) () =
   {

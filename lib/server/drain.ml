@@ -1,5 +1,3 @@
-module T = Service.Telemetry
-
 type report = {
   accepted : int;
   completed : int;
@@ -15,17 +13,18 @@ let pp ppf r =
     r.accepted r.completed (cancelled r) r.cancelled_queued r.cancelled_running r.wall_s
 
 let to_json_string r =
-  T.json_to_string
-    (T.Obj
-       [
-         ("schema_version", T.Int T.schema_version);
-         ("kind", T.Str "drain_report");
-         ("accepted", T.Int r.accepted);
-         ("completed", T.Int r.completed);
-         ("cancelled_queued", T.Int r.cancelled_queued);
-         ("cancelled_running", T.Int r.cancelled_running);
-         ("wall_s", T.Num r.wall_s);
-       ])
+  Json.(
+    to_string
+      (Obj
+         [
+           ("schema_version", Int Service.Telemetry.schema_version);
+           ("kind", Str "drain_report");
+           ("accepted", Int r.accepted);
+           ("completed", Int r.completed);
+           ("cancelled_queued", Int r.cancelled_queued);
+           ("cancelled_running", Int r.cancelled_running);
+           ("wall_s", Num r.wall_s);
+         ]))
 
 let install_stop_handlers ?signals () =
   let signals = match signals with Some s -> s | None -> [ Sys.sigterm; Sys.sigint ] in

@@ -1,3 +1,4 @@
+module J = Json
 module T = Service.Telemetry
 
 let proto_version = 1
@@ -56,7 +57,8 @@ type server_msg =
 (* encoding.  Field order is fixed: schema_version, kind, then the
    kind's own fields — stable bytes make frames diffable in tests. *)
 
-let obj kind fields = T.Obj (("schema_version", T.Int T.schema_version) :: ("kind", T.Str kind) :: fields)
+let obj kind fields =
+  J.Obj (("schema_version", J.Int T.schema_version) :: ("kind", J.Str kind) :: fields)
 
 (* models travel as a '0'/'1' string: compact, order-preserving, and
    trivially stable across schema versions *)
@@ -65,137 +67,112 @@ let string_of_model m =
 
 let model_of_string s = Array.init (String.length s) (fun i -> s.[i] = '1')
 
-let opt_num name = function None -> [] | Some x -> [ (name, T.Num x) ]
-let opt_int name = function None -> [] | Some i -> [ (name, T.Int i) ]
-let opt_str name = function None -> [] | Some s -> [ (name, T.Str s) ]
+let opt_num name = function None -> [] | Some x -> [ (name, J.Num x) ]
+let opt_int name = function None -> [] | Some i -> [ (name, J.Int i) ]
+let opt_str name = function None -> [] | Some s -> [ (name, J.Str s) ]
 
 let encode_client msg =
-  T.json_to_string
+  J.to_string
     (match msg with
     | Hello { client; proto } ->
-        obj "hello" [ ("client", T.Str client); ("proto", T.Int proto) ]
+        obj "hello" [ ("client", J.Str client); ("proto", J.Int proto) ]
     | Submit s ->
         obj "submit"
           ([
-             ("id", T.Int s.id);
-             ("name", T.Str s.name);
-             ("dimacs", T.Str s.dimacs);
-             ("certify", T.Bool s.certify);
+             ("id", J.Int s.id);
+             ("name", J.Str s.name);
+             ("dimacs", J.Str s.dimacs);
+             ("certify", J.Bool s.certify);
            ]
           @ opt_num "timeout_s" s.timeout_s
-          @ [ ("max_iterations", T.Int s.max_iterations); ("retries", T.Int s.retries) ]
+          @ [ ("max_iterations", J.Int s.max_iterations); ("retries", J.Int s.retries) ]
           @ opt_int "seed" s.seed
-          @ [ ("priority", T.Int s.priority) ]
+          @ [ ("priority", J.Int s.priority) ]
           @ opt_str "session" s.session
           @ opt_str "format" s.format
           (* only optimisation submits carry a gap: absence = 0 on read
              keeps decision submits byte-identical to older clients' *)
-          @ (if s.gap_limit = 0 then [] else [ ("gap_limit", T.Int s.gap_limit) ]))
-    | Subscribe { events } -> obj "subscribe" [ ("events", T.Bool events) ]
-    | Ping n -> obj "ping" [ ("n", T.Int n) ]
+          @ (if s.gap_limit = 0 then [] else [ ("gap_limit", J.Int s.gap_limit) ]))
+    | Subscribe { events } -> obj "subscribe" [ ("events", J.Bool events) ]
+    | Ping n -> obj "ping" [ ("n", J.Int n) ]
     | Bye -> obj "bye" [])
 
 let encode_server msg =
-  T.json_to_string
+  J.to_string
     (match msg with
     | Welcome { server; proto; schema } ->
         obj "welcome"
-          [ ("server", T.Str server); ("proto", T.Int proto); ("schema", T.Int schema) ]
+          [ ("server", J.Str server); ("proto", J.Int proto); ("schema", J.Int schema) ]
     | Accepted { id; position; queued } ->
         obj "accepted"
-          [ ("id", T.Int id); ("position", T.Int position); ("queued", T.Int queued) ]
+          [ ("id", J.Int id); ("position", J.Int position); ("queued", J.Int queued) ]
     | Rejected { id; code; reason; retry_after_s } ->
         obj "rejected"
-          ([ ("id", T.Int id); ("code", T.Str code); ("reason", T.Str reason) ]
+          ([ ("id", J.Int id); ("code", J.Str code); ("reason", J.Str reason) ]
           @ opt_num "retry_after_s" retry_after_s)
     | Result { id; record; model } ->
         obj "result"
-          ([ ("id", T.Int id); ("record", T.json_of_record record) ]
-          @ match model with None -> [] | Some m -> [ ("model", T.Str (string_of_model m)) ])
+          ([ ("id", J.Int id); ("record", T.json_of_record record) ]
+          @ match model with None -> [] | Some m -> [ ("model", J.Str (string_of_model m)) ])
     | Event { job; name; dur_s; attrs } ->
         obj "event"
           (opt_int "job" job
           @ [
-              ("name", T.Str name);
-              ("dur_s", T.Num dur_s);
-              ("attrs", T.Obj (List.map (fun (k, v) -> (k, T.Str v)) attrs));
+              ("name", J.Str name);
+              ("dur_s", J.Num dur_s);
+              ("attrs", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) attrs));
             ])
-    | Pong n -> obj "pong" [ ("n", T.Int n) ]
+    | Pong n -> obj "pong" [ ("n", J.Int n) ]
     | Drained { accepted; completed; cancelled } ->
         obj "drained"
           [
-            ("accepted", T.Int accepted);
-            ("completed", T.Int completed);
-            ("cancelled", T.Int cancelled);
+            ("accepted", J.Int accepted);
+            ("completed", J.Int completed);
+            ("cancelled", J.Int cancelled);
           ]
     | Error_msg { code; reason } ->
-        obj "error" [ ("code", T.Str code); ("reason", T.Str reason) ])
+        obj "error" [ ("code", J.Str code); ("reason", J.Str reason) ])
 
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 
-let check_version kvs =
-  (* same policy as Telemetry.of_json_string: absent = v1, anything up to
-     the current version is readable, newer is rejected *)
-  match List.assoc_opt "schema_version" kvs with
-  | None -> ()
-  | Some v ->
-      let v = T.as_int v in
-      if v < 1 || v > T.schema_version then
-        raise
-          (T.Parse_error
-             (Printf.sprintf "unsupported schema_version %d (supported: 1..%d)" v
-                T.schema_version))
-
-let kind_of kvs = T.as_str (T.field kvs "kind")
-
-let opt_field kvs k f = match List.assoc_opt k kvs with Some v -> Some (f v) | None -> None
-let bool_field kvs k =
-  match T.field kvs k with
-  | T.Bool b -> b
-  | _ -> raise (T.Parse_error (Printf.sprintf "field %S: expected bool" k))
+let kind_of kvs = J.as_str (J.field kvs "kind")
+let bool_field kvs k = J.as_bool (J.field kvs k)
 
 let with_doc s f =
-  match T.parse_json s with
-  | exception T.Parse_error m -> Error m
-  | j -> (
-      match
-        let kvs = T.as_obj j in
-        check_version kvs;
-        f kvs
-      with
-      | v -> Ok v
-      | exception T.Parse_error m -> Error m)
+  J.decode s (fun j ->
+      let kvs = J.as_obj j in
+      T.check_schema_version kvs;
+      f kvs)
 
 let decode_client s =
   with_doc s (fun kvs ->
       match kind_of kvs with
       | "hello" ->
-          Hello { client = T.as_str (T.field kvs "client"); proto = T.as_int (T.field kvs "proto") }
+          Hello { client = J.as_str (J.field kvs "client"); proto = J.as_int (J.field kvs "proto") }
       | "submit" ->
           Submit
             {
-              id = T.as_int (T.field kvs "id");
-              name = T.as_str (T.field kvs "name");
-              dimacs = T.as_str (T.field kvs "dimacs");
+              id = J.as_int (J.field kvs "id");
+              name = J.as_str (J.field kvs "name");
+              dimacs = J.as_str (J.field kvs "dimacs");
               certify = bool_field kvs "certify";
-              timeout_s = opt_field kvs "timeout_s" T.as_num;
-              max_iterations = T.as_int (T.field kvs "max_iterations");
-              retries = T.as_int (T.field kvs "retries");
-              seed = opt_field kvs "seed" T.as_int;
+              timeout_s = J.opt_field kvs "timeout_s" J.as_num;
+              max_iterations = J.as_int (J.field kvs "max_iterations");
+              retries = J.as_int (J.field kvs "retries");
+              seed = J.opt_field kvs "seed" J.as_int;
               (* added after v1 of the vocabulary: old submitters omit it *)
-              priority = (match opt_field kvs "priority" T.as_int with Some p -> p | None -> 0);
+              priority = Option.value ~default:0 (J.opt_field kvs "priority" J.as_int);
               (* added with telemetry schema v4: absent = one-shot submit *)
-              session = opt_field kvs "session" T.as_str;
+              session = J.opt_field kvs "session" J.as_str;
               (* added with telemetry schema v5: absent = DIMACS decision job *)
-              format = opt_field kvs "format" T.as_str;
-              gap_limit =
-                (match opt_field kvs "gap_limit" T.as_int with Some g -> g | None -> 0);
+              format = J.opt_field kvs "format" J.as_str;
+              gap_limit = Option.value ~default:0 (J.opt_field kvs "gap_limit" J.as_int);
             }
       | "subscribe" -> Subscribe { events = bool_field kvs "events" }
-      | "ping" -> Ping (T.as_int (T.field kvs "n"))
+      | "ping" -> Ping (J.as_int (J.field kvs "n"))
       | "bye" -> Bye
-      | k -> raise (T.Parse_error (Printf.sprintf "unknown client message kind %S" k)))
+      | k -> raise (J.Schema_error (Printf.sprintf "unknown client message kind %S" k)))
 
 let decode_server s =
   with_doc s (fun kvs ->
@@ -203,49 +180,49 @@ let decode_server s =
       | "welcome" ->
           Welcome
             {
-              server = T.as_str (T.field kvs "server");
-              proto = T.as_int (T.field kvs "proto");
-              schema = T.as_int (T.field kvs "schema");
+              server = J.as_str (J.field kvs "server");
+              proto = J.as_int (J.field kvs "proto");
+              schema = J.as_int (J.field kvs "schema");
             }
       | "accepted" ->
           Accepted
             {
-              id = T.as_int (T.field kvs "id");
-              position = T.as_int (T.field kvs "position");
-              queued = T.as_int (T.field kvs "queued");
+              id = J.as_int (J.field kvs "id");
+              position = J.as_int (J.field kvs "position");
+              queued = J.as_int (J.field kvs "queued");
             }
       | "rejected" ->
           Rejected
             {
-              id = T.as_int (T.field kvs "id");
-              code = T.as_str (T.field kvs "code");
-              reason = T.as_str (T.field kvs "reason");
-              retry_after_s = opt_field kvs "retry_after_s" T.as_num;
+              id = J.as_int (J.field kvs "id");
+              code = J.as_str (J.field kvs "code");
+              reason = J.as_str (J.field kvs "reason");
+              retry_after_s = J.opt_field kvs "retry_after_s" J.as_num;
             }
       | "result" ->
           Result
             {
-              id = T.as_int (T.field kvs "id");
-              record = T.record_of_json (T.field kvs "record");
-              model = opt_field kvs "model" (fun v -> model_of_string (T.as_str v));
+              id = J.as_int (J.field kvs "id");
+              record = T.record_of_json (J.field kvs "record");
+              model = J.opt_field kvs "model" (fun v -> model_of_string (J.as_str v));
             }
       | "event" ->
           Event
             {
-              job = opt_field kvs "job" T.as_int;
-              name = T.as_str (T.field kvs "name");
-              dur_s = T.as_num (T.field kvs "dur_s");
+              job = J.opt_field kvs "job" J.as_int;
+              name = J.as_str (J.field kvs "name");
+              dur_s = J.as_num (J.field kvs "dur_s");
               attrs =
-                List.map (fun (k, v) -> (k, T.as_str v)) (T.as_obj (T.field kvs "attrs"));
+                List.map (fun (k, v) -> (k, J.as_str v)) (J.as_obj (J.field kvs "attrs"));
             }
-      | "pong" -> Pong (T.as_int (T.field kvs "n"))
+      | "pong" -> Pong (J.as_int (J.field kvs "n"))
       | "drained" ->
           Drained
             {
-              accepted = T.as_int (T.field kvs "accepted");
-              completed = T.as_int (T.field kvs "completed");
-              cancelled = T.as_int (T.field kvs "cancelled");
+              accepted = J.as_int (J.field kvs "accepted");
+              completed = J.as_int (J.field kvs "completed");
+              cancelled = J.as_int (J.field kvs "cancelled");
             }
       | "error" ->
-          Error_msg { code = T.as_str (T.field kvs "code"); reason = T.as_str (T.field kvs "reason") }
-      | k -> raise (T.Parse_error (Printf.sprintf "unknown server message kind %S" k)))
+          Error_msg { code = J.as_str (J.field kvs "code"); reason = J.as_str (J.field kvs "reason") }
+      | k -> raise (J.Schema_error (Printf.sprintf "unknown server message kind %S" k)))

@@ -110,5 +110,6 @@ val encode_server : server_msg -> string
 
 val decode_client : string -> (client_msg, string) result
 val decode_server : string -> (server_msg, string) result
-(** [Error reason] on malformed JSON, an unknown [kind], or an
-    unsupported (too-new) schema version. *)
+(** [Error reason] on malformed JSON, nesting deeper than
+    {!Json.max_depth}, an unknown [kind], or an unsupported (too-new)
+    schema version. *)

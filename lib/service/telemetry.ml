@@ -49,226 +49,9 @@ let summarize ~workers ~wall_time_s records =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON — minimal emitter and recursive-descent parser; the only shapes
-   we need are the two documents above, but the value type is generic so
-   the parser stays simple and total *)
+(* JSON documents *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let buf_add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-(* %.17g round-trips any float exactly; trim to %g when that already does *)
-let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
-  else
-    let short = Printf.sprintf "%.12g" x in
-    if float_of_string short = x then short else Printf.sprintf "%.17g" x
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Num x -> Buffer.add_string buf (float_repr x)
-  | Str s ->
-      Buffer.add_char buf '"';
-      buf_add_escaped buf s;
-      Buffer.add_char buf '"'
-  | Arr xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf x)
-        xs;
-      Buffer.add_char buf ']'
-  | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          buf_add_escaped buf k;
-          Buffer.add_string buf "\":";
-          emit buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-let json_to_string j =
-  let buf = Buffer.create 1024 in
-  emit buf j;
-  Buffer.contents buf
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let utf8_of_code buf c =
-    (* encode a \uXXXX code point (BMP only — all our emitter produces) *)
-    if c < 0x80 then Buffer.add_char buf (Char.chr c)
-    else if c < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (c lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (c lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3F)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
-           | 'b' -> Buffer.add_char buf '\b'; advance ()
-           | 'f' -> Buffer.add_char buf '\012'; advance ()
-           | 'n' -> Buffer.add_char buf '\n'; advance ()
-           | 'r' -> Buffer.add_char buf '\r'; advance ()
-           | 't' -> Buffer.add_char buf '\t'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               let c = try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape" in
-               pos := !pos + 4;
-               utf8_of_code buf c
-           | c -> fail (Printf.sprintf "bad escape %C" c));
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    let span = String.sub s start (!pos - start) in
-    match int_of_string_opt span with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt span with
-        | Some x -> Num x
-        | None -> fail (Printf.sprintf "bad number %S" span))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* ------------------------------------------------------------------ *)
-(* document shape *)
+open Json
 
 let json_of_record r =
   Obj
@@ -318,7 +101,7 @@ let json_of_summary s =
 let schema_version = 5
 
 let to_json_string summary records =
-  json_to_string
+  Json.to_string
     (Obj
        [
          ("schema_version", Int schema_version);
@@ -326,50 +109,27 @@ let to_json_string summary records =
          ("jobs", Arr (List.map json_of_record records));
        ])
 
-let field kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> v
-  | None -> raise (Parse_error (Printf.sprintf "missing field %S" k))
-
-let as_num = function
-  | Num x -> x
-  | Int i -> float_of_int i
-  | _ -> raise (Parse_error "expected number")
-
-let as_int = function
-  | Int i -> i
-  | Num x when Float.is_integer x -> int_of_float x
-  | _ -> raise (Parse_error "expected integer")
-let as_str = function Str s -> s | _ -> raise (Parse_error "expected string")
-let as_obj = function Obj kvs -> kvs | _ -> raise (Parse_error "expected object")
-let as_arr = function Arr xs -> xs | _ -> raise (Parse_error "expected array")
-
 let record_of_json j =
   let kvs = as_obj j in
+  let with_default k read default = Option.value ~default (opt_field kvs k read) in
   {
     job_id = as_int (field kvs "job_id");
     job_name = as_str (field kvs "job_name");
     outcome = as_str (field kvs "outcome");
-    verified = (match List.assoc_opt "verified" kvs with Some v -> as_str v | None -> "");
+    verified = with_default "verified" as_str "";
     winner = as_str (field kvs "winner");
     attempts = as_int (field kvs "attempts");
     queue_wait_s = as_num (field kvs "queue_wait_s");
     solve_time_s = as_num (field kvs "solve_time_s");
     iterations = as_int (field kvs "iterations");
     qa_calls = as_int (field kvs "qa_calls");
-    qa_failures = (match List.assoc_opt "qa_failures" kvs with Some v -> as_int v | None -> 0);
-    degraded = (match List.assoc_opt "degraded" kvs with Some v -> as_int v | None -> 0);
+    qa_failures = with_default "qa_failures" as_int 0;
+    degraded = with_default "degraded" as_int 0;
     strategy_uses = Array.of_list (List.map as_int (as_arr (field kvs "strategy_uses")));
-    warm_start =
-      (match List.assoc_opt "warm_start" kvs with
-      | Some (Bool b) -> b
-      | Some _ -> raise (Parse_error "expected boolean")
-      | None -> false);
-    reused_clauses =
-      (match List.assoc_opt "reused_clauses" kvs with Some v -> as_int v | None -> 0);
-    cost = (match List.assoc_opt "cost" kvs with Some v -> as_int v | None -> -1);
-    lower_bound =
-      (match List.assoc_opt "lower_bound" kvs with Some v -> as_int v | None -> -1);
+    warm_start = with_default "warm_start" as_bool false;
+    reused_clauses = with_default "reused_clauses" as_int 0;
+    cost = with_default "cost" as_int (-1);
+    lower_bound = with_default "lower_bound" as_int (-1);
   }
 
 let summary_of_json j =
@@ -387,25 +147,21 @@ let summary_of_json j =
     throughput_jps = as_num (field kvs "throughput_jps");
   }
 
+let check_schema_version kvs =
+  match opt_field kvs "schema_version" as_int with
+  | None -> () (* version 1: predates the field *)
+  | Some v ->
+      if v < 1 || v > schema_version then
+        raise
+          (Schema_error
+             (Printf.sprintf "unsupported schema_version %d (supported: 1..%d)" v
+                schema_version))
+
 let of_json_string s =
-  match parse_json s with
-  | exception Parse_error msg -> Error msg
-  | j -> (
-      match
-        let kvs = as_obj j in
-        (match List.assoc_opt "schema_version" kvs with
-        | None -> () (* version 1: predates the field *)
-        | Some v ->
-            let v = as_int v in
-            if v < 1 || v > schema_version then
-              raise
-                (Parse_error
-                   (Printf.sprintf "unsupported schema_version %d (supported: 1..%d)" v
-                      schema_version)));
-        (summary_of_json (field kvs "summary"), List.map record_of_json (as_arr (field kvs "jobs")))
-      with
-      | pair -> Ok pair
-      | exception Parse_error msg -> Error msg)
+  Json.decode s (fun j ->
+      let kvs = as_obj j in
+      check_schema_version kvs;
+      (summary_of_json (field kvs "summary"), List.map record_of_json (as_arr (field kvs "jobs"))))
 
 (* ------------------------------------------------------------------ *)
 (* tables *)

@@ -1,10 +1,9 @@
 (** Per-job run telemetry and service-level aggregation.
 
     Every job the batch service executes emits one {!record}; a finished
-    run aggregates them into a {!summary}.  Both serialise to a JSON
-    document (self-contained emitter/parser — the container has no JSON
-    library) that round-trips through {!of_json_string}, and pretty-print
-    as an aligned table for interactive use. *)
+    run aggregates them into a {!summary}.  Both serialise through {!Json}
+    to a document that round-trips through {!of_json_string}, and
+    pretty-print as an aligned table for interactive use. *)
 
 type record = {
   job_id : int;
@@ -55,63 +54,35 @@ type summary = {
 
 val summarize : workers:int -> wall_time_s:float -> record list -> summary
 
-(** {2 JSON values}
+(** {2 JSON documents} *)
 
-    The service's self-contained JSON layer (the container has no JSON
-    library).  Exposed so other subsystems speaking the telemetry schema —
-    notably the [Server] wire protocol — reuse one emitter/parser instead
-    of growing their own. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val json_to_string : json -> string
-(** Compact rendering; floats print with enough digits to round-trip. *)
-
-val parse_json : string -> json
-(** @raise Parse_error on malformed input (with a byte offset). *)
-
-(** Accessors used by schema readers; all raise {!Parse_error} on a kind
-    mismatch.  [field] raises when the key is missing — use
-    [List.assoc_opt] on {!as_obj} for optional fields. *)
-
-val field : (string * json) list -> string -> json
-val as_int : json -> int
-val as_num : json -> float
-val as_str : json -> string
-val as_obj : json -> (string * json) list
-val as_arr : json -> json list
-
-val json_of_record : record -> json
+val json_of_record : record -> Json.t
 (** The schema-v{!schema_version} object shape of one record, exactly as
     embedded in {!to_json_string}'s [jobs] array. *)
 
-val record_of_json : json -> record
+val record_of_json : Json.t -> record
 (** Inverse of {!json_of_record}; tolerates objects from every older
     version (absent [verified] = [""], absent [qa_failures]/[degraded] =
-    0, absent [cost]/[lower_bound] = -1).
-    @raise Parse_error on malformed input. *)
-
-(** {2 JSON documents} *)
+    0, absent [cost]/[lower_bound] = -1).  A non-finite time was written
+    as [null] and reads back as [nan].
+    @raise Json.Schema_error on malformed input. *)
 
 val schema_version : int
 (** Version of the emitted document shape (currently 5: added the
     optimisation fields [cost]/[lower_bound], absent = -1 on read).
     Version 1 documents predate the [schema_version] field. *)
 
+val check_schema_version : (string * Json.t) list -> unit
+(** The versioning policy every document of this schema family follows:
+    an absent [schema_version] is version 1, anything up to
+    {!schema_version} is readable, and newer versions raise
+    {!Json.Schema_error} rather than being misread. *)
+
 val to_json_string : summary -> record list -> string
 (** One JSON object
     [{"schema_version": N, "summary": {...}, "jobs": [...]}] with that
     fixed field order.  Floats are printed with enough digits to
-    round-trip exactly. *)
+    round-trip exactly; a non-finite one prints as [null]. *)
 
 val of_json_string : string -> (summary * record list, string) result
 (** Inverse of {!to_json_string}; [Error msg] on malformed input.

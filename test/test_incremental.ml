@@ -421,7 +421,7 @@ let session_first_instance_matches_oneshot () =
     Dispatch.shutdown d;
     match cs with
     | [ c ] ->
-        Telemetry.json_to_string
+        Json.to_string
           (Telemetry.json_of_record (strip_timing c.Dispatch.result.Batch.record))
     | _ -> Alcotest.fail "expected one completion"
   in

@@ -135,9 +135,9 @@ let jsonl_golden () =
     String.concat ""
       [
         "{\"type\":\"span\",\"id\":2,\"parent\":1,\"name\":\"cdcl\",\
-         \"start_s\":0.500000,\"dur_s\":0.250000}\n";
+         \"start_s\":0.5,\"dur_s\":0.25}\n";
         "{\"type\":\"span\",\"id\":1,\"parent\":0,\"name\":\"solve\",\
-         \"start_s\":0.250000,\"dur_s\":0.750000,\
+         \"start_s\":0.25,\"dur_s\":0.75,\
          \"attrs\":{\"file\":\"a \\\"b\\\".cnf\"}}\n";
         "{\"type\":\"counter\",\"name\":\"qa_calls_total\",\"value\":2}\n";
         "{\"type\":\"gauge\",\"name\":\"queue_depth\",\"value\":1.5}\n";

@@ -223,6 +223,25 @@ let protocol_versioning () =
   | Ok _ -> Alcotest.fail "wrong message"
   | Error e -> Alcotest.failf "v1 submit rejected: %s" e
 
+(* frames are decoded on the daemon's event-loop thread: nesting past the
+   codec's cap must come back as an error naming the cap, not as stack and
+   heap growth *)
+let protocol_nesting_cap () =
+  (* the message object is the first level, the padding the rest *)
+  let ping depth =
+    let pad = depth - 1 in
+    Printf.sprintf {|{"kind":"ping","n":1,"pad":%s%s}|} (String.make pad '[')
+      (String.make pad ']')
+  in
+  (match Protocol.decode_client (ping Json.max_depth) with
+  | Ok (Protocol.Ping 1) -> ()
+  | Ok _ -> Alcotest.fail "decoded to the wrong message"
+  | Error e -> Alcotest.failf "%d levels rejected: %s" Json.max_depth e);
+  match Protocol.decode_client (ping (Json.max_depth + 1)) with
+  | Error e ->
+      Alcotest.(check string) "depth error" (Json.error_message (Json.Too_deep Json.max_depth)) e
+  | Ok _ -> Alcotest.fail "nesting past the cap must be rejected"
+
 (* ------------------------------------------------------------------ *)
 (* admission primitives *)
 
@@ -380,7 +399,7 @@ let dispatch_drain_exactly_once () =
 
 let strip_timing (r : Telemetry.record) = { r with queue_wait_s = 0.; solve_time_s = 0. }
 
-let record_bytes r = Telemetry.json_to_string (Telemetry.json_of_record (strip_timing r))
+let record_bytes r = Json.to_string (Telemetry.json_of_record (strip_timing r))
 
 let wire_matches_oneshot () =
   let formula = Workload.Uniform.uf (Testutil.rng 5) 20 in
@@ -691,6 +710,7 @@ let suite =
       [
         Alcotest.test_case "message round-trips" `Quick protocol_roundtrips;
         Alcotest.test_case "schema versioning" `Quick protocol_versioning;
+        Alcotest.test_case "nesting cap" `Quick protocol_nesting_cap;
       ] );
     ( "server.admission",
       [
