@@ -2,9 +2,11 @@
    of the paper's reference [8], Bian et al.): the two exact algorithms
    (descending linear search, Fu–Malik core-guided) are first checked
    against brute-force enumeration on a fuzz corpus, then compared on
-   structured weighted workloads.  Writes BENCH_maxsat.json at the repo
-   root and fails (exit 1) if any exact answer misses the brute optimum
-   or leaves the optimality gap open on a workload instance. *)
+   structured weighted workloads, and the incremental WalkSAT incumbent
+   is timed against its rescanning oracle on the same workloads.  Writes
+   BENCH_maxsat.json at the repo root and fails (exit 1) if any exact
+   answer misses the brute optimum, leaves the optimality gap open on a
+   workload instance, or if the incumbent kernel and its oracle disagree. *)
 
 module O = Hyqsat.Optimize
 
@@ -96,6 +98,42 @@ let run_workload name w =
     core_calls = cg.O.cdcl_calls;
   }
 
+type incumbent_row = {
+  i_name : string;
+  flips : int;
+  cost : int;
+  kernel_ms : float;
+  oracle_ms : float;
+  equal : bool;  (* same (cost, model) from the kernel and the oracle *)
+}
+
+(* the default 20k-flip incumbent, kernel vs rescanning oracle from one
+   seed; [should_stop] is polled once per flip, so counting its polls
+   counts the flips *)
+let incumbent_row ctx name w =
+  let polls = ref 0 in
+  let should_stop () =
+    incr polls;
+    false
+  in
+  let (k_cost, k_model), k_wall =
+    Bench_util.wall (fun () -> O.incumbent ~should_stop (Bench_util.rng_of ctx 95) w)
+  in
+  let flips = !polls in
+  let oracle, o_wall =
+    Bench_util.wall (fun () -> Oracle.Local_search.incumbent (Bench_util.rng_of ctx 95) w)
+  in
+  {
+    i_name = name;
+    flips;
+    cost = k_cost;
+    kernel_ms = 1000. *. k_wall;
+    oracle_ms = 1000. *. o_wall;
+    equal = oracle = (k_cost, k_model);
+  }
+
+let flips_per_s r ms = float_of_int r.flips /. Float.max 1e-9 (ms /. 1000.)
+
 let run (ctx : Bench_util.ctx) =
   Bench_util.header "Weighted MaxSAT: exact optimisers vs brute force and each other"
     "no paper analogue; extension of reference [8] (Bian et al.)";
@@ -107,22 +145,20 @@ let run (ctx : Bench_util.ctx) =
 
   (* one rng per workload: rows stay stable when a sibling changes *)
   let gc_nodes, bp = match ctx.scale with `Paper -> (36, (4, 4)) | `Small -> (18, (4, 3)) in
-  let rows =
+  let workloads =
     [
-      run_workload
-        (Printf.sprintf "gc-weighted-%d" gc_nodes)
-        (Workload.Graph_coloring.weighted (Bench_util.rng_of ctx 92) ~nodes:gc_nodes
-           ~edges:(int_of_float (2.394 *. float_of_int gc_nodes))
-           ~soft_edges:(max 3 (gc_nodes / 3)));
+      ( Printf.sprintf "gc-weighted-%d" gc_nodes,
+        Workload.Graph_coloring.weighted (Bench_util.rng_of ctx 92) ~nodes:gc_nodes
+          ~edges:(int_of_float (2.394 *. float_of_int gc_nodes))
+          ~soft_edges:(max 3 (gc_nodes / 3)) );
       (let blocks, steps = bp in
-       run_workload
-         (Printf.sprintf "bp-weighted-%db%ds" blocks steps)
-         (Workload.Block_planning.generate_weighted (Bench_util.rng_of ctx 93) ~blocks
-            ~steps));
-      run_workload "uf-weighted-16"
-        (random_wcnf (Bench_util.rng_of ctx 94) ~n:16 ~hard:35 ~soft:56);
+       ( Printf.sprintf "bp-weighted-%db%ds" blocks steps,
+         Workload.Block_planning.generate_weighted (Bench_util.rng_of ctx 93) ~blocks ~steps
+       ));
+      ("uf-weighted-16", random_wcnf (Bench_util.rng_of ctx 94) ~n:16 ~hard:35 ~soft:56);
     ]
   in
+  let rows = List.map (fun (name, w) -> run_workload name w) workloads in
   Printf.printf "%-20s %6s %6s %6s %8s %12s %8s %12s %8s\n" "workload" "vars" "hard"
     "soft" "optimum" "lin wall(s)" "calls" "cg wall(s)" "calls";
   Bench_util.hr ();
@@ -134,6 +170,18 @@ let run (ctx : Bench_util.ctx) =
   Bench_util.hr ();
   Printf.printf "both algorithms certified the same optimum on all %d workloads\n\n"
     (List.length rows);
+
+  let incumbents = List.map (fun (name, w) -> incumbent_row ctx name w) workloads in
+  Printf.printf "%-20s %8s %14s %12s %12s %14s %6s\n" "incumbent" "flips" "penalised cost"
+    "kernel(ms)" "oracle(ms)" "kernel flips/s" "equal";
+  Bench_util.hr ();
+  List.iter
+    (fun r ->
+      Printf.printf "%-20s %8d %14d %12.3f %12.3f %14.0f %6b\n" r.i_name r.flips r.cost
+        r.kernel_ms r.oracle_ms (flips_per_s r r.kernel_ms) r.equal)
+    incumbents;
+  Bench_util.hr ();
+  print_newline ();
 
   Bench_util.write_json ctx "maxsat"
     [
@@ -156,10 +204,34 @@ let run (ctx : Bench_util.ctx) =
                    ("core_cdcl_calls", Int r.core_calls);
                  ])
              rows) );
+      ( "incumbent",
+        Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Str r.i_name);
+                   ("flips", Int r.flips);
+                   ("penalised_cost", Int r.cost);
+                   ("kernel_ms", Bench_util.num r.kernel_ms);
+                   ("oracle_ms", Bench_util.num r.oracle_ms);
+                   ("kernel_flips_per_s", Bench_util.num (flips_per_s r r.kernel_ms));
+                   ("oracle_flips_per_s", Bench_util.num (flips_per_s r r.oracle_ms));
+                   ("equal", Bool r.equal);
+                 ])
+             incumbents) );
     ];
 
   (* the gate: an exact optimiser that misses the brute optimum is a
      soundness regression, never a perf artifact *)
+  (match List.filter (fun r -> not r.equal) incumbents with
+  | [] -> ()
+  | bad ->
+      List.iter
+        (fun r ->
+          Printf.eprintf "bench maxsat: REGRESSION — incumbent kernel != oracle on %s\n" r.i_name)
+        bad;
+      exit 1);
   if mismatches > 0 then begin
     Printf.eprintf "bench maxsat: REGRESSION — %d fuzz mismatches vs brute force\n"
       mismatches;

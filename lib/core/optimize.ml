@@ -37,40 +37,9 @@ let penalised_cost all x =
     (fun acc (wt, c) -> if Sat.Assignment.satisfies_clause a c then acc else acc + wt)
     0 all
 
-let incumbent ?(max_flips = 20_000) ?(should_stop = fun () -> false) rng w =
-  let n = max (Sat.Wcnf.num_vars w) 1 in
-  let all = weighted_clauses w in
-  let x = Array.init n (fun _ -> Stats.Rng.bool rng) in
-  let best = ref (Array.copy x) in
-  let best_cost = ref (penalised_cost all x) in
-  let flips = ref 0 in
-  (* each flip already scans every clause, so a stop check per flip is
-     noise — and it keeps a cancelled/timed-out job from burning the whole
-     flip budget before the exact search even gets to refuse to start *)
-  while !flips < max_flips && !best_cost > 0 && not (should_stop ()) do
-    let a = Sat.Assignment.of_bools x in
-    let falsified =
-      Array.fold_left
-        (fun acc (_, c) -> if Sat.Assignment.satisfies_clause a c then acc else c :: acc)
-        [] all
-    in
-    (match falsified with
-    | [] -> flips := max_flips
-    | cs -> (
-        let c = List.nth cs (Stats.Rng.int rng (List.length cs)) in
-        match Sat.Clause.vars c with
-        | [] -> () (* an empty clause can never be repaired *)
-        | vars ->
-            let v = List.nth vars (Stats.Rng.int rng (List.length vars)) in
-            x.(v) <- not x.(v);
-            let cost = penalised_cost all x in
-            if cost < !best_cost then begin
-              best_cost := cost;
-              best := Array.copy x
-            end));
-    incr flips
-  done;
-  (!best_cost, !best)
+let incumbent ?(max_flips = 20_000) ?should_stop rng w =
+  Cdcl.Walksat.minimise ~max_flips ?should_stop rng ~num_vars:(Sat.Wcnf.num_vars w)
+    (weighted_clauses w)
 
 let anneal_incumbent ?(samples = 8) ?(noise = Anneal.Noise.noise_free)
     ?(should_stop = fun () -> false) rng graph w =

@@ -61,13 +61,16 @@ val incumbent :
   Stats.Rng.t ->
   Sat.Wcnf.t ->
   int * bool array
-(** Weighted WalkSAT minimiser (the old [Maxsat.local_search] semantics:
-    walk on a random falsified clause, flip a random variable of it, keep
-    the best-ever configuration).  Hard clauses participate with weight
-    {!Sat.Wcnf.top}, so the returned cost is the {e penalised} cost
-    [soft cost + top * violated hard clauses] — below [top] iff the model
-    satisfies every hard clause.  [should_stop] is polled every flip; the
-    best configuration so far is still returned after an early stop. *)
+(** Weighted WalkSAT minimiser: {!Cdcl.Walksat.minimise} (walk on a
+    random falsified clause, flip a random variable of it, keep the
+    best-ever configuration) over [max_flips] flips, default 20,000.
+    Hard clauses participate with weight {!Sat.Wcnf.top}, so the returned
+    cost is the {e penalised} cost [soft cost + top * violated hard
+    clauses] — below [top] iff the model satisfies every hard clause.
+    The kernel keeps per-clause true counts and the running cost
+    incrementally, so a flip costs O(occurrences · log clauses), not a
+    rescan of the formula.  [should_stop] is polled every flip; the best
+    configuration so far is still returned after an early stop. *)
 
 val anneal_incumbent :
   ?samples:int ->

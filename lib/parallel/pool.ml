@@ -28,7 +28,6 @@ type ('a, 'b) t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   queue : ('a, 'b) batch Queue.t;  (* batches with unstarted items *)
-  mutable submitted : ('a, 'b) batch list;  (* submit-shim batches, newest first *)
   mutable closed : bool;
   mutable domains : unit Domain.t array;
   f : worker:int -> 'a -> 'b;
@@ -102,7 +101,6 @@ let create ~workers f =
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       queue = Queue.create ();
-      submitted = [];
       closed = false;
       domains = [||];
       f;
@@ -142,6 +140,8 @@ let run t items =
   Mutex.unlock t.mutex;
   b.results
 
+(* fire-and-forget: nothing keeps the batch once its item has run, so a
+   long-lived caller (the daemon submits once per job) retains nothing *)
 let submit t x =
   Mutex.lock t.mutex;
   if t.closed then begin
@@ -149,35 +149,16 @@ let submit t x =
     invalid_arg "Pool.submit: pool is shut down"
   end;
   let b = make_batch [| x |] in
-  t.submitted <- b :: t.submitted;
-  enqueue_locked t b;
-  Mutex.unlock t.mutex
-
-let drain t =
-  Mutex.lock t.mutex;
-  let bs = List.rev t.submitted in
-  t.submitted <- [];
-  (* help with anything still queued (covers 0-worker pools), then wait for
-     items in flight on workers *)
-  let helper = Array.length t.domains in
-  let incomplete () = List.find_opt (fun b -> b.left > 0) bs in
-  let rec settle () =
-    match incomplete () with
-    | None -> ()
-    | Some b -> (
-        match claim_locked t with
-        | Some (b', i) ->
-            Mutex.unlock t.mutex;
-            exec t b' i ~worker:helper;
-            Mutex.lock t.mutex;
-            settle ()
-        | None ->
-            Condition.wait b.finished t.mutex;
-            settle ())
-  in
-  settle ();
-  Mutex.unlock t.mutex;
-  Array.concat (List.map (fun b -> b.results) bs)
+  if Array.length t.domains = 0 then begin
+    (* no worker would ever claim it *)
+    b.next <- 1;
+    Mutex.unlock t.mutex;
+    exec t b 0 ~worker:0
+  end
+  else begin
+    enqueue_locked t b;
+    Mutex.unlock t.mutex
+  end
 
 let shutdown t =
   Mutex.lock t.mutex;

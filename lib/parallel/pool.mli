@@ -21,8 +21,8 @@ type ('a, 'b) t
 val create : workers:int -> (worker:int -> 'a -> 'b) -> ('a, 'b) t
 (** Spawn [workers] domains (clamped to [0, 64]).  [worker] is the 0-based
     index of the domain executing the item — useful for per-worker RNGs;
-    items executed inline by a helping {!run}/{!drain} caller see
-    [worker = workers t].  A 0-worker pool is valid: {!run} then executes
+    items executed inline by a helping {!run} caller (or by {!submit} on a
+    0-worker pool) see [worker = workers t].  A 0-worker pool is valid: {!run} then executes
     everything on the calling domain. *)
 
 val workers : ('a, 'b) t -> int
@@ -38,16 +38,11 @@ val run : ('a, 'b) t -> 'a list -> ('b, exn) result array
     @raise Invalid_argument after {!shutdown}. *)
 
 val submit : ('a, 'b) t -> 'a -> unit
-(** Enqueue one item for asynchronous execution ({!drain} collects).
-    Unlike the historical single-use pool, submitting after a [drain] is
-    fine — the lifecycle only ends at {!shutdown}.
+(** Enqueue one item for asynchronous execution and return at once.  The
+    pool keeps nothing once the item has run: its result (or exception)
+    is dropped, so an item reports completion through its own side
+    effects.  On a 0-worker pool the item runs inline on the caller.
     @raise Invalid_argument after {!shutdown}. *)
-
-val drain : ('a, 'b) t -> ('b, exn) result array
-(** Wait for every item {!submit}ted since the last [drain] and return
-    their results in submission order.  The pool stays alive — this is a
-    checkpoint, not a teardown (use {!shutdown} for that).  The caller
-    helps execute still-queued items while waiting. *)
 
 val shutdown : ('a, 'b) t -> unit
 (** Finish all claimable work, join the worker domains, and close the

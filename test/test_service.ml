@@ -81,10 +81,25 @@ let pool_captures_exceptions () =
   | [| Ok 0; Error (Failure _); Ok 2 |] -> ()
   | _ -> Alcotest.fail "expected [Ok 0; Error boom; Ok 2]")
 
-(* the persistent lifecycle: run / submit+drain are checkpoints a pool
-   survives; only shutdown ends it *)
+(* the persistent lifecycle: runs and fire-and-forget submits interleave
+   on one pool; only shutdown ends it.  A submitted item reports its own
+   completion (here: into a table, under a condition variable). *)
 let pool_reusable_across_runs () =
-  let p = Pool.create ~workers:2 (fun ~worker:_ x -> 2 * x) in
+  let m = Mutex.create () and finished = Condition.create () in
+  let seen = Hashtbl.create 8 in
+  let p =
+    Pool.create ~workers:2 (fun ~worker:_ x ->
+        Mutex.protect m (fun () ->
+            Hashtbl.replace seen x (2 * x);
+            Condition.broadcast finished);
+        2 * x)
+  in
+  let await keys =
+    Mutex.protect m (fun () ->
+        while not (List.for_all (Hashtbl.mem seen) keys) do
+          Condition.wait finished m
+        done)
+  in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
@@ -97,17 +112,58 @@ let pool_reusable_across_runs () =
             | Error _ -> Alcotest.fail "unexpected worker error")
           results
       done;
-      (* submit/drain cycles interleave with runs on the same pool *)
       for round = 1 to 3 do
-        List.iter (Pool.submit p) [ round; round + 1 ];
-        let results = Pool.drain p in
-        Alcotest.(check int) "drain returns this cycle's items" 2 (Array.length results);
-        match (results.(0), results.(1)) with
-        | Ok a, Ok b ->
-            Alcotest.(check int) "first" (2 * round) a;
-            Alcotest.(check int) "second" (2 * (round + 1)) b
+        let keys = [ 1000 + (2 * round); 1001 + (2 * round) ] in
+        List.iter (Pool.submit p) keys;
+        await keys;
+        List.iter
+          (fun k ->
+            Alcotest.(check int) "submitted item ran" (2 * k)
+              (Mutex.protect m (fun () -> Hashtbl.find seen k)))
+          keys;
+        (* and a run still works between submits *)
+        match Pool.run p [ round ] with
+        | [| Ok v |] -> Alcotest.(check int) "run after submit" (2 * round) v
         | _ -> Alcotest.fail "unexpected worker error"
       done)
+
+(* the daemon submits once per job for its whole life: once an item has
+   run, the pool must hold neither it nor its result *)
+let pool_submit_retains_nothing () =
+  let items = Weak.create 1 and results = Weak.create 1 in
+  let ran = Atomic.make false in
+  let p =
+    Pool.create ~workers:1 (fun ~worker:_ (x : bytes) ->
+        let r = Bytes.cat x x in
+        Weak.set results 0 (Some r);
+        Atomic.set ran true;
+        r)
+  in
+  let[@inline never] submit_one () =
+    let x = Bytes.make 4096 'x' in
+    Weak.set items 0 (Some x);
+    Pool.submit p x
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () ->
+      submit_one ();
+      let t0 = Unix.gettimeofday () in
+      while (not (Atomic.get ran)) && Unix.gettimeofday () -. t0 < 10. do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check bool) "item ran" true (Atomic.get ran);
+      (* the worker may still be publishing the result: give it a moment *)
+      let rec collected tries =
+        Gc.full_major ();
+        if not (Weak.check items 0 || Weak.check results 0) then true
+        else if tries = 0 then false
+        else begin
+          Unix.sleepf 0.01;
+          collected (tries - 1)
+        end
+      in
+      Alcotest.(check bool) "completed item and result collected" true (collected 200))
 
 (* an item exception is captured in its slot and must not poison the pool:
    the next run on the same pool works *)
@@ -131,11 +187,20 @@ let pool_exception_does_not_poison () =
 (* a 0-worker pool runs everything inline on the calling domain *)
 let pool_zero_workers_runs_inline () =
   let self = (Domain.self () :> int) in
-  let p = Pool.create ~workers:0 (fun ~worker x -> ((Domain.self () :> int), worker, x)) in
+  let last = ref None in
+  let p =
+    Pool.create ~workers:0 (fun ~worker x ->
+        let r = ((Domain.self () :> int), worker, x) in
+        last := Some r;
+        r)
+  in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
       Alcotest.(check int) "no domains spawned" 0 (Pool.workers p);
+      (* with no worker to claim it, a submitted item runs before submit returns *)
+      Pool.submit p 7;
+      Alcotest.(check bool) "submit ran inline" true (!last = Some (self, 0, 7));
       let results = Pool.run p [ 1; 2; 3 ] in
       Array.iter
         (function
@@ -490,7 +555,7 @@ let suite =
       [
         Alcotest.test_case "pool preserves submission order" `Quick pool_preserves_order;
         Alcotest.test_case "pool captures exceptions" `Quick pool_captures_exceptions;
-        Alcotest.test_case "pool reusable across runs and drains" `Quick
+        Alcotest.test_case "pool reusable across runs and submits" `Quick
           pool_reusable_across_runs;
         Alcotest.test_case "pool exception does not poison" `Quick
           pool_exception_does_not_poison;
@@ -514,5 +579,6 @@ let suite =
         Alcotest.test_case "telemetry JSON rejects garbage" `Quick
           telemetry_json_rejects_garbage;
         Alcotest.test_case "deadline basics" `Quick deadline_basics;
+        Alcotest.test_case "pool submit retains nothing" `Quick pool_submit_retains_nothing;
       ] );
   ]
