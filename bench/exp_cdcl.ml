@@ -13,7 +13,14 @@
    The floor is set ~3x below the rate measured on a dev laptop so that
    slower CI machines pass with margin; the gate fires at floor/2 and
    exits 1 (a genuine representation regression shows up as an
-   order-of-magnitude drop, not a 2x one). *)
+   order-of-magnitude drop, not a 2x one).
+
+   The DRAT row times the watched-literal checker [Sat.Drat.check]
+   against the counting checker it replaced [Oracle.Drat_rup.check] on the
+   UNSAT proofs of a fixed seeded corpus of unplanted 3-SAT instances
+   just past the threshold (n = 90-100, ratio 4.6: the instances the
+   threshold-certified benchmark workload draws from).  Both checkers
+   must return the same result on every proof, or the bench exits 1. *)
 
 let floor_props_per_sec = 1.2e6
 
@@ -32,6 +39,59 @@ type row = {
   wall_arena : float;
   wall_reference : float;
 }
+
+type drat_row = {
+  proofs : int;  (* UNSAT proofs checked *)
+  steps : int;  (* their total step count *)
+  checker_ms : float;  (* per proof, min over trials *)
+  oracle_ms : float;
+}
+
+let drat_row (ctx : Bench_util.ctx) ~trials =
+  let instances = match ctx.Bench_util.scale with `Paper -> 80 | `Small -> 40 in
+  let rng = Bench_util.rng_of ctx 950 in
+  let config = Cdcl.Config.with_proof_logging Cdcl.Config.minisat_like in
+  let proofs =
+    List.filter_map
+      (fun i ->
+        let n = 90 + (i mod 11) in
+        let f =
+          Workload.Uniform.generate ~planted:false rng ~num_vars:n
+            ~num_clauses:(int_of_float (Float.ceil (4.6 *. float_of_int n)))
+        in
+        let s = Cdcl.Solver.create ~config f in
+        match (Cdcl.Solver.solve s, Cdcl.Solver.proof s) with
+        | Cdcl.Solver.Unsat, Some p -> Some (i, f, p)
+        | _ -> None)
+      (List.init instances Fun.id)
+  in
+  List.iter
+    (fun (i, f, p) ->
+      let got = Sat.Drat.check f p and want = Oracle.Drat_rup.check f p in
+      if got <> want then begin
+        let show = function Ok () -> "ok" | Error e -> "error: " ^ e in
+        Printf.eprintf
+          "bench cdcl: DRAT DIVERGENCE on threshold instance %d — checker %s, oracle %s\n" i
+          (show got) (show want);
+        exit 1
+      end)
+    proofs;
+  let per_proof check =
+    let best = ref infinity in
+    for _ = 1 to trials do
+      let (), dt =
+        Bench_util.wall (fun () -> List.iter (fun (_, f, p) -> ignore (check f p)) proofs)
+      in
+      if dt < !best then best := dt
+    done;
+    1000. *. !best /. float_of_int (max 1 (List.length proofs))
+  in
+  {
+    proofs = List.length proofs;
+    steps = List.fold_left (fun acc (_, _, p) -> acc + List.length p) 0 proofs;
+    checker_ms = per_proof (fun f p -> Sat.Drat.check f p);
+    oracle_ms = per_proof Oracle.Drat_rup.check;
+  }
 
 let answer_kind = function
   | Cdcl.Solver.Sat _ -> "sat"
@@ -146,6 +206,11 @@ let run (ctx : Bench_util.ctx) =
     arena_pps
     (float_of_int total_confl /. sum_arena)
     ref_pps speedup floor_props_per_sec (floor_props_per_sec /. 2.);
+  let drat = drat_row ctx ~trials in
+  Printf.printf
+    "drat: %d UNSAT threshold proofs (%d steps), watched-literal checker %.3f ms/proof, \
+     counting oracle %.3f ms/proof — speedup %.1fx, equal verdicts\n"
+    drat.proofs drat.steps drat.checker_ms drat.oracle_ms (drat.oracle_ms /. drat.checker_ms);
   let num = Bench_util.num in
   let rate count wall = num (float_of_int count /. wall) in
   Bench_util.write_json ctx "cdcl"
@@ -181,6 +246,17 @@ let run (ctx : Bench_util.ctx) =
             ("reference_props_per_sec", num ref_pps);
             ("arena_conflicts_per_sec", rate total_confl sum_arena);
             ("speedup", num speedup);
+          ] );
+      ( "drat",
+        Obj
+          [
+            ("corpus", Str "unplanted uniform 3-SAT, n = 90-100, ratio 4.6");
+            ("unsat_proofs", Int drat.proofs);
+            ("proof_steps", Int drat.steps);
+            ("checker_ms_per_proof", num drat.checker_ms);
+            ("oracle_ms_per_proof", num drat.oracle_ms);
+            ("speedup", num (drat.oracle_ms /. drat.checker_ms));
+            ("verdicts_equal", Bool true);
           ] );
     ];
   if arena_pps < floor_props_per_sec /. 2. then begin

@@ -28,7 +28,7 @@ let check_model ~original m =
         Error (Format.asprintf "model falsifies clause %d: %a" i Sat.Clause.pp c)
   end
 
-let check_proof solved proof = Sat.Drat.check solved proof
+let check_proof ?should_stop solved proof = Sat.Drat.check ?should_stop solved proof
 
 (* ---- optimisation certificates ---- *)
 
@@ -108,7 +108,7 @@ let certify_opt ?max_conflicts ?should_stop ~original (r : Hyqsat.Optimize.resul
           | Cdcl.Solver.Unknown _ -> Error "optimality re-solve inconclusive"
       end
 
-let certify ~original ~solved ?proof result =
+let certify ?should_stop ~original ~solved ?proof result =
   match result with
   | Cdcl.Solver.Unknown _ -> Ok Nothing_to_certify
   | Cdcl.Solver.Sat m -> (
@@ -119,7 +119,7 @@ let certify ~original ~solved ?proof result =
       match proof with
       | None -> Error "unsat answer carries no proof"
       | Some p -> (
-          match check_proof solved p with
+          match check_proof ?should_stop solved p with
           | Ok () -> Ok (Proof_verified (List.length p))
           | Error e -> Error ("proof rejected: " ^ e)))
 

@@ -26,12 +26,15 @@ val check_model : original:Sat.Cnf.t -> bool array -> (unit, string) result
     satisfies every clause of [original].  [Error] names a falsified
     clause. *)
 
-val check_proof : Sat.Cnf.t -> Sat.Drat.t -> (unit, string) result
+val check_proof :
+  ?should_stop:(unit -> bool) -> Sat.Cnf.t -> Sat.Drat.t -> (unit, string) result
 (** [check_proof solved proof] is {!Sat.Drat.check} against the formula the
     solver actually ran on (post-conversion: UNSAT of the converted formula
-    implies UNSAT of the original by equisatisfiability). *)
+    implies UNSAT of the original by equisatisfiability).  [should_stop] is
+    polled once per lemma; a stopped check is an [Error]. *)
 
 val certify :
+  ?should_stop:(unit -> bool) ->
   original:Sat.Cnf.t ->
   solved:Sat.Cnf.t ->
   ?proof:Sat.Drat.t ->
@@ -39,7 +42,9 @@ val certify :
   (verdict, string) result
 (** Certify one solver answer.  [solved] is the formula the solver saw
     (equal to [original] when no conversion happened); [proof] is required
-    for an [Unsat] answer to certify. *)
+    for an [Unsat] answer to certify.  [should_stop] reaches the proof
+    check ({!check_proof}): once it fires the check ends with an [Error],
+    never with the unchecked [Unsat] certified. *)
 
 (** {2 Optimisation certificates} *)
 

@@ -59,12 +59,22 @@ let project_model ~original m =
   let n = Sat.Cnf.num_vars original in
   if Array.length m > n then Array.sub m 0 n else m
 
+(* why a job ends Unknown once its search or its certification stopped
+   early: the cancel switch, else the deadline, else the budget ran out *)
+let unknown_reason ~cancel deadline =
+  if cancel () then Job.Cancelled
+  else if Deadline.expired deadline then Job.Timeout
+  else Job.Budget
+
 (* certification hook: winners are checked before being reported.  A claim
    the checker rejects is withheld as [Unknown Cert_failed] rather than
-   handed to the caller wrong.  [Job.outcome] and [Cdcl.Solver.result] are
-   the same type ({!Sat.Answer.t}), so the outcome feeds the checker
-   directly *)
-let certify_outcome (spec : Job.spec) (race : Portfolio.race_report) outcome =
+   handed to the caller wrong.  The cancel switch and the job deadline
+   reach the DRAT check; a check they stop certifies nothing, so the claim
+   is withheld as [Unknown Cancelled] / [Unknown Timeout] instead.
+   [Job.outcome] and [Cdcl.Solver.result] are the same type
+   ({!Sat.Answer.t}), so the outcome feeds the checker directly *)
+let certify_outcome ~cancel ~deadline (spec : Job.spec) (race : Portfolio.race_report)
+    outcome =
   if not spec.Job.certify then (outcome, "")
   else
     let original = Job.original_formula spec in
@@ -73,9 +83,18 @@ let certify_outcome (spec : Job.spec) (race : Portfolio.race_report) outcome =
       | Job.Unsat, Some w -> w.Portfolio.stats.Portfolio.proof
       | _ -> None
     in
-    let verdict = Check.Certify.certify ~original ~solved:spec.Job.formula ?proof outcome in
+    let stopped = ref false in
+    let should_stop () =
+      stopped := cancel () || Deadline.expired deadline;
+      !stopped
+    in
+    let verdict =
+      Check.Certify.certify ~should_stop ~original ~solved:spec.Job.formula ?proof outcome
+    in
     match verdict with
     | Ok _ -> (outcome, Check.Certify.verdict_label verdict)
+    | Error _ when !stopped ->
+        (Job.Unknown (unknown_reason ~cancel deadline), Check.Certify.verdict_label verdict)
     | Error _ -> (Job.Unknown Job.Cert_failed, Check.Certify.verdict_label verdict)
 
 let max_member_iterations (race : Portfolio.race_report) =
@@ -115,11 +134,7 @@ let process_opt ?(cancel = fun () -> false) ~obs ~parent (spec : Job.spec) w ~en
     match (r.Hyqsat.Optimize.status, r.Hyqsat.Optimize.best) with
     | (Hyqsat.Optimize.Optimal | Hyqsat.Optimize.Feasible), Some m -> Job.Sat m
     | Hyqsat.Optimize.Infeasible, _ -> Job.Unsat
-    | _ ->
-        Job.Unknown
-          (if cancel () then Job.Cancelled
-           else if Deadline.expired deadline then Job.Timeout
-           else Job.Budget)
+    | _ -> Job.Unknown (unknown_reason ~cancel deadline)
   in
   let outcome, verified =
     if not spec.Job.certify then (outcome, "")
@@ -216,13 +231,9 @@ let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqu
             Job.Sat (project_model ~original:(Job.original_formula spec) m)
         | Cdcl.Solver.Unsat -> Job.Unsat
         | Cdcl.Solver.Unknown _ -> assert false (* winners are decisive *))
-    | None ->
-        Job.Unknown
-          (if cancel () then Job.Cancelled
-           else if Deadline.expired deadline then Job.Timeout
-           else Job.Budget)
+    | None -> Job.Unknown (unknown_reason ~cancel deadline)
   in
-  let outcome, verified = certify_outcome spec race outcome in
+  let outcome, verified = certify_outcome ~cancel ~deadline spec race outcome in
   let winner_name, iterations, qa_calls, qa_failures, degraded, strategy_uses, reused =
     match race.Portfolio.winner with
     | Some w ->

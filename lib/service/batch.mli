@@ -72,7 +72,11 @@ val run :
     original formula, the Unsat DRAT proof against the solved formula (the
     members must run with [log_proof] for a proof to exist) — and a claim
     the checker rejects comes back as [Unknown Cert_failed] with the
-    reason in the record's [verified] field.
+    reason in the record's [verified] field.  [cancel] and the job
+    deadline also reach the DRAT check (polled once per lemma): a check
+    they stop certifies nothing, so the Unsat claim comes back as
+    [Unknown Cancelled] or [Unknown Timeout], never as an unchecked
+    [Unsat].
 
     A spec carrying a [wcnf] is an {e optimisation job}: instead of racing
     [members], the worker runs the exact weighted-MaxSAT pipeline
