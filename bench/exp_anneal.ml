@@ -4,8 +4,10 @@
    frontend's embedding cache.  Writes BENCH_anneal.json at the repo root
    — the repo's perf trajectory for the QA hot path — and fails (exit 1)
    if the incremental kernel's flips/sec drops more than 2x below the
-   committed floor, or if parallel best-of on a multicore machine fails to
-   beat the serial path, so CI catches both kernel and pool regressions.
+   committed floor, if it allocates more than 0.25 minor-heap words per
+   attempted flip, or if parallel best-of on a multicore machine fails to
+   beat the serial path, so CI catches kernel, allocation and pool
+   regressions.
    A domain count above the machine's core count is run for the energy
    check only and recorded as skipped: its wall time would measure
    interleaving, not parallelism.
@@ -24,6 +26,13 @@ module SI = Anneal.Sparse_ising
    regression trips it. *)
 let floor_flips_per_sec = 20e6
 
+(* Minor-heap words one incremental anneal may allocate per attempted flip.
+   The kernel's draws and accepts allocate nothing, so what remains is the
+   per-call set-up spread over the flips (~0.01 on this instance); boxing
+   the Metropolis draw again would cost ~3.7, so the gate trips on that
+   kind of regression and on nothing smaller than a per-sweep leak. *)
+let max_minor_words_per_flip = 0.25
+
 let chimera_instance seed =
   let g = Chimera.Graph.standard_2000q () in
   let rng = Stats.Rng.create ~seed in
@@ -39,6 +48,12 @@ let reference ~schedule rng ising = ignore (Oracle.Anneal_sweep.sample ~schedule
 
 let incremental ~schedule rng ising =
   ignore (Sampler.sample ~params:(Sampler.make_params ~schedule ()) rng ising)
+
+let minor_words_per_flip ~schedule ising seed =
+  let rng = Stats.Rng.create ~seed in
+  let before = Gc.minor_words () in
+  incremental ~schedule rng ising;
+  (Gc.minor_words () -. before) /. float_of_int (schedule.Sampler.sweeps * ising.SI.n)
 
 (* Each trial times one full anneal; the throughput estimate is the
    fastest trial.  Min-of-N is the right estimator on a shared machine —
@@ -132,8 +147,11 @@ let run (ctx : Bench_util.ctx) =
   Bench_util.hr ();
   Printf.printf "%-14s %10.3f %16.2e\n" "reference" ref_wall ref_fps;
   Printf.printf "%-14s %10.3f %16.2e\n" "incremental" inc_wall inc_fps;
-  Printf.printf "%-14s %26.2fx  (full %g->%g schedule)\n\n" "speedup" (inc_fps /. ref_fps)
+  Printf.printf "%-14s %26.2fx  (full %g->%g schedule)\n" "speedup" (inc_fps /. ref_fps)
     schedule.Sampler.beta_min schedule.Sampler.beta_max;
+  let words_per_flip = minor_words_per_flip ~schedule ising (ctx.seed + 1) in
+  Printf.printf "incremental minor words per attempted flip: %.4f (bound %g)\n\n" words_per_flip
+    max_minor_words_per_flip;
   let regime_betas = [ 1.0; 2.0; 4.0; 8.0 ] in
   let trials = match ctx.scale with `Paper -> 7 | `Small -> 3 in
   let regimes =
@@ -210,7 +228,13 @@ let run (ctx : Bench_util.ctx) =
       ("sweeps", Int sweeps);
       ("repeats", Int repeats);
       ("reference", kernel ref_wall ref_fps);
-      ("incremental", kernel inc_wall inc_fps);
+      ( "incremental",
+        Obj
+          [
+            ("wall_s", num inc_wall);
+            ("flips_per_sec", num inc_fps);
+            ("minor_words_per_flip", num words_per_flip);
+          ] );
       ("kernel_speedup", num (inc_fps /. ref_fps));
       ( "regimes",
         Arr
@@ -258,7 +282,15 @@ let run (ctx : Bench_util.ctx) =
             ("hit_rate", num (float_of_int hits /. float_of_int (max 1 (hits + misses))));
           ] );
       ("floor_flips_per_sec", num floor_flips_per_sec);
+      ("max_minor_words_per_flip", num max_minor_words_per_flip);
     ];
+  if words_per_flip > max_minor_words_per_flip then begin
+    Printf.eprintf
+      "bench anneal: ALLOCATION REGRESSION — incremental kernel allocates %.3f minor words per \
+       attempted flip, above the bound of %g\n"
+      words_per_flip max_minor_words_per_flip;
+    exit 1
+  end;
   if inc_fps < floor_flips_per_sec /. 2.0 then begin
     Printf.eprintf
       "bench anneal: PERF REGRESSION — incremental kernel at %.2e flips/s, more than 2x below \

@@ -38,7 +38,9 @@ let () =
 
   (* ... embed it on the Chimera hardware graph (paper §IV-B) ... *)
   let graph = Chimera.Graph.standard_2000q () in
-  let embedded = Embed.Hyqsat_scheme.embed graph enc in
+  let embedded = Embed.Hyqsat_scheme.embed graph enc.Qubo.Encode.clauses
+      ~aux_of_clause:enc.Qubo.Encode.aux_of_clause
+  in
   Format.printf "embedded %d/2 clauses using %d physical qubits@."
     embedded.Embed.Hyqsat_scheme.embedded_clauses
     (Embed.Embedding.qubits_used embedded.Embed.Hyqsat_scheme.embedding);

@@ -104,17 +104,31 @@ let with_faults profile (module Inner : S) : t =
        retry reproduces what the original call would have returned *)
     let frng = Stats.Rng.create ~seed:profile.fault_seed
 
+    (* concurrent callers (a shared supervisor does not serialise device
+       calls, and the wrapper also runs unsupervised) take turns on
+       [frng]; the inner call runs outside the lock *)
+    let fmutex = Mutex.create ()
+
     let sample ?obs rng req =
-      if profile.fail_rate > 0. && Stats.Rng.float frng 1.0 < profile.fail_rate then
-        Error (pick_weighted frng profile.mix)
-      else
-        match Inner.sample ?obs rng req with
-        | Error _ as e -> e
-        | Ok resp ->
-            if profile.latency_us <= 0. then Ok resp
-            else
-              (* uniform on [0, 2·mean): mean extra latency = latency_us *)
-              Ok { resp with time_us = resp.time_us +. Stats.Rng.float frng (2. *. profile.latency_us) }
+      let injected =
+        Mutex.protect fmutex (fun () ->
+            if profile.fail_rate > 0. && Stats.Rng.float frng 1.0 < profile.fail_rate then
+              Some (pick_weighted frng profile.mix)
+            else None)
+      in
+      match injected with
+      | Some f -> Error f
+      | None -> (
+          match Inner.sample ?obs rng req with
+          | Error _ as e -> e
+          | Ok resp ->
+              if profile.latency_us <= 0. then Ok resp
+              else
+                (* uniform on [0, 2·mean): mean extra latency = latency_us *)
+                let extra =
+                  Mutex.protect fmutex (fun () -> Stats.Rng.float frng (2. *. profile.latency_us))
+                in
+                Ok { resp with time_us = resp.time_us +. extra })
   end)
 
 let simulator faults =

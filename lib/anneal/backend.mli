@@ -91,7 +91,10 @@ val with_faults : fault_profile -> t -> t
     with [p.fault_seed], so the caller's stream is untouched: a zero-rate
     wrapper is bit-identical to [b], and a failed call leaves the caller's
     RNG where it was — a retry reproduces what the original call would
-    have returned.  Failures follow the weighted [p.mix]. *)
+    have returned.  Failures follow the weighted [p.mix].  The private RNG
+    sits behind its own mutex, so one wrapper may serve concurrent callers
+    (a shared {!Supervisor} does not serialise device calls); the inner
+    backend runs outside that lock. *)
 
 val simulator : fault_profile -> t
 (** {!best_of}, wrapped in {!with_faults} only when the profile injects

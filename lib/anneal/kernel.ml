@@ -21,7 +21,23 @@
    one multiply per attempted flip.  The brackets carry a relative margin
    (1e-9, orders of magnitude above libm's exp error) so a fast-path
    decision can never disagree with the exact fallback — the kernel stays
-   RNG-for-RNG and decision-for-decision equivalent to the reference loop. *)
+   RNG-for-RNG and decision-for-decision equivalent to the reference loop.
+
+   The third saving is that an attempted flip allocates nothing.  The
+   uniform for the Metropolis test is drawn by [uniform] below instead of
+   [Stats.Rng.float]: that call goes through [Random.State.float], whose
+   recursive [rawfloat] is never inlined and returns a boxed float, and
+   [Stats.Rng.float] boxes the product again — two minor-heap floats per
+   uphill attempt, ~3.7 words per attempted flip on a 2000Q-sized anneal
+   (the per-flip figure [bench anneal] gates on).  A helper in
+   [Stats.Rng] would not help: the default (dev) build compiles our
+   libraries with [-opaque], so nothing inlines across them.  [uniform]
+   is [Random.State.float rng 1.0] written out from the stdlib's inlinable
+   [Random.State.bits64] (OCaml 5.1 [random.ml], [rawfloat]): the top 53
+   bits of one 64-bit draw scaled by 2^-53, and on the 2^-53 chance that
+   they are all zero, a redraw — which is what [Stats.Rng.float rng 1.0]
+   does from that point on.  It consumes the stream draw for draw and
+   returns the same value, so seeds reproduce exactly. *)
 
 (* Degenerate-flip tie guard.  A mathematically-zero delta (a balanced
    spin — structurally common in QUBO-derived embedded isings) can round
@@ -63,16 +79,22 @@ type t = {
   mutable accepted : int;
 }
 
+(* Plain loops rather than [Array.init]/[Array.map]: the generic versions
+   box every float they pass through, ~30 minor words per spin here. *)
 let init ising spins =
   let n = ising.Sparse_ising.n in
   if Array.length spins <> n then invalid_arg "Kernel.init: spins length";
-  (* same expression and rounding as the reference loop's first attempt *)
-  let deltas =
-    Array.init n (fun i ->
-        -2.0 *. float_of_int spins.(i) *. Sparse_ising.local_field ising spins i)
-  in
-  let fspins = Array.map float_of_int spins in
-  let cpl4 = Array.map (fun j -> 4.0 *. j) ising.Sparse_ising.cpl in
+  let deltas = Array.create_float n and fspins = Array.create_float n in
+  for i = 0 to n - 1 do
+    (* same expression and rounding as the reference loop's first attempt *)
+    deltas.(i) <- -2.0 *. float_of_int spins.(i) *. Sparse_ising.local_field ising spins i;
+    fspins.(i) <- float_of_int spins.(i)
+  done;
+  let cpl = ising.Sparse_ising.cpl in
+  let cpl4 = Array.create_float (Array.length cpl) in
+  for k = 0 to Array.length cpl - 1 do
+    cpl4.(k) <- 4.0 *. cpl.(k)
+  done;
   { ising; spins; fspins; deltas; cpl4; accepted = 0 }
 
 let spins t = t.spins
@@ -83,24 +105,36 @@ let delta t i = t.deltas.(i)
 let field t i = -0.5 *. t.deltas.(i) *. float_of_int t.spins.(i)
 let accepted t = t.accepted
 
-(* accepted flip of spin [i]: negate it (δ_i flips sign exactly) and push
-   Δδ_j = -2·s_j·ΔF_j = -4·J_ij·s_j·s_i' onto the CSR neighbourhood *)
-let flip t i =
-  let spins = t.spins and fspins = t.fspins and deltas = t.deltas in
-  let s' = -spins.(i) in
-  let fs' = -.fspins.(i) in
-  spins.(i) <- s';
-  fspins.(i) <- fs';
-  deltas.(i) <- -.deltas.(i);
-  let off = t.ising.Sparse_ising.off and nbr = t.ising.Sparse_ising.nbr in
-  let cpl4 = t.cpl4 in
-  for k = off.(i) to off.(i + 1) - 1 do
-    let j = nbr.(k) in
-    deltas.(j) <- deltas.(j) -. (cpl4.(k) *. fs' *. fspins.(j))
-  done;
-  t.accepted <- t.accepted + 1
-
 let zstep_inv = 1. /. zstep
+
+(* [Stats.Rng.float rng 1.0] without the boxing; see the header *)
+let[@inline always] uniform rng =
+  let b = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if b <> 0L then Int64.to_float b *. 0x1.p-53 else Stats.Rng.float rng 1.0
+
+(* accepted flip of spin [i]: negate it (δ_i flips sign exactly) and push
+   Δδ_j = -2·s_j·ΔF_j = -4·J_ij·s_j·s_i' onto the CSR neighbourhood.
+   Unchecked: [i] must be in [0, n), and the CSR indices are validated by
+   [Sparse_ising.build].  Top-level so that it inlines at the sweep's
+   three accept sites with nothing allocated; a local closure over the
+   sweep's arrays would be allocated on every sweep (the compiler has no
+   flambda to remove it). *)
+let[@inline always] push_flip spins fspins deltas off nbr cpl4 i =
+  Array.unsafe_set spins i (-Array.unsafe_get spins i);
+  let fs' = -.Array.unsafe_get fspins i in
+  Array.unsafe_set fspins i fs';
+  Array.unsafe_set deltas i (-.Array.unsafe_get deltas i);
+  for k = Array.unsafe_get off i to Array.unsafe_get off (i + 1) - 1 do
+    let j = Array.unsafe_get nbr k in
+    Array.unsafe_set deltas j
+      (Array.unsafe_get deltas j -. (Array.unsafe_get cpl4 k *. fs' *. Array.unsafe_get fspins j))
+  done
+
+let flip t i =
+  let ising = t.ising in
+  if i < 0 || i >= ising.Sparse_ising.n then invalid_arg "Kernel.flip: spin index";
+  push_flip t.spins t.fspins t.deltas ising.Sparse_ising.off ising.Sparse_ising.nbr t.cpl4 i;
+  t.accepted <- t.accepted + 1
 
 (* The sweep is the whole cost of an anneal, so it drops to unsafe array
    accesses: [i] ranges over [0, n), [off] has n+1 entries, CSR indices are
@@ -116,23 +150,6 @@ let sweep t ~beta rng =
   and nbr = ising.Sparse_ising.nbr
   and cpl4 = t.cpl4 in
   let accepted = ref t.accepted in
-  (* [%accept] would be a closure over seven arrays, and the hot phase runs
-     it on most attempts — each call re-reading the environment.  The body
-     is written out at the three accept sites instead (the compiler has no
-     flambda to do it for us). *)
-  let[@inline always] accept i =
-    Array.unsafe_set spins i (-Array.unsafe_get spins i);
-    let fs' = -.Array.unsafe_get fspins i in
-    Array.unsafe_set fspins i fs';
-    Array.unsafe_set deltas i (-.Array.unsafe_get deltas i);
-    for k = Array.unsafe_get off i to Array.unsafe_get off (i + 1) - 1 do
-      let j = Array.unsafe_get nbr k in
-      Array.unsafe_set deltas j
-        (Array.unsafe_get deltas j
-        -. (Array.unsafe_get cpl4 k *. fs' *. Array.unsafe_get fspins j))
-    done;
-    incr accepted
-  in
   (* one multiply gets from δ to the bucket index; the bucket only has to
      be approximately right — the table margins absorb the rounding
      difference between [δ·(β·zstep_inv)] and [(β·δ)·zstep_inv] — and the
@@ -149,18 +166,27 @@ let sweep t ~beta rng =
     let delta = Array.unsafe_get deltas i in
     (* RNG discipline matches the reference loop exactly: downhill moves
        (and ties within [tie_eps]) consume no randomness *)
-    if delta <= tie_eps then accept i
+    if delta <= tie_eps then begin
+      push_flip spins fspins deltas off nbr cpl4 i;
+      incr accepted
+    end
     else begin
-      let u = Stats.Rng.float rng 1.0 in
+      let u = uniform rng in
       if delta >= dcap then begin
         if u >= tail_hi then () (* reject, exp-free: the frozen fast path *)
-        else if u < exp (-.(beta *. delta)) then accept i
+        else if u < exp (-.(beta *. delta)) then begin
+          push_flip spins fspins deltas off nbr cpl4 i;
+          incr accepted
+        end
       end
       else begin
         let q = int_of_float (delta *. bz) in
         if u >= Array.unsafe_get hi_table q then () (* reject, exp-free *)
-        else if u < Array.unsafe_get lo_table q then accept i (* accept, exp-free *)
-        else if u < exp (-.(beta *. delta)) then accept i
+        else if u < Array.unsafe_get lo_table q || u < exp (-.(beta *. delta)) then begin
+          (* the first test is the exp-free accept *)
+          push_flip spins fspins deltas off nbr cpl4 i;
+          incr accepted
+        end
       end
     end
   done;

@@ -18,6 +18,10 @@
     {!tie_eps} as downhill so a mathematically-zero flip whose rounding
     residue straddles zero cannot desynchronise the two RNG streams.
 
+    A sweep allocates nothing per attempted flip: the uniform each uphill
+    attempt draws is produced unboxed inside the kernel, consuming the
+    generator exactly as [Stats.Rng.float rng 1.0] would.
+
     {!Sampler.sample} runs every sweep through this kernel. *)
 
 type t
@@ -40,7 +44,8 @@ val sweep : t -> beta:float -> Stats.Rng.t -> unit
 val flip : t -> int -> unit
 (** Unconditionally flip spin [i] and push the field change onto its
     neighbours — the accepted-move primitive, exposed so tests can stress
-    the field invariant directly. *)
+    the field invariant directly.
+    @raise Invalid_argument if [i] is not a spin index. *)
 
 val spins : t -> int array
 (** The (live, caller-owned) spin array. *)

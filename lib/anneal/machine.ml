@@ -39,34 +39,49 @@ let coupler_of job u v =
         cu;
       (match !found with Some c -> c | None -> fail "edge (%d,%d) has no coupler" u v)
 
+(* index of [v] in the sorted node array, or -1 *)
+let slot_of nodes v =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let m = Array.unsafe_get nodes mid in
+      if m = v then mid else if m < v then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length nodes)
+
 (* steepest-descent repair on the logical objective: models the machine-side
    post-processing D-Wave applies to raw samples (paper's related work [6]);
    chain breaks and thermal residue mostly vanish here while genuinely
-   frustrated (unsatisfiable) problems keep a positive energy floor *)
-let greedy_descent objective lookup =
-  let vars = Qubo.Pbq.vars objective in
-  (* adjacency: var → (neighbour, coefficient) list, built once *)
-  let adj = Hashtbl.create (List.length vars) in
-  let add v w c = Hashtbl.replace adj v ((w, c) :: Option.value ~default:[] (Hashtbl.find_opt adj v)) in
+   frustrated (unsatisfiable) problems keep a positive energy floor.
+   [value] holds one bool per embedding node ([nodes] sorted), and [vars]
+   are the objective's variables, all of them nodes *)
+let greedy_descent objective ~nodes ~vars value =
+  let slot = slot_of nodes in
+  let vars = Array.of_list vars in
+  (* per-node adjacency as (neighbour slot, coefficient), built once and in
+     [iter_quad] order, which fixes the order of every delta sum below *)
+  let adj = Array.make (Array.length nodes) [] in
   Qubo.Pbq.iter_quad objective (fun i j c ->
-      add i j c;
-      add j i c);
+      let si = slot i and sj = slot j in
+      adj.(si) <- (sj, c) :: adj.(si);
+      adj.(sj) <- (si, c) :: adj.(sj));
+  let lin = Array.map (Qubo.Pbq.linear objective) vars in
   let improved = ref true in
   let passes = ref 0 in
   while !improved && !passes < 8 do
     improved := false;
     incr passes;
-    List.iter
-      (fun v ->
-        let current = Hashtbl.find lookup v in
+    Array.iteri
+      (fun p v ->
+        let k = slot v in
+        let current = value.(k) in
         (* energy change of setting v := true, given the other values *)
-        let delta = ref (Qubo.Pbq.linear objective v) in
-        List.iter
-          (fun (w, c) -> if Hashtbl.find lookup w then delta := !delta +. c)
-          (Option.value ~default:[] (Hashtbl.find_opt adj v));
+        let delta = ref lin.(p) in
+        List.iter (fun (w, c) -> if value.(w) then delta := !delta +. c) adj.(k);
         let delta = if current then -. !delta else !delta in
         if delta < -1e-12 then begin
-          Hashtbl.replace lookup v (not current);
+          value.(k) <- not current;
           improved := true
         end)
       vars
@@ -85,46 +100,53 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
   (* normalise to hardware range and move to spin space *)
   let normalized = Qubo.Normalize.apply job.objective in
   let logical = Qubo.Ising.of_qubo normalized in
-  (* dense physical index over the qubits of all chains *)
-  let phys_of_qubit = Hashtbl.create 256 in
-  let qubit_of_phys = ref [] in
-  let touch q =
-    if not (Hashtbl.mem phys_of_qubit q) then begin
-      Hashtbl.replace phys_of_qubit q (Hashtbl.length phys_of_qubit);
-      qubit_of_phys := q :: !qubit_of_phys
-    end
+  let num_spins = logical.Qubo.Ising.num_spins in
+  let var_of_spin = logical.Qubo.Ising.var_of_spin in
+  let g = job.embedding.Embed.Embedding.graph in
+  (* embedding nodes, ascending, with their chains: every per-node table
+     below is an array indexed by a node's position here *)
+  let nodes = Array.of_list (Embed.Embedding.nodes job.embedding) in
+  let chains = Array.map (chain_of job) nodes in
+  (* dense physical index over the qubits of all chains, in first-touch
+     order *)
+  let phys_of_qubit = Array.make (Chimera.Graph.num_qubits g) (-1) in
+  let n_phys = ref 0 in
+  Array.iter
+    (List.iter (fun q ->
+         if phys_of_qubit.(q) < 0 then begin
+           phys_of_qubit.(q) <- !n_phys;
+           incr n_phys
+         end))
+    chains;
+  let n_phys = !n_phys in
+  let phys q =
+    let p = phys_of_qubit.(q) in
+    if p < 0 then fail "qubit %d is in no chain" q else p
   in
-  let nodes = Embed.Embedding.nodes job.embedding in
-  List.iter (fun node -> List.iter touch (chain_of job node)) nodes;
-  let n_phys = Hashtbl.length phys_of_qubit in
-  let h = Array.make (max n_phys 1) 0. in
-  let couplings = ref [] in
+  let h = Array.make n_phys 0. in
   (* distribute each logical field over its chain *)
-  let logical_h node =
-    match Hashtbl.find_opt logical.Qubo.Ising.spin_of_var node with
-    | Some i -> logical.Qubo.Ising.h.(i)
-    | None -> 0.
-  in
-  List.iter
-    (fun node ->
-      let chain = chain_of job node in
-      let share = logical_h node /. float_of_int (List.length chain) in
-      List.iter (fun q -> h.(Hashtbl.find phys_of_qubit q) <- share) chain)
-    nodes;
-  (* logical couplings onto their physical couplers *)
+  Array.iteri
+    (fun k chain ->
+      let field =
+        match Hashtbl.find_opt logical.Qubo.Ising.spin_of_var nodes.(k) with
+        | Some i -> logical.Qubo.Ising.h.(i)
+        | None -> 0.
+      in
+      let share = field /. float_of_int (List.length chain) in
+      List.iter (fun q -> h.(phys_of_qubit.(q)) <- share) chain)
+    chains;
+  (* logical couplings onto their physical couplers, then ferromagnetic
+     chain couplers on every internal hardware edge.  The list order is
+     [Sparse_ising.build]'s insertion order, which fixes its CSR order and
+     with it every float sum the kernel makes: keep it *)
+  let couplings = ref [] in
   List.iter
     (fun ((iu, iv), c) ->
-      let u = logical.Qubo.Ising.var_of_spin.(iu)
-      and v = logical.Qubo.Ising.var_of_spin.(iv) in
-      let qu, qv = coupler_of job u v in
-      couplings :=
-        ((Hashtbl.find phys_of_qubit qu, Hashtbl.find phys_of_qubit qv), c) :: !couplings)
+      let qu, qv = coupler_of job var_of_spin.(iu) var_of_spin.(iv) in
+      couplings := ((phys qu, phys qv), c) :: !couplings)
     logical.Qubo.Ising.j;
-  (* ferromagnetic chain couplers on every internal hardware edge *)
-  let g = job.embedding.Embed.Embedding.graph in
-  List.iter
-    (fun node ->
-      let chain = chain_of job node in
+  Array.iter
+    (fun chain ->
       let rec pairs = function
         | [] -> ()
         | q :: rest ->
@@ -132,32 +154,29 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
               (fun q' ->
                 if Chimera.Graph.adjacent g q q' then
                   couplings :=
-                    ((Hashtbl.find phys_of_qubit q, Hashtbl.find phys_of_qubit q'),
-                      -.chain_strength)
-                    :: !couplings)
+                    ((phys_of_qubit.(q), phys_of_qubit.(q')), -.chain_strength) :: !couplings)
               rest;
             pairs rest
       in
       pairs chain)
-    nodes;
+    chains;
   let ising =
-    Sparse_ising.build ~n:n_phys ~h:(Array.sub h 0 n_phys) ~couplings:!couplings
-      ~offset:logical.Qubo.Ising.offset
+    Sparse_ising.build ~n:n_phys ~h ~couplings:!couplings ~offset:logical.Qubo.Ising.offset
   in
   (* chain-coherent initial spins, mirroring how physical chains freeze out
      as single logical degrees of freedom; drawn before the device call so
      a failed call consumes exactly one draw block either way *)
-  let init = Array.make (max n_phys 1) 1 in
-  List.iter
-    (fun node ->
+  let init = Array.make n_phys 1 in
+  Array.iter
+    (fun chain ->
       let s = if Stats.Rng.bool rng then 1 else -1 in
-      List.iter (fun q -> init.(Hashtbl.find phys_of_qubit q) <- s) (chain_of job node))
-    nodes;
+      List.iter (fun q -> init.(phys_of_qubit.(q)) <- s) chain)
+    chains;
   let request =
     {
       Backend.ising;
       params = Sampler.make_params ~schedule ~noise ~reads ();
-      init = Some (Array.sub init 0 n_phys);
+      init = Some init;
       domains;
       timing;
     }
@@ -166,32 +185,25 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
   | Error _ as e -> e
   | Ok resp ->
       let spins = resp.Backend.spins in
-      (* unembed by majority vote *)
+      (* unembed by majority vote, one value per node *)
       let chain_breaks = ref 0 in
-      let assignment =
-        List.map
-          (fun node ->
-            let chain = chain_of job node in
-            let up =
-              List.fold_left
-                (fun acc q -> if spins.(Hashtbl.find phys_of_qubit q) = 1 then acc + 1 else acc)
-                0 chain
-            in
-            let len = List.length chain in
-            if up > 0 && up < len then incr chain_breaks;
-            let value =
-              if 2 * up > len then true
-              else if 2 * up < len then false
-              else Stats.Rng.bool rng
-            in
-            (node, value))
-          nodes
-      in
-      let lookup = Hashtbl.create (List.length assignment) in
-      List.iter (fun (node, v) -> Hashtbl.replace lookup node v) assignment;
+      let value = Array.make (Array.length nodes) false in
+      Array.iteri
+        (fun k chain ->
+          let up =
+            List.fold_left
+              (fun acc q -> if spins.(phys_of_qubit.(q)) = 1 then acc + 1 else acc)
+              0 chain
+          in
+          let len = List.length chain in
+          if up > 0 && up < len then incr chain_breaks;
+          value.(k) <-
+            (if 2 * up > len then true else if 2 * up < len then false else Stats.Rng.bool rng))
+        chains;
+      let vars = Qubo.Pbq.vars job.objective in
       List.iter
-        (fun v -> if not (Hashtbl.mem lookup v) then fail "objective var %d not in embedding" v)
-        (Qubo.Pbq.vars job.objective);
+        (fun v -> if slot_of nodes v < 0 then fail "objective var %d not in embedding" v)
+        vars;
       if postprocess then begin
         (* D-Wave-style optimisation post-processing: a short logical-level
            anneal seeded from the unembedded sample, then steepest descent.
@@ -200,32 +212,25 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
            residue long chains leave behind; a genuinely unsatisfiable
            clause set keeps its positive floor *)
         let logical_sparse =
-          Sparse_ising.build ~n:logical.Qubo.Ising.num_spins
-            ~h:(Array.sub logical.Qubo.Ising.h 0 logical.Qubo.Ising.num_spins)
+          Sparse_ising.build ~n:num_spins
+            ~h:(Array.sub logical.Qubo.Ising.h 0 num_spins)
             ~couplings:logical.Qubo.Ising.j ~offset:logical.Qubo.Ising.offset
         in
-        let init =
-          Array.init logical.Qubo.Ising.num_spins (fun i ->
-              if Hashtbl.find lookup logical.Qubo.Ising.var_of_spin.(i) then 1 else -1)
-        in
+        (* every logical spin is an objective variable, hence a node *)
+        let node_of_spin = Array.init num_spins (fun i -> slot_of nodes var_of_spin.(i)) in
+        let init = Array.map (fun k -> if value.(k) then 1 else -1) node_of_spin in
         (* depth scales with the logical problem: the paper's noise-free
            reference runs dwave-neal "with a long timeout" [19] *)
         let post_schedule =
-          {
-            Sampler.sweeps = max 128 (8 * logical.Qubo.Ising.num_spins);
-            beta_min = 0.3;
-            beta_max = 12.;
-          }
+          { Sampler.sweeps = max 128 (8 * num_spins); beta_min = 0.3; beta_max = 12. }
         in
         let params = Sampler.make_params ~schedule:post_schedule () in
         let spins' = Sampler.sample ~obs ~params ~init rng logical_sparse in
-        Array.iteri
-          (fun i s -> Hashtbl.replace lookup logical.Qubo.Ising.var_of_spin.(i) (s = 1))
-          spins';
-        greedy_descent job.objective lookup
+        Array.iteri (fun i s -> value.(node_of_spin.(i)) <- s = 1) spins';
+        greedy_descent job.objective ~nodes ~vars value
       end;
-      let assignment = List.map (fun (node, _) -> (node, Hashtbl.find lookup node)) assignment in
-      let energy = Qubo.Pbq.eval job.objective (Hashtbl.find lookup) in
+      let assignment = Array.to_list (Array.mapi (fun k node -> (node, value.(k))) nodes) in
+      let energy = Qubo.Pbq.eval job.objective (fun v -> value.(slot_of nodes v)) in
       if not (Obs.Ctx.is_null obs) then begin
         Obs.Metrics.count obs "anneal_chain_breaks_total" !chain_breaks;
         Obs.Metrics.observe obs "anneal_time_us" resp.Backend.time_us

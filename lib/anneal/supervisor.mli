@@ -76,10 +76,17 @@ val state : t -> state
 val stats : t -> stats
 
 val sample : t -> Stats.Rng.t -> Backend.request -> (Backend.response, Backend.failure) result
-(** One supervised call.  Calls are serialised on an internal mutex, so a
-    single supervisor may be shared by concurrent solver domains — it then
-    models one shared, rate-limited device whose circuit breaker protects
-    every job going through it (the server dispatcher does exactly this).  While the breaker is open the backend is not
+(** One supervised call.  A single supervisor may be shared by concurrent
+    solver domains — it then models one shared device whose circuit
+    breaker protects every job going through it (the server dispatcher
+    does exactly this).  An internal mutex guards the breaker, the
+    {!stats} counters, the admission decision and the backoff-jitter RNG;
+    it is {e not} held across the backend call, so concurrent callers'
+    host-side simulations run in parallel and only their bookkeeping
+    steps interleave.  The modelled device time is unaffected: each
+    response is charged its own {!Timing} model time whatever the host
+    concurrency.  With one caller at a time a run replays exactly from
+    its seeds.  While the breaker is open the backend is not
     touched and the call fast-fails with [Breaker_open].  A response whose
     modelled time exceeds [timeout_us] is discarded as [Timeout] (deadline
     hit mid-read) and charged the full deadline.  On success, [time_us]

@@ -32,18 +32,25 @@ let coords_of_id t id =
     index = rest mod 4;
   }
 
+(* on qubit ids directly, without building coordinate records: the
+   machine layer asks this for every qubit pair of every chain on each
+   annealer call.  [id mod 8] is orientation·4 + index, so two qubits of
+   the same orientation share an index iff it is equal *)
 let adjacent t a b =
   if a = b then false
   else
-    let ca = coords_of_id t a and cb = coords_of_id t b in
-    match (ca.orientation, cb.orientation) with
-    | Vertical, Horizontal | Horizontal, Vertical ->
-        (* in-cell K4,4 coupler *)
-        ca.row = cb.row && ca.col = cb.col
-    | Vertical, Vertical ->
-        ca.col = cb.col && ca.index = cb.index && abs (ca.row - cb.row) = 1
-    | Horizontal, Horizontal ->
-        ca.row = cb.row && ca.index = cb.index && abs (ca.col - cb.col) = 1
+    let n = num_qubits t in
+    if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Chimera.Graph.coords_of_id";
+    let cell_a = a / 8 and cell_b = b / 8 in
+    let rest_a = a mod 8 and rest_b = b mod 8 in
+    let vertical_a = rest_a < 4 and vertical_b = rest_b < 4 in
+    if vertical_a <> vertical_b then (* in-cell K4,4 coupler *) cell_a = cell_b
+    else if rest_a <> rest_b then false
+    else
+      let row_a = cell_a / t.cols and row_b = cell_b / t.cols in
+      let col_a = cell_a mod t.cols and col_b = cell_b mod t.cols in
+      if vertical_a then col_a = col_b && abs (row_a - row_b) = 1
+      else row_a = row_b && abs (col_a - col_b) = 1
 
 let neighbors t id =
   let c = coords_of_id t id in

@@ -57,13 +57,13 @@ let random_problem rng ~dense =
    classifies at run time *)
 let labeled_energy ?(adjust = true) rng graph noise f =
   let queue = Clause_queue.generate rng f ~activity:(fun _ -> 1.0) ~limit:250 in
-  let clauses = List.map (Sat.Cnf.clause f) queue in
-  let enc = Qubo.Encode.encode ~num_vars:(Sat.Cnf.num_vars f) clauses in
-  let res = Embed.Hyqsat_scheme.embed graph enc in
+  let clauses = Array.of_list (List.map (Sat.Cnf.clause f) queue) in
+  let aux_of_clause, _ = Qubo.Encode.aux_numbering ~num_vars:(Sat.Cnf.num_vars f) clauses in
+  let res = Embed.Hyqsat_scheme.embed graph clauses ~aux_of_clause in
   let embedded = res.Embed.Hyqsat_scheme.embedded_clauses in
   if embedded = 0 then None
   else begin
-    let prefix = List.filteri (fun i _ -> i < embedded) clauses in
+    let prefix = Array.to_list (Array.sub clauses 0 embedded) in
     let enc' = Qubo.Encode.encode ~num_vars:(Sat.Cnf.num_vars f) prefix in
     if adjust then Qubo.Adjust.adjust enc';
     let job =

@@ -31,20 +31,20 @@ let create_cache ?(capacity = 64) graph =
 
 let cache_stats c = (c.hits, c.misses)
 
-let embed_via_cache obs cache graph f clauses enc =
+let embed_via_cache obs cache graph f clauses ~aux_of_clause =
   match cache with
-  | None -> Embed.Hyqsat_scheme.embed graph enc
+  | None -> Embed.Hyqsat_scheme.embed graph clauses ~aux_of_clause
   | Some c ->
       if not (c.graph == graph) then
         invalid_arg "Frontend.prepare: cache built for a different graph";
-      let key = (Sat.Cnf.num_vars f, List.map Sat.Clause.vars clauses) in
+      let key = (Sat.Cnf.num_vars f, Array.to_list (Array.map Sat.Clause.vars clauses)) in
       (match Hashtbl.find_opt c.table key with
       | Some res ->
           c.hits <- c.hits + 1;
           Obs.Metrics.incr obs "embed_cache_hits_total";
           res
       | None ->
-          let res = Embed.Hyqsat_scheme.embed graph enc in
+          let res = Embed.Hyqsat_scheme.embed graph clauses ~aux_of_clause in
           c.misses <- c.misses + 1;
           Obs.Metrics.incr obs "embed_cache_misses_total";
           (* a full table drops wholesale: the working set of a solve is a
@@ -66,17 +66,18 @@ let prepare ?(obs = Obs.Ctx.null) ?cache ?(queue_mode = Activity_bfs)
   in
   if queue = [] then None
   else begin
-    let clauses = List.map (Sat.Cnf.clause f) queue in
-    let enc = Qubo.Encode.encode ~num_vars:(Sat.Cnf.num_vars f) clauses in
+    let clauses = Array.of_list (List.map (Sat.Cnf.clause f) queue) in
+    (* the embedder only needs the auxiliary numbering; penalties are built
+       for the embedded prefix alone, whose numbering is a prefix of this
+       one, so the placement stays aligned with the encoding *)
+    let aux_of_clause, _ = Qubo.Encode.aux_numbering ~num_vars:(Sat.Cnf.num_vars f) clauses in
     let t_embed = Sys.time () in
-    let res = embed_via_cache obs cache graph f clauses enc in
+    let res = embed_via_cache obs cache graph f clauses ~aux_of_clause in
     let embed_time_s = Sys.time () -. t_embed in
     let embedded = res.Embed.Hyqsat_scheme.embedded_clauses in
     if embedded = 0 then None
     else begin
-      (* re-encode just the embedded prefix (auxiliary numbering of a prefix
-         is a prefix of the full numbering, so the embedding stays aligned) *)
-      let prefix_clauses = List.filteri (fun i _ -> i < embedded) clauses in
+      let prefix_clauses = Array.to_list (Array.sub clauses 0 embedded) in
       let enc' = Qubo.Encode.encode ~num_vars:(Sat.Cnf.num_vars f) prefix_clauses in
       if adjust then Qubo.Adjust.adjust enc';
       (* weighted (MaxSAT) mode: scale the adjusted α's by per-clause

@@ -232,7 +232,9 @@ let build_embedding st =
     st.edges_done;
   emb
 
-let embed graph (enc : Qubo.Encode.t) =
+let embed graph clauses ~aux_of_clause =
+  if Array.length aux_of_clause <> Array.length clauses then
+    invalid_arg "Hyqsat_scheme.embed: aux_of_clause length";
   let st =
     {
       graph;
@@ -248,12 +250,12 @@ let embed graph (enc : Qubo.Encode.t) =
     }
   in
   let order = hline_order graph in
-  let n_clauses = Array.length enc.Qubo.Encode.clauses in
+  let n_clauses = Array.length clauses in
   let rec go k =
     if k >= n_clauses then k
     else
-      let clause = enc.Qubo.Encode.clauses.(k) in
-      let aux = enc.Qubo.Encode.aux_of_clause.(k) in
+      let clause = clauses.(k) in
+      let aux = aux_of_clause.(k) in
       let ok =
         allocate_vlines st clause
         && List.for_all (place_requirement st ~order) (clause_requirements st clause aux)

@@ -22,12 +22,18 @@ type t = {
   embedding : Embedding.t;
   embedded_clauses : int;  (** length of the embedded clause-queue prefix *)
   edges : (int * int) list;
-      (** problem-graph edges realised for the prefix (node ids as in the
-          {!Qubo.Encode.t} numbering) *)
+      (** problem-graph edges realised for the prefix (node ids: the
+          clause variables, plus the auxiliaries of [aux_of_clause]) *)
 }
 
-val embed : Chimera.Graph.t -> Qubo.Encode.t -> t
-(** Embed the longest prefix of the encoded clause queue that fits. *)
+val embed : Chimera.Graph.t -> Sat.Clause.t array -> aux_of_clause:int array -> t
+(** [embed graph clauses ~aux_of_clause] embeds the longest prefix of the
+    clause queue that fits.  [aux_of_clause.(k)] is clause [k]'s auxiliary
+    node, or [-1] for a clause without one — the numbering of
+    {!Qubo.Encode.aux_numbering}, which {!Qubo.Encode.encode} also uses,
+    so the placement lines up with the encoding of any prefix.  Only the
+    clauses' variables are read: no penalty needs to exist yet.
+    @raise Invalid_argument if the two arrays differ in length. *)
 
 val capacity_estimate : Chimera.Graph.t -> int
 (** Rough upper bound on embeddable 3-clauses (vertical lines bound distinct

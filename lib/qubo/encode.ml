@@ -69,18 +69,33 @@ let penalty_small lits =
   | _ -> assert false);
   h
 
+(* one auxiliary per 3-literal clause, numbered from [num_vars] in clause
+   order; [who] names the caller in the error for longer clauses *)
+let number_aux ~who ~num_vars clauses =
+  let next = ref num_vars in
+  let aux_of_clause = Array.make (Array.length clauses) (-1) in
+  Array.iteri
+    (fun k c ->
+      match Sat.Clause.size c with
+      | 3 ->
+          aux_of_clause.(k) <- !next;
+          incr next
+      | 0 | 1 | 2 -> ()
+      | _ -> invalid_arg (who ^ ": clause with more than 3 literals"))
+    clauses;
+  (aux_of_clause, !next)
+
+let aux_numbering ~num_vars clauses = number_aux ~who:"Encode.aux_numbering" ~num_vars clauses
+
 let encode ~num_vars clause_list =
   let clauses = Array.of_list clause_list in
-  let next_aux = ref num_vars in
-  let aux_of_clause = Array.make (Array.length clauses) (-1) in
+  let aux_of_clause, num_total_vars = number_aux ~who:"Encode.encode" ~num_vars clauses in
   let subs = ref [] in
   Array.iteri
     (fun k c ->
       match Sat.Clause.lits c with
       | l1 :: l2 :: l3 :: [] ->
-          let a = !next_aux in
-          incr next_aux;
-          aux_of_clause.(k) <- a;
+          let a = aux_of_clause.(k) in
           subs :=
             {
               clause_index = k;
@@ -97,7 +112,8 @@ let encode ~num_vars clause_list =
                  alpha = 1.;
                }
             :: !subs
-      | ([] | [ _ ] | [ _; _ ]) as small ->
+      | small ->
+          (* at most 2 literals: [number_aux] rejected longer clauses *)
           subs :=
             {
               clause_index = k;
@@ -106,13 +122,12 @@ let encode ~num_vars clause_list =
               penalty = penalty_small small;
               alpha = 1.;
             }
-            :: !subs
-      | _ -> invalid_arg "Encode.encode: clause with more than 3 literals")
+            :: !subs)
     clauses;
   {
     clauses;
     num_original_vars = num_vars;
-    num_total_vars = !next_aux;
+    num_total_vars;
     aux_of_clause;
     subs = Array.of_list (List.rev !subs);
   }

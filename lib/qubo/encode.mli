@@ -25,10 +25,18 @@ type t = {
   subs : sub array;
 }
 
+val aux_numbering : num_vars:int -> Sat.Clause.t array -> int array * int
+(** [aux_numbering ~num_vars clauses] is [(aux_of_clause, num_total_vars)]
+    of {!encode} on the same clauses, without building any penalty: one
+    auxiliary per 3-literal clause, numbered from [num_vars] upwards in
+    clause order, [-1] for shorter clauses.  The numbering of a prefix is
+    a prefix of the numbering, which is what lets the line embedder place
+    a whole clause queue before only its embedded prefix is encoded.
+    @raise Invalid_argument on clauses with more than 3 literals. *)
+
 val encode : num_vars:int -> Sat.Clause.t list -> t
 (** Encode a clause list over a [num_vars]-variable universe.  Auxiliary
-    variables are numbered from [num_vars] upwards, one per 3-literal
-    clause, in clause order.
+    variables are numbered by {!aux_numbering}.
     @raise Invalid_argument on clauses with more than 3 literals. *)
 
 val encode_ksat : num_vars:int -> Sat.Clause.t list -> t

@@ -4,7 +4,10 @@
     reproduction an explicit, splittable seed so each experiment is exactly
     reproducible from the command line. *)
 
-type t
+type t = Random.State.t
+(** Exposed so hot loops can draw from the stdlib state directly: the
+    annealing kernel reads [Random.State.bits64] to get an unboxed
+    uniform (see [Anneal.Kernel]). *)
 
 val create : seed:int -> t
 (** Fresh generator from an integer seed. *)

@@ -92,7 +92,7 @@ let machine_on_satisfiable_queue () =
     ]
   in
   let enc = Qubo.Encode.encode ~num_vars:5 clauses in
-  let res = Embed.Hyqsat_scheme.embed g enc in
+  let res = Testutil.embed_encoded g enc in
   Alcotest.(check int) "all clauses embedded" 4 res.Embed.Hyqsat_scheme.embedded_clauses;
   let job =
     {
@@ -115,7 +115,7 @@ let machine_on_unsat_queue () =
   let rng = Testutil.rng 13 in
   let clauses = [ Sat.Clause.of_dimacs [ 1 ]; Sat.Clause.of_dimacs [ -1 ] ] in
   let enc = Qubo.Encode.encode ~num_vars:1 clauses in
-  let res = Embed.Hyqsat_scheme.embed g enc in
+  let res = Testutil.embed_encoded g enc in
   Alcotest.(check int) "embedded" 2 res.Embed.Hyqsat_scheme.embedded_clauses;
   let job =
     {
@@ -135,7 +135,7 @@ let machine_noise_raises_energy_spread () =
           [ Sat.Lit.pos (i mod 6); Sat.Lit.neg_of ((i + 1) mod 6); Sat.Lit.pos ((i + 3) mod 6) ])
   in
   let enc = Qubo.Encode.encode ~num_vars:6 clauses in
-  let res = Embed.Hyqsat_scheme.embed g enc in
+  let res = Testutil.embed_encoded g enc in
   let job =
     {
       Machine.embedding = res.Embed.Hyqsat_scheme.embedding;
@@ -217,6 +217,28 @@ let kernel_matches_reference () =
       (Printf.sprintf "case %d (n=%d)" case ising.SI.n)
       s_ref s_inc
   done
+
+(* An attempted flip allocates nothing: the Metropolis uniform is drawn
+   unboxed, so a 2000Q-sized anneal's minor-heap traffic is the per-call
+   set-up only.  Boxing the draw costs ~3.7 words per attempted flip. *)
+let kernel_allocation_free () =
+  let g = Chimera.Graph.standard_2000q () in
+  let r = Testutil.rng 71 in
+  let n = Chimera.Graph.num_qubits g in
+  let h = Array.init n (fun _ -> Stats.Rng.gaussian r ~mu:0. ~sigma:1.) in
+  let couplings = ref [] in
+  Chimera.Graph.iter_couplers g (fun i j ->
+      couplings := ((i, j), Stats.Rng.gaussian r ~mu:0. ~sigma:1.) :: !couplings);
+  let ising = SI.build ~n ~h ~couplings:!couplings ~offset:0. in
+  let schedule = Sampler.default_schedule in
+  let params = Sampler.make_params ~schedule ~reads:1 () in
+  let rng = Testutil.rng 73 in
+  let before = Gc.minor_words () in
+  ignore (Sampler.sample ~params rng ising);
+  let words = Gc.minor_words () -. before in
+  let per_flip = words /. float_of_int (schedule.Sampler.sweeps * n) in
+  if per_flip >= 0.25 then
+    Alcotest.failf "%.3f minor words per attempted flip (%.0f words), bound 0.25" per_flip words
 
 (* the field invariant survives a long random flip sequence *)
 let kernel_field_invariant () =
@@ -313,7 +335,7 @@ let machine_postprocess_off_keeps_soundness () =
     [ Sat.Clause.of_dimacs [ 1; 2; 3 ]; Sat.Clause.of_dimacs [ -1; -2; 4 ] ]
   in
   let enc = Qubo.Encode.encode ~num_vars:4 clauses in
-  let res = Embed.Hyqsat_scheme.embed g enc in
+  let res = Testutil.embed_encoded g enc in
   let job =
     {
       Machine.embedding = res.Embed.Hyqsat_scheme.embedding;
@@ -352,6 +374,7 @@ let suite =
       [
         Alcotest.test_case "matches reference per seed" `Quick kernel_matches_reference;
         Alcotest.test_case "field invariant after 1k flips" `Quick kernel_field_invariant;
+        Alcotest.test_case "allocation-free sweep" `Quick kernel_allocation_free;
         Alcotest.test_case "best-of deterministic across domains" `Quick
           best_of_deterministic_across_domains;
         Alcotest.test_case "best-of threads obs and init" `Quick best_of_threads_obs_and_init;

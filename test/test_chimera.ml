@@ -16,8 +16,9 @@ let coords_roundtrip () =
     Alcotest.(check int) "roundtrip" id (G.id_of_coords g (G.coords_of_id g id))
   done
 
+(* non-square, so that rows and columns cannot be confused *)
 let adjacency_symmetric_and_matches_neighbors () =
-  let g = G.create ~rows:3 ~cols:3 in
+  let g = G.create ~rows:3 ~cols:4 in
   let n = G.num_qubits g in
   for a = 0 to n - 1 do
     let nbs = G.neighbors g a in
@@ -27,6 +28,9 @@ let adjacency_symmetric_and_matches_neighbors () =
         Alcotest.(check bool) "symmetric" true (G.adjacent g b a);
         Alcotest.(check bool) "reverse membership" true (List.mem a (G.neighbors g b)))
       nbs;
+    for b = 0 to n - 1 do
+      if G.adjacent g a b && not (List.mem b nbs) then Alcotest.failf "%d-%d not a neighbour" a b
+    done;
     (* no self loops *)
     Alcotest.(check bool) "no self loop" false (G.adjacent g a a)
   done

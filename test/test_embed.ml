@@ -35,7 +35,7 @@ let hyqsat_embeds_and_validates () =
       let n = max 6 (m / 2) in
       let clauses = locality_queue r ~n ~m in
       let enc = encode_queue ~n clauses in
-      let res = Hyq.embed g enc in
+      let res = Testutil.embed_encoded g enc in
       Alcotest.(check bool)
         (Printf.sprintf "some clauses embedded (m=%d)" m)
         true (res.Hyq.embedded_clauses > 0);
@@ -52,9 +52,10 @@ let hyqsat_prefix_monotone () =
   let n = 12 in
   let clauses = locality_queue r ~n ~m:40 in
   let enc_full = encode_queue ~n clauses in
-  let full = (Hyq.embed g enc_full).Hyq.embedded_clauses in
+  let full = (Testutil.embed_encoded g enc_full).Hyq.embedded_clauses in
   let shorter =
-    (Hyq.embed g (encode_queue ~n (List.filteri (fun i _ -> i < 10) clauses))).Hyq.embedded_clauses
+    (Testutil.embed_encoded g (encode_queue ~n (List.filteri (fun i _ -> i < 10) clauses)))
+      .Hyq.embedded_clauses
   in
   Alcotest.(check bool) "prefix of prefix" true (full >= min shorter 10 || shorter = 10)
 
@@ -64,7 +65,7 @@ let hyqsat_small_hardware_caps_clauses () =
   (* 8 vertical lines: queues over many variables must be cut off *)
   let clauses = locality_queue r ~n:40 ~m:60 in
   let enc = encode_queue ~n:40 clauses in
-  let res = Hyq.embed g enc in
+  let res = Testutil.embed_encoded g enc in
   Alcotest.(check bool) "capped" true (res.Hyq.embedded_clauses < 60);
   let _, edges = problem_graph_of_prefix enc res.Hyq.embedded_clauses in
   match Embedding.validate res.Hyq.embedding ~edges with
@@ -76,7 +77,7 @@ let hyqsat_chain_structure () =
   let g = G.standard_2000q () in
   let clauses = locality_queue r ~n:20 ~m:30 in
   let enc = encode_queue ~n:20 clauses in
-  let res = Hyq.embed g enc in
+  let res = Testutil.embed_encoded g enc in
   Alcotest.(check bool) "avg chain >= 1" true (Embedding.avg_chain_length res.Hyq.embedding >= 1.);
   Alcotest.(check bool) "uses fewer qubits than hardware" true
     (Embedding.qubits_used res.Hyq.embedding < G.num_qubits g)
@@ -162,7 +163,7 @@ let embedding_respects_queue_random =
       let clauses = locality_queue r ~n ~m in
       let enc = encode_queue ~n clauses in
       let g = G.create ~rows:8 ~cols:8 in
-      let res = Hyq.embed g enc in
+      let res = Testutil.embed_encoded g enc in
       let _, edges = problem_graph_of_prefix enc res.Hyq.embedded_clauses in
       match Embedding.validate res.Hyq.embedding ~edges with Ok () -> true | Error _ -> false)
 

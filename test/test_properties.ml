@@ -24,6 +24,30 @@ let aux_count_matches_three_lit_clauses =
       in
       enc.Qubo.Encode.num_total_vars - Sat.Cnf.num_vars f = three_lit)
 
+(* the embedder's numbering is the encoder's: same auxiliary per clause,
+   same variable universe, on mixed-width clause lists *)
+let aux_numbering_matches_encode =
+  let gen =
+    QCheck.Gen.(
+      int_range 3 10 >>= fun n ->
+      int_bound 30 >>= fun m ->
+      int_bound 1_000_000 >>= fun seed ->
+      return
+        (let r = Testutil.rng seed in
+         ( n,
+           List.init m (fun _ -> Testutil.random_clause r ~n ~k:(1 + Stats.Rng.int r 3)) )))
+  in
+  QCheck.Test.make ~name:"aux_numbering = encode's numbering" ~count:200
+    (QCheck.make
+       ~print:(fun (n, cs) ->
+         Printf.sprintf "n=%d %s" n
+           (String.concat " | " (List.map (Format.asprintf "%a" Sat.Clause.pp) cs)))
+       gen)
+    (fun (n, clauses) ->
+      let enc = Qubo.Encode.encode ~num_vars:n clauses in
+      let aux, total = Qubo.Encode.aux_numbering ~num_vars:n (Array.of_list clauses) in
+      aux = enc.Qubo.Encode.aux_of_clause && total = enc.Qubo.Encode.num_total_vars)
+
 let embedding_qubits_disjoint =
   QCheck.Test.make ~name:"hyqsat chains use disjoint qubits" ~count:20
     (QCheck.make QCheck.Gen.(int_bound 10000))
@@ -33,7 +57,7 @@ let embedding_qubits_disjoint =
       let q = Hyqsat.Clause_queue.generate r f ~activity:(fun _ -> 1.) ~limit:40 ~var_budget:64 in
       let enc = Qubo.Encode.encode ~num_vars:60 (List.map (Sat.Cnf.clause f) q) in
       let g = Chimera.Graph.standard_2000q () in
-      let res = Embed.Hyqsat_scheme.embed g enc in
+      let res = Testutil.embed_encoded g enc in
       let emb = res.Embed.Hyqsat_scheme.embedding in
       let seen = Hashtbl.create 256 in
       List.for_all
@@ -72,6 +96,7 @@ let suite =
         Alcotest.test_case "queue deterministic" `Quick queue_deterministic_given_rng;
         Alcotest.test_case "spec deterministic" `Quick spec_instances_deterministic;
         QCheck_alcotest.to_alcotest aux_count_matches_three_lit_clauses;
+        QCheck_alcotest.to_alcotest aux_numbering_matches_encode;
         QCheck_alcotest.to_alcotest embedding_qubits_disjoint;
         Alcotest.test_case "warmup sqrt scaling" `Quick warmup_scales_with_sqrt_k;
         QCheck_alcotest.to_alcotest dimacs_of_generated_is_reparseable;

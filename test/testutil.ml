@@ -25,6 +25,10 @@ let small_cnf_arb =
     ~print:(fun f -> Format.asprintf "%a" Sat.Cnf.pp f)
     small_cnf_gen
 
+(* the line embedder reads an encoding's clauses and auxiliary numbering *)
+let embed_encoded g enc =
+  Embed.Hyqsat_scheme.embed g enc.Qubo.Encode.clauses ~aux_of_clause:enc.Qubo.Encode.aux_of_clause
+
 let qsuite name cells = (name, List.map QCheck_alcotest.to_alcotest cells)
 
 let check_model f model =
