@@ -287,26 +287,20 @@ let solve ?(algorithm = Auto) ?max_conflicts ?timeout_s ?should_stop ?(gap_limit
   let rng =
     match rng with Some r -> r | None -> Stats.Rng.create ~seed:default_seed
   in
-  (* heuristic incumbents: WalkSAT always, annealer when a graph is given;
-     only hard-feasible ones may seed the exact search.  Both honour the
-     deadline/cancel switch — the seeding phase must not outlive the budget
-     the exact search is held to. *)
-  let candidates =
-    incumbent ?max_flips ~should_stop:stop_now rng w
-    ::
-    (match graph with
-    | Some g -> Option.to_list (anneal_incumbent ?samples ~should_stop:stop_now rng g w)
-    | None -> [])
+  (* heuristic incumbents as a fallback chain: WalkSAT draws first from
+     [rng]; the annealer runs only when a graph is given and WalkSAT's model
+     violates a hard clause.  Only a hard-feasible model may seed the exact
+     search.  Both honour the deadline/cancel switch — the seeding phase
+     must not outlive the budget the exact search is held to. *)
+  let feasible (_, x) =
+    if Sat.Wcnf.hard_satisfied w x then Some (Sat.Wcnf.cost w x, x) else None
   in
   let seed_best =
-    List.filter_map
-      (fun (_, x) ->
-        if Sat.Wcnf.hard_satisfied w x then Some (Sat.Wcnf.cost w x, x) else None)
-      candidates
-    |> List.sort (fun (c1, _) (c2, _) -> compare c1 c2)
-    |> function
-    | [] -> None
-    | best :: _ -> Some best
+    match feasible (incumbent ?max_flips ~should_stop:stop_now rng w) with
+    | Some _ as walk -> walk
+    | None ->
+        Option.bind graph (fun g ->
+            Option.bind (anneal_incumbent ?samples ~should_stop:stop_now rng g w) feasible)
   in
   let algorithm =
     match algorithm with

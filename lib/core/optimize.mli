@@ -21,9 +21,11 @@
        under a hard exactly-one over the fresh relaxation variables, and
        repeat until SAT — at which point cost equals the lower bound.}}
 
-    Both are seeded by heuristic incumbents (weighted WalkSAT, optionally
-    annealer sampling), and every answer carries [(best_cost, lower_bound)]
-    so the optimality gap is always reported. *)
+    Both are seeded by a heuristic incumbent: weighted WalkSAT, which
+    draws first from the job's [rng], and annealer sampling only as a
+    fallback when WalkSAT's model violates a hard clause.  Every answer
+    carries [(best_cost, lower_bound)] so the optimality gap is always
+    reported. *)
 
 type algorithm = Linear | Core_guided | Auto
 (** [Auto] picks [Linear] for small summed soft weight (few descent rounds
@@ -83,7 +85,9 @@ val anneal_incumbent :
 (** Best of [samples] (default 8) annealing cycles over the weighted QUBO
     (hard clauses at weight [top], softs at their weight, queue ordered by
     weight).  Returns the penalised cost as in {!incumbent}; [None] when
-    nothing embeds.  [should_stop] is polled between cycles. *)
+    nothing embeds.  [should_stop] is polled between cycles.  {!solve}
+    calls it only as a fallback, when {!incumbent}'s model violates a hard
+    clause, and then on the [rng] stream WalkSAT left behind. *)
 
 val solve :
   ?algorithm:algorithm ->
@@ -104,5 +108,7 @@ val solve :
     external cancel switch, both enforced through the solver's terminate
     hook {e and} polled by the heuristic seeding phase; [gap_limit]
     (default 0) stops as soon as [best_cost - lower_bound <= gap_limit];
-    [rng] seeds the WalkSAT incumbent (a fixed default seed is used when
-    absent) and [graph] additionally enables the annealer incumbent. *)
+    [rng] seeds the WalkSAT incumbent, which draws first (a fixed default
+    seed is used when absent).  [graph] enables the annealer incumbent as a
+    fallback: it runs only when WalkSAT's model violates a hard clause, so
+    with a hard-feasible WalkSAT model the answer is the graph-free one. *)

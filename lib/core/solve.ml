@@ -17,8 +17,9 @@ let objective_label = function Decision -> "decision" | Maximize -> "maxsat"
 
 let optimize ?(mode = Hybrid Hybrid_solver.default_config) ?algorithm ?max_conflicts
     ?timeout_s ?should_stop ?gap_limit ?seed w =
-  (* hybrid mode contributes its hardware graph, so the annealer seeds the
-     incumbent exactly as the decision pipeline would sample it *)
+  (* hybrid mode contributes its hardware graph, so the annealer can stand
+     in for a hard-infeasible WalkSAT incumbent, sampled exactly as the
+     decision pipeline would sample it *)
   let graph =
     match mode with
     | Hybrid c -> Some c.Hybrid_solver.graph

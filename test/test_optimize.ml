@@ -213,6 +213,50 @@ let incumbent_honours_stop () =
   Alcotest.(check bool) "stopped after a handful of polls" true (!polls <= 7);
   Alcotest.(check int) "best-so-far still returned" 1 cost
 
+(* ---- incumbent seeding: WalkSAT first, the annealer only as a fallback ---- *)
+
+let graph_2000q = lazy (Chimera.Graph.standard_2000q ())
+
+(* the graph only matters when WalkSAT's model violates a hard clause; when
+   it does not, the whole answer is the graph-free one, model included —
+   the annealer was skipped and WalkSAT drew first from the fresh stream *)
+let annealer_only_as_fallback =
+  QCheck.Test.make ~name:"annealer skipped after a hard-feasible WalkSAT incumbent"
+    ~count:40 (QCheck.pair wcnf_arb QCheck.small_nat) (fun (w, s) ->
+      let open Hyqsat.Optimize in
+      let a = solve ~rng:(Testutil.rng s) ~graph:(Lazy.force graph_2000q) w in
+      let b = solve ~rng:(Testutil.rng s) w in
+      a.status = b.status && a.best_cost = b.best_cost && a.lower_bound = b.lower_bound
+      && a.cdcl_calls = b.cdcl_calls
+      && ((not (Sat.Wcnf.hard_satisfied w (snd (incumbent (Testutil.rng s) w))))
+         || a.best = b.best))
+
+(* with no flips WalkSAT returns its random start, which for seed 1 breaks
+   a hard clause: the annealer's model must seed the exact search *)
+let fallback_reaches_optimum () =
+  let open Hyqsat.Optimize in
+  let w =
+    Sat.Wcnf.parse_string
+      "p wcnf 3 6 20\n20 1 2 0\n20 -1 3 0\n20 2 -3 0\n3 -1 0\n2 -2 0\n4 -3 0\n"
+  in
+  let g = Lazy.force graph_2000q in
+  let rng = Testutil.rng 1 in
+  let _, walk = incumbent ~max_flips:0 rng w in
+  Alcotest.(check bool) "WalkSAT incumbent breaks a hard clause" false
+    (Sat.Wcnf.hard_satisfied w walk);
+  (match anneal_incumbent rng g w with
+  | Some (_, x) ->
+      Alcotest.(check bool) "annealer supplies a hard-feasible seed" true
+        (Sat.Wcnf.hard_satisfied w x)
+  | None -> Alcotest.fail "nothing embedded");
+  let r = solve ~max_flips:0 ~rng:(Testutil.rng 1) ~graph:g w in
+  match Sat.Brute.min_cost w with
+  | None -> Alcotest.fail "instance should be feasible"
+  | Some (opt, _) ->
+      Alcotest.(check bool) "optimal" true (r.status = Optimal);
+      Alcotest.(check int) "brute optimum" opt r.best_cost;
+      Alcotest.(check int) "bound closes" opt r.lower_bound
+
 let certify_opt_rejects_tampering () =
   let w =
     Sat.Wcnf.make ~num_vars:2 ~hard:[ Sat.Clause.make [ Sat.Lit.pos 0 ] ]
@@ -260,5 +304,8 @@ let suite =
           large_weights_solve_and_certify;
         Alcotest.test_case "incumbent honours should_stop" `Quick incumbent_honours_stop;
         Alcotest.test_case "certify_opt rejects tampering" `Quick certify_opt_rejects_tampering;
+        QCheck_alcotest.to_alcotest annealer_only_as_fallback;
+        Alcotest.test_case "annealer fallback reaches the optimum" `Quick
+          fallback_reaches_optimum;
       ] );
   ]

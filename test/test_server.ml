@@ -428,33 +428,51 @@ let wire_matches_oneshot () =
 
 let demo_wcnf = "p wcnf 3 4 10\n10 1 2 0\n3 -1 0\n2 -2 3 0\n4 -3 0\n"
 
-let wire_wcnf_matches_oneshot () =
-  let seed = 4242 in
+(* one WDIMACS document through both paths; returns the one-shot record
+   after checking the wire record is byte-identical to it *)
+let wcnf_wire_equals_oneshot ~seed text =
   (* one-shot path: exactly what `hyqsat FILE.wcnf --certify --seed S` runs *)
-  let w = Sat.Wcnf.parse_string demo_wcnf in
+  let w = Sat.Wcnf.parse_string text in
   let spec = Job.optimize ~name:"o.wcnf" ~certify:true ~seed ~id:0 w in
   let _, results = Batch.run ~members:(Batch.solo "minisat") [ spec ] in
   let oneshot = (List.hd results).Batch.record in
-  Alcotest.(check int) "one-shot finds the optimum" 2 oneshot.Telemetry.cost;
-  Alcotest.(check int) "one-shot proves the bound" 2 oneshot.Telemetry.lower_bound;
-  Alcotest.(check string) "one-shot certifies optimality" "optimal"
-    oneshot.Telemetry.verified;
   (* wire path: same WDIMACS bytes and seed through the dispatcher *)
   let d = Dispatch.create dispatch_config in
   let wire =
-    Protocol.make_job_spec ~name:"o.wcnf" ~format:"wcnf" ~certify:true ~seed ~id:0
-      demo_wcnf
+    Protocol.make_job_spec ~name:"o.wcnf" ~format:"wcnf" ~certify:true ~seed ~id:0 text
   in
   (match Dispatch.submit d ~client:"t" ~conn:1 wire with
   | Dispatch.Accepted _ -> ()
   | Dispatch.Rejected { reason; _ } -> Alcotest.fail ("wcnf submit rejected: " ^ reason));
   let retired = retire_all d in
   Dispatch.shutdown d;
-  match retired with
+  (match retired with
   | [ c ] ->
       Alcotest.(check string) "telemetry bytes identical (timing zeroed)"
         (record_bytes oneshot) (record_bytes c.Dispatch.result.Batch.record)
-  | _ -> Alcotest.fail "expected exactly one wire result"
+  | _ -> Alcotest.fail "expected exactly one wire result");
+  oneshot
+
+let wire_wcnf_matches_oneshot () =
+  let oneshot = wcnf_wire_equals_oneshot ~seed:4242 demo_wcnf in
+  Alcotest.(check int) "one-shot finds the optimum" 2 oneshot.Telemetry.cost;
+  Alcotest.(check int) "one-shot proves the bound" 2 oneshot.Telemetry.lower_bound;
+  Alcotest.(check string) "one-shot certifies optimality" "optimal"
+    oneshot.Telemetry.verified
+
+(* a weighted colouring whose WalkSAT incumbent under seed 1 breaks a hard
+   clause, so both paths seed the exact search from the annealer *)
+let wire_wcnf_fallback_matches_oneshot () =
+  let w =
+    Workload.Graph_coloring.weighted (Testutil.rng 23) ~nodes:10 ~edges:23 ~soft_edges:10
+  in
+  let seed = 1 in
+  let _, walk = Hyqsat.Optimize.incumbent (Testutil.rng seed) w in
+  Alcotest.(check bool) "WalkSAT incumbent breaks a hard clause" false
+    (Sat.Wcnf.hard_satisfied w walk);
+  let oneshot = wcnf_wire_equals_oneshot ~seed (Sat.Wcnf.to_string w) in
+  Alcotest.(check string) "one-shot certifies optimality" "optimal"
+    oneshot.Telemetry.verified
 
 let wire_wcnf_rejects () =
   let d = Dispatch.create dispatch_config in
@@ -728,6 +746,8 @@ let suite =
         Alcotest.test_case "wire record = one-shot record" `Slow wire_matches_oneshot;
         Alcotest.test_case "wire wcnf record = one-shot record" `Slow
           wire_wcnf_matches_oneshot;
+        Alcotest.test_case "wire wcnf record = one-shot record (annealer fallback)" `Slow
+          wire_wcnf_fallback_matches_oneshot;
         Alcotest.test_case "wcnf wire rejects" `Quick wire_wcnf_rejects;
         Alcotest.test_case "prometheus export is deterministic" `Quick prometheus_deterministic;
       ] );
