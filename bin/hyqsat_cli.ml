@@ -7,13 +7,20 @@
    30 = OPTIMUM FOUND, 0 = unknown.  For a batch the code is the one all
    instances agree on, else 0. *)
 
+(* malformed input exits 2, like the other input errors *)
+let parse parse_file path =
+  try parse_file path
+  with Sat.Lexer.Parse_error { line; reason } ->
+    Printf.eprintf "hyqsat: %s: line %d: %s\n" path line reason;
+    exit 2
+
 (* returns (formula to solve, original formula when a 3-SAT conversion
    happened).  Keeping the original lets the service project models back to
    the input's variables — without it the "v" line would include the
    conversion's auxiliary chain variables — and certify answers against the
    formula the user actually asked about. *)
 let load_formula path =
-  let f = Sat.Dimacs.parse_file path in
+  let f = parse Sat.Dimacs.parse_file path in
   if Sat.Cnf.is_3sat f then (f, None)
   else begin
     let g, _map = Sat.Three_sat.convert f in
@@ -134,8 +141,8 @@ let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retrie
           (* a .wcnf is WDIMACS; --maxsat on a plain CNF maximises the
              number of satisfied clauses (every clause soft at weight 1) *)
           let w =
-            if is_wcnf path then Sat.Wcnf.parse_file path
-            else Sat.Wcnf.of_cnf (Sat.Dimacs.parse_file path)
+            if is_wcnf path then parse Sat.Wcnf.parse_file path
+            else Sat.Wcnf.of_cnf (parse Sat.Dimacs.parse_file path)
           in
           Service.Job.optimize ~name:path ~gap_limit ~certify
             ?timeout_s:(match opt_timeout with Some _ -> opt_timeout | None -> timeout)

@@ -1,80 +1,21 @@
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-let is_space = function ' ' | '\t' | '\r' | '\012' -> true | _ -> false
-
-let split_on_whitespace line =
-  let out = ref [] and start = ref (-1) in
-  let n = String.length line in
-  for i = 0 to n - 1 do
-    if is_space line.[i] then begin
-      if !start >= 0 then out := String.sub line !start (i - !start) :: !out;
-      start := -1
-    end
-    else if !start < 0 then start := i
-  done;
-  if !start >= 0 then out := String.sub line !start (n - !start) :: !out;
-  List.rev !out
-
-let tokenize s =
-  (* splits on any whitespace (CRLF files included), dropping comment lines *)
-  let out = ref [] in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if String.length line = 0 then ()
-         else if line.[0] = 'c' then ()
-         else List.iter (fun tok -> out := tok :: !out) (split_on_whitespace line));
-  List.rev !out
-
-(* SATLIB benchmark files end with a "%" footer ("%" then a lone "0");
-   everything from the first "%" token on is trailing junk, not clauses *)
-let drop_satlib_footer toks =
-  let rec take acc = function
-    | [] | "%" :: _ -> List.rev acc
-    | t :: rest -> take (t :: acc) rest
-  in
-  take [] toks
+exception Parse_error = Lexer.Parse_error
 
 let parse_string s =
-  match tokenize s with
-  | "p" :: "cnf" :: nv :: nc :: rest ->
-      let num_vars =
-        try int_of_string nv with Failure _ -> fail "bad variable count %S" nv
-      in
-      let num_clauses =
-        try int_of_string nc with Failure _ -> fail "bad clause count %S" nc
-      in
-      if num_vars < 0 || num_clauses < 0 then fail "negative counts in header";
-      let rest = drop_satlib_footer rest in
-      let clauses = ref [] in
-      let current = ref [] in
-      List.iter
-        (fun tok ->
-          let i = try int_of_string tok with Failure _ -> fail "bad literal %S" tok in
-          if i = 0 then begin
-            clauses := Clause.of_dimacs (List.rev !current) :: !clauses;
-            current := []
-          end
-          else begin
-            if abs i > num_vars then fail "literal %d exceeds declared %d vars" i num_vars;
-            current := i :: !current
-          end)
-        rest;
-      if !current <> [] then fail "trailing clause not terminated by 0";
-      let clauses = List.rev !clauses in
-      if List.length clauses <> num_clauses then
-        fail "header declares %d clauses, found %d" num_clauses (List.length clauses);
-      Cnf.make ~num_vars clauses
-  | "p" :: fmt :: _ -> fail "unsupported format %S (expected cnf)" fmt
-  | _ -> fail "missing DIMACS header"
+  let lx = Lexer.of_string s in
+  if not (Lexer.accept lx "p" && Lexer.accept lx "cnf") then
+    Lexer.fail lx "missing \"p cnf\" header";
+  let num_vars = Lexer.num_vars lx in
+  let num_clauses = Lexer.num_clauses lx in
+  let clauses = ref [] and found = ref 0 in
+  while Lexer.more lx && not (Lexer.accept lx "%") do
+    clauses := Clause.of_dimacs (Lexer.clause lx ~limit:num_vars) :: !clauses;
+    incr found
+  done;
+  if !found <> num_clauses then
+    Lexer.fail lx "header declares %d clauses, found %d" num_clauses !found;
+  Cnf.make ~num_vars (List.rev !clauses)
 
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_string (really_input_string ic (in_channel_length ic)))
+let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
 
 let to_string ?(comments = []) f =
   let buf = Buffer.create 1024 in
@@ -91,7 +32,4 @@ let to_string ?(comments = []) f =
   Buffer.contents buf
 
 let write_file ?comments path f =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?comments f))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string ?comments f))

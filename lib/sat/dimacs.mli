@@ -1,13 +1,11 @@
 (** DIMACS CNF reader/writer.
 
-    Supports the standard [p cnf <vars> <clauses>] header, [c] comment lines,
-    and clauses terminated by [0] possibly spanning several lines.  SATLIB
-    benchmark files are read unmodified: a ["%"] token ends the clause
-    section (the [% / 0] footer of the uf/uuf suites is ignored), and CRLF
-    line endings or stray tabs are treated as plain whitespace. *)
+    Supports the standard [p cnf <vars> <clauses>] header and clauses
+    terminated by [0], possibly spanning several lines, in the grammar
+    and caps of {!Lexer} (SATLIB's [%] footer included). *)
 
-exception Parse_error of string
-(** Raised on malformed input, with a human-readable reason. *)
+exception Parse_error of { line : int; reason : string }
+(** The same exception as {!Lexer.Parse_error}. *)
 
 val parse_string : string -> Cnf.t
 (** Parse a DIMACS document from a string.  @raise Parse_error. *)

@@ -15,46 +15,24 @@ let to_string proof =
     proof;
   Buffer.contents buf
 
-let is_space = function ' ' | '\t' | '\r' | '\012' -> true | _ -> false
-
-let split_on_whitespace line =
-  let out = ref [] and start = ref (-1) in
-  let n = String.length line in
-  for i = 0 to n - 1 do
-    if is_space line.[i] then begin
-      if !start >= 0 then out := String.sub line !start (i - !start) :: !out;
-      start := -1
-    end
-    else if !start < 0 then start := i
-  done;
-  if !start >= 0 then out := String.sub line !start (n - !start) :: !out;
-  List.rev !out
+exception Parse_error = Lexer.Parse_error
 
 let parse_string s =
+  let lx = Lexer.of_string s in
   let steps = ref [] in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         match split_on_whitespace line with
-         | [] -> () (* blank (or whitespace-only) line *)
-         | "c" :: _ -> () (* comment, as emitted by drat-trim *)
-         | toks ->
-             let is_delete, body =
-               match toks with
-               | [ "d" ] -> failwith "Drat.parse: bare \"d\" line (deletion without literals)"
-               | "d" :: rest -> (true, rest)
-               | _ -> (false, toks)
-             in
-             let ints =
-               List.map
-                 (fun t ->
-                   try int_of_string t with Failure _ -> failwith ("Drat.parse: bad literal " ^ t))
-                 body
-             in
-             (match List.rev ints with
-             | 0 :: rest ->
-                 let lits = List.rev_map Lit.of_dimacs rest in
-                 steps := (if is_delete then Delete lits else Add lits) :: !steps
-             | _ -> failwith "Drat.parse: clause not 0-terminated"));
+  while Lexer.more lx do
+    let delete = Lexer.accept lx "d" in
+    let rec lits acc =
+      if not (Lexer.on_line lx) then Lexer.fail lx "step not terminated by 0";
+      match Lexer.int lx with
+      | 0 ->
+          if Lexer.on_line lx then Lexer.fail lx "tokens after the terminating 0";
+          List.rev acc
+      | i -> lits (Lit.of_dimacs i :: acc)
+    in
+    let lits = lits [] in
+    steps := (if delete then Delete lits else Add lits) :: !steps
+  done;
   List.rev !steps
 
 (* ------------------------------------------------------------------ *)

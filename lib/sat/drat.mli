@@ -47,11 +47,13 @@ type t = step list
 val to_string : t -> string
 (** Standard textual DRAT ("d" prefix for deletions, DIMACS literals). *)
 
+exception Parse_error of { line : int; reason : string }
+(** The same exception as {!Lexer.Parse_error}. *)
+
 val parse_string : string -> t
-(** Inverse of {!to_string}.  Tokens may be separated by any whitespace
-    (tabs, CR), [c] comment lines are skipped, and a bare [d] line is
-    rejected with a clear message rather than read as a literal.
-    @raise Failure on malformed input. *)
+(** Inverse of {!to_string}: one step per line, an optional [d] and then
+    literals up to a [0] that ends the line, in the grammar of {!Lexer}.
+    @raise Parse_error on malformed input, a bare [d] line included. *)
 
 val check : ?should_stop:(unit -> bool) -> Cnf.t -> t -> (unit, string) result
 (** [check f proof] verifies every addition is RUP with respect to [f] plus

@@ -56,152 +56,64 @@ let hard_satisfied f model =
   let a = Assignment.of_bools model in
   Array.for_all (fun c -> Assignment.satisfies_clause a c) f.hard
 
-(* ---- WDIMACS parsing (mirrors the Dimacs tokenizer conventions) ---- *)
+(* ---- WDIMACS parsing ---- *)
 
-exception Parse_error of string
+exception Parse_error = Lexer.Parse_error
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-let is_space = function ' ' | '\t' | '\r' | '\012' -> true | _ -> false
-
-let split_on_whitespace line =
-  let out = ref [] and start = ref (-1) in
-  let n = String.length line in
-  for i = 0 to n - 1 do
-    if is_space line.[i] then begin
-      if !start >= 0 then out := String.sub line !start (i - !start) :: !out;
-      start := -1
-    end
-    else if !start < 0 then start := i
-  done;
-  if !start >= 0 then out := String.sub line !start (n - !start) :: !out;
-  List.rev !out
-
-let tokenize s =
-  let out = ref [] in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if String.length line = 0 then ()
-         else if line.[0] = 'c' then ()
-         else List.iter (fun tok -> out := tok :: !out) (split_on_whitespace line));
-  List.rev !out
-
-let drop_satlib_footer toks =
-  let rec take acc = function
-    | [] | "%" :: _ -> List.rev acc
-    | t :: rest -> take (t :: acc) rest
-  in
-  take [] toks
-
-let int_tok tok = try int_of_string tok with Failure _ -> fail "bad token %S" tok
-
-(* Reads [(head, lits)] groups where [head] is the leading weight token
-   ([None] for an [h]-prefixed hard clause) and each group runs to a [0]. *)
-let read_clauses toks =
-  let groups = ref [] in
-  let head = ref `Expect_head in
-  let current = ref [] in
-  List.iter
-    (fun tok ->
-      match !head with
-      | `Expect_head ->
-          if tok = "h" || tok = "H" then head := `In_clause None
-          else begin
-            let w = int_tok tok in
-            if w < 0 then fail "negative clause weight %d" w;
-            head := `In_clause (Some w)
-          end
-      | `In_clause h ->
-          let i = int_tok tok in
-          if i = 0 then begin
-            groups := (h, List.rev !current) :: !groups;
-            current := [];
-            head := `Expect_head
-          end
-          else current := i :: !current)
-    toks;
-  (match !head with
-  | `Expect_head -> ()
-  | `In_clause _ -> fail "trailing clause not terminated by 0");
-  List.rev !groups
-
-let max_var_of_groups groups =
-  List.fold_left
-    (fun acc (_, lits) -> List.fold_left (fun acc l -> max acc (abs l)) acc lits)
-    0 groups
-
-let build ~num_vars groups ~is_hard =
-  let hard = ref [] and soft = ref [] in
-  List.iter
-    (fun (h, lits) ->
-      List.iter
-        (fun l ->
-          if abs l > num_vars then fail "literal %d exceeds %d vars" l num_vars)
-        lits;
-      let c = Clause.of_dimacs lits in
-      match h with
-      | None -> hard := c :: !hard
-      | Some w ->
-          if is_hard w then hard := c :: !hard
-          else if w = 0 then fail "soft clause with weight 0"
-          else soft := (w, c) :: !soft)
-    groups;
-  (* weight-overflow (and any other) constructor rejection surfaces as a
-     parse error, keeping the parser's error contract uniform *)
-  match make ~num_vars ~hard:(List.rev !hard) ~soft:(List.rev !soft) with
-  | w -> w
-  | exception Invalid_argument msg -> fail "%s" msg
-
-(* The flat token stream cannot tell a 3-field [p wcnf nv nc] header from a
-   4-field one followed by a clause weight, so the header is read off its own
-   line before the clause section is flattened — which is how the dialect is
-   actually defined. *)
-let split_header s =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | line :: rest ->
-        let t = String.trim line in
-        if String.length t = 0 || t.[0] = 'c' then go (line :: acc) rest
-        else if t.[0] = 'p' then (Some (split_on_whitespace t), List.rev_append acc rest)
-        else (None, List.rev_append acc (line :: rest))
-  in
-  (* clause lines before the header would be malformed anyway; [acc] only
-     ever holds comments/blanks here *)
-  go [] (String.split_on_char '\n' s)
+(* The header must sit on one line: that is how a 3-field [p wcnf nv nc]
+   header is told from a 4-field one followed by a clause weight. *)
+let read_header lx =
+  let field read = if Lexer.on_line lx then read lx else Lexer.fail lx "malformed wcnf header" in
+  if not (field (fun lx -> Lexer.accept lx "wcnf")) then Lexer.fail lx "expected \"p wcnf\"";
+  let num_vars = field Lexer.num_vars in
+  let num_clauses = field Lexer.num_clauses in
+  let top = if Lexer.on_line lx then Some (Lexer.int lx) else None in
+  if Lexer.on_line lx then Lexer.fail lx "malformed wcnf header";
+  (num_vars, num_clauses, top)
 
 let parse_string s =
-  let header, body_lines = split_header s in
-  let toks = drop_satlib_footer (tokenize (String.concat "\n" body_lines)) in
-  match header with
-  | Some ("p" :: "wcnf" :: nv :: nc :: top_field) ->
-      let num_vars = int_tok nv and num_clauses = int_tok nc in
-      if num_vars < 0 || num_clauses < 0 then fail "negative counts in header";
-      let top =
-        match top_field with
-        | [] -> None
-        | [ t ] -> Some (int_tok t)
-        | _ -> fail "malformed wcnf header"
-      in
-      let groups = read_clauses toks in
-      if List.length groups <> num_clauses then
-        fail "header declares %d clauses, found %d" num_clauses (List.length groups);
-      let is_hard w = match top with Some t -> w >= t | None -> false in
-      build ~num_vars groups ~is_hard
-  | Some ("p" :: fmt :: _) -> fail "unsupported format %S (expected wcnf)" fmt
-  | Some _ -> fail "malformed header line"
-  | None ->
-      (* 2022 headerless dialect: [h]-prefixed hard clauses, weight-prefixed
-         soft clauses, variable count recovered from the largest literal *)
-      if toks = [] then fail "empty WDIMACS document";
-      let groups = read_clauses toks in
-      let num_vars = max_var_of_groups groups in
-      build ~num_vars groups ~is_hard:(fun _ -> false)
+  let lx = Lexer.of_string s in
+  (* without a header (the 2022 dialect: [h]-prefixed hard clauses,
+     weight-prefixed soft clauses) the variable count is the largest
+     literal, capped like a declared one *)
+  let header = if Lexer.accept lx "p" then Some (read_header lx) else None in
+  let limit = match header with Some (nv, _, _) -> nv | None -> Lexer.max_vars in
+  let is_hard w = match header with Some (_, _, Some top) -> w >= top | _ -> false in
+  let hard = ref [] and soft = ref [] and found = ref 0 and max_var = ref 0 in
+  while Lexer.more lx && not (Lexer.accept lx "%") do
+    let weight =
+      if Lexer.accept lx "h" || Lexer.accept lx "H" then None
+      else
+        let w = Lexer.int lx in
+        if w < 0 then Lexer.fail lx "negative clause weight %d" w;
+        Some w
+    in
+    let lits = Lexer.clause lx ~limit in
+    List.iter (fun l -> max_var := max !max_var (abs l)) lits;
+    let c = Clause.of_dimacs lits in
+    incr found;
+    match weight with
+    | Some w when not (is_hard w) ->
+        if w = 0 then Lexer.fail lx "soft clause with weight 0";
+        soft := (w, c) :: !soft
+    | _ -> hard := c :: !hard
+  done;
+  let num_vars =
+    match header with
+    | Some (num_vars, num_clauses, _) ->
+        if !found <> num_clauses then
+          Lexer.fail lx "header declares %d clauses, found %d" num_clauses !found;
+        num_vars
+    | None ->
+        if !found = 0 then Lexer.fail lx "empty WDIMACS document";
+        !max_var
+  in
+  (* weight-overflow (and any other) constructor rejection surfaces as a
+     parse error, keeping the parser's error contract uniform *)
+  try make ~num_vars ~hard:(List.rev !hard) ~soft:(List.rev !soft)
+  with Invalid_argument msg -> Lexer.fail lx "%s" msg
 
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_string (really_input_string ic (in_channel_length ic)))
+let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
 
 let clause_body buf c =
   List.iter (fun l -> Buffer.add_string buf (string_of_int (Lit.to_dimacs l)); Buffer.add_char buf ' ') (Clause.lits c);
@@ -242,10 +154,7 @@ let to_string ?(format = `Classic) ?(comments = []) f =
   Buffer.contents buf
 
 let write_file ?format ?comments path f =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?format ?comments f))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string ?format ?comments f))
 
 let equal f1 f2 =
   f1.num_vars = f2.num_vars

@@ -47,10 +47,12 @@ val cost : t -> bool array -> int
 
 val hard_satisfied : t -> bool array -> bool
 
-exception Parse_error of string
+exception Parse_error of { line : int; reason : string }
+(** The same exception as {!Lexer.Parse_error}. *)
 
 val parse_string : string -> t
-(** Parse either WDIMACS dialect.  @raise Parse_error on malformed input. *)
+(** Parse either WDIMACS dialect, with the grammar and caps of {!Lexer}.
+    @raise Parse_error on malformed input. *)
 
 val parse_file : string -> t
 (** @raise Parse_error and [Sys_error]. *)

@@ -55,7 +55,7 @@ let drat_parse_whitespace () =
   | _ -> Alcotest.fail "unexpected step shapes"
 
 let drat_parse_rejects_bare_d () =
-  let fails s = try ignore (Sat.Drat.parse_string s); false with Failure _ -> true in
+  let fails s = try ignore (Sat.Drat.parse_string s); false with Sat.Drat.Parse_error _ -> true in
   Alcotest.(check bool) "bare d line" true (fails "1 2 0\nd\n");
   Alcotest.(check bool) "bare d with spaces" true (fails "d   \n");
   Alcotest.(check bool) "unterminated" true (fails "1 2\n");

@@ -81,13 +81,30 @@ let warmup_scales_with_sqrt_k () =
   let w1 = sqrt (float_of_int k1) and w2 = sqrt (float_of_int k2) in
   Alcotest.(check bool) "sqrt scaling in a sane band" true (w2 /. w1 > 1.5 && w2 /. w1 < 4.)
 
+(* [text] with each line break randomly CRLF and followed by comment
+   lines, and each space randomly a tab run: layouts DIMACS must read as
+   the plain rendering *)
+let scramble_layout r text =
+  let comments = [| "c layout\n"; " \tc 1 2 0\r\n"; "c\n" |] in
+  let b = Buffer.create (2 * String.length text) in
+  String.iter
+    (function
+      | '\n' ->
+          Buffer.add_string b (if Stats.Rng.bool r then "\r\n" else "\n");
+          if Stats.Rng.int r 4 = 0 then Buffer.add_string b (Stats.Rng.choice r comments)
+      | ' ' -> Buffer.add_string b (Stats.Rng.choice r [| " "; "\t"; " \t  " |])
+      | c -> Buffer.add_char b c)
+    text;
+  Buffer.contents b
+
 let dimacs_of_generated_is_reparseable =
   QCheck.Test.make ~name:"generated benchmarks round-trip through DIMACS" ~count:14
-    (QCheck.make QCheck.Gen.(int_bound 13))
-    (fun i ->
+    (QCheck.make QCheck.Gen.(pair (int_bound 13) (int_bound 100000)))
+    (fun (i, seed) ->
       let spec = List.nth Workload.Spec.table1 i in
       let f = spec.Workload.Spec.generate (Testutil.rng (505 + i)) `Small in
-      Sat.Cnf.equal f (Sat.Dimacs.parse_string (Sat.Dimacs.to_string f)))
+      let text = scramble_layout (Testutil.rng seed) (Sat.Dimacs.to_string f) in
+      Sat.Cnf.equal f (Sat.Dimacs.parse_string text))
 
 let suite =
   [

@@ -89,6 +89,63 @@ let dimacs_errors () =
   Alcotest.(check bool) "unterminated" true (bad "p cnf 2 1\n1 2");
   Alcotest.(check bool) "var overflow" true (bad "p cnf 1 1\n5 0")
 
+(* ---- the shared lexer behind DIMACS, WDIMACS and DRAT ---- *)
+
+let dimacs s = ignore (Sat.Dimacs.parse_string s)
+let wcnf s = ignore (Sat.Wcnf.parse_string s)
+let drat s = ignore (Sat.Drat.parse_string s)
+
+(* the line [parse doc] fails on; [None] if it accepts *)
+let error_line parse doc =
+  match parse doc with () -> None | exception Sat.Lexer.Parse_error { line; _ } -> Some line
+
+let lexer_decimal_only () =
+  (* each format with one integer slot, and the line the slot is on *)
+  let slots =
+    [
+      ("dimacs header", dimacs, (fun t -> "c x\np cnf " ^ t ^ " 1\n1 0\n"), 2);
+      ("dimacs literal", dimacs, (fun t -> "p cnf 3 1\nc x\n1 " ^ t ^ " 0\n"), 3);
+      ("wcnf weight", wcnf, (fun t -> "p wcnf 3 1 10\n\n" ^ t ^ " 1 0\n"), 3);
+      ("headerless literal", wcnf, (fun t -> "h 1 0\nc x\n2 " ^ t ^ " 0\n"), 3);
+      ("drat literal", drat, (fun t -> "1 2 0\nd 1 2 0\n" ^ t ^ " 0\n"), 3);
+    ]
+  in
+  List.iter
+    (fun (name, parse, doc, line) ->
+      List.iter
+        (fun tok ->
+          Alcotest.(check (option int)) (name ^ " " ^ tok) (Some line) (error_line parse (doc tok)))
+        [ "0x3"; "0b11"; "-0o2"; "1_0"; "+1"; "--1"; "12345678901234567890"; "-" ])
+    slots
+
+let lexer_hostile_headers () =
+  List.iter
+    (fun (parse, doc) ->
+      let before = Gc.allocated_bytes () in
+      let line = error_line parse doc in
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check (option int)) doc (Some 1) line;
+      Alcotest.(check bool)
+        (Printf.sprintf "%S: %.0f bytes allocated" doc allocated)
+        true (allocated < 65536.))
+    [
+      (dimacs, "p cnf 4000000000 1\n1 0\n");
+      (wcnf, "p wcnf 4000000000 1 5\n1 1 0\n");
+      (wcnf, "1 4000000000 0");
+      (* more clauses than the input has bytes to hold *)
+      (dimacs, "p cnf 3 2000000000\n1 0\n");
+    ];
+  let f = Sat.Dimacs.parse_string (Printf.sprintf "p cnf %d 1\n1 0\n" Sat.Lexer.max_vars) in
+  Alcotest.(check int) "the cap itself is accepted" Sat.Lexer.max_vars (Sat.Cnf.num_vars f)
+
+let lexer_comment_lines () =
+  (* a line whose first non-blank character is c is a comment in every
+     format, including DRAT lines such as "cx" *)
+  Alcotest.(check (option int)) "dimacs" None (error_line dimacs "c\np cnf 1 1\n\tcx 0\n1 0\n");
+  Alcotest.(check (option int)) "wcnf" None (error_line wcnf "cx\nh 1 0\n");
+  Alcotest.(check bool) "drat" true
+    (Sat.Drat.parse_string "cx\n  c\n1 0\n" = [ Sat.Drat.Add [ Sat.Lit.pos 0 ] ])
+
 let three_sat_size () =
   let big = Sat.Clause.of_dimacs [ 1; 2; 3; 4; 5; 6 ] in
   let f = Sat.Cnf.make ~num_vars:6 [ big ] in
@@ -166,6 +223,12 @@ let suite =
         Alcotest.test_case "roundtrip" `Quick dimacs_roundtrip;
         Alcotest.test_case "comments/layout" `Quick dimacs_comments_and_layout;
         Alcotest.test_case "errors" `Quick dimacs_errors;
+      ] );
+    ( "sat.lexer",
+      [
+        Alcotest.test_case "decimal integers only" `Quick lexer_decimal_only;
+        Alcotest.test_case "hostile headers" `Quick lexer_hostile_headers;
+        Alcotest.test_case "comment lines" `Quick lexer_comment_lines;
       ] );
     ( "sat.three_sat",
       [

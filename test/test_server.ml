@@ -357,6 +357,17 @@ let dispatch_parse_reject () =
   | _ -> Alcotest.fail "garbage input should be rejected with code parse");
   Dispatch.shutdown d
 
+(* a 20-byte header declaring 4e9 variables would size the solver by the
+   declared count: admission must refuse it before it can be queued *)
+let dispatch_hostile_header_reject () =
+  let d = Dispatch.create dispatch_config in
+  (match Dispatch.submit d ~client:"a" ~conn:1 (wire_spec ~id:0 "p cnf 4000000000 1\n1 0\n") with
+  | Dispatch.Rejected { code = "parse"; _ } -> ()
+  | _ -> Alcotest.fail "a hostile header should be rejected with code parse");
+  Alcotest.(check bool) "nothing queued or running" true (Dispatch.idle d);
+  Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Dispatch.accepted;
+  Dispatch.shutdown d
+
 let dispatch_priority_order () =
   let d = Dispatch.create { dispatch_config with Dispatch.queue_capacity = 8; per_client = 8 } in
   ignore (Dispatch.submit d ~client:"a" ~conn:1 (wire_spec ~id:0 sat_dimacs));
@@ -738,6 +749,7 @@ let suite =
         Alcotest.test_case "backpressure: queue_full + retry-after" `Quick dispatch_backpressure;
         Alcotest.test_case "per-client quota over the dispatcher" `Quick dispatch_quota;
         Alcotest.test_case "unparseable DIMACS rejected" `Quick dispatch_parse_reject;
+        Alcotest.test_case "hostile DIMACS header rejected" `Quick dispatch_hostile_header_reject;
         Alcotest.test_case "priority scheduling order" `Quick dispatch_priority_order;
         Alcotest.test_case "drain cancels queued exactly once" `Quick dispatch_drain_exactly_once;
       ] );
