@@ -8,10 +8,10 @@ let instances (ctx : Bench_util.ctx) (spec : Workload.Spec.t) =
       spec.Workload.Spec.generate rng ctx.Bench_util.scale)
 
 let solve_classic ?(config = Cdcl.Config.minisat_like) f =
-  Hybrid.run (Hybrid.Classic config) f
+  Hyqsat.Solve.run (Hyqsat.Solve.Classic config) f
 
 let solve_hybrid ?max_iterations ~config f =
-  Hybrid.run ?max_iterations (Hybrid.Hybrid config) f
+  Hyqsat.Solve.run ?max_iterations (Hyqsat.Solve.Hybrid config) f
 
 let hybrid_config ?(noise = Anneal.Noise.noise_free) ?(strategies = Hyqsat.Backend.all_enabled)
     ?(queue_mode = Hyqsat.Frontend.Activity_bfs) ?(adjust = true) ?(graph_size = 16) seed =

@@ -11,7 +11,7 @@ let run (ctx : Bench_util.ctx) =
 
   (* (a) classic CDCL *)
   let classic =
-    Hyqsat.Hybrid_solver.run (Hyqsat.Hybrid_solver.Classic Cdcl.Config.minisat_like) f
+    Hyqsat.Solve.run (Hyqsat.Solve.Classic Cdcl.Config.minisat_like) f
   in
   Printf.printf "%-28s total %10.1f us   (CDCL %d iterations)\n" "classic CDCL (MiniSAT-like)"
     (classic.Hyqsat.Hybrid_solver.cdcl_time_s *. 1e6)
@@ -39,7 +39,7 @@ let run (ctx : Bench_util.ctx) =
 
   (* (c) HyQSAT *)
   let hybrid =
-    Hyqsat.Hybrid_solver.run (Hyqsat.Hybrid_solver.Hybrid Hyqsat.Hybrid_solver.noisy_config) f
+    Hyqsat.Solve.run (Hyqsat.Solve.Hybrid Hyqsat.Hybrid_solver.noisy_config) f
   in
   let frontend_us = hybrid.Hyqsat.Hybrid_solver.frontend_time_s *. 1e6 in
   let per_call_embed_us =

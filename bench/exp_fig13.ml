@@ -65,7 +65,7 @@ let run (ctx : Bench_util.ctx) =
           | None -> ());
           let pr, pr_time =
             Bench_util.wall (fun () ->
-                Embed.Place_route.embed ~seed:q ~timeout_s:30. graph ~nodes ~edges)
+                Embed.Place_route.embed ~timeout_s:30. graph ~nodes ~edges)
           in
           pr_t := (pr_time *. 1e6) :: !pr_t;
           match pr with

@@ -34,7 +34,7 @@ let fuzz_gate rng ~instances =
     let check algorithm =
       let r = O.solve ~algorithm w in
       let ok =
-        match Sat.Brute.min_cost w with
+        match Oracle.Brute.min_cost w with
         | None -> r.O.status = O.Infeasible
         | Some (opt, _) -> (
             r.O.status = O.Optimal && r.O.best_cost = opt && r.O.lower_bound = opt

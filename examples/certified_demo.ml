@@ -41,10 +41,10 @@ let () =
   describe (Check.Certify.solve (Sat.Dimacs.parse_string unsat_doc));
 
   Format.printf "@.--- differential fuzzing (hybrid vs minisat vs brute force)@.";
-  let config = { Check.Fuzz.default_config with Check.Fuzz.instances = 25 } in
-  let outcome = Check.Fuzz.run config in
-  Format.printf "ran %d random instances, %d disagreements@." outcome.Check.Fuzz.ran
-    (List.length outcome.Check.Fuzz.failures);
+  let config = { Oracle.Fuzz.default_config with Oracle.Fuzz.instances = 25 } in
+  let outcome = Oracle.Fuzz.run config in
+  Format.printf "ran %d random instances, %d disagreements@." outcome.Oracle.Fuzz.ran
+    (List.length outcome.Oracle.Fuzz.failures);
   List.iter
-    (fun f -> Format.printf "@.%s@." (Check.Fuzz.reproducer f))
-    outcome.Check.Fuzz.failures
+    (fun f -> Format.printf "@.%s@." (Oracle.Fuzz.reproducer f))
+    outcome.Oracle.Fuzz.failures

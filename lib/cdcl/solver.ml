@@ -760,6 +760,13 @@ let simplify_roots t =
              original deletions are just deactivation — the proof checker
              keeps the formula) *)
           let ar = t.arena in
+          (* a root literal propagated by a learnt clause loses its reason
+             below; log it as a unit first so the DRAT checker keeps it *)
+          for i = t.simp_trail to Vec.size t.trail - 1 do
+            let l = Vec.get t.trail i in
+            let r = t.reason.(Sat.Lit.var l) in
+            if r <> no_cref && Arena.learnt ar r then log_proof t (Sat.Drat.Add [ l ])
+          done;
           let satisfied c =
             let sz = Arena.size ar c in
             let rec go i = i < sz && (value_lit t (Arena.lit ar c i) = 1 || go (i + 1)) in

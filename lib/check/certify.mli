@@ -103,7 +103,7 @@ val solve :
   t
 (** Certified hybrid solve: 3-SAT-convert if needed (keeping the map),
     force DRAT logging in the CDCL config, run
-    {!Hyqsat.Hybrid_solver.solve}, then certify the answer end to end. *)
+    {!Hyqsat.Solve.run}, then certify the answer end to end. *)
 
 val solve_classic :
   ?config:Cdcl.Config.t ->

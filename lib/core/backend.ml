@@ -14,12 +14,12 @@ let classify calib ~all_embedded ~energy =
 type applied = {
   strategy : strategy;
   solved : bool array option;
-  cpu_time_s : float;
+  time_s : float;
 }
 
 let apply ?(enabled = all_enabled) ?(s2_energy_gate = infinity) ?(allow_s2_hints = true)
     ?(hint_filter = fun _ _ -> true) calib solver f prepared outcome =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let strategy =
     classify calib ~all_embedded:prepared.Frontend.all_clauses_embedded
       ~energy:outcome.Anneal.Machine.energy
@@ -62,4 +62,4 @@ let apply ?(enabled = all_enabled) ?(s2_energy_gate = infinity) ?(allow_s2_hints
         (fun v -> Cdcl.Solver.bump_var solver v 1.0)
         prepared.Frontend.vars_involved
   | S3_none, _ -> ());
-  { strategy; solved; cpu_time_s = Sys.time () -. t0 }
+  { strategy; solved; time_s = Unix.gettimeofday () -. t0 }

@@ -27,7 +27,7 @@ val classify :
 type applied = {
   strategy : strategy;
   solved : bool array option;  (** Strategy 1 verified model *)
-  cpu_time_s : float;
+  time_s : float;  (** measured wall-clock time of [apply] *)
 }
 
 val apply :

@@ -13,10 +13,10 @@ type prepared = {
   vars_involved : int list;  (** original variables in the embedded prefix *)
   all_clauses_embedded : bool;
       (** the job covers the entire formula — strategy 1 becomes possible *)
-  cpu_time_s : float;  (** measured frontend CPU time, embedding included *)
+  time_s : float;  (** measured frontend wall-clock time, embedding included *)
   embed_time_s : float;
-      (** measured CPU time of the hardware-embedding step alone (a
-          portion of [cpu_time_s]) — the paper's Fig. 10 separates it from
+      (** measured wall-clock time of the hardware-embedding step alone (a
+          portion of [time_s]) — the paper's Fig. 10 separates it from
           queue generation + encoding *)
 }
 

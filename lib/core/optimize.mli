@@ -55,6 +55,8 @@ type result = {
   cdcl_calls : int;
   cores : int;  (** unsat cores extracted (core-guided only) *)
   cpu_time_s : float;
+      (** wall-clock seconds ([Unix.gettimeofday]) spent in the call,
+          despite the name *)
 }
 
 val incumbent :

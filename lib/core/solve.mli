@@ -37,11 +37,89 @@ val run :
   mode ->
   Sat.Cnf.t ->
   Hybrid_solver.report
-(** Solve [f] in the given mode.  All arguments behave exactly as
-    documented on {!Hybrid_solver.run} (this is a thin alias); classic
-    solves report zero QA activity.  Both modes produce the one
-    {!Hybrid_solver.report} type, so callers never branch on the mode to
-    read results. *)
+(** The one solve body.  Both modes share one path: take [solver] or
+    build one from [f], install [obs], [import] and [should_stop], then
+    make {e one} call of {!Cdcl.Solver.solve} (or
+    {!Cdcl.Solver.solve_with_assumptions} under [assumptions]) with the
+    remaining iteration budget.  [Hybrid config] first runs the warm-up
+    (paper §III, Fig. 4): at most [config.warmup_fraction ·
+    √{!Hybrid_solver.estimate_iterations}] {!Cdcl.Solver.step}s, every
+    [config.qa_period]-th one preceded by an annealer consultation —
+    frontend, one supervised QA call, backend feedback strategy.  The
+    warm-up ends early when a step decides the instance or a verified
+    annealer model (satisfying the assumptions) answers it; afterwards the
+    search is exactly the [Classic] one.  [Classic] mode reports zero QA
+    activity, and both modes return the one {!Hybrid_solver.report} type,
+    so callers never branch on the mode to read results.  Stage times in
+    the report ([frontend_time_s], [backend_time_s], [cdcl_time_s]) are
+    measured wall-clock ([Unix.gettimeofday]); [qa_time_us] is modelled.
+
+    Incremental knobs (all default to a cold one-shot solve):
+    {ul
+    {- [solver] reuses a caller-owned {!Cdcl.Solver.t} instead of building
+       one from [f] (hybrid mode builds it with
+       {!Cdcl.Config.with_paper_stats}, which the frontend's clause ranking
+       reads) — learnt clauses, activities and phases carry over from its
+       previous calls.  The solver's clause numbering must agree with [f]
+       (index [i] of [f] ↔ original clause [i] of the solver), which holds
+       when the solver was built from [f] or grown clause-by-clause
+       alongside it ({!Session} maintains this).  Its lifetime obs
+       counters are {e not} flushed here — the owner retires it.  A
+       reused solver that already holds the answer skips the warm-up.}
+    {- [embed_cache] reuses a caller-owned embedding cache (hybrid mode;
+       unused by [Classic]) rather than a per-solve one.}
+    {- [assumptions] solves under the conjunction of the given literals:
+       [Sat] models satisfy them; [Unsat] with [assumption_core = Some _]
+       means unsatisfiable {e under the assumptions} only.  An annealer
+       model that violates an assumption is demoted to hints (never
+       returned as the answer).}
+    {- [import] installs foreign learnt clauses
+       ({!Cdcl.Solver.import_clauses}) before searching; the count actually
+       installed is reported as [reused_clauses].  No-op under proof
+       logging.}}
+
+    [max_iterations] is the step budget: the call executes at most that
+    many CDCL iterations, warm-up included, before answering
+    [Unknown Budget].  [should_stop] is a cooperative-cancellation
+    callback, installed with {!Cdcl.Solver.set_terminate} (polled every
+    128 steps of the search) and also polled before every warm-up
+    iteration; once it returns [true] the report carries
+    [Unknown Cancelled].  It must be cheap and safe to call from the
+    solving domain — the service layer passes an [Atomic.get].
+
+    [supervisor] (hybrid mode) overrides the per-solve supervisor built
+    from [config.backend]/[config.supervision] (jitter seed derived from
+    [config.seed], so runs replay exactly): pass a shared instance to put
+    every solve behind {e one} circuit-broken device (the server
+    dispatcher's deployment shape — see {!Anneal.Supervisor.sample} on
+    domain-safety).  The report's [qa_failures] is then this solve's delta
+    of the shared failure count, which can over-attribute under concurrent
+    interleaving; exact when solves are serial.  When a supervised call
+    fails — retries exhausted or breaker open — that warm-up iteration
+    degrades to pure CDCL: no hints are applied, [qa_degraded] is bumped,
+    and the search continues; at a 100 % failure rate the solve is
+    bit-identical to [Classic] mode modulo reporting.
+
+    With a live [obs] the hybrid mode emits a ["hybrid_solve"] span (under
+    [parent], with [vars] and [clauses] attributes) containing one
+    ["warmup_iter"] span per annealer consultation — each with
+    ["frontend"] (and its ["embed"] child), ["anneal"] and ["backend"]
+    children carrying the report's own stage times (modelled time for the
+    anneal) — plus a final ["cdcl"] span, so the
+    frontend/anneal/backend/cdcl span durations of one solve sum exactly
+    to {!Hybrid_solver.end_to_end_time_s}.  Each annealer consultation
+    also emits a ["qa_call"] span with [backend] and [status] (["ok"] or a
+    failure label) attributes.  Counters: [qa_calls_total],
+    [qa_degraded_total] and the supervisor's [qa_backend_calls_total] /
+    [qa_failures_total{reason=…}] / [qa_retries_total] /
+    [qa_breaker_transitions_total{to=…}] family,
+    [strategy_uses_total{strategy=...}], the annealer's and the CDCL
+    engine's own metrics, and the per-solve embedding cache's
+    [embed_cache_hits_total] / [embed_cache_misses_total] (each solve owns
+    one {!Frontend.cache} unless [embed_cache] is passed, so repeated
+    conflict-hot queues skip place/route).  [Classic] mode emits a
+    ["classic_solve"] span with one ["cdcl"] child and the CDCL engine's
+    metrics.  Both root spans carry a [result] attribute. *)
 
 (** {2 Optimisation objective}
 

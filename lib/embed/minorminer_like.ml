@@ -21,7 +21,7 @@ let neighbors_of edges =
 
 let embed ?(seed = 7) ?(max_rounds = 16) ?(timeout_s = 300.) g ~nodes ~edges =
   let rng = Stats.Rng.create ~seed in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let nq = Chimera.Graph.num_qubits g in
   let occupancy = Array.make nq 0 in
   let chains : (int, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -105,7 +105,7 @@ let embed ?(seed = 7) ?(max_rounds = 16) ?(timeout_s = 300.) g ~nodes ~edges =
     incr rounds;
     Array.iter
       (fun node ->
-        if Sys.time () -. t0 > timeout_s then timed_out := true else embed_node node)
+        if Unix.gettimeofday () -. t0 > timeout_s then timed_out := true else embed_node node)
       order
   done;
   if !timed_out || overlaps () || not (all_embedded ()) then

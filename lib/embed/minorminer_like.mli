@@ -19,4 +19,4 @@ val embed :
   outcome
 (** [embed g ~nodes ~edges] returns a valid embedding or [None] on failure
     (overlaps not resolved within [max_rounds] (default 16) or [timeout_s]
-    (default 300 s, the paper's Fig. 13 timeout) exceeded). *)
+    (default 300 s of wall-clock, the paper's Fig. 13 timeout) exceeded). *)

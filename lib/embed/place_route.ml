@@ -32,9 +32,8 @@ let bfs_order nodes edges =
   List.iter visit nodes;
   List.rev !order
 
-let embed ?(seed = 7) ?(timeout_s = 300.) g ~nodes ~edges =
-  ignore seed;
-  let t0 = Sys.time () in
+let embed ?(timeout_s = 300.) g ~nodes ~edges =
+  let t0 = Unix.gettimeofday () in
   let nq = Chimera.Graph.num_qubits g in
   let used = Array.make nq false in
   let chains = Hashtbl.create 64 in
@@ -73,7 +72,7 @@ let embed ?(seed = 7) ?(timeout_s = 300.) g ~nodes ~edges =
     let failed = ref false in
     List.iter
       (fun (i, j) ->
-        if (not !failed) && Sys.time () -. t0 <= timeout_s then begin
+        if (not !failed) && Unix.gettimeofday () -. t0 <= timeout_s then begin
           let ci = Hashtbl.find chains i in
           let cj = Hashtbl.find chains j in
           let already =
@@ -97,7 +96,7 @@ let embed ?(seed = 7) ?(timeout_s = 300.) g ~nodes ~edges =
                 in
                 List.iter (claim i) interior
         end
-        else if Sys.time () -. t0 > timeout_s then failed := true)
+        else if Unix.gettimeofday () -. t0 > timeout_s then failed := true)
       edges;
     if !failed then None
     else begin

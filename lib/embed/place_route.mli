@@ -8,11 +8,12 @@
     this scheme at the lowest clause capacity in Fig. 13(b). *)
 
 val embed :
-  ?seed:int ->
   ?timeout_s:float ->
   Chimera.Graph.t ->
   nodes:int list ->
   edges:(int * int) list ->
   Embedding.t option
-(** A valid embedding, or [None] when placement runs out of cells or some
-    edge cannot be routed through the remaining free qubits. *)
+(** A valid embedding, or [None] when placement runs out of cells, some
+    edge cannot be routed through the remaining free qubits, or the run
+    exceeds [timeout_s] wall-clock seconds (default 300 s, the paper's
+    Fig. 13 timeout; checked before each edge is routed). *)

@@ -4,7 +4,7 @@
     Each member receives a [should_stop] callback combining the shared
     race-cancel flag (set by the first member to answer Sat/Unsat) with the
     job deadline; the cancellation contract of {!Cdcl.Solver.set_terminate}
-    / {!Hyqsat.Hybrid_solver.solve} guarantees losers return within ~128
+    / {!Hyqsat.Solve.run} guarantees losers return within ~128
     solver steps of the flag flipping. *)
 
 type solve_stats = {

@@ -3,7 +3,7 @@
     Unit propagation + chronological backtracking with a most-occurrences
     branching rule.  Exists as a reference point for how much conflict
     learning buys, and as a second ground-truth oracle in the test suite for
-    instances beyond {!Sat.Brute}'s reach. *)
+    instances beyond {!Brute}'s reach. *)
 
 type stats = { decisions : int; propagations : int; backtracks : int }
 

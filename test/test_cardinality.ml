@@ -22,7 +22,7 @@ let card_semantics_check ~n ~k ~lits =
           if (if Sat.Lit.is_pos l then v else not v) then acc + 1 else acc)
         0 lits
     in
-    let sat = Sat.Brute.solve ~limit_vars:24 (base_formula bits) <> None in
+    let sat = Oracle.Brute.solve ~limit_vars:24 (base_formula bits) <> None in
     if sat <> (count <= k) then ok := false
   done;
   !ok
@@ -52,12 +52,12 @@ let at_least_exactly () =
     Alcotest.(check bool)
       (Printf.sprintf "bits=%d" bits)
       (count >= 2)
-      (Sat.Brute.solve (with_base bits) <> None)
+      (Oracle.Brute.solve (with_base bits) <> None)
   done;
   (* exactly 0 and exactly n degenerate cases *)
   let e0 = Card.exactly_k ~num_vars:2 [ Sat.Lit.pos 0; Sat.Lit.pos 1 ] ~k:0 in
   let f0 = Sat.Cnf.make ~num_vars:e0.Card.num_vars e0.Card.clauses in
-  (match Sat.Brute.solve f0 with
+  (match Oracle.Brute.solve f0 with
   | Some m -> Alcotest.(check bool) "all false" false (m.(0) || m.(1))
   | None -> Alcotest.fail "k=0 satisfiable by all-false")
 
@@ -143,7 +143,7 @@ let exact_maxsat_matches_brute =
       | Some x ->
           r.status = Optimal
           && r.best_cost = r.lower_bound
-          && r.best_cost = Sat.Brute.min_unsatisfied f
+          && r.best_cost = Oracle.Brute.min_unsatisfied f
           && Sat.Assignment.num_unsatisfied (Sat.Assignment.of_bools x) f = r.best_cost)
 
 let exact_maxsat_on_unsat_pair () =

@@ -120,7 +120,7 @@ let pigeonhole_unsat_chb () =
 
 let agrees_with_brute config name =
   QCheck.Test.make ~name ~count:300 Testutil.small_cnf_arb (fun f ->
-      let expected = Sat.Brute.solve f <> None in
+      let expected = Oracle.Brute.solve f <> None in
       match solve_with config f with
       | Solver.Sat m -> expected && Testutil.check_model f m
       | Solver.Unsat -> not expected
@@ -152,7 +152,7 @@ let step_equivalent_to_solve () =
       | `Unsat_assumptions -> Alcotest.fail "no assumptions installed"
     in
     let via_step = drive () in
-    let expected = Sat.Brute.solve f <> None in
+    let expected = Oracle.Brute.solve f <> None in
     (match via_step with
     | Solver.Sat m ->
         Alcotest.(check bool) "step model" true (Testutil.check_model f m);
@@ -298,7 +298,7 @@ let assumptions_agree_with_units =
       let with_units =
         Sat.Cnf.append f (List.map (fun l -> Sat.Clause.make [ l ]) assumed)
       in
-      let expected = Sat.Brute.solve with_units <> None in
+      let expected = Oracle.Brute.solve with_units <> None in
       match via_assumptions with
       | `Sat m ->
           expected
@@ -314,7 +314,7 @@ let assumptions_agree_with_units =
 let dpll_agrees_with_brute =
   QCheck.Test.make ~name:"dpll agrees with brute force" ~count:150 Testutil.small_cnf_arb
     (fun f ->
-      let expected = Sat.Brute.solve f <> None in
+      let expected = Oracle.Brute.solve f <> None in
       match Oracle.Dpll.solve f with
       | Cdcl.Solver.Sat m, _ -> expected && Testutil.check_model f m
       | Cdcl.Solver.Unsat, _ -> not expected

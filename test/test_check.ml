@@ -3,7 +3,7 @@
    hooks, portfolio exception safety, and the differential fuzzer. *)
 
 module Certify = Check.Certify
-module Fuzz = Check.Fuzz
+module Fuzz = Oracle.Fuzz
 module Job = Service.Job
 module Portfolio = Service.Portfolio
 module Batch = Service.Batch

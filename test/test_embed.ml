@@ -126,6 +126,16 @@ let place_route_validates () =
   | Some emb -> (
       match Embedding.validate emb ~edges with Ok () -> () | Error e -> Alcotest.fail e)
 
+let baselines_honour_timeout () =
+  (* a deadline already past: both baseline embedders give up *)
+  let r = Testutil.rng 59 in
+  let g = G.create ~rows:6 ~cols:6 in
+  let nodes, edges = small_problem_graph r ~nodes:8 ~density:0.25 in
+  Alcotest.(check bool) "minorminer gives up" true
+    ((Mm.embed ~timeout_s:(-1.) g ~nodes ~edges).Mm.embedding = None);
+  Alcotest.(check bool) "place&route gives up" true
+    (Pr.embed ~timeout_s:(-1.) g ~nodes ~edges = None)
+
 let validate_rejects_broken () =
   let g = G.create ~rows:2 ~cols:2 in
   let emb = Embedding.create g in
@@ -183,5 +193,7 @@ let suite =
         Alcotest.test_case "fails gracefully" `Quick minorminer_fails_gracefully;
       ] );
     ("embed.place_route", [ Alcotest.test_case "validates" `Quick place_route_validates ]);
+    ( "embed.timeout",
+      [ Alcotest.test_case "baselines honour timeout_s" `Quick baselines_honour_timeout ] );
     ("embed.validate", [ Alcotest.test_case "rejects broken" `Quick validate_rejects_broken ]);
   ]

@@ -7,8 +7,8 @@ module Frontend = Hyqsat.Frontend
 module Backend = Hyqsat.Backend
 module Hybrid = Hyqsat.Hybrid_solver
 
-let hsolve ?(config = Hybrid.default_config) f = Hybrid.run (Hybrid.Hybrid config) f
-let csolve f = Hybrid.run (Hybrid.Classic Cdcl.Config.minisat_like) f
+let hsolve ?(config = Hybrid.default_config) f = Hyqsat.Solve.run (Hyqsat.Solve.Hybrid config) f
+let csolve f = Hyqsat.Solve.run (Hyqsat.Solve.Classic Cdcl.Config.minisat_like) f
 
 let flat_activity _ = 1.0
 
@@ -282,6 +282,71 @@ let hybrid_report_consistency () =
   Alcotest.(check bool) "end-to-end >= cdcl time" true
     (Hybrid.end_to_end_time_s r >= r.Hybrid.cdcl_time_s)
 
+(* unplanted 3-SAT at the given clause/variable ratio: SAT or UNSAT *)
+let uniform ~seed ~n ~ratio =
+  let m = int_of_float (Float.ceil (ratio *. float_of_int n)) in
+  Workload.Uniform.generate ~planted:false (Testutil.rng seed) ~num_vars:n ~num_clauses:m
+
+(* The hybrid solve is a warm-up followed by the classic search, so with
+   no warm-up it must be the classic search, step for step. *)
+let classic_is_hybrid_without_warmup =
+  QCheck.Test.make ~name:"classic is hybrid without a warm-up" ~count:60
+    QCheck.(triple small_nat (int_range 8 40) bool)
+    (fun (seed, n, with_assumptions) ->
+      let f = uniform ~seed ~n ~ratio:4.3 in
+      let c =
+        Cdcl.Config.with_proof_logging (Cdcl.Config.with_seed seed Cdcl.Config.minisat_like)
+      in
+      let assumptions =
+        if with_assumptions then
+          List.init 3 (fun i -> Sat.Lit.make ((seed + (7 * i)) mod n) (i mod 2 = 0))
+        else []
+      in
+      let run mode = Hyqsat.Solve.run ~assumptions mode f in
+      let h = run (Hyqsat.Solve.Hybrid (Hybrid.make_config ~warmup_fraction:0. ~cdcl:c ())) in
+      let k = run (Hyqsat.Solve.Classic (Cdcl.Config.with_paper_stats c)) in
+      h.Hybrid.warmup_iterations = 0
+      && h.Hybrid.result = k.Hybrid.result
+      && h.Hybrid.assumption_core = k.Hybrid.assumption_core
+      && h.Hybrid.iterations = k.Hybrid.iterations
+      && h.Hybrid.solver_stats = k.Hybrid.solver_stats
+      && h.Hybrid.proof = k.Hybrid.proof)
+
+let hybrid_cancelled_after_warmup () =
+  (* UNSAT at ratio 5: neither the annealer nor the warm-up can decide it *)
+  let f = uniform ~seed:3 ~n:80 ~ratio:5.0 in
+  let config = Hybrid.default_config in
+  let solver =
+    Cdcl.Solver.create ~config:(Cdcl.Config.with_paper_stats config.Hybrid.cdcl) f
+  in
+  let warmup =
+    int_of_float (config.Hybrid.warmup_fraction *. sqrt (float_of_int (Hybrid.estimate_iterations f)))
+  in
+  let should_stop () = (Cdcl.Solver.stats solver).Cdcl.Solver.iterations >= warmup in
+  let r = Hyqsat.Solve.run ~solver ~should_stop (Hyqsat.Solve.Hybrid config) f in
+  Alcotest.(check bool) "cancelled" true (r.Hybrid.result = Cdcl.Solver.Unknown Sat.Answer.Cancelled);
+  Alcotest.(check int) "whole warm-up ran" warmup r.Hybrid.warmup_iterations;
+  Alcotest.(check bool) "stopped within one poll of the warm-up" true
+    (r.Hybrid.iterations <= warmup + 128)
+
+let hybrid_proofs_past_warmup_check () =
+  let config =
+    Hybrid.make_config ~cdcl:(Cdcl.Config.with_proof_logging Cdcl.Config.minisat_like) ()
+  in
+  let checked = ref 0 in
+  for seed = 1 to 12 do
+    let f = uniform ~seed ~n:(30 + (seed mod 20)) ~ratio:4.6 in
+    let r = hsolve ~config f in
+    if r.Hybrid.result = Cdcl.Solver.Unsat && r.Hybrid.iterations > r.Hybrid.warmup_iterations
+    then begin
+      incr checked;
+      match Sat.Drat.check f (Option.get r.Hybrid.proof) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed %d: %s" seed e
+    end
+  done;
+  Alcotest.(check bool) "some UNSAT solves ran past the warm-up" true (!checked > 0)
+
 let hybrid_strategy1_shortcut () =
   (* a formula small enough to fully embed can be finished by strategy 1 *)
   let hit = ref false in
@@ -327,7 +392,7 @@ let maxsat_matches_brute_optimum () =
     (* deeply over-constrained: optimum > 0 *)
     let f = Workload.Uniform.generate ~planted:false rng ~num_vars:10 ~num_clauses:80 in
     let w = Sat.Wcnf.of_cnf f in
-    let optimum = Sat.Brute.min_unsatisfied f in
+    let optimum = Oracle.Brute.min_unsatisfied f in
     (match Hyqsat.Optimize.anneal_incumbent ~samples:10 rng g w with
     | None -> Alcotest.fail "nothing embedded"
     | Some (cost, _) ->
@@ -388,5 +453,10 @@ let suite =
         Alcotest.test_case "report consistency" `Quick hybrid_report_consistency;
         Alcotest.test_case "strategy 1 shortcut" `Slow hybrid_strategy1_shortcut;
         QCheck_alcotest.to_alcotest estimate_iterations_positive;
+        QCheck_alcotest.to_alcotest classic_is_hybrid_without_warmup;
+        Alcotest.test_case "cancelled right after the warm-up" `Quick
+          hybrid_cancelled_after_warmup;
+        Alcotest.test_case "proofs past the warm-up check" `Slow
+          hybrid_proofs_past_warmup_check;
       ] );
   ]

@@ -4,8 +4,8 @@
 
 module Hybrid = Hyqsat.Hybrid_solver
 
-let hsolve ?(config = Hybrid.default_config) f = Hybrid.run (Hybrid.Hybrid config) f
-let csolve f = Hybrid.run (Hybrid.Classic Cdcl.Config.minisat_like) f
+let hsolve ?(config = Hybrid.default_config) f = Hyqsat.Solve.run (Hyqsat.Solve.Hybrid config) f
+let csolve f = Hyqsat.Solve.run (Hyqsat.Solve.Classic Cdcl.Config.minisat_like) f
 
 let small_instance (spec : Workload.Spec.t) seed =
   spec.Workload.Spec.generate (Testutil.rng seed) `Small

@@ -263,7 +263,7 @@ let hybrid_stage_spans_sum_to_end_to_end () =
   Obs.Ctx.attach ctx (memory_sink spans metrics);
   let f = Workload.Uniform.uf (Stats.Rng.create ~seed:42) 50 in
   let r =
-    Hyqsat.Hybrid_solver.run ~obs:ctx
+    Hyqsat.Solve.run ~obs:ctx
       (Hyqsat.Hybrid_solver.Hybrid Hyqsat.Hybrid_solver.default_config)
       f
   in

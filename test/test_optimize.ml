@@ -90,7 +90,7 @@ let weight_overflow_rejected () =
 let brute_agrees algorithm name =
   QCheck.Test.make ~name ~count:60 wcnf_arb (fun w ->
       let r = Hyqsat.Optimize.solve ~algorithm w in
-      match Sat.Brute.min_cost w with
+      match Oracle.Brute.min_cost w with
       | None -> r.Hyqsat.Optimize.status = Hyqsat.Optimize.Infeasible
       | Some (opt, _) -> (
           r.Hyqsat.Optimize.status = Hyqsat.Optimize.Optimal
@@ -250,7 +250,7 @@ let fallback_reaches_optimum () =
         (Sat.Wcnf.hard_satisfied w x)
   | None -> Alcotest.fail "nothing embedded");
   let r = solve ~max_flips:0 ~rng:(Testutil.rng 1) ~graph:g w in
-  match Sat.Brute.min_cost w with
+  match Oracle.Brute.min_cost w with
   | None -> Alcotest.fail "instance should be feasible"
   | Some (opt, _) ->
       Alcotest.(check bool) "optimal" true (r.status = Optimal);

@@ -170,14 +170,14 @@ let three_sat_equisatisfiable =
                    Testutil.random_clause r ~n ~k:(min k n))))))
     (fun f ->
       let f3, _ = Sat.Three_sat.convert f in
-      let sat = Sat.Brute.solve f <> None and sat3 = Sat.Brute.solve f3 <> None in
+      let sat = Oracle.Brute.solve f <> None and sat3 = Oracle.Brute.solve f3 <> None in
       sat = sat3)
 
 let three_sat_model_projects =
   QCheck.Test.make ~name:"3sat model projects to original model" ~count:40
     Testutil.small_cnf_arb (fun f ->
       let f3, mapping = Sat.Three_sat.convert f in
-      match Sat.Brute.solve f3 with
+      match Oracle.Brute.solve f3 with
       | None -> true
       | Some m3 ->
           let m = Sat.Three_sat.project_model mapping m3 in
@@ -185,19 +185,19 @@ let three_sat_model_projects =
 
 let brute_simple () =
   let f = Sat.Dimacs.parse_string "p cnf 2 3\n1 2 0\n-1 0\n-1 2 0\n" in
-  (match Sat.Brute.solve f with
+  (match Oracle.Brute.solve f with
   | Some m ->
       Alcotest.(check bool) "x1 false" false m.(0);
       Alcotest.(check bool) "x2 true" true m.(1)
   | None -> Alcotest.fail "should be satisfiable");
   let unsat = Sat.Dimacs.parse_string "p cnf 1 2\n1 0\n-1 0\n" in
-  Alcotest.(check bool) "unsat" true (Sat.Brute.solve unsat = None);
-  Alcotest.(check int) "min unsatisfied" 1 (Sat.Brute.min_unsatisfied unsat)
+  Alcotest.(check bool) "unsat" true (Oracle.Brute.solve unsat = None);
+  Alcotest.(check int) "min unsatisfied" 1 (Oracle.Brute.min_unsatisfied unsat)
 
 let brute_count () =
   (* x1 ∨ x2 has 3 models over 2 vars *)
   let f = Sat.Dimacs.parse_string "p cnf 2 1\n1 2 0\n" in
-  Alcotest.(check int) "models" 3 (Sat.Brute.count_models f)
+  Alcotest.(check int) "models" 3 (Oracle.Brute.count_models f)
 
 let suite =
   [

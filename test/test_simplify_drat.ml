@@ -43,11 +43,11 @@ let simplify_subsumption () =
 let simplify_equisatisfiable =
   QCheck.Test.make ~name:"simplify preserves satisfiability + model reconstructs" ~count:200
     Testutil.small_cnf_arb (fun f ->
-      let expected = Sat.Brute.solve f <> None in
+      let expected = Oracle.Brute.solve f <> None in
       match Simplify.simplify f with
       | Simplify.Unsat_by_simplification -> not expected
       | Simplify.Simplified (f', r) -> (
-          match Sat.Brute.solve f' with
+          match Oracle.Brute.solve f' with
           | None -> not expected
           | Some m' ->
               let m = Simplify.reconstruct r m' in
@@ -131,6 +131,34 @@ let solver_proof_on_pigeonhole () =
       Alcotest.(check bool) "nonempty proof" true (List.length proof > 1);
       match Drat.check f proof with Ok () -> () | Error e -> Alcotest.fail e)
 
+(* Resuming a budgeted solve re-enters root simplification, which deletes
+   learnt clauses satisfied at level 0 — including the reasons of root
+   literals.  The proof must keep those literals as units, or later lemmas
+   that relied on them stop being RUP for the checker. *)
+let resumed_proofs_check () =
+  for seed = 1 to 50 do
+    let rng = Stats.Rng.create ~seed in
+    let n = 40 + (seed mod 50) in
+    let m = int_of_float (Float.ceil (4.6 *. float_of_int n)) in
+    let f = Workload.Uniform.generate ~planted:false rng ~num_vars:n ~num_clauses:m in
+    List.iter
+      (fun k ->
+        let config = Cdcl.Config.with_proof_logging Cdcl.Config.minisat_like in
+        let s = Cdcl.Solver.create ~config f in
+        let rec go () =
+          match Cdcl.Solver.solve ~max_conflicts:k s with
+          | Cdcl.Solver.Unknown _ -> go ()
+          | r -> r
+        in
+        match go () with
+        | Cdcl.Solver.Unsat -> (
+            match Drat.check f (Option.get (Cdcl.Solver.proof s)) with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "seed %d, k = %d: %s" seed k e)
+        | _ -> ())
+      [ 1; 3; 10 ]
+  done
+
 let no_proof_without_flag () =
   let f = Sat.Dimacs.parse_string "p cnf 1 2\n1 0\n-1 0\n" in
   let s = Cdcl.Solver.create f in
@@ -155,6 +183,7 @@ let suite =
         Alcotest.test_case "requires empty clause" `Quick drat_requires_empty_clause;
         QCheck_alcotest.to_alcotest solver_proofs_check;
         Alcotest.test_case "pigeonhole proof" `Quick solver_proof_on_pigeonhole;
+        Alcotest.test_case "resumed solves keep root units" `Quick resumed_proofs_check;
         Alcotest.test_case "off by default" `Quick no_proof_without_flag;
       ] );
   ]

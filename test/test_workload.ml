@@ -42,7 +42,7 @@ let circuit_gate_semantics () =
           Sat.Clause.make [ (if v then Sat.Lit.pos w else Sat.Lit.neg_of w) ]
         in
         let constrained = Sat.Cnf.append cnf [ unit a va; unit b vb ] in
-        match Sat.Brute.solve constrained with
+        match Oracle.Brute.solve constrained with
         | None -> Alcotest.fail "gate CNF unsatisfiable under inputs"
         | Some m ->
             Alcotest.(check bool)
