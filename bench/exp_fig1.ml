@@ -24,7 +24,7 @@ let run (ctx : Bench_util.ctx) =
   let graph = Chimera.Graph.standard_2000q () in
   let outcome, embed_time =
     Bench_util.wall (fun () ->
-        Embed.Minorminer_like.embed ~seed:ctx.Bench_util.seed ~max_rounds:8 ~timeout_s:60.
+        Baselines.Minorminer_like.embed ~seed:ctx.Bench_util.seed ~max_rounds:8 ~timeout_s:60.
           graph ~nodes ~edges)
   in
   let qa_sampling_us = Anneal.Timing.multi_sample_us timing ~samples:60 in
@@ -32,7 +32,7 @@ let run (ctx : Bench_util.ctx) =
     "QA only (Minorminer embed)"
     ((embed_time *. 1e6) +. qa_sampling_us)
     embed_time
-    (match outcome.Embed.Minorminer_like.embedding with
+    (match outcome.Baselines.Minorminer_like.embedding with
     | Some _ -> "ok"
     | None -> "FAILED")
     qa_sampling_us;

@@ -54,18 +54,18 @@ let run (ctx : Bench_util.ctx) =
           let nodes = Qubo.Pbq.vars obj and edges = Qubo.Pbq.edges obj in
           let mm, mm_time =
             Bench_util.wall (fun () ->
-                Embed.Minorminer_like.embed ~seed:q ~max_rounds:8 ~timeout_s:30. graph ~nodes
+                Baselines.Minorminer_like.embed ~seed:q ~max_rounds:8 ~timeout_s:30. graph ~nodes
                   ~edges)
           in
           mm_t := (mm_time *. 1e6) :: !mm_t;
-          (match mm.Embed.Minorminer_like.embedding with
+          (match mm.Baselines.Minorminer_like.embedding with
           | Some emb ->
               incr mm_s;
               mm_c := Embed.Embedding.avg_chain_length emb :: !mm_c
           | None -> ());
           let pr, pr_time =
             Bench_util.wall (fun () ->
-                Embed.Place_route.embed ~timeout_s:30. graph ~nodes ~edges)
+                Baselines.Place_route.embed ~timeout_s:30. graph ~nodes ~edges)
           in
           pr_t := (pr_time *. 1e6) :: !pr_t;
           match pr with

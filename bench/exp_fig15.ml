@@ -25,10 +25,10 @@ let gap_gain (ctx : Bench_util.ctx) salt ~num_vars ~num_clauses =
   let rng = Bench_util.rng_of ctx (1500 + salt) in
   let f = mixed_cnf rng ~num_vars ~num_clauses in
   let enc = Qubo.Encode.encode ~num_vars (Sat.Cnf.clauses f) in
-  match Qubo.Gap.energy_gap enc with
+  match Baselines.Gap.energy_gap enc with
   | before when before > 1e-9 ->
       Qubo.Adjust.adjust enc;
-      let after = Qubo.Gap.energy_gap enc in
+      let after = Baselines.Gap.energy_gap enc in
       Some (before, after)
   | _ -> None
   | exception Invalid_argument _ -> None

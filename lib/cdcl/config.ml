@@ -3,17 +3,11 @@ type heuristic = Vsids | Chb
 type restart_policy =
   | Luby_restarts of int
   | Ema_restarts of { fast : float; slow : float; margin : float }
-  | No_restarts
 
 type t = {
   heuristic : heuristic;
   restart : restart_policy;
-  var_decay : float;
-  clause_decay : float;
-  phase_saving : bool;
   random_polarity_freq : float;
-  reduce_db : bool;
-  learntsize_factor : float;
   log_proof : bool;
   track_paper_stats : bool;
   garbage_frac : float;
@@ -24,12 +18,7 @@ let minisat_like =
   {
     heuristic = Vsids;
     restart = Luby_restarts 100;
-    var_decay = 0.95;
-    clause_decay = 0.999;
-    phase_saving = true;
     random_polarity_freq = 0.02;
-    reduce_db = true;
-    learntsize_factor = 1.0 /. 3.0;
     log_proof = false;
     track_paper_stats = false;
     garbage_frac = 0.20;
@@ -40,12 +29,7 @@ let kissat_like =
   {
     heuristic = Chb;
     restart = Ema_restarts { fast = 1. /. 32.; slow = 1. /. 4096.; margin = 1.25 };
-    var_decay = 0.95;
-    clause_decay = 0.999;
-    phase_saving = true;
     random_polarity_freq = 0.0;
-    reduce_db = true;
-    learntsize_factor = 1.0 /. 3.0;
     log_proof = false;
     track_paper_stats = false;
     garbage_frac = 0.20;

@@ -3,7 +3,11 @@
     Two presets model the paper's two classical baselines:
     {!minisat_like} (VSIDS + Luby restarts, MiniSAT 2.2 defaults) and
     {!kissat_like} (CHB-style bandit heuristic + EMA-driven restarts, the
-    ingredients the paper attributes to KisSAT [14], [40]). *)
+    ingredients the paper attributes to KisSAT [14], [40]).  What both
+    share is fixed in the engines rather than configured: phase saving,
+    learnt-clause database reduction from an initial budget of a third of
+    the clause count, and MiniSAT 2.2's activity decays (0.95 for VSIDS,
+    0.999 for learnt clauses). *)
 
 type heuristic =
   | Vsids  (** exponential VSIDS with activity decay *)
@@ -13,17 +17,11 @@ type restart_policy =
   | Luby_restarts of int  (** base conflict interval *)
   | Ema_restarts of { fast : float; slow : float; margin : float }
       (** restart when fast LBD average exceeds [margin] × slow average *)
-  | No_restarts
 
 type t = {
   heuristic : heuristic;
   restart : restart_policy;
-  var_decay : float;  (** VSIDS activity decay (e.g. 0.95) *)
-  clause_decay : float;  (** learnt-clause activity decay *)
-  phase_saving : bool;
   random_polarity_freq : float;  (** probability of a random polarity pick *)
-  reduce_db : bool;  (** periodically delete weak learnt clauses *)
-  learntsize_factor : float;  (** initial learnt budget = factor × #clauses *)
   log_proof : bool;  (** record a DRAT proof ({!Solver.proof}) *)
   track_paper_stats : bool;
       (** maintain the paper instrumentation ({!Solver.clause_activity},

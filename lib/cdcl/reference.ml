@@ -21,6 +21,12 @@ type result = Sat.Answer.t =
 
 let is_decided_status = function Unknown _ -> false | _ -> true
 
+(* MiniSAT 2.2's search constants: VSIDS and learnt-clause activity decay,
+   and the initial learnt-clause budget as a fraction of the clause count *)
+let var_decay = 0.95
+let clause_decay = 0.999
+let learntsize_factor = 1.0 /. 3.0
+
 type cls = {
   mutable lits : int array;
   mutable activity : float;
@@ -118,7 +124,7 @@ let create ?(config = Config.default) (f : Sat.Cnf.t) =
       restart_k = 1;
       ema_fast = 0.;
       ema_slow = 0.;
-      max_learnts = float_of_int m *. config.Config.learntsize_factor;
+      max_learnts = float_of_int m *. learntsize_factor;
       s_decisions = 0;
       s_propagations = 0;
       s_conflicts = 0;
@@ -222,7 +228,7 @@ let bump_var_internal t v amount =
 
 let decay_var_activity t =
   match t.config.Config.heuristic with
-  | Config.Vsids -> t.var_inc <- t.var_inc /. t.config.Config.var_decay
+  | Config.Vsids -> t.var_inc <- t.var_inc /. var_decay
   | Config.Chb -> ()
 
 let chb_update t v participated =
@@ -239,7 +245,7 @@ let bump_cla t c =
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
-let decay_cla_activity t = t.cla_inc <- t.cla_inc /. t.config.Config.clause_decay
+let decay_cla_activity t = t.cla_inc <- t.cla_inc /. clause_decay
 
 let enqueue t l reason =
   let v = Sat.Lit.var l in
@@ -327,14 +333,13 @@ let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = Vec.get t.trail_lim lvl in
     let chb = t.config.Config.heuristic = Config.Chb in
-    let save_phase = t.config.Config.phase_saving in
     for i = Vec.size t.trail - 1 downto bound do
       let l = Vec.get t.trail i in
       let v = Sat.Lit.var l in
       if chb then chb_update t v (t.chb_last_conflict.(v) = t.s_conflicts);
       t.assigns.(v) <- 0;
       t.reason.(v) <- dummy_cls;
-      if save_phase then t.polarity.(v) <- Sat.Lit.is_pos l;
+      t.polarity.(v) <- Sat.Lit.is_pos l;
       Var_heap.insert t.heap v
     done;
     Vec.shrink t.trail bound;
@@ -529,7 +534,6 @@ let simplify_roots t =
 let note_conflict_for_restarts t clause_lbd =
   t.conflicts_since_restart <- t.conflicts_since_restart + 1;
   match t.config.Config.restart with
-  | Config.No_restarts -> ()
   | Config.Luby_restarts base ->
       if t.conflicts_since_restart >= Luby.restart_limit ~base t.restart_k then
         t.restart_pending <- true
@@ -605,10 +609,7 @@ let step t =
           record_learnt t lits;
           decay_var_activity t;
           decay_cla_activity t;
-          if
-            t.config.Config.reduce_db
-            && float_of_int (Vec.size t.learnts) > t.max_learnts
-          then begin
+          if float_of_int (Vec.size t.learnts) > t.max_learnts then begin
             reduce_db t;
             t.max_learnts <- t.max_learnts *. 1.3
           end;

@@ -5,6 +5,12 @@ type result = Sat.Answer.t =
 
 let is_decided_status = function Unknown _ -> false | _ -> true
 
+(* MiniSAT 2.2's search constants: VSIDS and learnt-clause activity decay,
+   and the initial learnt-clause budget as a fraction of the clause count *)
+let var_decay = 0.95
+let clause_decay = 0.999
+let learntsize_factor = 1.0 /. 3.0
+
 type stats = {
   decisions : int;
   propagations : int;
@@ -122,7 +128,6 @@ let log_proof t step =
   if t.config.Config.log_proof then t.proof_rev <- step :: t.proof_rev
 
 let num_vars t = t.n
-let num_original_clauses t = t.num_original
 
 let create ?(config = Config.default) (f : Sat.Cnf.t) =
   let n = Sat.Cnf.num_vars f in
@@ -164,7 +169,7 @@ let create ?(config = Config.default) (f : Sat.Cnf.t) =
       restart_k = 1;
       ema_fast = 0.;
       ema_slow = 0.;
-      max_learnts = float_of_int m *. config.Config.learntsize_factor;
+      max_learnts = float_of_int m *. learntsize_factor;
       s_decisions = 0;
       s_propagations = 0;
       s_conflicts = 0;
@@ -298,7 +303,7 @@ let bump_var t v amount = bump_var_internal t v (amount *. t.var_inc)
 
 let decay_var_activity t =
   match t.config.Config.heuristic with
-  | Config.Vsids -> t.var_inc <- t.var_inc /. t.config.Config.var_decay
+  | Config.Vsids -> t.var_inc <- t.var_inc /. var_decay
   | Config.Chb -> ()
 
 let chb_update t v participated =
@@ -319,7 +324,7 @@ let bump_cla t c =
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
-let decay_cla_activity t = t.cla_inc <- t.cla_inc /. t.config.Config.clause_decay
+let decay_cla_activity t = t.cla_inc <- t.cla_inc /. clause_decay
 
 (* paper §IV-A: activity score of clauses involved in conflict resolution *)
 let bump_clause_score t c =
@@ -523,17 +528,16 @@ let purge_deleted_watches t =
 let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = Vec.get t.trail_lim lvl in
-    (* hoisted out of the unassignment loop: both are per-solver constants,
-       and the heuristic test is a variant comparison *)
+    (* hoisted out of the unassignment loop: a per-solver constant, and
+       the test is a variant comparison *)
     let chb = t.config.Config.heuristic = Config.Chb in
-    let save_phase = t.config.Config.phase_saving in
     for i = Vec.size t.trail - 1 downto bound do
       let l = Vec.unsafe_get t.trail i in
       let v = Sat.Lit.var l in
       if chb then chb_update t v (t.chb_last_conflict.(v) = t.s_conflicts);
       t.assigns.(v) <- 0;
       t.reason.(v) <- no_cref;
-      if save_phase then t.polarity.(v) <- Sat.Lit.is_pos l;
+      t.polarity.(v) <- Sat.Lit.is_pos l;
       Var_heap.insert t.heap v
     done;
     Vec.shrink t.trail bound;
@@ -805,7 +809,6 @@ let simplify_roots t =
 let note_conflict_for_restarts t clause_lbd =
   t.conflicts_since_restart <- t.conflicts_since_restart + 1;
   match t.config.Config.restart with
-  | Config.No_restarts -> ()
   | Config.Luby_restarts base ->
       if t.conflicts_since_restart >= Luby.restart_limit ~base t.restart_k then
         t.restart_pending <- true
@@ -898,10 +901,7 @@ let step t =
           record_learnt t lits;
           decay_var_activity t;
           decay_cla_activity t;
-          if
-            t.config.Config.reduce_db
-            && float_of_int (Vec.size t.learnts) > t.max_learnts
-          then begin
+          if float_of_int (Vec.size t.learnts) > t.max_learnts then begin
             reduce_db t;
             t.max_learnts <- t.max_learnts *. 1.3
           end;
@@ -1120,7 +1120,6 @@ let stats t =
 
 let clause_activity t i = t.clause_score.(i)
 let clause_visits t i = (t.visits_prop.(i), t.visits_confl.(i))
-let clause_is_active t i = t.original_cls.(i) <> no_cref
 let set_polarity t v b = t.polarity.(v) <- b
 let prioritize_vars t vars = List.iter (fun v -> Queue.push v t.forced_queue) vars
 
@@ -1141,7 +1140,6 @@ let model_value t v =
 
 let is_decided t = match t.status with Unknown _ -> false | _ -> true
 
-let force_restart t = t.restart_pending <- true
 let set_terminate t f = t.terminate <- f
 let set_obs t obs = t.obs <- obs
 

@@ -55,7 +55,7 @@ val create : ?config:Config.t -> Sat.Cnf.t -> t
     saved phases — carries over to the next call.  Between calls the root
     level is simplified: clauses satisfied at level 0 are removed (learnt
     deletions are DRAT-logged; satisfied original clauses just turn
-    inactive, see {!clause_is_active}). *)
+    inactive). *)
 
 val new_var : t -> Sat.Lit.var
 (** Admit a fresh variable and return its index ([num_vars] before the
@@ -83,12 +83,11 @@ val step : t -> [ `Continue | `Sat of bool array | `Unsat | `Unsat_assumptions ]
     conflict (learn + backjump) or take one decision.  Restart and database
     reduction policies run inside.  After [`Sat]/[`Unsat] further calls
     return the same answer.  [`Unsat_assumptions] surfaces only when
-    assumptions are installed and one is falsified; {!unsat_core} is valid
-    from that point. *)
+    assumptions left installed by an earlier {!solve_with_assumptions}
+    are falsified; {!unsat_core} is valid from that point. *)
 
 val stats : t -> stats
 val num_vars : t -> int
-val num_original_clauses : t -> int
 
 (** {2 Paper instrumentation}
 
@@ -103,9 +102,6 @@ val clause_activity : t -> int -> float
 
 val clause_visits : t -> int -> int * int
 (** [(propagation_visits, conflict_visits)] of the [i]-th original clause. *)
-
-val clause_is_active : t -> int -> bool
-(** [false] once the original clause is satisfied at decision level 0. *)
 
 (** {2 Hybrid feedback hooks} *)
 
@@ -136,14 +132,6 @@ val model_value : t -> Sat.Lit.var -> bool option
 
 val is_decided : t -> bool
 (** [true] once the search has concluded (SAT or UNSAT). *)
-
-val set_assumptions : t -> Sat.Lit.t list -> unit
-(** Install assumptions for step-driven search: subsequent {!step} calls
-    decide them level by level exactly as {!solve_with_assumptions} would.
-    Passing the same list as currently installed is a no-op (so a budget-
-    interrupted search resumes); a different list backtracks to the root,
-    clears {!unsat_core} and invalidates a cached [Sat] answer.  Pass [[]]
-    to clear. *)
 
 val solve_with_assumptions :
   ?max_conflicts:int ->
@@ -210,10 +198,6 @@ val arena_words : t -> int
 val arena_wasted : t -> int
 (** Words currently occupied by deleted clauses (reclaimed by the next
     compaction). *)
-
-val force_restart : t -> unit
-(** Request a restart before the next decision (used by the hybrid backend
-    to apply fresh phase hints from the top of the search tree). *)
 
 val set_terminate : t -> (unit -> bool) -> unit
 (** Install a cooperative-cancellation callback.  {!solve} polls it between

@@ -104,10 +104,3 @@ let iter_couplers t f =
   for id = 0 to num_qubits t - 1 do
     List.iter (fun nb -> if nb > id then f id nb) (neighbors t id)
   done
-
-let to_dot t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "graph chimera {\n";
-  iter_couplers t (fun a b -> Buffer.add_string buf (Printf.sprintf "  q%d -- q%d;\n" a b));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -66,5 +66,3 @@ val crossing : t -> vline:int -> hline:int -> int * int
     these two qubits are always coupled. *)
 
 val iter_couplers : t -> (int -> int -> unit) -> unit
-val to_dot : t -> string
-(** Graphviz rendering (small graphs only — debugging aid). *)

@@ -2,8 +2,6 @@ type config = {
   cdcl : Cdcl.Config.t;
   graph : Chimera.Graph.t;
   noise : Anneal.Noise.t;
-  timing : Anneal.Timing.t;
-  calibration : Calibration.t;
   queue_mode : Frontend.queue_mode;
   adjust_coefficients : bool;
   strategies : Backend.enabled;
@@ -21,8 +19,6 @@ let default_config =
     cdcl = Cdcl.Config.minisat_like;
     graph = Chimera.Graph.standard_2000q ();
     noise = Anneal.Noise.noise_free;
-    timing = Anneal.Timing.d_wave_2000q;
-    calibration = Calibration.simulator_default;
     queue_mode = Frontend.Activity_bfs;
     adjust_coefficients = true;
     strategies = Backend.all_enabled;
@@ -35,16 +31,14 @@ let default_config =
     seed = 20230225;
   }
 
-let make_config ?(base = default_config) ?cdcl ?graph ?noise ?timing ?calibration
-    ?queue_mode ?adjust_coefficients ?strategies ?qa_period ?warmup_fraction
+let make_config ?(base = default_config) ?cdcl ?graph ?noise ?queue_mode
+    ?adjust_coefficients ?strategies ?qa_period ?warmup_fraction
     ?qa_reads ?qa_domains ?backend ?supervisor ?seed () =
   let v d o = Option.value ~default:d o in
   {
     cdcl = v base.cdcl cdcl;
     graph = v base.graph graph;
     noise = v base.noise noise;
-    timing = v base.timing timing;
-    calibration = v base.calibration calibration;
     queue_mode = v base.queue_mode queue_mode;
     adjust_coefficients = v base.adjust_coefficients adjust_coefficients;
     strategies = v base.strategies strategies;
@@ -65,7 +59,6 @@ let mode_label = function Hybrid _ -> "hybrid" | Classic _ -> "classic"
 
 type report = {
   result : Cdcl.Solver.result;
-  assumption_core : Sat.Lit.t list option;
   iterations : int;
   warmup_iterations : int;
   qa_calls : int;

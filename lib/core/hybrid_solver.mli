@@ -12,8 +12,6 @@ type config = {
   cdcl : Cdcl.Config.t;
   graph : Chimera.Graph.t;
   noise : Anneal.Noise.t;
-  timing : Anneal.Timing.t;
-  calibration : Calibration.t;
   queue_mode : Frontend.queue_mode;
   adjust_coefficients : bool;
   strategies : Backend.enabled;
@@ -43,8 +41,6 @@ val make_config :
   ?cdcl:Cdcl.Config.t ->
   ?graph:Chimera.Graph.t ->
   ?noise:Anneal.Noise.t ->
-  ?timing:Anneal.Timing.t ->
-  ?calibration:Calibration.t ->
   ?queue_mode:Frontend.queue_mode ->
   ?adjust_coefficients:bool ->
   ?strategies:Backend.enabled ->
@@ -75,12 +71,6 @@ val mode_label : mode -> string
 
 type report = {
   result : Cdcl.Solver.result;
-  assumption_core : Sat.Lit.t list option;
-      (** [Some core] when the answer is [Unsat] {e under the call's
-          assumptions} only — the formula itself is satisfiable as far as
-          the search knows, and [core] is the conflicting assumption subset
-          ({!Cdcl.Solver.unsat_core}).  [None] on an assumption-free solve
-          or a genuine [Unsat]. *)
   iterations : int;  (** CDCL iterations executed {e by this call} *)
   warmup_iterations : int;
       (** of [iterations], those taken in the annealer-guided warm-up
@@ -100,8 +90,7 @@ type report = {
           classic search *)
   strategy_uses : int array;  (** length 4: uses of strategies 1–4 *)
   solver_stats : Cdcl.Solver.stats;
-      (** cumulative over the solver's lifetime — equal to this call's work
-          only when the solver was created for this call *)
+      (** the statistics of the solver this call built and ran *)
   reused_clauses : int;
       (** clauses actually installed from the call's [import] list *)
   learnts : Sat.Lit.t array list;

@@ -5,11 +5,6 @@ let algorithm_label = function
   | Core_guided -> "core-guided"
   | Auto -> "auto"
 
-let algorithm_of_label = function
-  | "linear" -> Some Linear
-  | "core-guided" | "core_guided" | "fu-malik" -> Some Core_guided
-  | "auto" -> Some Auto
-  | _ -> None
 type status = Optimal | Feasible | Infeasible | Unknown
 
 type result = {

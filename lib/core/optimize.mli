@@ -35,10 +35,6 @@ val algorithm_label : algorithm -> string
 (** ["linear"], ["core-guided"], ["auto"] — stable, used in telemetry and
     CLI flags. *)
 
-val algorithm_of_label : string -> algorithm option
-(** Inverse of {!algorithm_label} (also accepts ["core_guided"] and
-    ["fu-malik"] for the core-guided algorithm). *)
-
 type status =
   | Optimal  (** [best_cost = lower_bound]: the model is proven optimal *)
   | Feasible  (** a hard-satisfying model is known, the gap may be open *)

@@ -32,32 +32,12 @@ let strategy_name = function
   | Backend.S3_none -> "s3"
   | Backend.S4_reach_conflict -> "s4"
 
-let assumptions_satisfied assumptions m =
-  List.for_all
-    (fun l ->
-      let v = Sat.Lit.var l in
-      v < Array.length m && (if Sat.Lit.is_pos l then m.(v) else not m.(v)))
-    assumptions
-
-(* a solver answer as the report's result and assumption core *)
-let answer solver ~should_stop = function
-  | `Sat m -> (Cdcl.Solver.Sat m, None)
-  | `Unsat -> (Cdcl.Solver.Unsat, None)
-  | `Unsat_assumptions ->
-      (* satisfiable as far as known, but not under these assumptions;
-         [Unsat] + [assumption_core] carries the distinction *)
-      (Cdcl.Solver.Unsat, Some (Cdcl.Solver.unsat_core solver))
-  | `Unknown ->
-      ( Cdcl.Solver.Unknown
-          (if should_stop () then Sat.Answer.Cancelled else Sat.Answer.Budget),
-        None )
-
 (* The hybrid warm-up (paper §III, Fig. 4): at most [warmup_fraction · √K]
    CDCL steps, every [qa_period]-th one preceded by an annealer
    consultation whose feedback steers the solver.  [Some answer] when the
    warm-up decided the instance. *)
 let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
-    ~max_iterations ~should_stop ~assumptions tally solver f =
+    ~max_iterations ~should_stop tally solver f =
   let traced = not (Obs.Ctx.is_null obs) in
   let rng = Stats.Rng.create ~seed:config.seed in
   (* default: one supervisor per solve — breaker state is an instance
@@ -78,9 +58,9 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
   let embed_cache =
     match embed_cache with Some c -> c | None -> Frontend.create_cache config.graph
   in
-  Cdcl.Solver.set_assumptions solver assumptions;
   let warmup =
-    (* nothing to warm up when a reused solver already holds the answer *)
+    (* nothing to warm up when the solver is refuted before the search
+       starts: at creation, or by the imported clauses *)
     if Cdcl.Solver.is_decided solver then 0
     else
       int_of_float
@@ -91,8 +71,7 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
      variables with a stable majority, turning many weak subset samples into
      a backbone-like signal *)
   let votes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* one annealer consultation; [Some model] when the sample solves [f]
-     under the assumptions *)
+  (* one annealer consultation; [Some model] when the sample solves [f] *)
   let consult () =
     let span_iter =
       if traced then
@@ -120,9 +99,8 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
             ~dur_s:prepared.Frontend.embed_time_s "embed";
           Obs.Span.stop ~dur_s:prepared.Frontend.time_s span_frontend;
           match
-            Anneal.Machine.run_via ~obs ~noise:config.noise ~timing:config.timing
-              ~reads:config.qa_reads ~domains:config.qa_domains
-              ~sample:(Anneal.Supervisor.sample supervisor)
+            Anneal.Machine.run_via ~obs ~noise:config.noise ~reads:config.qa_reads
+              ~domains:config.qa_domains ~sample:(Anneal.Supervisor.sample supervisor)
               rng prepared.Frontend.job
           with
           | Error failure ->
@@ -170,8 +148,8 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
                 | None -> false
               in
               let applied =
-                Backend.apply ~enabled:config.strategies ~hint_filter config.calibration
-                  solver f prepared outcome
+                Backend.apply ~enabled:config.strategies ~hint_filter
+                  Calibration.simulator_default solver f prepared outcome
               in
               let s = strategy_index applied.Backend.strategy in
               tally.backend_s <- tally.backend_s +. applied.Backend.time_s;
@@ -182,9 +160,7 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
                 Obs.Metrics.incr obs
                   (Obs.Metrics.labelled "strategy_uses_total"
                      [ ("strategy", strategy_name applied.Backend.strategy) ]);
-              match applied.Backend.solved with
-              | Some model when assumptions_satisfied assumptions model -> Some model
-              | _ -> None))
+              applied.Backend.solved))
     in
     Obs.Span.stop span_iter;
     solved
@@ -196,7 +172,7 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
     else
       let solved = if tally.steps mod config.qa_period = 0 then consult () else None in
       match solved with
-      | Some model -> Some (Cdcl.Solver.Sat model, None)
+      | Some model -> Some (Cdcl.Solver.Sat model)
       | None -> (
           let t0 = Unix.gettimeofday () in
           let step = Cdcl.Solver.step solver in
@@ -204,7 +180,9 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
           tally.steps <- tally.steps + 1;
           match step with
           | `Continue -> loop ()
-          | (`Sat _ | `Unsat | `Unsat_assumptions) as a -> Some (answer solver ~should_stop a))
+          | `Sat m -> Some (Cdcl.Solver.Sat m)
+          | `Unsat -> Some Cdcl.Solver.Unsat
+          | `Unsat_assumptions -> assert false (* no assumptions installed *))
   in
   let decided = loop () in
   tally.qa_failures <-
@@ -212,8 +190,7 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
   decided
 
 let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
-    ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?solver ?embed_cache
-    ?(assumptions = []) ?(import = []) mode f =
+    ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?embed_cache ?(import = []) mode f =
   let traced = not (Obs.Ctx.is_null obs) in
   let root =
     match mode with
@@ -228,22 +205,19 @@ let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
           "hybrid_solve"
     | Classic _ -> Obs.Span.start obs ~parent "classic_solve"
   in
-  let owns_solver = Option.is_none solver in
   let solver =
-    match (solver, mode) with
-    | Some s, _ -> s
-    | None, Hybrid c ->
+    match mode with
+    | Hybrid c ->
         (* the frontend ranks clauses by the paper activity/visit counters,
-           so hybrid-owned solvers must keep them *)
+           so the hybrid solver must keep them *)
         Cdcl.Solver.create ~config:(Cdcl.Config.with_paper_stats c.Hybrid_solver.cdcl) f
-    | None, Classic c -> Cdcl.Solver.create ~config:c f
+    | Classic c -> Cdcl.Solver.create ~config:c f
   in
   Cdcl.Solver.set_obs solver obs;
   let reused_clauses =
     if import = [] then 0 else Cdcl.Solver.import_clauses solver import
   in
   Cdcl.Solver.set_terminate solver should_stop;
-  let iterations0 = (Cdcl.Solver.stats solver).Cdcl.Solver.iterations in
   let tally =
     {
       steps = 0;
@@ -261,39 +235,30 @@ let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
     match mode with
     | Hybrid config ->
         warm_up config ~supervisor ~obs ~root ~embed_cache ~max_iterations ~should_stop
-          ~assumptions tally solver f
+          tally solver f
     | Classic _ -> None
   in
-  let result, core =
+  let result =
     match decided with
     | Some a -> a
     | None ->
         (* the classic search, with whatever budget the warm-up left *)
         let max_iterations = max_iterations - tally.steps in
         let t0 = Unix.gettimeofday () in
-        let a =
-          match assumptions with
-          | [] -> (Cdcl.Solver.solve ~max_iterations solver, None)
-          | lits ->
-              answer solver ~should_stop
-                (Cdcl.Solver.solve_with_assumptions ~max_iterations solver lits)
-        in
+        let a = Cdcl.Solver.solve ~max_iterations solver in
         tally.cdcl_s <- tally.cdcl_s +. (Unix.gettimeofday () -. t0);
         a
   in
   if traced then begin
     Obs.Span.record obs ~parent:root ~dur_s:tally.cdcl_s "cdcl";
-    (* a caller-owned (session) solver outlives this solve; its lifetime
-       counters are flushed by whoever retires it *)
-    if owns_solver then Cdcl.Solver.flush_obs solver;
+    Cdcl.Solver.flush_obs solver;
     Obs.Span.add_attr root "result" (Sat.Answer.label result);
     Obs.Span.stop root
   end;
   let stats = Cdcl.Solver.stats solver in
   {
     Hybrid_solver.result;
-    assumption_core = core;
-    iterations = stats.Cdcl.Solver.iterations - iterations0;
+    iterations = stats.Cdcl.Solver.iterations;
     warmup_iterations = tally.steps;
     qa_calls = tally.qa_calls;
     qa_failures = tally.qa_failures;
@@ -311,8 +276,6 @@ let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
 
 type objective = Decision | Maximize
 
-let objective_label = function Decision -> "decision" | Maximize -> "maxsat"
-
 let optimize ?(mode = Hybrid Hybrid_solver.default_config) ?algorithm ?max_conflicts
     ?timeout_s ?should_stop ?gap_limit ?seed w =
   (* hybrid mode contributes its hardware graph, so the annealer can stand
@@ -325,113 +288,3 @@ let optimize ?(mode = Hybrid Hybrid_solver.default_config) ?algorithm ?max_confl
   in
   let rng = Option.map (fun seed -> Stats.Rng.create ~seed) seed in
   Optimize.solve ?algorithm ?max_conflicts ?timeout_s ?should_stop ?gap_limit ?rng ?graph w
-
-module Session = struct
-  type answer =
-    [ `Sat of bool array
-    | `Unsat
-    | `Unsat_assumptions of Sat.Lit.t list
-    | `Unknown of Sat.Answer.reason ]
-
-  type t = {
-    mode : mode;
-    obs : Obs.Ctx.t;
-    supervisor : Anneal.Supervisor.t option;
-    embed_cache : Frontend.cache option;
-    solver : Cdcl.Solver.t;
-    (* newest first; [List.rev] order matches the solver's original-clause
-       numbering (one origin index per [add_clause], installed or not) *)
-    mutable clauses_rev : Sat.Clause.t list;
-    mutable formula : Sat.Cnf.t option; (* memo, invalidated on mutation *)
-    mutable solves : int;
-    mutable last_report : Hybrid_solver.report option;
-  }
-
-  let create ?(mode = Classic Cdcl.Config.minisat_like) ?(obs = Obs.Ctx.null) () =
-    let cdcl_config =
-      (* hybrid sessions feed the solver's paper counters to the frontend's
-         clause ranking, so tracking must stay on for them *)
-      match mode with
-      | Hybrid c -> Cdcl.Config.with_paper_stats c.Hybrid_solver.cdcl
-      | Classic c -> c
-    in
-    let supervisor, embed_cache =
-      match mode with
-      | Hybrid c ->
-          ( Some
-              (Anneal.Supervisor.create ~obs ~policy:c.Hybrid_solver.supervision
-                 ~seed:(c.Hybrid_solver.seed + 77) c.Hybrid_solver.backend),
-            Some (Frontend.create_cache c.Hybrid_solver.graph) )
-      | Classic _ -> (None, None)
-    in
-    let solver =
-      Cdcl.Solver.create ~config:cdcl_config (Sat.Cnf.make ~num_vars:0 [])
-    in
-    Cdcl.Solver.set_obs solver obs;
-    {
-      mode;
-      obs;
-      supervisor;
-      embed_cache;
-      solver;
-      clauses_rev = [];
-      formula = None;
-      solves = 0;
-      last_report = None;
-    }
-
-  let num_vars s = Cdcl.Solver.num_vars s.solver
-
-  let new_var s =
-    s.formula <- None;
-    Cdcl.Solver.new_var s.solver
-
-  let add_clause s lits =
-    s.formula <- None;
-    s.clauses_rev <- Sat.Clause.make lits :: s.clauses_rev;
-    Cdcl.Solver.add_clause s.solver lits
-
-  let add_formula s f =
-    (* admit the formula's variables first so session numbering matches the
-       formula's even when trailing variables appear in no clause *)
-    while num_vars s < Sat.Cnf.num_vars f do
-      ignore (new_var s)
-    done;
-    Sat.Cnf.iter_clauses (fun _ c -> add_clause s (Sat.Clause.lits c)) f
-
-  let formula s =
-    match s.formula with
-    | Some f -> f
-    | None ->
-        let f = Sat.Cnf.make ~num_vars:(num_vars s) (List.rev s.clauses_rev) in
-        s.formula <- Some f;
-        f
-
-  let solve ?(assumptions = []) ?max_iterations ?should_stop s =
-    let f = formula s in
-    let report =
-      run ?supervisor:s.supervisor ?max_iterations ?should_stop ~obs:s.obs
-        ~solver:s.solver ?embed_cache:s.embed_cache ~assumptions s.mode f
-    in
-    s.solves <- s.solves + 1;
-    s.last_report <- Some report;
-    match report.Hybrid_solver.result with
-    | Cdcl.Solver.Sat m -> `Sat m
-    | Cdcl.Solver.Unsat -> (
-        match report.Hybrid_solver.assumption_core with
-        | Some core -> `Unsat_assumptions core
-        | None -> `Unsat)
-    | Cdcl.Solver.Unknown r -> `Unknown r
-
-  let model_value s v = Cdcl.Solver.model_value s.solver v
-  let unsat_core s = Cdcl.Solver.unsat_core s.solver
-  let solver s = s.solver
-  let solve_count s = s.solves
-  let last_report s = s.last_report
-
-  let export_learnts ?max_len ?max_clauses s =
-    Cdcl.Solver.export_learnts ?max_len ?max_clauses s.solver
-
-  let import_clauses s cls = Cdcl.Solver.import_clauses s.solver cls
-  let retire s = Cdcl.Solver.flush_obs s.solver
-end

@@ -1,12 +1,10 @@
-(** The single solving entry point, and incremental sessions.
+(** The single solving entry point.
 
     Everything above lib/core (service portfolio, certification, CLI) goes
     through {!run} with a {!mode} value, so adding a solving mode is a new
-    variant, not a new function to thread through every layer.  For
-    correlated-instance traffic — iterated encodings, cores under
-    assumptions — {!Session} keeps one solver and one embedding cache
-    alive across solves so learnt clauses, activities, saved phases and
-    cached embeddings accumulate instead of being rebuilt per call. *)
+    variant, not a new function to thread through every layer.  {!run}
+    solves one formula once; incremental solving (clauses added between
+    solves, assumptions, cores) is {!Cdcl.Solver}'s own API. *)
 
 type mode = Hybrid_solver.mode =
   | Hybrid of Hybrid_solver.config
@@ -30,49 +28,33 @@ val run :
   ?should_stop:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?parent:Obs.Span.t ->
-  ?solver:Cdcl.Solver.t ->
   ?embed_cache:Frontend.cache ->
-  ?assumptions:Sat.Lit.t list ->
   ?import:Sat.Lit.t array list ->
   mode ->
   Sat.Cnf.t ->
   Hybrid_solver.report
-(** The one solve body.  Both modes share one path: take [solver] or
-    build one from [f], install [obs], [import] and [should_stop], then
-    make {e one} call of {!Cdcl.Solver.solve} (or
-    {!Cdcl.Solver.solve_with_assumptions} under [assumptions]) with the
+(** The one solve body.  Both modes share one path: build a solver from
+    [f] (hybrid mode with {!Cdcl.Config.with_paper_stats}, which the
+    frontend's clause ranking reads), install [obs], [import] and
+    [should_stop], then make {e one} call of {!Cdcl.Solver.solve} with the
     remaining iteration budget.  [Hybrid config] first runs the warm-up
     (paper §III, Fig. 4): at most [config.warmup_fraction ·
     √{!Hybrid_solver.estimate_iterations}] {!Cdcl.Solver.step}s, every
     [config.qa_period]-th one preceded by an annealer consultation —
     frontend, one supervised QA call, backend feedback strategy.  The
     warm-up ends early when a step decides the instance or a verified
-    annealer model (satisfying the assumptions) answers it; afterwards the
-    search is exactly the [Classic] one.  [Classic] mode reports zero QA
-    activity, and both modes return the one {!Hybrid_solver.report} type,
-    so callers never branch on the mode to read results.  Stage times in
+    annealer model answers it, and is skipped when [f] or [import] refutes
+    the solver before the search starts; afterwards the search is exactly
+    the [Classic] one.  [Classic] mode reports zero QA activity, and both
+    modes return the one {!Hybrid_solver.report} type, so callers never
+    branch on the mode to read results.  Stage times in
     the report ([frontend_time_s], [backend_time_s], [cdcl_time_s]) are
     measured wall-clock ([Unix.gettimeofday]); [qa_time_us] is modelled.
 
-    Incremental knobs (all default to a cold one-shot solve):
+    Warm-start knobs (both default to a cold solve):
     {ul
-    {- [solver] reuses a caller-owned {!Cdcl.Solver.t} instead of building
-       one from [f] (hybrid mode builds it with
-       {!Cdcl.Config.with_paper_stats}, which the frontend's clause ranking
-       reads) — learnt clauses, activities and phases carry over from its
-       previous calls.  The solver's clause numbering must agree with [f]
-       (index [i] of [f] ↔ original clause [i] of the solver), which holds
-       when the solver was built from [f] or grown clause-by-clause
-       alongside it ({!Session} maintains this).  Its lifetime obs
-       counters are {e not} flushed here — the owner retires it.  A
-       reused solver that already holds the answer skips the warm-up.}
     {- [embed_cache] reuses a caller-owned embedding cache (hybrid mode;
        unused by [Classic]) rather than a per-solve one.}
-    {- [assumptions] solves under the conjunction of the given literals:
-       [Sat] models satisfy them; [Unsat] with [assumption_core = Some _]
-       means unsatisfiable {e under the assumptions} only.  An annealer
-       model that violates an assumption is demoted to hints (never
-       returned as the answer).}
     {- [import] installs foreign learnt clauses
        ({!Cdcl.Solver.import_clauses}) before searching; the count actually
        installed is reported as [reused_clauses].  No-op under proof
@@ -132,9 +114,6 @@ type objective =
   | Decision  (** plain SAT/UNSAT through {!run} *)
   | Maximize  (** weighted MaxSAT through {!optimize} *)
 
-val objective_label : objective -> string
-(** ["decision"] or ["maxsat"] — stable, used in telemetry and specs. *)
-
 val optimize :
   ?mode:mode ->
   ?algorithm:Optimize.algorithm ->
@@ -150,77 +129,3 @@ val optimize :
     graph so annealer samples seed the search, classic uses WalkSAT alone.
     Either way the exact phase is the same CDCL-based search, and the
     result always carries [(best_cost, lower_bound)]. *)
-
-(** Incremental solving session: a long-lived solver plus (in hybrid mode)
-    a shared supervisor and embedding cache.  Variables and clauses are
-    added between solves; learnt clauses, VSIDS/CHB activities, saved
-    phases and cached embeddings persist across calls.  Not domain-safe —
-    confine a session to one domain. *)
-module Session : sig
-  type t
-
-  type answer =
-    [ `Sat of bool array
-    | `Unsat  (** the accumulated formula itself is unsatisfiable *)
-    | `Unsat_assumptions of Sat.Lit.t list
-      (** unsatisfiable {e under the call's assumptions} only; the payload
-          is the conflicting assumption subset ({!Cdcl.Solver.unsat_core},
-          not guaranteed minimal) *)
-    | `Unknown of Sat.Answer.reason ]
-
-  val create : ?mode:mode -> ?obs:Obs.Ctx.t -> unit -> t
-  (** An empty session ([Classic] with [Cdcl.Config.minisat_like] by
-      default).  A [Hybrid] session builds its supervisor and embedding
-      cache once; every {!solve} reuses them. *)
-
-  val new_var : t -> Sat.Lit.var
-  (** Admit a fresh variable (its index = previous {!num_vars}). *)
-
-  val add_clause : t -> Sat.Lit.t list -> unit
-  (** Add a clause; unseen variables are admitted automatically.  Each call
-      consumes one original-clause index (paper instrumentation), so the
-      session's clause numbering is the order of [add_clause] calls. *)
-
-  val add_formula : t -> Sat.Cnf.t -> unit
-  (** Bulk [add_clause] of every clause of [f] (in index order), admitting
-      [f]'s variable count first. *)
-
-  val solve :
-    ?assumptions:Sat.Lit.t list ->
-    ?max_iterations:int ->
-    ?should_stop:(unit -> bool) ->
-    t ->
-    answer
-  (** Solve the accumulated formula under the given assumptions, warm:
-      everything learnt by previous calls is still in place.  After
-      [`Unknown], calling again with the same assumptions resumes the
-      search with a fresh budget. *)
-
-  val model_value : t -> Sat.Lit.var -> bool option
-  (** The variable's value in the last [`Sat] model. *)
-
-  val unsat_core : t -> Sat.Lit.t list
-  (** The last [`Unsat_assumptions] core ([[]] before any). *)
-
-  val num_vars : t -> int
-
-  val formula : t -> Sat.Cnf.t
-  (** The accumulated formula (clause [i] = [i]-th {!add_clause}). *)
-
-  val solver : t -> Cdcl.Solver.t
-  (** The underlying solver, for instrumentation reads. *)
-
-  val solve_count : t -> int
-  val last_report : t -> Hybrid_solver.report option
-
-  val export_learnts :
-    ?max_len:int -> ?max_clauses:int -> t -> Sat.Lit.t array list
-  (** {!Cdcl.Solver.export_learnts} of the session solver. *)
-
-  val import_clauses : t -> Sat.Lit.t array list -> int
-  (** {!Cdcl.Solver.import_clauses} into the session solver. *)
-
-  val retire : t -> unit
-  (** Flush the solver's lifetime obs counters.  Call at most once, when
-      the session is dropped (sessions skip the per-solve flush). *)
-end

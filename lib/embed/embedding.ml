@@ -28,8 +28,6 @@ let avg_chain_length t =
   if ls = [] then 0.
   else float_of_int (List.fold_left ( + ) 0 ls) /. float_of_int (List.length ls)
 
-let max_chain_length t = List.fold_left max 0 (chain_lengths t)
-
 let chain_connected graph qubits =
   match qubits with
   | [] -> false

@@ -27,7 +27,6 @@ val edge_coupler : t -> int -> int -> (int * int) option
 val qubits_used : t -> int
 val chain_lengths : t -> int list
 val avg_chain_length : t -> float
-val max_chain_length : t -> int
 
 val validate : t -> edges:(int * int) list -> (unit, string) result
 (** Full minor-embedding check: every chain non-empty, chains pairwise

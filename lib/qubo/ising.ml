@@ -44,6 +44,3 @@ let energy t spins =
 
 let spins_of_bools t bools =
   Array.init t.num_spins (fun i -> if bools.(t.var_of_spin.(i)) then 1 else -1)
-
-let bools_of_spins t spins =
-  List.init t.num_spins (fun i -> (t.var_of_spin.(i), spins.(i) = 1))

@@ -21,6 +21,3 @@ val energy : t -> int array -> float
 
 val spins_of_bools : t -> bool array -> int array
 (** Convert a QUBO assignment (indexed by QUBO variable) to spins. *)
-
-val bools_of_spins : t -> int array -> (int * bool) list
-(** Spin configuration back to [(qubo_var, value)] pairs. *)

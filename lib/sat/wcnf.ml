@@ -37,7 +37,6 @@ let of_cnf ?(weight = 1) f =
   make ~num_vars:(Cnf.num_vars f) ~hard:[]
     ~soft:(List.map (fun c -> (weight, c)) (Cnf.clauses f))
 
-let hardened f = make ~num_vars:(Cnf.num_vars f) ~hard:(Cnf.clauses f) ~soft:[]
 let num_vars f = f.num_vars
 let num_hard f = Array.length f.hard
 let num_soft f = Array.length f.soft

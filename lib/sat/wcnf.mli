@@ -23,9 +23,6 @@ val of_cnf : ?weight:int -> Cnf.t -> t
 (** Every clause of [f] becomes soft with the given weight (default [1]) —
     the classic unweighted MaxSAT relaxation. *)
 
-val hardened : Cnf.t -> t
-(** Every clause of [f] becomes hard: a plain decision instance. *)
-
 val num_vars : t -> int
 val num_hard : t -> int
 val num_soft : t -> int

@@ -3,8 +3,8 @@
 module G = Chimera.Graph
 module Embedding = Embed.Embedding
 module Hyq = Embed.Hyqsat_scheme
-module Mm = Embed.Minorminer_like
-module Pr = Embed.Place_route
+module Mm = Baselines.Minorminer_like
+module Pr = Baselines.Place_route
 
 (* a clause queue with BFS-style variable locality, like the frontend emits *)
 let locality_queue r ~n ~m =

@@ -291,23 +291,16 @@ let uniform ~seed ~n ~ratio =
    no warm-up it must be the classic search, step for step. *)
 let classic_is_hybrid_without_warmup =
   QCheck.Test.make ~name:"classic is hybrid without a warm-up" ~count:60
-    QCheck.(triple small_nat (int_range 8 40) bool)
-    (fun (seed, n, with_assumptions) ->
+    QCheck.(pair small_nat (int_range 8 40))
+    (fun (seed, n) ->
       let f = uniform ~seed ~n ~ratio:4.3 in
       let c =
         Cdcl.Config.with_proof_logging (Cdcl.Config.with_seed seed Cdcl.Config.minisat_like)
       in
-      let assumptions =
-        if with_assumptions then
-          List.init 3 (fun i -> Sat.Lit.make ((seed + (7 * i)) mod n) (i mod 2 = 0))
-        else []
-      in
-      let run mode = Hyqsat.Solve.run ~assumptions mode f in
-      let h = run (Hyqsat.Solve.Hybrid (Hybrid.make_config ~warmup_fraction:0. ~cdcl:c ())) in
-      let k = run (Hyqsat.Solve.Classic (Cdcl.Config.with_paper_stats c)) in
+      let h = hsolve ~config:(Hybrid.make_config ~warmup_fraction:0. ~cdcl:c ()) f in
+      let k = Hyqsat.Solve.run (Hyqsat.Solve.Classic (Cdcl.Config.with_paper_stats c)) f in
       h.Hybrid.warmup_iterations = 0
       && h.Hybrid.result = k.Hybrid.result
-      && h.Hybrid.assumption_core = k.Hybrid.assumption_core
       && h.Hybrid.iterations = k.Hybrid.iterations
       && h.Hybrid.solver_stats = k.Hybrid.solver_stats
       && h.Hybrid.proof = k.Hybrid.proof)
@@ -316,18 +309,35 @@ let hybrid_cancelled_after_warmup () =
   (* UNSAT at ratio 5: neither the annealer nor the warm-up can decide it *)
   let f = uniform ~seed:3 ~n:80 ~ratio:5.0 in
   let config = Hybrid.default_config in
-  let solver =
-    Cdcl.Solver.create ~config:(Cdcl.Config.with_paper_stats config.Hybrid.cdcl) f
-  in
   let warmup =
     int_of_float (config.Hybrid.warmup_fraction *. sqrt (float_of_int (Hybrid.estimate_iterations f)))
   in
-  let should_stop () = (Cdcl.Solver.stats solver).Cdcl.Solver.iterations >= warmup in
-  let r = Hyqsat.Solve.run ~solver ~should_stop (Hyqsat.Solve.Hybrid config) f in
+  (* the warm-up polls once before each of its [warmup] iterations; the
+     next poll is the classic search's first *)
+  let polls = ref 0 in
+  let should_stop () =
+    incr polls;
+    !polls > warmup
+  in
+  let r = Hyqsat.Solve.run ~should_stop (Hyqsat.Solve.Hybrid config) f in
   Alcotest.(check bool) "cancelled" true (r.Hybrid.result = Cdcl.Solver.Unknown Sat.Answer.Cancelled);
   Alcotest.(check int) "whole warm-up ran" warmup r.Hybrid.warmup_iterations;
   Alcotest.(check bool) "stopped within one poll of the warm-up" true
     (r.Hybrid.iterations <= warmup + 128)
+
+(* x1 and ¬x1 refute the formula as the solver is built, so the warm-up
+   must neither step nor consult the annealer *)
+let hybrid_refuted_at_creation_skips_warmup () =
+  let uf = Workload.Uniform.uf (Testutil.rng 11) 20 in
+  let x1 = Sat.Lit.make 0 true in
+  let f =
+    Sat.Cnf.make ~num_vars:(Sat.Cnf.num_vars uf)
+      (Sat.Cnf.clauses uf @ [ Sat.Clause.make [ x1 ]; Sat.Clause.make [ Sat.Lit.negate x1 ] ])
+  in
+  let r = hsolve f in
+  Alcotest.(check bool) "unsat" true (r.Hybrid.result = Cdcl.Solver.Unsat);
+  Alcotest.(check int) "no qa calls" 0 r.Hybrid.qa_calls;
+  Alcotest.(check int) "no warm-up" 0 r.Hybrid.warmup_iterations
 
 let hybrid_proofs_past_warmup_check () =
   let config =
@@ -456,6 +466,8 @@ let suite =
         QCheck_alcotest.to_alcotest classic_is_hybrid_without_warmup;
         Alcotest.test_case "cancelled right after the warm-up" `Quick
           hybrid_cancelled_after_warmup;
+        Alcotest.test_case "refuted at creation skips the warm-up" `Quick
+          hybrid_refuted_at_creation_skips_warmup;
         Alcotest.test_case "proofs past the warm-up check" `Slow
           hybrid_proofs_past_warmup_check;
       ] );

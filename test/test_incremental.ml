@@ -2,7 +2,6 @@
    monolithic solves, clause-retention determinism, warm-started services. *)
 
 module Solver = Cdcl.Solver
-module Solve = Hyqsat.Solve
 module Portfolio = Service.Portfolio
 module Batch = Service.Batch
 module Job = Service.Job
@@ -223,96 +222,6 @@ let export_import_preserves_answers () =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Solve.Session: the facade keeps the same answers as one-shot runs *)
-
-let session_matches_oneshot () =
-  let r = Testutil.rng 907 in
-  let f = Testutil.random_cnf r ~n:12 ~m:46 ~k:3 in
-  let s = Solve.Session.create () in
-  Solve.Session.add_formula s f;
-  Alcotest.(check int) "vars admitted" (Sat.Cnf.num_vars f) (Solve.Session.num_vars s);
-  for round = 0 to 2 do
-    let assumptions = random_assumptions r ~n:12 ~k:2 in
-    let got = Solve.Session.solve ~assumptions s in
-    let want = fresh_verdict f assumptions in
-    let ctx = Printf.sprintf "round %d" round in
-    (match (got, want) with
-    | `Sat model, `Sat _ ->
-        Alcotest.(check bool) (ctx ^ ": session model certifies") true
-          (Testutil.check_model f model && assumptions_hold model assumptions);
-        List.iter
-          (fun l ->
-            Alcotest.(check (option bool)) (ctx ^ ": model_value agrees")
-              (Some (lit_satisfied model l))
-              (Option.map
-                 (fun b -> if Sat.Lit.is_pos l then b else not b)
-                 (Solve.Session.model_value s (Sat.Lit.var l))))
-          assumptions
-    | `Unsat, `Unsat -> ()
-    | `Unsat_assumptions core, `Unsat_assumptions ->
-        Alcotest.(check bool) (ctx ^ ": payload = unsat_core") true
-          (core = Solve.Session.unsat_core s);
-        Alcotest.(check bool) (ctx ^ ": core subset") true
-          (core <> [] && List.for_all (fun l -> List.mem l assumptions) core)
-    | _ ->
-        Alcotest.fail
-          (Printf.sprintf "%s: session %s but fresh %s" ctx
-             (match got with
-             | `Sat _ -> "sat"
-             | `Unsat -> "unsat"
-             | `Unsat_assumptions _ -> "unsat-assumptions"
-             | `Unknown _ -> "unknown")
-             (label want)))
-  done;
-  Alcotest.(check int) "solve_count" 3 (Solve.Session.solve_count s);
-  Solve.Session.retire s
-
-let session_grows_and_stays_sound () =
-  let s = Solve.Session.create () in
-  let x = Solve.Session.new_var s in
-  let y = Solve.Session.new_var s in
-  Solve.Session.add_clause s [ Sat.Lit.make x true; Sat.Lit.make y true ];
-  (match Solve.Session.solve s with
-  | `Sat m -> Alcotest.(check bool) "x or y" true (m.(x) || m.(y))
-  | _ -> Alcotest.fail "sat expected");
-  (* force both false: unsat under assumptions, then truly unsat *)
-  (match
-     Solve.Session.solve ~assumptions:[ Sat.Lit.make x false; Sat.Lit.make y false ] s
-   with
-  | `Unsat_assumptions core -> Alcotest.(check bool) "core non-empty" true (core <> [])
-  | _ -> Alcotest.fail "unsat-assumptions expected");
-  Solve.Session.add_clause s [ Sat.Lit.make x false ];
-  Solve.Session.add_clause s [ Sat.Lit.make y false ];
-  (match Solve.Session.solve s with
-  | `Unsat -> ()
-  | _ -> Alcotest.fail "unsat expected after contradictory clauses");
-  Alcotest.(check int) "clauses accumulated" 3
-    (Sat.Cnf.num_clauses (Solve.Session.formula s));
-  Solve.Session.retire s
-
-let hybrid_session_reuses_state () =
-  let f = Workload.Uniform.uf (Testutil.rng 908) 20 in
-  let s = Solve.Session.create ~mode:(Solve.hybrid ()) () in
-  Solve.Session.add_formula s f;
-  (match Solve.Session.solve s with
-  | `Sat m -> Alcotest.(check bool) "hybrid session model certifies" true (Testutil.check_model f m)
-  | `Unsat -> ()
-  | _ -> Alcotest.fail "hybrid session should decide uf20");
-  let report1 = Option.get (Solve.Session.last_report s) in
-  (match Solve.Session.solve s with
-  | `Sat _ | `Unsat -> ()
-  | _ -> Alcotest.fail "re-solve should stay decided");
-  let report2 = Option.get (Solve.Session.last_report s) in
-  (* the second call answers from retained state: at most the one loop
-     turn that reads the cached answer off the solver, no fresh search *)
-  Alcotest.(check bool) "re-solve costs at most one iteration" true
-    (report2.Hyqsat.Hybrid_solver.iterations <= 1);
-  Alcotest.(check string) "same verdict"
-    (Sat.Answer.label report1.Hyqsat.Hybrid_solver.result)
-    (Sat.Answer.label report2.Hyqsat.Hybrid_solver.result);
-  Solve.Session.retire s
-
-(* ------------------------------------------------------------------ *)
 (* service layer: race learnt pooling and batch warm-start *)
 
 let stats_with learnts =
@@ -468,12 +377,6 @@ let suite =
         Alcotest.test_case "retention determinism" `Quick clause_retention_deterministic;
         Alcotest.test_case "budget chunks terminate" `Quick budget_chunks_reach_answer;
         Alcotest.test_case "export/import learnts" `Quick export_import_preserves_answers;
-      ] );
-    ( "incremental.session",
-      [
-        Alcotest.test_case "matches one-shot" `Quick session_matches_oneshot;
-        Alcotest.test_case "grows and stays sound" `Quick session_grows_and_stays_sound;
-        Alcotest.test_case "hybrid state reuse" `Quick hybrid_session_reuses_state;
       ] );
     ( "incremental.service",
       [

@@ -5,7 +5,7 @@ module Encode = Qubo.Encode
 module Normalize = Qubo.Normalize
 module Adjust = Qubo.Adjust
 module Ising = Qubo.Ising
-module Gap = Qubo.Gap
+module Gap = Baselines.Gap
 
 let fcheck = Alcotest.(check (float 1e-9))
 
