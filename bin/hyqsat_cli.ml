@@ -14,22 +14,17 @@ let parse parse_file path =
     Printf.eprintf "hyqsat: %s: line %d: %s\n" path line reason;
     exit 2
 
-(* returns (formula to solve, original formula when a 3-SAT conversion
-   happened).  Keeping the original lets the service project models back to
-   the input's variables — without it the "v" line would include the
-   conversion's auxiliary chain variables — and certify answers against the
-   formula the user actually asked about. *)
-let load_formula path =
-  let f = parse Sat.Dimacs.parse_file path in
-  if Sat.Cnf.is_3sat f then (f, None)
-  else begin
-    let g, _map = Sat.Three_sat.convert f in
-    Printf.eprintf
-      "note: %s: converting %d-SAT input to 3-SAT (%d vars, %d clauses -> %d vars, %d clauses)\n%!"
-      path (Sat.Cnf.max_clause_size f) (Sat.Cnf.num_vars f) (Sat.Cnf.num_clauses f)
-      (Sat.Cnf.num_vars g) (Sat.Cnf.num_clauses g);
-    (g, Some f)
-  end
+(* Job.make 3-SAT-converts a non-3-SAT input and keeps it as [original]:
+   say so on stderr *)
+let note_conversion (spec : Service.Job.spec) =
+  match spec.Service.Job.original with
+  | None -> ()
+  | Some f ->
+      let g = spec.Service.Job.formula in
+      Printf.eprintf
+        "note: %s: converting %d-SAT input to 3-SAT (%d vars, %d clauses -> %d vars, %d clauses)\n%!"
+        spec.Service.Job.name (Sat.Cnf.max_clause_size f) (Sat.Cnf.num_vars f)
+        (Sat.Cnf.num_clauses f) (Sat.Cnf.num_vars g) (Sat.Cnf.num_clauses g)
 
 let print_model model =
   let buf = Buffer.create 256 in
@@ -148,9 +143,13 @@ let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retrie
             ?timeout_s:(match opt_timeout with Some _ -> opt_timeout | None -> timeout)
             ~max_iterations ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i w
         else
-          let formula, original = load_formula path in
-          Service.Job.make ~name:path ?original ~certify ?timeout_s:timeout ~max_iterations
-            ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i formula)
+          let spec =
+            Service.Job.make ~name:path ~certify ?timeout_s:timeout ~max_iterations
+              ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i
+              (parse Sat.Dimacs.parse_file path)
+          in
+          note_conversion spec;
+          spec)
       paths
   in
   let members ~spec ~seed =

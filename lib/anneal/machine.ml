@@ -87,15 +87,15 @@ let greedy_descent objective ~nodes ~vars value =
       vars
   done
 
-let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
-    ?(chain_strength = 2.0) ?(postprocess = true)
-    ?(timing = Timing.d_wave_2000q) ?(reads = 1) ?(domains = 1) ~sample rng job =
+(* ferromagnetic chain coupling, relative to the normalised coefficient
+   range *)
+let chain_strength = 2.0
+
+let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(postprocess = true)
+    ?(reads = 1) ?(domains = 1) ~sample rng job =
   if reads < 1 then invalid_arg "Machine.run: reads";
   let schedule =
-    match schedule with
-    | Some s -> s
-    | None ->
-        if noise.Noise.shallow_anneal then Sampler.quick_schedule else Sampler.default_schedule
+    if noise.Noise.shallow_anneal then Sampler.quick_schedule else Sampler.default_schedule
   in
   (* normalise to hardware range and move to spin space *)
   let normalized = Qubo.Normalize.apply job.objective in
@@ -178,7 +178,7 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
       params = Sampler.make_params ~schedule ~noise ~reads ();
       init = Some init;
       domains;
-      timing;
+      timing = Timing.d_wave_2000q;
     }
   in
   match (sample rng request : (Backend.response, Backend.failure) result) with
@@ -244,11 +244,8 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?schedule
           time_us = resp.Backend.time_us;
         }
 
-let run ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domains rng job =
+let run ?obs ?noise ?postprocess ?reads ?domains rng job =
   let sample rng req = Backend.sample ?obs Backend.best_of rng req in
-  match
-    run_via ?obs ?noise ?schedule ?chain_strength ?postprocess ?timing ?reads ?domains ~sample
-      rng job
-  with
+  match run_via ?obs ?noise ?postprocess ?reads ?domains ~sample rng job with
   | Ok outcome -> outcome
   | Error _ -> assert false (* the simulator is infallible *)

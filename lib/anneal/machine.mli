@@ -36,10 +36,7 @@ exception Unembedded_term of string
 val run_via :
   ?obs:Obs.Ctx.t ->
   ?noise:Noise.t ->
-  ?schedule:Sampler.schedule ->
-  ?chain_strength:float ->
   ?postprocess:bool ->
-  ?timing:Timing.t ->
   ?reads:int ->
   ?domains:int ->
   sample:(Stats.Rng.t -> Backend.request -> (Backend.response, Backend.failure) result) ->
@@ -65,18 +62,15 @@ val run_via :
     remove thermal/chain-break residue.  With a live [obs] the call adds
     chain breaks to [anneal_chain_breaks_total] and records the response's
     modelled [time_us] into the [anneal_time_us] histogram.
-    Defaults: noise-free, {!Sampler.default_schedule} (or
-    {!Sampler.quick_schedule} when the noise model says so), chain strength
-    2.0 (relative to the normalised coefficient range), D-Wave 2000Q
-    timing. *)
+    Defaults: noise-free.  The schedule is {!Sampler.default_schedule}, or
+    {!Sampler.quick_schedule} when the noise model says so; chains couple
+    at strength 2.0 (relative to the normalised coefficient range); the
+    device call is timed as a D-Wave 2000Q ({!Timing.d_wave_2000q}). *)
 
 val run :
   ?obs:Obs.Ctx.t ->
   ?noise:Noise.t ->
-  ?schedule:Sampler.schedule ->
-  ?chain_strength:float ->
   ?postprocess:bool ->
-  ?timing:Timing.t ->
   ?reads:int ->
   ?domains:int ->
   Stats.Rng.t ->

@@ -1133,11 +1133,6 @@ let trail_literals t = Vec.to_list t.trail
 let proof t = if t.config.Config.log_proof then Some (List.rev t.proof_rev) else None
 let model t = match t.status with Sat m -> Some m | _ -> None
 
-let model_value t v =
-  match t.status with
-  | Sat m when v < Array.length m -> Some m.(v)
-  | _ -> None
-
 let is_decided t = match t.status with Unknown _ -> false | _ -> true
 
 let set_terminate t f = t.terminate <- f

@@ -126,10 +126,6 @@ val trail_literals : t -> Sat.Lit.t list
 val model : t -> bool array option
 (** The model, once [solve] returned [Sat]. *)
 
-val model_value : t -> Sat.Lit.var -> bool option
-(** The variable's value in the last model; [None] while undecided or
-    after [Unsat]. *)
-
 val is_decided : t -> bool
 (** [true] once the search has concluded (SAT or UNSAT). *)
 

@@ -122,62 +122,3 @@ let certify ?should_stop ~original ~solved ?proof result =
           match check_proof ?should_stop solved p with
           | Ok () -> Ok (Proof_verified (List.length p))
           | Error e -> Error ("proof rejected: " ^ e)))
-
-type t = {
-  report : Hyqsat.Hybrid_solver.report;
-  solved : Sat.Cnf.t;
-  mapping : Sat.Three_sat.mapping option;
-  model : bool array option;
-  certificate : (verdict, string) result;
-}
-
-let convert_if_needed f =
-  if Sat.Cnf.is_3sat f then (f, None)
-  else
-    let g, mapping = Sat.Three_sat.convert f in
-    (g, Some mapping)
-
-let finish ~original ~solved ~mapping report =
-  let certificate =
-    certify ~original ~solved ?proof:report.Hyqsat.Hybrid_solver.proof
-      report.Hyqsat.Hybrid_solver.result
-  in
-  let model =
-    match report.Hyqsat.Hybrid_solver.result with
-    | Cdcl.Solver.Sat m ->
-        Some
-          (match mapping with
-          | Some map -> Sat.Three_sat.project_model map m
-          | None -> m)
-    | _ -> None
-  in
-  { report; solved; mapping; model; certificate }
-
-(* the certified answer in the shared Sat.Answer shape: a claim the checker
-   rejected is withheld as Unknown Cert_failed; Sat carries the projected
-   model so it speaks the original formula's variables *)
-let answer t =
-  match (t.certificate, t.report.Hyqsat.Hybrid_solver.result, t.model) with
-  | Error _, _, _ -> Sat.Answer.Unknown Sat.Answer.Cert_failed
-  | Ok _, Cdcl.Solver.Sat _, Some m -> Sat.Answer.Sat m
-  | Ok _, r, _ -> r
-
-let solve ?(config = Hyqsat.Hybrid_solver.default_config) ?max_iterations ?should_stop f =
-  let solved, mapping = convert_if_needed f in
-  let config =
-    Hyqsat.Hybrid_solver.make_config ~base:config
-      ~cdcl:(Cdcl.Config.with_proof_logging config.Hyqsat.Hybrid_solver.cdcl)
-      ()
-  in
-  let report =
-    Hyqsat.Solve.run ?max_iterations ?should_stop (Hyqsat.Solve.Hybrid config) solved
-  in
-  finish ~original:f ~solved ~mapping report
-
-let solve_classic ?(config = Cdcl.Config.minisat_like) ?max_iterations ?should_stop f =
-  let solved, mapping = convert_if_needed f in
-  let config = Cdcl.Config.with_proof_logging config in
-  let report =
-    Hyqsat.Solve.run ?max_iterations ?should_stop (Hyqsat.Solve.Classic config) solved
-  in
-  finish ~original:f ~solved ~mapping report

@@ -7,7 +7,9 @@
     conversion, so auxiliary chain variables can never mask a wrong model —
     and an [Unsat] answer must come with a DRAT derivation that passes
     {!Sat.Drat.check} (reverse unit propagation ending in the empty
-    clause). *)
+    clause).  In the product the checkers run inside [Service.Batch],
+    the one certified path: the CLI, the daemon and the fuzz campaign
+    all certify through it. *)
 
 (** What was actually verified about an answer. *)
 type verdict =
@@ -22,7 +24,7 @@ val verdict_label : (verdict, string) result -> string
 val check_model : original:Sat.Cnf.t -> bool array -> (unit, string) result
 (** [check_model ~original m] succeeds iff [m] — truncated to the original
     variable count when it also assigns 3-SAT auxiliaries (the
-    {!Sat.Three_sat.convert} layout keeps original variables first) —
+    {!Sat.Three_sat} layout keeps original variables first) —
     satisfies every clause of [original].  [Error] names a falsified
     clause. *)
 
@@ -78,37 +80,3 @@ val certify_opt :
     cancel/drain switch reaches the certification re-solves too);
     exhausting either yields an [Error], never a silently weaker
     verdict. *)
-
-(** {2 Certified solving} *)
-
-type t = {
-  report : Hyqsat.Hybrid_solver.report;  (** the raw solve report *)
-  solved : Sat.Cnf.t;  (** formula the solver ran on (3-SAT-converted if needed) *)
-  mapping : Sat.Three_sat.mapping option;  (** [Some] iff conversion happened *)
-  model : bool array option;  (** SAT model, projected back to original variables *)
-  certificate : (verdict, string) result;
-}
-
-val answer : t -> Sat.Answer.t
-(** The certified result in the shared answer type: the solver's answer
-    when the certificate holds (with [Sat] carrying the model projected to
-    the original variables), [Unknown Cert_failed] when the checker
-    rejected the claim. *)
-
-val solve :
-  ?config:Hyqsat.Hybrid_solver.config ->
-  ?max_iterations:int ->
-  ?should_stop:(unit -> bool) ->
-  Sat.Cnf.t ->
-  t
-(** Certified hybrid solve: 3-SAT-convert if needed (keeping the map),
-    force DRAT logging in the CDCL config, run
-    {!Hyqsat.Solve.run}, then certify the answer end to end. *)
-
-val solve_classic :
-  ?config:Cdcl.Config.t ->
-  ?max_iterations:int ->
-  ?should_stop:(unit -> bool) ->
-  Sat.Cnf.t ->
-  t
-(** Same wrapper around the classical baseline. *)

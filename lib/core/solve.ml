@@ -274,8 +274,6 @@ let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
     proof = Cdcl.Solver.proof solver;
   }
 
-type objective = Decision | Maximize
-
 let optimize ?(mode = Hybrid Hybrid_solver.default_config) ?algorithm ?max_conflicts
     ?timeout_s ?should_stop ?gap_limit ?seed w =
   (* hybrid mode contributes its hardware graph, so the annealer can stand

@@ -103,16 +103,12 @@ val run :
     ["classic_solve"] span with one ["cdcl"] child and the CDCL engine's
     metrics.  Both root spans carry a [result] attribute. *)
 
-(** {2 Optimisation objective}
+(** {2 Optimisation}
 
     The decision pipeline above answers "is there a model"; the paired
     {!optimize} entry point answers "what is the cheapest model" over a
-    weighted {!Sat.Wcnf.t}.  Service jobs, the daemon and the CLI select
-    between the two with an {!objective} value. *)
-
-type objective =
-  | Decision  (** plain SAT/UNSAT through {!run} *)
-  | Maximize  (** weighted MaxSAT through {!optimize} *)
+    weighted {!Sat.Wcnf.t}.  A service job is an optimisation job when
+    its spec carries a WCNF. *)
 
 val optimize :
   ?mode:mode ->

@@ -70,7 +70,3 @@ let record ctx ?(parent = none) ?(attrs = []) ~dur_s name =
         attrs;
       }
   end
-
-let with_ ctx ?parent ?attrs name f =
-  let s = start ctx ?parent ?attrs name in
-  Fun.protect ~finally:(fun () -> stop s) (fun () -> f s)

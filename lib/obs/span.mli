@@ -34,12 +34,6 @@ val record :
 (** Emit a completed span in one shot, ending now and lasting [dur_s].
     For stages that already measured themselves. *)
 
-val with_ :
-  Ctx.t -> ?parent:t -> ?attrs:(string * string) list -> string ->
-  (t -> 'a) -> 'a
-(** [with_ ctx name f] runs [f span] and stops the span on the way out,
-    including on exceptions. *)
-
 (**/**)
 
 val id : t -> int

@@ -1,7 +1,6 @@
 type value = True | False | Unassigned
 
 let value_of_bool b = if b then True else False
-let bool_of_value = function True -> Some true | False -> Some false | Unassigned -> None
 
 type t = value array
 
@@ -21,9 +20,6 @@ let lit_value t l =
 
 let satisfies_clause t c =
   Array.exists (fun l -> lit_value t l = True) (c : Clause.t :> Lit.t array)
-
-let falsifies_clause t c =
-  Array.for_all (fun l -> lit_value t l = False) (c : Clause.t :> Lit.t array)
 
 let clause_status t c =
   let unassigned = ref None in
@@ -52,11 +48,6 @@ let num_unsatisfied t f =
 
 let to_bools t ~default =
   Array.map (function True -> true | False -> false | Unassigned -> default) t
-
-let assigned_vars t =
-  let acc = ref [] in
-  Array.iteri (fun v x -> if x <> Unassigned then acc := v :: !acc) t;
-  List.rev !acc
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>";

@@ -3,7 +3,6 @@
 type value = True | False | Unassigned
 
 val value_of_bool : bool -> value
-val bool_of_value : value -> bool option
 
 type t
 (** A mutable partial assignment over a fixed variable universe. *)
@@ -26,9 +25,6 @@ val lit_value : t -> Lit.t -> value
 val satisfies_clause : t -> Clause.t -> bool
 (** [true] iff some literal of the clause is assigned true. *)
 
-val falsifies_clause : t -> Clause.t -> bool
-(** [true] iff every literal of the clause is assigned false. *)
-
 val clause_status : t -> Clause.t -> [ `Satisfied | `Falsified | `Unit of Lit.t | `Unresolved ]
 (** Classifies the clause: satisfied, falsified, unit (one unassigned literal,
     rest false), or unresolved. *)
@@ -43,5 +39,4 @@ val num_unsatisfied : t -> Cnf.t -> int
 val to_bools : t -> default:bool -> bool array
 (** Totalise, mapping unassigned variables to [default]. *)
 
-val assigned_vars : t -> Lit.var list
 val pp : Format.formatter -> t -> unit

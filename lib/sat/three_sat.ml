@@ -36,5 +36,3 @@ let convert f =
     (Cnf.clauses f);
   let cnf = Cnf.make ~num_vars:!next (List.rev !out) in
   (cnf, { original_vars = Cnf.num_vars f; aux_vars = !next - Cnf.num_vars f })
-
-let project_model mapping model = Array.sub model 0 mapping.original_vars

@@ -12,9 +12,6 @@ val convert : Cnf.t -> Cnf.t * mapping
 (** [convert f] returns an equisatisfiable 3-SAT formula and the variable
     mapping.  Clauses of size ≤ 3 are kept verbatim. *)
 
-val project_model : mapping -> bool array -> bool array
-(** Restrict a model of the converted formula to the original variables. *)
-
 val aux_count_for_clause : int -> int
 (** [aux_count_for_clause k] is the number of auxiliary variables introduced
     for a clause of size [k] (the paper's example: a 26-literal clause needs

@@ -309,14 +309,8 @@ let submit t ~client ~conn (js : Protocol.job_spec) =
           match Sat.Dimacs.parse_string js.Protocol.dimacs with
           | exception e -> Error (parse_reject "DIMACS" e)
           | formula ->
-              let formula, original =
-                if Sat.Cnf.is_3sat formula then (formula, None)
-                else
-                  let g, _map = Sat.Three_sat.convert formula in
-                  (g, Some formula)
-              in
               Ok
-                (Job.make ~name:js.Protocol.name ?original ~certify:js.Protocol.certify
+                (Job.make ~name:js.Protocol.name ~certify:js.Protocol.certify
                    ?timeout_s:js.Protocol.timeout_s
                    ~max_iterations:js.Protocol.max_iterations
                    ~retries:(max 0 js.Protocol.retries) ~seed ~id:js.Protocol.id formula))

@@ -66,13 +66,29 @@ let unknown_reason ~cancel deadline =
   else if Deadline.expired deadline then Job.Timeout
   else Job.Budget
 
-(* certification hook: winners are checked before being reported.  A claim
-   the checker rejects is withheld as [Unknown Cert_failed] rather than
-   handed to the caller wrong.  The cancel switch and the job deadline
-   reach the DRAT check; a check they stop certifies nothing, so the claim
-   is withheld as [Unknown Cancelled] / [Unknown Timeout] instead.
-   [Job.outcome] and [Cdcl.Solver.result] are the same type
-   ({!Sat.Answer.t}), so the outcome feeds the checker directly *)
+(* certification hook shared by decision and optimisation jobs: [check]
+   runs the checker, polling [should_stop] (the cancel switch or the job
+   deadline).  A claim the checker rejects is withheld as
+   [Unknown Cert_failed] rather than handed to the caller wrong; a check
+   that was stopped certifies nothing, so the claim is withheld as
+   [Unknown Cancelled] / [Unknown Timeout] instead.  [label] names the
+   verdict in the record's [verified] field *)
+let certified ~cancel ~deadline ~label outcome check =
+  let stopped = ref false in
+  let should_stop () =
+    stopped := cancel () || Deadline.expired deadline;
+    !stopped
+  in
+  let verdict = check ~should_stop in
+  match verdict with
+  | Ok _ -> (outcome, label verdict)
+  | Error _ when !stopped -> (Job.Unknown (unknown_reason ~cancel deadline), label verdict)
+  | Error _ -> (Job.Unknown Job.Cert_failed, label verdict)
+
+(* decision jobs: the Sat model is checked against the original formula,
+   the Unsat DRAT proof against the solved one.  [Job.outcome] and
+   [Cdcl.Solver.result] are the same type ({!Sat.Answer.t}), so the
+   outcome feeds the checker directly *)
 let certify_outcome ~cancel ~deadline (spec : Job.spec) (race : Portfolio.race_report)
     outcome =
   if not spec.Job.certify then (outcome, "")
@@ -83,19 +99,9 @@ let certify_outcome ~cancel ~deadline (spec : Job.spec) (race : Portfolio.race_r
       | Job.Unsat, Some w -> w.Portfolio.stats.Portfolio.proof
       | _ -> None
     in
-    let stopped = ref false in
-    let should_stop () =
-      stopped := cancel () || Deadline.expired deadline;
-      !stopped
-    in
-    let verdict =
-      Check.Certify.certify ~should_stop ~original ~solved:spec.Job.formula ?proof outcome
-    in
-    match verdict with
-    | Ok _ -> (outcome, Check.Certify.verdict_label verdict)
-    | Error _ when !stopped ->
-        (Job.Unknown (unknown_reason ~cancel deadline), Check.Certify.verdict_label verdict)
-    | Error _ -> (Job.Unknown Job.Cert_failed, Check.Certify.verdict_label verdict)
+    certified ~cancel ~deadline ~label:Check.Certify.verdict_label outcome
+      (fun ~should_stop ->
+        Check.Certify.certify ~should_stop ~original ~solved:spec.Job.formula ?proof outcome)
 
 let max_member_iterations (race : Portfolio.race_report) =
   List.fold_left
@@ -137,24 +143,23 @@ let process_opt ?(cancel = fun () -> false) ~obs ~parent (spec : Job.spec) w ~en
     | _ -> Job.Unknown (unknown_reason ~cancel deadline)
   in
   let outcome, verified =
-    if not spec.Job.certify then (outcome, "")
-    else
-      (* certification re-solves stay inside the job's budget: the conflict
-         cap, the cancel/drain switch and the job deadline all reach the
-         fresh solvers through certify_opt — the expensive re-solves only
-         happen for Optimal/Infeasible claims, which the search proved
-         before the deadline, so there is budget left to check them *)
-      let verdict =
-        Check.Certify.certify_opt
-          ?max_conflicts:
-            (if spec.Job.max_iterations = max_int then None
-             else Some spec.Job.max_iterations)
-          ~should_stop:(fun () -> cancel () || Deadline.expired deadline)
-          ~original:w r
-      in
-      match verdict with
-      | Ok _ -> (outcome, Check.Certify.opt_verdict_label verdict)
-      | Error _ -> (Job.Unknown Job.Cert_failed, Check.Certify.opt_verdict_label verdict)
+    match outcome with
+    | _ when not spec.Job.certify -> (outcome, "")
+    | Job.Unknown _ -> (outcome, "") (* no claim, nothing to certify *)
+    | Job.Sat _ | Job.Unsat ->
+        (* certification re-solves stay inside the job's budget: the
+           conflict cap, the cancel/drain switch and the job deadline all
+           reach the fresh solvers through certify_opt — the expensive
+           re-solves only happen for Optimal/Infeasible claims, which the
+           search proved before the deadline, so there is budget left to
+           check them *)
+        certified ~cancel ~deadline ~label:Check.Certify.opt_verdict_label outcome
+          (fun ~should_stop ->
+            Check.Certify.certify_opt
+              ?max_conflicts:
+                (if spec.Job.max_iterations = max_int then None
+                 else Some spec.Job.max_iterations)
+              ~should_stop ~original:w r)
   in
   let record =
     {

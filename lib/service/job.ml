@@ -46,6 +46,15 @@ let make ?name ?original ?wcnf ?(gap_limit = 0) ?(certify = false) ?timeout_s
   | Some g when Sat.Cnf.num_vars g > Sat.Cnf.num_vars formula ->
       invalid_arg "Job.make: original has more variables than the formula solved"
   | _ -> ());
+  (* the one place a decision job's input becomes 3-SAT: the solvers run on
+     the conversion, answers are projected back to and certified against
+     the input *)
+  let formula, original =
+    match (original, wcnf) with
+    | None, None when not (Sat.Cnf.is_3sat formula) ->
+        (fst (Sat.Three_sat.convert formula), Some formula)
+    | _ -> (formula, original)
+  in
   {
     id;
     name;
@@ -64,9 +73,6 @@ let make ?name ?original ?wcnf ?(gap_limit = 0) ?(certify = false) ?timeout_s
 let optimize ?name ?gap_limit ?certify ?timeout_s ?max_iterations ?retries ?qa ?seed ~id w =
   make ?name ~wcnf:w ?gap_limit ?certify ?timeout_s ?max_iterations ?retries ?qa ?seed ~id
     (Sat.Wcnf.hard_cnf w)
-
-let objective spec =
-  match spec.wcnf with None -> Hyqsat.Solve.Decision | Some _ -> Hyqsat.Solve.Maximize
 
 let original_formula spec = match spec.original with Some g -> g | None -> spec.formula
 

@@ -7,8 +7,8 @@
     is retried with a reseeded solver as long as attempts and deadline
     remain.
 
-    When the input was 3-SAT-converted before solving, [original] keeps
-    the pre-conversion formula: models are projected back to it before
+    A decision job whose input is not 3-SAT is converted by {!make}, and
+    [original] keeps the input: models are projected back to it before
     being reported, and [certify] checks answers against it (models) or
     the solved formula (DRAT proofs) before they leave the service. *)
 
@@ -31,9 +31,9 @@ type spec = {
   name : string;  (** display name, e.g. the CNF path *)
   formula : Sat.Cnf.t;  (** what the solvers run on (post-conversion) *)
   original : Sat.Cnf.t option;
-      (** pre-conversion formula, when different from [formula]; its
-          variables must be a prefix of [formula]'s
-          (the {!Sat.Three_sat.convert} layout) *)
+      (** the input formula, when it differs from [formula]; its
+          variables are a prefix of [formula]'s (the {!Sat.Three_sat}
+          layout) *)
   wcnf : Sat.Wcnf.t option;
       (** [Some w] makes this an optimisation job: the worker runs the
           exact weighted-MaxSAT pipeline ({!Hyqsat.Solve.optimize}) on [w]
@@ -67,9 +67,15 @@ val make :
   id:int ->
   Sat.Cnf.t ->
   spec
-(** Defaults: [name] = ["job-<id>"], no original (the formula is solved
-    as-is), no [wcnf] (a decision job), [gap_limit] = 0, [certify] =
-    [false], no timeout, [max_iterations] = [max_int],
+(** [make ~id f] is a decision job on [f].  When [f] is not 3-SAT and no
+    [original] is given, the job solves the {!Sat.Three_sat} conversion
+    of [f] and keeps [f] as [original]; a caller that converted [f] itself passes
+    the input as [original] and the converted formula as [f].  An
+    optimisation job ([wcnf] given) is never converted.
+
+    Defaults: [name] = ["job-<id>"], no [wcnf] (a decision job),
+    [gap_limit] = 0, [certify] = [false], no timeout,
+    [max_iterations] = [max_int],
     [retries] = 0, [qa] = {!default_qa}.  The default [seed] is derived from [id] so that two
     jobs in the same batch never share an attempt-seed sequence (a shared
     constant default made job [i] attempt [k+1] collide with job [i+1]
@@ -90,9 +96,6 @@ val optimize :
 (** An optimisation job over a weighted formula: {!make} with [wcnf] set
     and [formula] = the hard clauses of [w] (so size-based admission and
     warm-start keying see the decision core of the instance). *)
-
-val objective : spec -> Hyqsat.Solve.objective
-(** [Maximize] iff the spec carries a [wcnf]. *)
 
 val original_formula : spec -> Sat.Cnf.t
 (** The formula answers are reported against: [original] if present,

@@ -136,8 +136,6 @@ let members_named ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed names =
 let default_members ?grid ?log_proof ?qa ?supervisor ~seed () =
   members_named ?grid ?log_proof ?qa ?supervisor ~seed member_names
 
-let is_decisive = function Cdcl.Solver.Sat _ | Cdcl.Solver.Unsat -> true | Cdcl.Solver.Unknown _ -> false
-
 let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iterations = max_int)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?(import = []) members f =
   if members = [] then invalid_arg "Portfolio.race: no members";
@@ -162,9 +160,9 @@ let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iteration
     match m.run ~obs ~parent:span ~should_stop ~max_iterations ~import f with
     | stats ->
         let time_s = Unix.gettimeofday () -. t0 in
-        if is_decisive stats.result && Atomic.compare_and_set winner_idx (-1) i then
+        if Sat.Answer.is_decisive stats.result && Atomic.compare_and_set winner_idx (-1) i then
           Atomic.set race_cancel true;
-        let cancelled = (not (is_decisive stats.result)) && Atomic.get race_cancel in
+        let cancelled = (not (Sat.Answer.is_decisive stats.result)) && Atomic.get race_cancel in
         if traced then begin
           Obs.Span.add_attr span "result" (Sat.Answer.label stats.result);
           if cancelled then Obs.Span.add_attr span "cancelled" "true";

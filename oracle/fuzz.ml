@@ -54,46 +54,38 @@ let instance ~config ~seed =
 (* ------------------------------------------------------------------ *)
 (* one differential round *)
 
-let label = function
-  | Cdcl.Solver.Sat _ -> "sat"
-  | Cdcl.Solver.Unsat -> "unsat"
-  | Cdcl.Solver.Unknown _ -> "unknown"
-
-let hybrid_config config ~seed =
-  Hyqsat.Hybrid_solver.make_config
-    ~graph:(Chimera.Graph.create ~rows:config.grid ~cols:config.grid)
-    ~seed ()
+(* one certified solve on the product path, the one the CLI and the daemon
+   run: [Job.make] 3-SAT-converts a non-3-SAT formula, the solo member logs
+   DRAT, and [Batch.process] projects and certifies the answer *)
+let certified_solve ~config ~seed member f =
+  let spec =
+    Service.Job.make ~certify:true ~max_iterations:config.max_iterations ~seed ~id:0 f
+  in
+  Service.Batch.process
+    ~members:(Service.Batch.solo ~grid:config.grid ~log_proof:true member)
+    ~obs:Obs.Ctx.null ~parent:Obs.Span.none spec ~enqueued_at:(Unix.gettimeofday ()) ()
 
 let check_instance ~config ~seed f =
-  let reference = Brute.solve f in
-  let expected = match reference with Some _ -> "sat" | None -> "unsat" in
-  let examine name (c : Check.Certify.t) =
-    let answer = c.Check.Certify.report.Hyqsat.Hybrid_solver.result in
-    match (answer, c.Check.Certify.certificate) with
-    | Cdcl.Solver.Unknown _, _ ->
+  let expected = match Brute.solve f with Some _ -> "sat" | None -> "unsat" in
+  let examine name (r : Service.Batch.job_result) =
+    match r.Service.Batch.outcome with
+    | Sat.Answer.Unknown Sat.Answer.Cert_failed ->
+        Error
+          (Printf.sprintf "%s's answer is uncertifiable (%s)" name
+             r.Service.Batch.record.Service.Telemetry.verified)
+    | Sat.Answer.Unknown _ ->
         (* budget exhaustion is not a soundness failure *)
         Ok ()
-    | _, Error why ->
-        Error (Printf.sprintf "%s answered %s but is uncertifiable (%s)" name (label answer) why)
-    | _, Ok _ ->
-        if label answer = expected then Ok ()
-        else
-          Error
-            (Printf.sprintf "%s answered %s, brute force says %s" name (label answer) expected)
+    | answer ->
+        let got = Sat.Answer.label answer in
+        if got = expected then Ok ()
+        else Error (Printf.sprintf "%s answered %s, brute force says %s" name got expected)
   in
-  let hybrid =
-    Check.Certify.solve
-      ~config:(hybrid_config config ~seed:(seed + 1))
-      ~max_iterations:config.max_iterations f
-  in
-  let classic =
-    Check.Certify.solve_classic
-      ~config:(Cdcl.Config.with_seed (seed + 2) Cdcl.Config.minisat_like)
-      ~max_iterations:config.max_iterations f
-  in
-  match examine "hybrid" hybrid with
+  (* the hybrid member runs with [seed + 1]; the minisat member adds 2 to
+     its spec seed, so it runs with [seed + 2] *)
+  match examine "hybrid" (certified_solve ~config ~seed:(seed + 1) "hybrid" f) with
   | Error _ as e -> e
-  | Ok () -> examine "minisat" classic
+  | Ok () -> examine "minisat" (certified_solve ~config ~seed "minisat" f)
 
 (* ------------------------------------------------------------------ *)
 (* shrinking *)

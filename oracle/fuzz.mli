@@ -2,10 +2,12 @@
 
     Each round draws a random small instance (uniform 3-SAT at a mix of
     clause/variable ratios, optionally with longer clauses so the 3-SAT
-    conversion path is exercised), solves it three ways — certified hybrid
-    ({!Check.Certify.solve}), certified classical minisat-config
-    ({!Check.Certify.solve_classic}), and exhaustive {!Brute} — and flags any
-    disagreement or uncertifiable answer.  A failing instance is shrunk to
+    conversion path is exercised), solves it three ways — a certified
+    hybrid job, a certified classical minisat-config job, and exhaustive
+    {!Brute} — and flags any disagreement or uncertifiable answer.  Both
+    solver jobs run the product path: {!Service.Job.make} with [certify]
+    (which 3-SAT-converts the instance), a DRAT-logging
+    {!Service.Batch.solo} member, and {!Service.Batch.process}.  A failing instance is shrunk to
     a minimal CNF reproducer by greedy clause deletion (every removal is
     re-validated against the same differential check). *)
 

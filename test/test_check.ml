@@ -98,21 +98,25 @@ let drat_rejects_deleting_load_bearing_clause () =
 (* ------------------------------------------------------------------ *)
 (* certified solving *)
 
+(* one certified job through the product path, as the CLI runs it *)
+let certified_job ?(cancel = fun () -> false) ?(member = "minisat") spec =
+  Batch.process ~cancel
+    ~members:(Batch.solo ~log_proof:true member)
+    ~obs:Obs.Ctx.null ~parent:Obs.Span.none spec ~enqueued_at:(Unix.gettimeofday ()) ()
+
 let certify_sat_projects_to_original () =
   (* k-SAT input: the solver sees the 3-SAT conversion, the certificate and
      the model are stated over the original *)
   let f = cnf "p cnf 4 2\n1 2 3 4 0\n-1 -2 0\n" in
-  let c = Certify.solve_classic f in
-  (match c.Certify.certificate with
-  | Ok Certify.Model_verified -> ()
-  | Ok _ -> Alcotest.fail "expected a model certificate"
-  | Error e -> Alcotest.fail ("certification failed: " ^ e));
-  Alcotest.(check bool) "conversion happened" true (c.Certify.mapping <> None);
-  match c.Certify.model with
-  | Some m ->
+  let spec = Job.make ~certify:true ~id:0 f in
+  Alcotest.(check bool) "conversion happened" true (spec.Job.original <> None);
+  let r = certified_job spec in
+  Alcotest.(check string) "model certificate" "model" r.Batch.record.Telemetry.verified;
+  match r.Batch.outcome with
+  | Job.Sat m ->
       Alcotest.(check int) "model in original space" 4 (Array.length m);
       Alcotest.(check bool) "satisfies original" true (Testutil.check_model f m)
-  | None -> Alcotest.fail "sat answer must carry a model"
+  | _ -> Alcotest.fail "sat answer must carry a model"
 
 let certify_unsat_with_proof () =
   (* all 16 sign combinations over 4 variables: UNSAT, k-SAT *)
@@ -125,12 +129,13 @@ let certify_unsat_with_proof () =
           (if bits land 8 = 0 then 4 else -4))
   in
   let f = cnf ("p cnf 4 16\n" ^ String.concat "\n" clauses ^ "\n") in
-  let c = Certify.solve f in
-  match c.Certify.certificate with
-  | Ok (Certify.Proof_verified steps) ->
-      Alcotest.(check bool) "proof has steps" true (steps > 0)
-  | Ok _ -> Alcotest.fail "expected a proof certificate"
-  | Error e -> Alcotest.fail ("certification failed: " ^ e)
+  let r = certified_job ~member:"hybrid" (Job.make ~certify:true ~id:0 f) in
+  Alcotest.(check string) "outcome" "unsat" r.Batch.record.Telemetry.outcome;
+  Alcotest.(check string) "proof certificate" "proof" r.Batch.record.Telemetry.verified;
+  match r.Batch.race.Portfolio.winner with
+  | Some { Portfolio.stats = { Portfolio.proof = Some p; _ }; _ } ->
+      Alcotest.(check bool) "proof has steps" true (p <> [])
+  | _ -> Alcotest.fail "the unsat winner must carry its proof"
 
 let certify_rejects_wrong_model () =
   let f = cnf "p cnf 2 2\n1 0\n2 0\n" in
@@ -292,6 +297,14 @@ let batch_projects_models_to_original () =
       Alcotest.(check string) "certified" "model" record.Telemetry.verified
   | _ -> Alcotest.fail "expected one sat result"
 
+let batch_cancelled_opt_job_is_cancelled () =
+  (* a certified optimisation job stopped before it has a model claims
+     nothing: it is cancelled, not a failed certification *)
+  let w = Sat.Wcnf.parse_string "p wcnf 3 4 10\n10 1 2 0\n3 -1 0\n2 -2 3 0\n4 -3 0\n" in
+  let r = certified_job ~cancel:(fun () -> true) (Job.optimize ~certify:true ~id:0 w) in
+  Alcotest.(check string) "outcome" "unknown:cancelled" r.Batch.record.Telemetry.outcome;
+  Alcotest.(check string) "nothing certified" "" r.Batch.record.Telemetry.verified
+
 (* ------------------------------------------------------------------ *)
 (* fuzzing harness *)
 
@@ -356,6 +369,8 @@ let suite =
           batch_withholds_uncertified_claims;
         Alcotest.test_case "batch: projects models to original" `Quick
           batch_projects_models_to_original;
+        Alcotest.test_case "batch: cancelled certified wcnf job" `Quick
+          batch_cancelled_opt_job_is_cancelled;
         Alcotest.test_case "fuzz: shrink minimises" `Quick shrink_minimises;
         Alcotest.test_case "fuzz: reproducer round-trips" `Quick fuzz_reproducer_is_dimacs;
         Alcotest.test_case "fuzz: 200-instance differential campaign" `Slow

@@ -38,30 +38,6 @@ let hybrid_solves_every_family () =
       | Cdcl.Solver.Unsat | Cdcl.Solver.Unknown _ -> ())
     tiny_instances
 
-let simplify_then_solve_agrees () =
-  (* preprocessing composes with the hybrid solver *)
-  List.iter
-    (fun (name, gen) ->
-      let f = gen (Testutil.rng (1 + Hashtbl.hash name)) in
-      let direct = csolve f in
-      let is_sat = function Cdcl.Solver.Sat _ -> true | _ -> false in
-      match Sat.Simplify.simplify f with
-      | Sat.Simplify.Unsat_by_simplification ->
-          Alcotest.(check bool) (name ^ ": simplify unsat") false (is_sat direct.Hybrid.result)
-      | Sat.Simplify.Simplified (f', r) -> (
-          let simplified = hsolve f' in
-          Alcotest.(check bool)
-            (name ^ ": simplified agrees")
-            (is_sat direct.Hybrid.result)
-            (is_sat simplified.Hybrid.result);
-          match simplified.Hybrid.result with
-          | Cdcl.Solver.Sat m ->
-              let full = Sat.Simplify.reconstruct r m in
-              Alcotest.(check bool) (name ^ ": reconstructed model") true
-                (Testutil.check_model f full)
-          | _ -> ()))
-    tiny_instances
-
 let unsat_with_proof_end_to_end () =
   (* generate a circuit-fault instance, solve with proof logging, check *)
   let f = Workload.Circuit_fault.generate (Testutil.rng 77) ~inputs:6 ~gates:20 in
@@ -129,7 +105,6 @@ let suite =
     ( "integration",
       [
         Alcotest.test_case "hybrid solves every family" `Slow hybrid_solves_every_family;
-        Alcotest.test_case "simplify composes" `Slow simplify_then_solve_agrees;
         Alcotest.test_case "unsat proof end-to-end" `Quick unsat_with_proof_end_to_end;
         Alcotest.test_case "extreme-noise soundness" `Slow extreme_noise_soundness;
         Alcotest.test_case "pipelined time bounds" `Quick pipelined_time_bounds;

@@ -412,10 +412,9 @@ let strip_timing (r : Telemetry.record) = { r with queue_wait_s = 0.; solve_time
 
 let record_bytes r = Json.to_string (Telemetry.json_of_record (strip_timing r))
 
-let wire_matches_oneshot () =
-  let formula = Workload.Uniform.uf (Testutil.rng 5) 20 in
+(* one CNF through both paths; on each, Job.make converts a non-3-SAT input *)
+let wire_equals_oneshot ~seed formula =
   let dimacs = Sat.Dimacs.to_string formula in
-  let seed = 4242 in
   (* one-shot path: exactly what `hyqsat FILE --certify --seed S` runs *)
   let spec = Job.make ~name:"w.cnf" ~certify:true ~seed ~id:0 formula in
   let members ~spec ~seed = Batch.solo ~grid:16 ~log_proof:true "hybrid" ~spec ~seed in
@@ -434,8 +433,19 @@ let wire_matches_oneshot () =
   match retired with
   | [ c ] ->
       Alcotest.(check string) "telemetry bytes identical (timing zeroed)"
-        (record_bytes oneshot) (record_bytes c.Dispatch.result.Batch.record)
+        (record_bytes oneshot) (record_bytes c.Dispatch.result.Batch.record);
+      oneshot
   | _ -> Alcotest.fail "expected exactly one wire result"
+
+let wire_matches_oneshot () =
+  ignore (wire_equals_oneshot ~seed:4242 (Workload.Uniform.uf (Testutil.rng 5) 20));
+  (* a 4-SAT input: both paths solve its 3-SAT conversion and certify the
+     model against the input *)
+  let four_sat = Testutil.random_cnf (Testutil.rng 6) ~n:12 ~m:30 ~k:4 in
+  Alcotest.(check bool) "input is not 3-SAT" false (Sat.Cnf.is_3sat four_sat);
+  let r = wire_equals_oneshot ~seed:4242 four_sat in
+  Alcotest.(check string) "4-SAT answer" "sat" r.Telemetry.outcome;
+  Alcotest.(check string) "4-SAT model certified" "model" r.Telemetry.verified
 
 let demo_wcnf = "p wcnf 3 4 10\n10 1 2 0\n3 -1 0\n2 -2 3 0\n4 -3 0\n"
 

@@ -1,66 +1,6 @@
-(* Tests for CNF preprocessing and DRAT proof logging/checking. *)
+(* Tests for DRAT proof logging and checking. *)
 
-module Simplify = Sat.Simplify
 module Drat = Sat.Drat
-
-(* ---- simplify ---- *)
-
-let simplify_units () =
-  (* x1; ¬x1 ∨ x2; x2 ∨ x3  —  units fix x1, x2 and the rest collapses *)
-  let f = Sat.Dimacs.parse_string "p cnf 3 3\n1 0\n-1 2 0\n2 3 0\n" in
-  match Simplify.simplify f with
-  | Simplify.Unsat_by_simplification -> Alcotest.fail "satisfiable input"
-  | Simplify.Simplified (f', r) ->
-      Alcotest.(check int) "all clauses gone" 0 (Sat.Cnf.num_clauses f');
-      Alcotest.(check bool) "x1 fixed true" true (List.mem (0, true) r.Simplify.fixed);
-      Alcotest.(check bool) "x2 fixed true" true (List.mem (1, true) r.Simplify.fixed)
-
-let simplify_conflict () =
-  let f = Sat.Dimacs.parse_string "p cnf 2 3\n1 0\n-1 2 0\n-2 0\n" in
-  Alcotest.(check bool) "conflict found" true
-    (Simplify.simplify f = Simplify.Unsat_by_simplification)
-
-let simplify_pure_literals () =
-  (* x1 occurs only positively: all its clauses are satisfied by x1 = true *)
-  let f = Sat.Dimacs.parse_string "p cnf 3 2\n1 2 0\n1 -3 0\n" in
-  match Simplify.simplify f with
-  | Simplify.Simplified (f', r) ->
-      Alcotest.(check int) "clauses gone" 0 (Sat.Cnf.num_clauses f');
-      Alcotest.(check bool) "x1 pure true" true (List.mem (0, true) r.Simplify.fixed)
-  | Simplify.Unsat_by_simplification -> Alcotest.fail "satisfiable"
-
-let simplify_subsumption () =
-  (* (x1 ∨ x2) subsumes (x1 ∨ x2 ∨ x3); disable pure literals' reach by
-     using both polarities of each variable elsewhere *)
-  let f =
-    Sat.Dimacs.parse_string "p cnf 3 4\n1 2 0\n1 2 3 0\n-1 -2 -3 0\n-3 1 0\n"
-  in
-  match Simplify.simplify ~subsumption:true f with
-  | Simplify.Simplified (f', _) ->
-      Alcotest.(check bool) "subsumed clause removed" true (Sat.Cnf.num_clauses f' < 4)
-  | Simplify.Unsat_by_simplification -> Alcotest.fail "satisfiable"
-
-let simplify_equisatisfiable =
-  QCheck.Test.make ~name:"simplify preserves satisfiability + model reconstructs" ~count:200
-    Testutil.small_cnf_arb (fun f ->
-      let expected = Oracle.Brute.solve f <> None in
-      match Simplify.simplify f with
-      | Simplify.Unsat_by_simplification -> not expected
-      | Simplify.Simplified (f', r) -> (
-          match Oracle.Brute.solve f' with
-          | None -> not expected
-          | Some m' ->
-              let m = Simplify.reconstruct r m' in
-              expected && Testutil.check_model f m))
-
-let simplify_never_grows =
-  QCheck.Test.make ~name:"simplify never adds clauses or variables" ~count:100
-    Testutil.small_cnf_arb (fun f ->
-      match Simplify.simplify f with
-      | Simplify.Unsat_by_simplification -> true
-      | Simplify.Simplified (f', _) ->
-          Sat.Cnf.num_clauses f' <= Sat.Cnf.num_clauses f
-          && Sat.Cnf.num_vars f' = Sat.Cnf.num_vars f)
 
 (* ---- drat ---- *)
 
@@ -167,15 +107,6 @@ let no_proof_without_flag () =
 
 let suite =
   [
-    ( "sat.simplify",
-      [
-        Alcotest.test_case "units" `Quick simplify_units;
-        Alcotest.test_case "conflict" `Quick simplify_conflict;
-        Alcotest.test_case "pure literals" `Quick simplify_pure_literals;
-        Alcotest.test_case "subsumption" `Quick simplify_subsumption;
-        QCheck_alcotest.to_alcotest simplify_equisatisfiable;
-        QCheck_alcotest.to_alcotest simplify_never_grows;
-      ] );
     ( "sat.drat",
       [
         Alcotest.test_case "roundtrip" `Quick drat_roundtrip;
