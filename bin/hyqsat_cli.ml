@@ -94,7 +94,7 @@ let write_proof path (r : Service.Batch.job_result) =
       | None -> Printf.eprintf "warning: winner %s logged no proof\n%!" w.Service.Portfolio.member)
   | None -> ()
 
-let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retries
+let main paths solver portfolio noisy grid seed verbose jobs timeout retries
     max_iterations json_out certify proof_file trace_file metrics warm_start maxsat
     gap_limit opt_timeout qa_reads qa_domains qa_fault_rate qa_timeout_us
     qa_retries =
@@ -114,7 +114,6 @@ let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retrie
     Printf.eprintf "hyqsat: --gap-limit must be >= 0\n";
     exit 2
   end;
-  let log_proof = certify || proof_file <> None in
   let qa =
     {
       Service.Job.faults =
@@ -152,19 +151,11 @@ let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retrie
           spec)
       paths
   in
-  let members ~spec ~seed =
-    let qa = spec.Service.Job.qa in
-    if portfolio then Service.Portfolio.default_members ~grid ~log_proof ~qa ~seed ()
-    else
-      let name =
-        match (solver_kind, noisy) with
-        | `Hybrid, false -> "hybrid"
-        | `Hybrid, true -> "hybrid-noisy"
-        | `Minisat, _ -> "minisat"
-        | `Kissat, _ -> "kissat"
-      in
-      Service.Batch.solo ~grid ~log_proof name ~spec ~seed
+  let solver =
+    if portfolio then "portfolio" else if noisy && solver = "hybrid" then "hybrid-noisy"
+    else solver
   in
+  let members = Service.Batch.resolve ~grid ~log_proof:(proof_file <> None) solver in
   let obs =
     if trace_file = None && not metrics then Obs.Ctx.null
     else begin
@@ -190,6 +181,12 @@ let main paths solver_kind portfolio noisy grid seed verbose jobs timeout retrie
     in
     Printf.eprintf "hyqsat: interrupted — %d job(s) cancelled, telemetry flushed\n%!" cancelled
   end;
+  List.iter
+    (fun r ->
+      Option.iter
+        (Printf.eprintf "hyqsat: %s: %s\n%!" r.Service.Batch.spec.Service.Job.name)
+        r.Service.Batch.error)
+    results;
   (* flush spans (and the trace file) before printing; metrics go to stdout
      as comment lines so the "s"/"v" output stays machine-parseable *)
   let metric_snapshot = Obs.Ctx.snapshot obs in
@@ -235,10 +232,10 @@ let paths_arg =
            weighted-MaxSAT instances.")
 
 let solver_arg =
-  let kinds = [ ("hybrid", `Hybrid); ("minisat", `Minisat); ("kissat", `Kissat) ] in
+  let kinds = List.map (fun n -> (n, n)) [ "hybrid"; "minisat"; "kissat" ] in
   Arg.(
     value
-    & opt (enum kinds) `Hybrid
+    & opt (enum kinds) "hybrid"
     & info [ "s"; "solver" ] ~docv:"KIND"
         ~doc:
           "Solver: $(b,hybrid) (QA+CDCL), $(b,minisat) or $(b,kissat) baselines.  Ignored with \
@@ -377,9 +374,8 @@ let qa_domains_arg =
     value & opt int 1
     & info [ "qa-domains" ] ~docv:"N"
         ~doc:
-          "Worker domains fanning the $(b,--qa-reads) samples of one QA call.  The answer is \
-           deterministic in the seed whatever $(docv) is; mind the multiplication with \
-           $(b,--jobs) and $(b,--portfolio) domains.")
+          "Chunks the $(b,--qa-reads) samples of one QA call are split into on the shared \
+           domain pool.  The answer is deterministic in the seed whatever $(docv) is.")
 
 let qa_fault_rate_arg =
   Arg.(

@@ -10,11 +10,11 @@
     ([Error exn]) and never tear the pool down — the next [run] starts
     clean.
 
-    The pool is generic: the batch layer feeds it jobs, the annealer feeds
-    it chunked best-of reads (via {!Tasks}), the benchmark feeds it
-    closures.  Note domains multiply: a pool of W workers each racing a
-    P-member portfolio holds W×P+1 domains; keep the product around the
-    core count. *)
+    The pool is generic: the batch layer and the daemon feed it jobs, the
+    annealer's chunked best-of reads and the portfolio's race members go
+    through {!Tasks}, the benchmark feeds it closures.  No other code
+    spawns domains, so a process holds at most the sum of its pools'
+    workers plus the calling domains. *)
 
 type ('a, 'b) t
 

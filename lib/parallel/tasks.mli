@@ -1,8 +1,8 @@
 (** Shared thunk pool — {!Pool} specialised to closures.
 
     For callers that need "run these closures across the cores" without a
-    typed job/result pair: the annealer's chunked best-of reads, benchmark
-    fan-outs.  {!shared} is the process-wide instance; creating it once
+    typed job/result pair: the annealer's chunked best-of reads, the
+    portfolio's race members, benchmark fan-outs.  {!shared} is the process-wide instance; creating it once
     and reusing it everywhere is what keeps domain spawn/join off hot
     paths. *)
 
@@ -36,5 +36,5 @@ val shared : unit -> t
 (** The lazily-created process-wide pool, sized
     [Domain.recommended_domain_count () - 1] (the last core belongs to the
     helping caller).  All in-process users share it — the annealer's
-    parallel reads, batch QA consultations from several worker domains at
+    parallel reads and portfolio races, from several worker domains at
     once — and its workers are joined via [at_exit]. *)

@@ -269,7 +269,7 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     | Some c ->
         Option.iter
           (fun e -> send c (P.Error_msg { code = "internal"; reason = e }))
-          comp.Dispatch.error;
+          comp.Dispatch.result.Service.Batch.error;
         let model =
           match comp.Dispatch.result.Service.Batch.outcome with
           | Service.Job.Sat m -> Some m

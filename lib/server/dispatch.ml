@@ -1,7 +1,5 @@
 module Job = Service.Job
 module Batch = Service.Batch
-module Portfolio = Service.Portfolio
-module Telemetry = Service.Telemetry
 
 type config = {
   workers : int;
@@ -33,7 +31,6 @@ type completion = {
   conn : int;
   job_id : int;
   result : Batch.job_result;
-  error : string option;
 }
 
 type counters = {
@@ -48,9 +45,10 @@ type counters = {
    it.  The embedding cache is NOT domain-safe: workers lease it through
    [cache_lock] with a try-lock — whoever holds the lease gets the cache,
    a concurrent same-session job just solves without it.  [cache] is
-   [None] when the server config cannot share one (portfolio races would
-   hand it to sibling domains; a non-default grid makes the members build
-   a fresh graph per solve, and a cache is bound to one graph value). *)
+   [None] when the server config cannot share one (a portfolio race would
+   hand it to members running at once; a non-default grid makes the
+   members build a fresh graph per solve, and a cache is bound to one
+   graph value). *)
 type session = {
   s_warm : Batch.Warm.t;
   s_cache_lock : Mutex.t;
@@ -85,42 +83,12 @@ type t = {
   sessions : (string, session) Hashtbl.t;
 }
 
-let synthesized_result (spec : Job.spec) outcome ~queue_wait_s =
-  let record =
-    {
-      Telemetry.job_id = spec.Job.id;
-      job_name = spec.Job.name;
-      outcome = Job.outcome_label outcome;
-      verified = "";
-      winner = "";
-      attempts = 0;
-      queue_wait_s;
-      solve_time_s = 0.;
-      iterations = 0;
-      qa_calls = 0;
-      qa_failures = 0;
-      degraded = 0;
-      strategy_uses = Array.make 4 0;
-      warm_start = false;
-      reused_clauses = 0;
-      cost = -1;
-      lower_bound = -1;
-    }
-  in
-  {
-    Batch.spec;
-    outcome;
-    record;
-    race = { Portfolio.winner = None; members = []; wall_time_s = 0. };
-  }
-
 let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
   let qa = Job.default_qa in
   let supervisor =
     Anneal.Supervisor.create ~obs ~policy:qa.Job.supervision ~seed:(config.seed + 77)
       (Anneal.Backend.simulator qa.Job.faults)
   in
-  let traced = not (Obs.Ctx.is_null obs) in
   let comp_mutex = Mutex.create () in
   let rec t =
     lazy
@@ -138,61 +106,16 @@ let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
               in
               let embed_cache = match leased with Some s -> s.s_cache | None -> None in
               let warm = match entry.e_session with Some s -> Some s.s_warm | None -> None in
-              let members ~spec ~seed =
-                let log_proof = spec.Job.certify in
-                if config.solver = "portfolio" then
-                  Portfolio.default_members ~grid:config.grid ~log_proof ~qa:spec.Job.qa
-                    ~supervisor ~seed ()
-                else
-                  Batch.solo ~grid:config.grid ~log_proof ~supervisor ?embed_cache
-                    config.solver ~spec ~seed
+              let result =
+                Batch.process ~cancel:(fun () -> Atomic.get d.cancel) ?warm ~worker
+                  ~attrs:[ ("client", entry.e_client) ]
+                  ~members:
+                    (Batch.resolve ~grid:config.grid ~supervisor ?embed_cache config.solver)
+                  ~obs ~parent:Obs.Span.none entry.spec ~enqueued_at:entry.enqueued_at ()
               in
-              let jspan =
-                if traced then
-                  Obs.Span.start obs
-                    ~attrs:
-                      [
-                        ("id", string_of_int entry.spec.Job.id);
-                        ("name", entry.spec.Job.name);
-                        ("worker", string_of_int worker);
-                        ("client", entry.e_client);
-                      ]
-                    "job"
-                else Obs.Span.none
-              in
-              let cancel () = Atomic.get d.cancel in
-              let result, error =
-                match
-                  Fun.protect
-                    ~finally:(fun () ->
-                      match leased with
-                      | Some s -> Mutex.unlock s.s_cache_lock
-                      | None -> ())
-                    (fun () ->
-                      Batch.process ~cancel ?warm ~members ~obs ~parent:jspan entry.spec
-                        ~enqueued_at:entry.enqueued_at ())
-                with
-                | r -> (r, None)
-                | exception e ->
-                    ( synthesized_result entry.spec (Job.Unknown Job.Budget)
-                        ~queue_wait_s:(Unix.gettimeofday () -. entry.enqueued_at),
-                      Some (Printexc.to_string e) )
-              in
-              if traced then begin
-                Obs.Span.add_attr jspan "outcome" (Job.outcome_label result.Batch.outcome);
-                Obs.Span.stop jspan;
-                Obs.Metrics.incr obs
-                  (Obs.Metrics.labelled "jobs_total"
-                     [ ("outcome", Job.outcome_label result.Batch.outcome) ])
-              end;
+              Option.iter (fun s -> Mutex.unlock s.s_cache_lock) leased;
               let completion =
-                {
-                  client = entry.e_client;
-                  conn = entry.e_conn;
-                  job_id = entry.e_job_id;
-                  result;
-                  error;
-                }
+                { client = entry.e_client; conn = entry.e_conn; job_id = entry.e_job_id; result }
               in
               Mutex.lock comp_mutex;
               d.comp_queue <- completion :: d.comp_queue;
@@ -401,9 +324,8 @@ let begin_drain t =
             conn = entry.e_conn;
             job_id = entry.e_job_id;
             result =
-              synthesized_result entry.spec (Job.Unknown Job.Cancelled)
+              Batch.unstarted entry.spec (Job.Unknown Job.Cancelled)
                 ~queue_wait_s:(now -. entry.enqueued_at);
-            error = None;
           }
         in
         record_retirement t c ~was_running:false;

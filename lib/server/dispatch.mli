@@ -43,9 +43,8 @@ type completion = {
   conn : int;  (** the connection key given to {!submit} *)
   job_id : int;  (** wire id, echoed into the [Result] *)
   result : Service.Batch.job_result;
-  error : string option;
-      (** a worker exception; [result] is then a synthesized
-          [unknown:budget] record so the client still gets an answer *)
+      (** a job that raised answers [unknown:budget] with the exception in
+          [result.error] ({!Service.Batch.process}) *)
 }
 
 type counters = {

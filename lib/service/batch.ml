@@ -3,6 +3,7 @@ type job_result = {
   outcome : Job.outcome;
   record : Telemetry.record;
   race : Portfolio.race_report;
+  error : string option;
 }
 
 (* partially applying the name yields the [members ~spec ~seed] closure
@@ -10,6 +11,15 @@ type job_result = {
 let solo ?grid ?log_proof ?supervisor ?embed_cache name ~spec ~seed =
   Portfolio.members_named ?grid ?log_proof ?supervisor ?embed_cache ~qa:spec.Job.qa ~seed
     [ name ]
+
+(* one name for every way a job can be solved: a stock member runs solo, and
+   "portfolio" races them all.  A certified job always logs proofs *)
+let resolve ?grid ?(log_proof = false) ?supervisor ?embed_cache solver ~spec ~seed =
+  let log_proof = log_proof || spec.Job.certify in
+  if solver = "portfolio" then
+    Portfolio.members_named ?grid ~log_proof ~qa:spec.Job.qa ?supervisor ~seed
+      Portfolio.member_names
+  else solo ?grid ~log_proof ?supervisor ?embed_cache solver ~spec ~seed
 
 (* warm-start pool: learnt clauses keyed by formula structure, shared
    across batch workers.  Sound by construction: stored clauses are only
@@ -58,6 +68,44 @@ end
 let project_model ~original m =
   let n = Sat.Cnf.num_vars original in
   if Array.length m > n then Array.sub m 0 n else m
+
+(* the one constructor of a job result and its telemetry record: identity
+   from [spec], activity from [stats] (the winner's, or an idle stand-in
+   carrying the iterations spent).  Without a [race] the job raced nothing:
+   its race report is empty and lasts [solve_time_s] *)
+let result ?(verified = "") ?(winner = "") ?(attempts = 0) ?(solve_time_s = 0.)
+    ?(warm_start = false) ?(cost = -1) ?(lower_bound = -1) ?race (spec : Job.spec) outcome
+    ~queue_wait_s (stats : Portfolio.solve_stats) =
+  let record =
+    {
+      Telemetry.job_id = spec.Job.id;
+      job_name = spec.Job.name;
+      outcome = Job.outcome_label outcome;
+      verified;
+      winner;
+      attempts;
+      queue_wait_s;
+      solve_time_s;
+      iterations = stats.Portfolio.iterations;
+      qa_calls = stats.Portfolio.qa_calls;
+      qa_failures = stats.Portfolio.qa_failures;
+      degraded = stats.Portfolio.qa_degraded;
+      strategy_uses = Array.copy stats.Portfolio.strategy_uses;
+      warm_start;
+      reused_clauses = stats.Portfolio.reused_clauses;
+      cost;
+      lower_bound;
+    }
+  in
+  let race =
+    match race with
+    | Some r -> r
+    | None -> { Portfolio.winner = None; members = []; wall_time_s = solve_time_s }
+  in
+  { spec; outcome; record; race; error = None }
+
+let unstarted spec outcome ~queue_wait_s =
+  result spec outcome ~queue_wait_s (Portfolio.idle_stats outcome)
 
 (* why a job ends Unknown once its search or its certification stopped
    early: the cancel switch, else the deadline, else the budget ran out *)
@@ -114,8 +162,7 @@ let max_member_iterations (race : Portfolio.race_report) =
    same [job_result]/[Telemetry.record] shapes (with an empty race report)
    so batch aggregation, tables and the wire protocol need no second
    path. *)
-let process_opt ?(cancel = fun () -> false) ~obs ~parent (spec : Job.spec) w ~enqueued_at
-    () =
+let process_opt ~cancel ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
   let traced = not (Obs.Ctx.is_null obs) in
   let started = Unix.gettimeofday () in
   let queue_wait_s = started -. enqueued_at in
@@ -161,29 +208,11 @@ let process_opt ?(cancel = fun () -> false) ~obs ~parent (spec : Job.spec) w ~en
                  else Some spec.Job.max_iterations)
               ~should_stop ~original:w r)
   in
-  let record =
-    {
-      Telemetry.job_id = spec.Job.id;
-      job_name = spec.Job.name;
-      outcome = Job.outcome_label outcome;
-      verified;
-      winner = "maxsat-" ^ Hyqsat.Optimize.algorithm_label r.Hyqsat.Optimize.algorithm_used;
-      attempts = 1;
-      queue_wait_s;
-      solve_time_s;
-      iterations = r.Hyqsat.Optimize.cdcl_calls;
-      qa_calls = 0;
-      qa_failures = 0;
-      degraded = 0;
-      strategy_uses = Array.make 4 0;
-      warm_start = false;
-      reused_clauses = 0;
-      cost = r.Hyqsat.Optimize.best_cost;
-      lower_bound = r.Hyqsat.Optimize.lower_bound;
-    }
-  in
-  let race = { Portfolio.winner = None; members = []; wall_time_s = solve_time_s } in
-  { spec; outcome; record; race }
+  result ~verified
+    ~winner:("maxsat-" ^ Hyqsat.Optimize.algorithm_label r.Hyqsat.Optimize.algorithm_used)
+    ~attempts:1 ~solve_time_s ~cost:r.Hyqsat.Optimize.best_cost
+    ~lower_bound:r.Hyqsat.Optimize.lower_bound spec outcome ~queue_wait_s
+    { (Portfolio.idle_stats outcome) with iterations = r.Hyqsat.Optimize.cdcl_calls }
 
 let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueued_at
     () =
@@ -199,7 +228,8 @@ let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqu
      seeds while attempts and wall-clock remain — and the external [cancel]
      switch (drain, SIGTERM) hasn't fired *)
   let rec attempt k ~import =
-    let seed = Job.attempt_seed spec k in
+    (* built before the span opens: a raising closure leaves no span open *)
+    let members = members ~spec ~seed:(Job.attempt_seed spec k) in
     let aspan =
       if traced then
         Obs.Span.start obs ~parent
@@ -209,7 +239,7 @@ let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqu
     in
     let race =
       Portfolio.race ~deadline ~cancel ~max_iterations:spec.Job.max_iterations ~obs
-        ~parent:aspan ~import (members ~spec ~seed) spec.Job.formula
+        ~parent:aspan ~import members spec.Job.formula
     in
     Obs.Span.stop aspan;
     match race.Portfolio.winner with
@@ -239,46 +269,50 @@ let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqu
     | None -> Job.Unknown (unknown_reason ~cancel deadline)
   in
   let outcome, verified = certify_outcome ~cancel ~deadline spec race outcome in
-  let winner_name, iterations, qa_calls, qa_failures, degraded, strategy_uses, reused =
+  let winner, stats =
     match race.Portfolio.winner with
-    | Some w ->
-        ( w.Portfolio.member,
-          w.Portfolio.stats.Portfolio.iterations,
-          w.Portfolio.stats.Portfolio.qa_calls,
-          w.Portfolio.stats.Portfolio.qa_failures,
-          w.Portfolio.stats.Portfolio.qa_degraded,
-          Array.copy w.Portfolio.stats.Portfolio.strategy_uses,
-          w.Portfolio.stats.Portfolio.reused_clauses )
-    | None -> ("", max_member_iterations race, 0, 0, 0, Array.make 4 0, 0)
+    | Some w -> (w.Portfolio.member, w.Portfolio.stats)
+    | None ->
+        ("", { (Portfolio.idle_stats outcome) with iterations = max_member_iterations race })
   in
-  let record =
-    {
-      Telemetry.job_id = spec.Job.id;
-      job_name = spec.Job.name;
-      outcome = Job.outcome_label outcome;
-      verified;
-      winner = winner_name;
-      attempts;
-      queue_wait_s;
-      solve_time_s;
-      iterations;
-      qa_calls;
-      qa_failures;
-      degraded;
-      strategy_uses;
-      warm_start = warm_import <> [];
-      reused_clauses = reused;
-      cost = -1;
-      lower_bound = -1;
-    }
-  in
-  { spec; outcome; record; race }
+  result ~verified ~winner ~attempts ~solve_time_s ~warm_start:(warm_import <> []) ~race spec
+    outcome ~queue_wait_s stats
 
-let process ?(cancel = fun () -> false) ?warm ~members ~obs ~parent (spec : Job.spec)
-    ~enqueued_at () =
-  match spec.Job.wcnf with
-  | Some w -> process_opt ~cancel ~obs ~parent spec w ~enqueued_at ()
-  | None -> process_decision ~cancel ?warm ~members ~obs ~parent spec ~enqueued_at ()
+let process ?(cancel = fun () -> false) ?warm ?worker ?(attrs = []) ~members ~obs ~parent
+    (spec : Job.spec) ~enqueued_at () =
+  let traced = not (Obs.Ctx.is_null obs) in
+  let span =
+    if traced then
+      let worker = Option.map (fun w -> ("worker", string_of_int w)) worker in
+      let attrs =
+        ("id", string_of_int spec.Job.id) :: ("name", spec.Job.name)
+        :: (Option.to_list worker @ attrs)
+      in
+      Obs.Span.start obs ~parent ~attrs "job"
+    else Obs.Span.none
+  in
+  let r =
+    try
+      match spec.Job.wcnf with
+      | Some w -> process_opt ~cancel ~obs ~parent:span spec w ~enqueued_at ()
+      | None -> process_decision ~cancel ?warm ~members ~obs ~parent:span spec ~enqueued_at ()
+    with e ->
+      (* a raising job (its members closure, a solver fault) still answers,
+         so its batch or connection keeps every other job's result *)
+      {
+        (unstarted spec (Job.Unknown Job.Budget)
+           ~queue_wait_s:(Unix.gettimeofday () -. enqueued_at))
+        with
+        error = Some (Printexc.to_string e);
+      }
+  in
+  if traced then begin
+    let outcome = Job.outcome_label r.outcome in
+    Obs.Span.add_attr span "outcome" outcome;
+    Obs.Span.stop span;
+    Obs.Metrics.incr obs (Obs.Metrics.labelled "jobs_total" [ ("outcome", outcome) ])
+  end;
+  r
 
 let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~members jobs =
   let workers = max 1 (min 64 workers) in (* same clamp as Parallel.Pool.create *)
@@ -302,27 +336,7 @@ let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~memb
      [0, workers-1] *)
   let pool =
     Parallel.Pool.create ~workers:(workers - 1) (fun ~worker (spec, enqueued_at) ->
-        let jspan =
-          if traced then
-            Obs.Span.start obs ~parent:batch_span
-              ~attrs:
-                [
-                  ("id", string_of_int spec.Job.id);
-                  ("name", spec.Job.name);
-                  ("worker", string_of_int worker);
-                ]
-              "job"
-          else Obs.Span.none
-        in
-        let r = process ?cancel ?warm ~members ~obs ~parent:jspan spec ~enqueued_at () in
-        if traced then begin
-          Obs.Span.add_attr jspan "outcome" (Job.outcome_label r.outcome);
-          Obs.Span.stop jspan;
-          Obs.Metrics.incr obs
-            (Obs.Metrics.labelled "jobs_total"
-               [ ("outcome", Job.outcome_label r.outcome) ])
-        end;
-        r)
+        process ?cancel ?warm ~worker ~members ~obs ~parent:batch_span spec ~enqueued_at ())
   in
   let results =
     Fun.protect

@@ -20,6 +20,9 @@ type job_result = {
   outcome : Job.outcome;
   record : Telemetry.record;
   race : Portfolio.race_report;  (** last attempt's full race detail *)
+  error : string option;
+      (** the exception the job raised, when it raised: the job then
+          answers [unknown:budget] with an idle record *)
 }
 
 val run :
@@ -50,10 +53,8 @@ val run :
     retry attempts of a single job always re-import what the failed
     attempt learnt.
 
-    With a live [obs] the batch emits one ["batch"] root span containing a
-    ["job"] span per job (attrs [id], [name], [worker], [outcome]), each
-    containing one ["attempt"] span per portfolio race (so retries are
-    visible), which in turn parents the race/member/solve spans.  The
+    With a live [obs] the batch emits one ["batch"] root span containing
+    the ["job"] span {!process} opens for each job.  The
     [jobs_total{outcome=...}] counters aggregate final outcomes.
 
     [members ~spec ~seed] builds the portfolio for one attempt of [spec]
@@ -62,9 +63,11 @@ val run :
     [workers] defaults to 1 and counts {e concurrent jobs}: the pool spawns
     [workers - 1] domains and the calling domain helps execute the batch
     ({!Parallel.Pool.run}), so [workers = 1] runs everything inline with
-    no domain spawned at all.  A worker exception is re-raised after the batch
-    completes (a raising portfolio member is absorbed by the race itself —
-    see {!Portfolio.race}).
+    no domain spawned at all.  A job that raises — its [members] closure
+    included — answers [unknown:budget] with the exception in its
+    result's [error], and every other job keeps its answer (a raising
+    portfolio member is absorbed by the race itself — see
+    {!Portfolio.race}).
 
     Sat models are projected back to the job's original variable space
     ({!Job.original_formula}) before being reported.  When the job has
@@ -102,11 +105,31 @@ val solo :
     {!run} expects, picking up each job's QA policy from its spec.
     [supervisor] and [embed_cache] are the
     shared-state options of {!Portfolio.members_named}; the single-member
-    shape makes [embed_cache] safe here (no sibling domains). *)
+    shape makes [embed_cache] safe here (no members running beside it). *)
+
+val resolve :
+  ?grid:int ->
+  ?log_proof:bool ->
+  ?supervisor:Anneal.Supervisor.t ->
+  ?embed_cache:Hyqsat.Frontend.cache ->
+  string ->
+  spec:Job.spec ->
+  seed:int ->
+  Portfolio.member list
+(** [resolve solver] turns a solver name into the [members] closure {!run}
+    and {!process} take: a {!Portfolio.member_names} entry runs {!solo},
+    and ["portfolio"] races all of them ([embed_cache], which is not
+    domain-safe, is then ignored).  Members log DRAT proofs when
+    [log_proof] (default [false]) is set or the job certifies.  The CLI
+    and the daemon both resolve their [--solver] through it.  An unknown
+    name raises [Invalid_argument] from the closure, which {!process}
+    turns into an [unknown:budget] answer. *)
 
 val process :
   ?cancel:(unit -> bool) ->
   ?warm:Warm.t ->
+  ?worker:int ->
+  ?attrs:(string * string) list ->
   members:(spec:Job.spec -> seed:int -> Portfolio.member list) ->
   obs:Obs.Ctx.t ->
   parent:Obs.Span.t ->
@@ -114,11 +137,23 @@ val process :
   enqueued_at:float ->
   unit ->
   job_result
-(** Solve one spec synchronously — the per-job step {!run} schedules onto
-    its pool, exposed for services that own their own scheduling (the
-    server dispatcher).  Runs the full attempt/retry/certify pipeline and
-    returns the same {!job_result} a batch would record;
-    [enqueued_at] (absolute epoch seconds) anchors the record's
-    [queue_wait_s].  [warm] taps the job into a shared {!Warm.t} pool
-    (consult before solving, deposit after) — the dispatcher uses one pool
-    per server session. *)
+(** Solve one spec synchronously: the one job runner, which {!run}
+    schedules onto its pool and the server dispatcher onto its own.  Runs
+    the full attempt/retry/certify pipeline and returns the same
+    {!job_result} a batch would record; [enqueued_at] (absolute epoch
+    seconds) anchors the record's [queue_wait_s].  [warm] taps the job
+    into a shared {!Warm.t} pool (consult before solving, deposit after)
+    — the dispatcher uses one pool per server session.
+
+    With a live [obs] the job runs in a ["job"] span under [parent] (attrs
+    [id], [name], [worker] when given, then [attrs], and [outcome] at the
+    end) containing one ["attempt"] span per portfolio race (so retries
+    are visible), which in turn parents the race/member/solve spans; the
+    [jobs_total{outcome=...}] counter counts the job.  Any exception the
+    job raises is captured: the result is {!unstarted}[ (Unknown Budget)]
+    with the exception in [error]. *)
+
+val unstarted : Job.spec -> Job.outcome -> queue_wait_s:float -> job_result
+(** The result of a job that did no solver work (the dispatcher retires
+    drained queue entries with it): [outcome], a record with zero
+    attempts and activity, and an empty race. *)

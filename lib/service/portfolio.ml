@@ -38,6 +38,19 @@ type race_report = {
 
 let member_names = [ "hybrid"; "hybrid-noisy"; "minisat"; "kissat"; "walksat" ]
 
+let idle_stats result =
+  {
+    result;
+    iterations = 0;
+    qa_calls = 0;
+    qa_failures = 0;
+    qa_degraded = 0;
+    strategy_uses = Array.make 4 0;
+    reused_clauses = 0;
+    learnts = [];
+    proof = None;
+  }
+
 let stats_of_report (r : Hyqsat.Hybrid_solver.report) =
   {
     result = r.Hyqsat.Hybrid_solver.result;
@@ -102,17 +115,7 @@ let walksat_member ~seed =
               Cdcl.Solver.Unknown
                 (if should_stop () then Sat.Answer.Cancelled else Sat.Answer.Budget)
         in
-        {
-          result;
-          iterations = st.Cdcl.Walksat.flips;
-          qa_calls = 0;
-          qa_failures = 0;
-          qa_degraded = 0;
-          strategy_uses = Array.make 4 0;
-          reused_clauses = 0;
-          learnts = [];
-          proof = None;
-        });
+        { (idle_stats result) with iterations = st.Cdcl.Walksat.flips });
   }
 
 let make_member ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ?supervisor
@@ -133,9 +136,6 @@ let make_member ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ?superv
 let members_named ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed names =
   List.map (make_member ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed) names
 
-let default_members ?grid ?log_proof ?qa ?supervisor ~seed () =
-  members_named ?grid ?log_proof ?qa ?supervisor ~seed member_names
-
 let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iterations = max_int)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?(import = []) members f =
   if members = [] then invalid_arg "Portfolio.race: no members";
@@ -144,61 +144,61 @@ let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iteration
     if traced then Obs.Span.start obs ~parent "race" else Obs.Span.none
   in
   let t_start = Unix.gettimeofday () in
-  let race_cancel = Atomic.make false in
+  (* members are picked up in list order by drawing tickets from one
+     counter, and the winner adds [decided] to that counter: whether a
+     member was picked up before or after the win is then decided by one
+     atomic step, not by how fast the pool's lanes start *)
+  let decided = 1 lsl 30 in
+  let tickets = Atomic.make 0 in
   let winner_idx = Atomic.make (-1) in
-  let should_stop () = Atomic.get race_cancel || cancel () || Deadline.expired deadline in
-  let run_one i m =
+  let won () = Atomic.get tickets >= decided in
+  let should_stop () = won () || cancel () || Deadline.expired deadline in
+  let members = Array.of_list members in
+  let reports = Array.make (Array.length members) None in
+  let run_one ~late i m =
     let span =
       if traced then
         Obs.Span.start obs ~parent:race_span ~attrs:[ ("name", m.name) ] "member"
       else Obs.Span.none
     in
     let t0 = Unix.gettimeofday () in
-    (* a raising member must not poison the race: without the handler the
-       exception would resurface from Domain.join, losing every sibling
-       report and any winner already found *)
-    match m.run ~obs ~parent:span ~should_stop ~max_iterations ~import f with
-    | stats ->
-        let time_s = Unix.gettimeofday () -. t0 in
-        if Sat.Answer.is_decisive stats.result && Atomic.compare_and_set winner_idx (-1) i then
-          Atomic.set race_cancel true;
-        let cancelled = (not (Sat.Answer.is_decisive stats.result)) && Atomic.get race_cancel in
-        if traced then begin
-          Obs.Span.add_attr span "result" (Sat.Answer.label stats.result);
-          if cancelled then Obs.Span.add_attr span "cancelled" "true";
-          Obs.Span.stop span
-        end;
-        { member = m.name; stats; time_s; cancelled; error = None }
-    | exception e ->
-        let time_s = Unix.gettimeofday () -. t0 in
-        if traced then begin
-          Obs.Span.add_attr span "error" (Printexc.to_string e);
-          Obs.Span.stop span
-        end;
-        let stats =
-          {
-            result = Cdcl.Solver.Unknown Sat.Answer.Budget;
-            iterations = 0;
-            qa_calls = 0;
-            qa_failures = 0;
-            qa_degraded = 0;
-            strategy_uses = Array.make 4 0;
-            reused_clauses = 0;
-            learnts = [];
-            proof = None;
-          }
-        in
-        { member = m.name; stats; time_s; cancelled = false; error = Some (Printexc.to_string e) }
+    let report ?error ~cancelled stats =
+      let time_s = Unix.gettimeofday () -. t0 in
+      if traced then begin
+        Obs.Span.add_attr span "result" (Sat.Answer.label stats.result);
+        if cancelled then Obs.Span.add_attr span "cancelled" "true";
+        Option.iter (Obs.Span.add_attr span "error") error;
+        Obs.Span.stop span
+      end;
+      { member = m.name; stats; time_s; cancelled; error }
+    in
+    if late || cancel () || Deadline.expired deadline then
+      report ~cancelled:true (idle_stats (Cdcl.Solver.Unknown Sat.Answer.Cancelled))
+    else
+      (* a raising member must not poison the race: the handler keeps every
+         sibling report and any winner already found *)
+      match m.run ~obs ~parent:span ~should_stop ~max_iterations ~import f with
+      | stats ->
+          let decisive = Sat.Answer.is_decisive stats.result in
+          if decisive && Atomic.compare_and_set winner_idx (-1) i then
+            ignore (Atomic.fetch_and_add tickets decided);
+          report stats ~cancelled:((not decisive) && won ())
+      | exception e ->
+          report ~error:(Printexc.to_string e) ~cancelled:false
+            (idle_stats (Cdcl.Solver.Unknown Sat.Answer.Budget))
   in
-  let reports =
-    match members with
-    | [ m ] -> [ run_one 0 m ]
-    | _ ->
-        let domains =
-          List.mapi (fun i m -> Domain.spawn (fun () -> run_one i m)) members
-        in
-        List.map Domain.join domains
+  let pick_up ~worker:_ =
+    let t = Atomic.fetch_and_add tickets 1 in
+    let i = t land (decided - 1) in
+    reports.(i) <- Some (run_one ~late:(t >= decided) i members.(i))
   in
+  (match Array.length members with
+  | 1 -> pick_up ~worker:0
+  | n ->
+      (* members queue for the lanes of the process-wide pool, so a race
+         adds no domains of its own *)
+      Parallel.Tasks.run (Parallel.Tasks.shared ()) (List.init n (fun _ -> pick_up)));
+  let reports = List.map Option.get (Array.to_list reports) in
   let winner =
     match Atomic.get winner_idx with -1 -> None | i -> Some (List.nth reports i)
   in

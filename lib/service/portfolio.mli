@@ -1,11 +1,15 @@
 (** Portfolio racing: run diverse solver configurations on the same
-    formula in parallel domains and keep the first definite answer.
+    formula as tasks on the process-wide {!Parallel.Tasks.shared} pool and
+    keep the first definite answer.  A race spawns no domains of its own:
+    members queue for the pool's lanes, so the domain count stays bounded
+    by the pool sizes however many races run at once.
 
     Each member receives a [should_stop] callback combining the shared
     race-cancel flag (set by the first member to answer Sat/Unsat) with the
     job deadline; the cancellation contract of {!Cdcl.Solver.set_terminate}
     / {!Hyqsat.Solve.run} guarantees losers return within ~128
-    solver steps of the flag flipping. *)
+    solver steps of the flag flipping, and a member that reaches a lane
+    after that never starts. *)
 
 type solve_stats = {
   result : Cdcl.Solver.result;  (** = {!Sat.Answer.t} (shared constructors) *)
@@ -25,6 +29,11 @@ type solve_stats = {
       (** DRAT derivation, present when the member ran with proof logging
           ([log_proof] below); [None] for walksat *)
 }
+
+val idle_stats : Cdcl.Solver.result -> solve_stats
+(** [idle_stats result] is a member's stats when it did no solver work:
+    [result], and zero iterations, QA calls, reused clauses, learnts and
+    no proof. *)
 
 type member = {
   name : string;
@@ -63,26 +72,6 @@ val member_names : string list
 (** The stock portfolio: ["hybrid"; "hybrid-noisy"; "minisat"; "kissat";
     "walksat"]. *)
 
-val default_members :
-  ?grid:int ->
-  ?log_proof:bool ->
-  ?qa:Job.qa_policy ->
-  ?supervisor:Anneal.Supervisor.t ->
-  seed:int ->
-  unit ->
-  member list
-(** All stock members, solver RNGs derived from [seed].  [grid] sizes the
-    simulated Chimera topology for the hybrid members (default 16 =
-    D-Wave 2000Q).  [log_proof] (default [false]) makes the CDCL-backed
-    members record DRAT derivations so Unsat answers are checkable.
-    [qa] (default {!Job.default_qa}) is the annealer policy of the hybrid
-    members: simulator faults, supervision, and best-of-k reads fanned
-    over that many domains — mind the domain product with the pool and
-    race layers.  [supervisor] makes the hybrid members go through that
-    shared (domain-safe) supervised device instead of building a private
-    one per solve — the server dispatcher passes its per-pool instance so
-    one circuit breaker protects the backend across every job. *)
-
 val members_named :
   ?grid:int ->
   ?log_proof:bool ->
@@ -92,12 +81,23 @@ val members_named :
   seed:int ->
   string list ->
   member list
-(** Subset of the stock portfolio by name.  [embed_cache] hands the hybrid
-    members a persistent embedding cache ({!Hyqsat.Frontend.cache}) so a
-    stream of structurally similar instances skips re-embedding; the cache
-    is {e not} domain-safe, so only pass it to single-member (solo)
-    selections or otherwise guarantee exclusive use — the server dispatcher
-    leases it per session with a mutex.
+(** The named stock members ({!member_names} is the full portfolio),
+    solver RNGs derived from [seed].  [grid] sizes the simulated Chimera
+    topology for the hybrid members (default 16 = D-Wave 2000Q).
+    [log_proof] (default [false]) makes the CDCL-backed members record
+    DRAT derivations so Unsat answers are checkable.  [qa] (default
+    {!Job.default_qa}) is the annealer policy of the hybrid members:
+    simulator faults, supervision, and best-of-k reads split into that
+    many chunks on {!Parallel.Tasks.shared}.  [supervisor] makes the
+    hybrid members go through that shared (domain-safe) supervised device
+    instead of building a private one per solve — the server dispatcher
+    passes its per-pool instance so one circuit breaker protects the
+    backend across every job.  [embed_cache] hands the hybrid members a
+    persistent embedding cache ({!Hyqsat.Frontend.cache}) so a stream of
+    structurally similar instances skips re-embedding; the cache is {e
+    not} domain-safe, so only pass it to single-member (solo) selections
+    or otherwise guarantee exclusive use — the server dispatcher leases
+    it per session with a mutex.
     @raise Invalid_argument on an unknown name. *)
 
 val race :
@@ -110,15 +110,19 @@ val race :
   member list ->
   Sat.Cnf.t ->
   race_report
-(** Race the members on [f]: one domain per member (run inline when there
-    is exactly one), first Sat/Unsat answer cancels the rest.  [cancel] is
+(** Race the members on [f]: each member is one task on
+    {!Parallel.Tasks.shared} (a one-member race runs inline on the
+    caller), and the first Sat/Unsat answer cancels the rest.  [cancel] is
     an external kill switch folded into every member's [should_stop] —
     the drain path flips it to stop in-flight races within ~128 solver
-    steps without waiting for their deadlines.  All members
-    are joined before returning, so the report is complete.  A member that
-    raises is reported with [error = Some _] and result [Unknown] instead
-    of propagating from [Domain.join] — sibling reports and a winner found
-    by another member survive.
+    steps without waiting for their deadlines.  Members are picked up in
+    list order; one picked up after the race was won, or once [cancel] or
+    the deadline has fired, is reported [cancelled] with {!idle_stats}
+    [(Unknown Cancelled)] and never runs.  Every member has
+    finished before [race] returns, so the report is complete.  A member
+    that raises is reported with [error = Some _] and result [Unknown]
+    instead of propagating — sibling reports and a winner found by
+    another member survive.
 
     With a live [obs], the race emits a ["race"] span (attr [winner]) with
     one ["member"] child per member — attrs [name], [result], and

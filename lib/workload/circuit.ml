@@ -10,7 +10,7 @@ type gate =
   | Nand of wire * wire
 
 type t = {
-  mutable gates : gate list; (* reversed: index num_wires-1 first *)
+  mutable gates : gate list; (* reversed: wire n-1 first *)
   mutable n : int;
   mutable assertions : Sat.Clause.t list;
 }
@@ -32,21 +32,11 @@ let or_ t a b = add t (Or (a, b))
 let xor_ t a b = add t (Xor (a, b))
 let nand_ t a b = add t (Nand (a, b))
 
-let mux t ~sel a b =
-  (* sel ? b : a  =  (¬sel ∧ a) ∨ (sel ∧ b) *)
-  or_ t (and_ t (not_ t sel) a) (and_ t sel b)
-
 let assert_clause t lits = t.assertions <- Sat.Clause.make lits :: t.assertions
 let assert_true t w = assert_clause t [ Sat.Lit.pos w ]
 let assert_false t w = assert_clause t [ Sat.Lit.neg_of w ]
 
 let assert_any t ws = assert_clause t (List.map Sat.Lit.pos ws)
-
-let assert_equal t a b =
-  assert_clause t [ Sat.Lit.neg_of a; Sat.Lit.pos b ];
-  assert_clause t [ Sat.Lit.pos a; Sat.Lit.neg_of b ]
-
-let num_wires t = t.n
 
 let full_adder t a b cin =
   let axb = xor_ t a b in

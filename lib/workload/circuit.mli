@@ -17,16 +17,11 @@ val and_ : t -> wire -> wire -> wire
 val or_ : t -> wire -> wire -> wire
 val xor_ : t -> wire -> wire -> wire
 val nand_ : t -> wire -> wire -> wire
-val mux : t -> sel:wire -> wire -> wire -> wire
-(** [mux ~sel a b] is [a] when [sel] is false, [b] when true. *)
 
 val assert_true : t -> wire -> unit
 val assert_false : t -> wire -> unit
-val assert_equal : t -> wire -> wire -> unit
 val assert_any : t -> wire list -> unit
 (** At least one of the wires is true (a raw CNF clause). *)
-
-val num_wires : t -> int
 
 val full_adder : t -> wire -> wire -> wire -> wire * wire
 (** [(sum, carry)] of three input bits. *)

@@ -336,6 +336,53 @@ let portfolio_race_finds_answer () =
       | _ -> Alcotest.fail "planted instance must be SAT")
   | None -> Alcotest.fail "race found no answer"
 
+(* a job whose members closure raises answers unknown:budget with the
+   error, and its batch keeps every other job's answer *)
+let batch_captures_raising_job () =
+  let jobs = List.init 3 (fun i -> Job.make ~id:i (planted_cnf (60 + i) 20)) in
+  let members ~spec ~seed =
+    if spec.Job.id = 1 then failwith "members exploded"
+    else Batch.solo "minisat" ~spec ~seed
+  in
+  let _, results = Batch.run ~workers:2 ~members jobs in
+  Alcotest.(check int) "one result per job" 3 (List.length results);
+  List.iter
+    (fun r ->
+      let label = r.Batch.record.Telemetry.outcome in
+      if r.Batch.spec.Job.id = 1 then begin
+        Alcotest.(check string) "raising job is unknown:budget" "unknown:budget" label;
+        Alcotest.(check (option string)) "error carries the exception"
+          (Some (Printexc.to_string (Failure "members exploded")))
+          r.Batch.error
+      end
+      else begin
+        Alcotest.(check string) "sibling answered" "sat" label;
+        Alcotest.(check bool) "sibling has no error" true (r.Batch.error = None)
+      end)
+    results
+
+(* a race that is cancelled before it starts runs none of its members *)
+let cancelled_race_enters_no_member () =
+  let entries = Atomic.make 0 in
+  let counting i =
+    let inner = instant_member [| true |] in
+    {
+      Portfolio.name = Printf.sprintf "counted-%d" i;
+      run =
+        (fun ~obs ~parent ~should_stop ~max_iterations ~import f ->
+          Atomic.incr entries;
+          inner.Portfolio.run ~obs ~parent ~should_stop ~max_iterations ~import f);
+    }
+  in
+  let f = Sat.Cnf.make ~num_vars:1 [ Sat.Clause.make [ Sat.Lit.make 0 true ] ] in
+  let report = Portfolio.race ~cancel:(fun () -> true) (List.init 5 counting) f in
+  Alcotest.(check int) "no member entered" 0 (Atomic.get entries);
+  Alcotest.(check int) "every member reported" 5 (List.length report.Portfolio.members);
+  Alcotest.(check bool) "no winner" true (report.Portfolio.winner = None);
+  List.iter
+    (fun m -> Alcotest.(check bool) "reported cancelled" true m.Portfolio.cancelled)
+    report.Portfolio.members
+
 let telemetry_json_roundtrip () =
   let records =
     [
@@ -571,6 +618,9 @@ let suite =
         Alcotest.test_case "CDCL terminate hook" `Quick cdcl_terminate_hook;
         Alcotest.test_case "walksat stops on cancel" `Quick walksat_stops_on_cancel;
         Alcotest.test_case "portfolio race finds answer" `Quick portfolio_race_finds_answer;
+        Alcotest.test_case "batch captures raising job" `Quick batch_captures_raising_job;
+        Alcotest.test_case "cancelled race enters no member" `Quick
+          cancelled_race_enters_no_member;
         Alcotest.test_case "telemetry JSON round-trip" `Quick telemetry_json_roundtrip;
         Alcotest.test_case "telemetry v5 optimisation fields" `Quick
           telemetry_v5_optimisation_fields;
