@@ -246,8 +246,9 @@ let portfolio_arg =
     value & flag
     & info [ "portfolio" ]
         ~doc:
-          "Race all solver configurations (hybrid, hybrid-noisy, minisat, kissat, walksat) per \
-           instance; first definite answer wins and cancels the rest.")
+          "Race all solver configurations (minisat, kissat, walksat, hybrid, hybrid-noisy; \
+           started in that order) per instance; first definite answer wins and cancels the \
+           rest.")
 
 let noisy_arg =
   Arg.(value & flag & info [ "noisy" ] ~doc:"Use the D-Wave 2000Q noise model instead of the noise-free simulator.")

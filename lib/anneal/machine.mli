@@ -54,7 +54,7 @@ val run_via :
 
     [reads] (default 1) requests the multi-sample device mode (best of
     [reads] anneals, fanned over [domains] on the process-wide
-    {!Parallel.Tasks.shared} pool when the backend supports it); [noise]
+    {!Parallel.Pool.shared} pool when the backend supports it); [noise]
     rides inside the request's {!Sampler.params}.  [postprocess] (default
     [true]) runs the machine-side sample repair — a logical-level
     anneal plus greedy descent — {e host-side}, never through the backend;

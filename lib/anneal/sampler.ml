@@ -71,11 +71,11 @@ let sample_single ~obs ~schedule ?init rng (ising : Sparse_ising.t) =
    reads on the persistent pool reuse it across chunks AND across calls,
    so the parallel path allocates no scratch on the hot path (only the
    per-chunk best buffers, one of which becomes the returned result) *)
-let scratch_local : (int, int array) Hashtbl.t Parallel.Local.t =
-  Parallel.Local.make (fun () -> Hashtbl.create 4)
+let scratch_key : (int, int array) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
 let scratch_for n =
-  let tbl = Parallel.Local.get scratch_local in
+  let tbl = Domain.DLS.get scratch_key in
   match Hashtbl.find_opt tbl n with
   | Some b -> b
   | None ->
@@ -124,7 +124,7 @@ let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t
       (* chunked assignment on a persistent pool: k reads cost
          ⌈k/chunks⌉-read chunks (one hand-off each) instead of k hand-offs,
          and no domain is spawned — the pool outlives the call *)
-      let pool = match pool with Some p -> p | None -> Parallel.Tasks.shared () in
+      let pool = match pool with Some p -> p | None -> Parallel.Pool.shared () in
       let chunks = min domains k in
       let per = (k + chunks - 1) / chunks in
       let chunk_best = Array.make chunks [||] in
@@ -144,7 +144,7 @@ let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t
           chunk_acc.(c) <- acc
         end
       in
-      Parallel.Tasks.run pool (List.init chunks thunk);
+      Parallel.Pool.run pool (List.init chunks thunk);
       (* chunks cover contiguous ascending read ranges, so strict < in
          chunk order again selects the lowest-index minimal-energy read *)
       let bi = ref 0 in

@@ -46,7 +46,7 @@ val sample :
   ?obs:Obs.Ctx.t ->
   ?params:params ->
   ?init:int array ->
-  ?pool:Parallel.Tasks.t ->
+  ?pool:Parallel.Pool.t ->
   ?domains:int ->
   Stats.Rng.t ->
   Sparse_ising.t ->
@@ -55,10 +55,10 @@ val sample :
     (e.g. chain-coherent spins); default is uniform random per read.
     [domains] (default 1) fans [params.reads] independent anneals over a
     persistent pool — [pool] if given, else the process-wide
-    {!Parallel.Tasks.shared} — in [min domains reads] contiguous chunks,
+    {!Parallel.Pool.shared} — in [min domains reads] contiguous chunks,
     so k reads cost ⌈k/domains⌉ reads per hand-off instead of a spawn and
     a queue round-trip each; per-domain anneal scratch is reused across
-    chunks and calls ({!Parallel.Local}).  Each read runs on its own RNG
+    chunks and calls ([Domain.DLS]).  Each read runs on its own RNG
     stream split off the caller's generator ({!Stats.Rng.split_n}), and
     chunks cover ascending read ranges reduced with a strict minimum, so
     the result is bit-identical whatever [domains] or the pool size says.

@@ -69,13 +69,6 @@ let exists p t =
   let rec go i = i < t.size && (p t.data.(i) || go (i + 1)) in
   go 0
 
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
 let to_list t = List.init t.size (fun i -> t.data.(i))
 
 let filter_in_place p t =

@@ -31,7 +31,6 @@ val shrink : 'a t -> int -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val exists : ('a -> bool) -> 'a t -> bool
-val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keeps only elements satisfying the predicate, preserving order. *)

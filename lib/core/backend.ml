@@ -17,8 +17,8 @@ type applied = {
   time_s : float;
 }
 
-let apply ?(enabled = all_enabled) ?(s2_energy_gate = infinity) ?(allow_s2_hints = true)
-    ?(hint_filter = fun _ _ -> true) calib solver f prepared outcome =
+let apply ?(enabled = all_enabled) ?(hint_filter = fun _ _ -> true) calib solver f prepared
+    outcome =
   let t0 = Unix.gettimeofday () in
   let strategy =
     classify calib ~all_embedded:prepared.Frontend.all_clauses_embedded
@@ -51,10 +51,9 @@ let apply ?(enabled = all_enabled) ?(s2_energy_gate = infinity) ?(allow_s2_hints
       (* keep the annealer's assignment as saved phases: the next decision on
          each variable reproduces the annealer's value without disturbing the
          activity order (disturbing it thrashes easy instances) *)
-      if allow_s2_hints && outcome.Anneal.Machine.energy <= s2_energy_gate then
-        List.iter
-          (fun (v, b) -> if hint_filter v b then Cdcl.Solver.set_polarity solver v b)
-          assignment_of_node
+      List.iter
+        (fun (v, b) -> if hint_filter v b then Cdcl.Solver.set_polarity solver v b)
+        assignment_of_node
   | S4_reach_conflict, _ ->
       (* drive straight into the conflicting subproblem *)
       Cdcl.Solver.prioritize_vars solver prepared.Frontend.vars_involved;

@@ -32,8 +32,6 @@ type applied = {
 
 val apply :
   ?enabled:enabled ->
-  ?s2_energy_gate:float ->
-  ?allow_s2_hints:bool ->
   ?hint_filter:(Sat.Lit.var -> bool -> bool) ->
   Calibration.t ->
   Cdcl.Solver.t ->
@@ -43,11 +41,8 @@ val apply :
   applied
 (** Classify and act on the solver.  Strategy 1's model is re-verified
     against the full formula before being trusted (annealer noise can never
-    compromise soundness).  Strategy 2's phase hints can be restricted two
-    ways: [s2_energy_gate] (default: no gate) drops hints from samples whose
-    energy exceeds the gate, and [hint_filter] selects which
-    (variable, value) hints apply — the hybrid driver passes a vote-margin
-    filter that only lets through variables stable across many samples,
-    which is what keeps one-off subset solutions from thrashing the saved
-    phases.  [allow_s2_hints] disables hint application wholesale for a
-    call.  Strategies 1 and 4 are unaffected by all three. *)
+    compromise soundness).  [hint_filter] selects which of strategy 2's
+    (variable, value) phase hints apply — the hybrid driver passes a
+    vote-margin filter that only lets through variables stable across
+    many samples, which is what keeps one-off subset solutions from
+    thrashing the saved phases.  Strategies 1 and 4 ignore it. *)

@@ -30,10 +30,11 @@ let simulator_default =
   in
   {
     model;
-    (* asymmetric cuts: strategy 2 hints are already energy-gated, while a
-       false strategy-4 steer on a satisfiable instance actively hurts — so
-       the unsatisfiable cut is taken at very high confidence (an SA sample
-       of a satisfiable queue rarely exceeds 6.5 even under noise) *)
+    (* asymmetric cuts: strategy 2 hints are already filtered by their vote
+       margin ([Solve.warm_up]), while a false strategy-4 steer on a
+       satisfiable instance actively hurts — so the unsatisfiable cut is
+       taken at very high confidence (an SA sample of a satisfiable queue
+       rarely exceeds 6.5 even under noise) *)
     partition = { Stats.Naive_bayes.sat_cut = 1.2; unsat_cut = 6.5 };
     sat_energies = [||];
     unsat_energies = [||];

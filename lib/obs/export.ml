@@ -44,16 +44,16 @@ let metric_line (name, m) =
       typed "histogram"
         [ ("count", Int h.observations); ("sum", json_num h.sum); ("buckets", Arr buckets) ]
 
-let jsonl ~write ?(on_close = fun () -> ()) () =
+let jsonl ~write =
   {
     Ctx.on_span = (fun r -> write (span_line r));
     on_metrics = (fun ms -> List.iter (fun m -> write (metric_line m)) ms);
-    on_close;
+    on_close = ignore;
   }
 
 let file_jsonl path =
   let oc = open_out path in
-  jsonl ~write:(output_string oc) ~on_close:(fun () -> close_out oc) ()
+  { (jsonl ~write:(output_string oc)) with on_close = (fun () -> close_out oc) }
 
 (* -- console tree ------------------------------------------------------ *)
 
@@ -239,10 +239,3 @@ let prometheus_string ms =
   in
   List.iter (fun (base, samples) -> List.iter (render base) samples) sorted;
   Buffer.contents buf
-
-let prometheus oc =
-  {
-    Ctx.on_span = ignore;
-    on_metrics = (fun ms -> output_string oc (prometheus_string ms));
-    on_close = (fun () -> flush oc);
-  }

@@ -4,7 +4,7 @@
     tests can capture into buffers; [file_jsonl] is the convenience
     wrapper the CLI uses. *)
 
-val jsonl : write:(string -> unit) -> ?on_close:(unit -> unit) -> unit -> Ctx.sink
+val jsonl : write:(string -> unit) -> Ctx.sink
 (** JSON-lines trace: one [{"type":"span",...}] object per stopped span,
     then one [{"type":"counter"|"gauge"|"histogram",...}] object per
     metric at close.  Every line ends with ['\n']. *)
@@ -18,9 +18,6 @@ val console_tree : Format.formatter -> Ctx.sink
     box-drawing tree (call count and total duration per node), followed by
     the metrics. *)
 
-val prometheus : out_channel -> Ctx.sink
-(** Prometheus text exposition format, written once at close. *)
-
 val prometheus_string : (string * Ctx.metric) list -> string
-(** The text-format rendering of a metrics snapshot (used by
-    [prometheus] and by golden tests). *)
+(** The Prometheus text exposition format of a metrics snapshot (the
+    CLI's and the daemon's [/metrics] rendering, and golden tests). *)

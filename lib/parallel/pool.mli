@@ -1,50 +1,62 @@
-(** Persistent fixed-size Domain worker pool with batch scheduling.
+(** Persistent fixed-size Domain worker pool running thunks, with batch
+    scheduling.
 
     [create] spawns N OCaml 5 domains once; they live until {!shutdown}.
-    Work is scheduled in batches — {!run} hands a whole item list to the
+    Work is scheduled in batches — {!run} hands a whole thunk list to the
     pool in one queue operation and the calling domain {e helps} execute
-    its own batch while waiting, so a k-item batch costs one hand-off (not
-    k) and the pool is deadlock-free under nesting: an item that itself
-    calls [run] on the same pool always makes progress inline, even when
-    every worker is busy.  Worker exceptions are captured per item
-    ([Error exn]) and never tear the pool down — the next [run] starts
-    clean.
+    its own batch while waiting, so a k-thunk batch costs one hand-off
+    (not k) and the pool is deadlock-free under nesting: a thunk that
+    itself calls [run] on the same pool always makes progress inline, even
+    when every worker is busy.  A raising thunk never tears the pool down
+    — the next [run] starts clean.
 
-    The pool is generic: the batch layer and the daemon feed it jobs, the
-    annealer's chunked best-of reads and the portfolio's race members go
-    through {!Tasks}, the benchmark feeds it closures.  No other code
-    spawns domains, so a process holds at most the sum of its pools'
-    workers plus the calling domains. *)
+    Every domain under [lib/] is a lane of a pool: the batch layer and the
+    daemon run jobs on their own pools, while the annealer's chunked
+    best-of reads and the portfolio's race members run on {!shared}.  So a
+    process holds at most the sum of its pools' workers plus the calling
+    domains.  Thunks that keep per-domain scratch key it with
+    [Domain.DLS], not with the lane index: two concurrent {!run} callers
+    may both help as lane [workers t]. *)
 
-type ('a, 'b) t
+type thunk = worker:int -> unit
+(** [worker] is the executing lane: [0 .. workers t - 1] for pool domains,
+    [workers t] for a helping {!run} caller (and for {!submit} on a
+    0-worker pool, which runs the thunk inline). *)
 
-val create : workers:int -> (worker:int -> 'a -> 'b) -> ('a, 'b) t
-(** Spawn [workers] domains (clamped to [0, 64]).  [worker] is the 0-based
-    index of the domain executing the item — useful for per-worker RNGs;
-    items executed inline by a helping {!run} caller (or by {!submit} on a
-    0-worker pool) see [worker = workers t].  A 0-worker pool is valid: {!run} then executes
-    everything on the calling domain. *)
+type t
 
-val workers : ('a, 'b) t -> int
+val create : workers:int -> t
+(** Spawn [workers] domains (clamped to [0, 64]).  A 0-worker pool is
+    valid: {!run} then executes everything on the calling domain. *)
+
+val workers : t -> int
 (** Number of spawned worker domains (the helping caller adds one more
     execution lane on top). *)
 
-val run : ('a, 'b) t -> 'a list -> ('b, exn) result array
-(** Execute every item and return results in input order.  Reusable: call
-    it as many times as you like, from any domain — concurrent [run]s from
-    different domains interleave safely, each returning only its own
-    batch's results.  The caller participates in executing its own batch
-    (helping), so even a fully-loaded pool completes the call.
+val run : t -> thunk list -> unit
+(** Execute every thunk and wait for all of them; a thunk reports its
+    result through its own side effects (e.g. into its index of an
+    array).  If any thunk raised, the first exception in list order is
+    re-raised {e after} the barrier, so no thunk is still running when
+    [run] returns.  Reusable and safe to call concurrently from several
+    domains, including from inside a thunk running on this very pool.
     @raise Invalid_argument after {!shutdown}. *)
 
-val submit : ('a, 'b) t -> 'a -> unit
-(** Enqueue one item for asynchronous execution and return at once.  The
-    pool keeps nothing once the item has run: its result (or exception)
-    is dropped, so an item reports completion through its own side
-    effects.  On a 0-worker pool the item runs inline on the caller.
+val submit : t -> thunk -> unit
+(** Enqueue one thunk for asynchronous execution and return at once.  The
+    pool keeps nothing once the thunk has run, and an exception it raises
+    is dropped, so it reports completion through its own side effects.
+    On a 0-worker pool the thunk runs inline on the caller.
     @raise Invalid_argument after {!shutdown}. *)
 
-val shutdown : ('a, 'b) t -> unit
+val shutdown : t -> unit
 (** Finish all claimable work, join the worker domains, and close the
     pool.  Idempotent.  Subsequent {!run}/{!submit} raise
     [Invalid_argument]. *)
+
+val shared : unit -> t
+(** The lazily-created process-wide pool, sized
+    [Domain.recommended_domain_count () - 1] (the last core belongs to the
+    helping caller).  All in-process users share it — the annealer's
+    parallel reads and portfolio races, from several worker domains at
+    once — and its workers are joined via [at_exit]. *)

@@ -6,7 +6,6 @@ type t = {
 
 let create () = { c0 = 0.; lin = Hashtbl.create 16; quad = Hashtbl.create 16 }
 
-let copy t = { c0 = t.c0; lin = Hashtbl.copy t.lin; quad = Hashtbl.copy t.quad }
 let const t = t.c0
 let add_const t c = t.c0 <- t.c0 +. c
 
@@ -57,14 +56,6 @@ let scale t alpha =
   let s = create () in
   add_scaled s t alpha;
   s
-
-let equal ?(eps = 1e-9) t1 t2 =
-  let close a b = Float.abs (a -. b) <= eps in
-  close t1.c0 t2.c0
-  && List.for_all (fun v -> close (linear t1 v) (linear t2 v)) (vars t1 @ vars t2)
-  && List.for_all
-       (fun (i, j) -> close (quad t1 i j) (quad t2 i j))
-       (edges t1 @ edges t2)
 
 let pp fmt t =
   Format.fprintf fmt "%.3f" t.c0;

@@ -8,7 +8,6 @@
 type t
 
 val create : unit -> t
-val copy : t -> t
 val const : t -> float
 val add_const : t -> float -> unit
 val add_linear : t -> int -> float -> unit
@@ -43,5 +42,4 @@ val eval_array : t -> bool array -> float
 val scale : t -> float -> t
 (** Fresh function multiplied by a scalar. *)
 
-val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

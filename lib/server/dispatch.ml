@@ -67,8 +67,9 @@ type entry = {
 type t = {
   config : config;
   obs : Obs.Ctx.t;
+  on_complete : unit -> unit;  (* fired by a worker domain after each job *)
   supervisor : Anneal.Supervisor.t;
-  pool : (entry, unit) Parallel.Pool.t;
+  pool : Parallel.Pool.t;
   queue : entry Jobq.t;
   quota : Quota.t;
   cancel : bool Atomic.t;
@@ -85,55 +86,52 @@ type t = {
 
 let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
   let qa = Job.default_qa in
-  let supervisor =
-    Anneal.Supervisor.create ~obs ~policy:qa.Job.supervision ~seed:(config.seed + 77)
-      (Anneal.Backend.simulator qa.Job.faults)
+  {
+    config;
+    obs;
+    on_complete;
+    supervisor =
+      Anneal.Supervisor.create ~obs ~policy:qa.Job.supervision ~seed:(config.seed + 77)
+        (Anneal.Backend.simulator qa.Job.faults);
+    pool = Parallel.Pool.create ~workers:config.workers;
+    queue = Jobq.create ~capacity:config.queue_capacity;
+    quota = Quota.create ~limit:config.per_client;
+    cancel = Atomic.make false;
+    comp_mutex = Mutex.create ();
+    comp_queue = [];
+    drained = [];
+    running = 0;
+    draining = false;
+    counters = { accepted = 0; completed = 0; cancelled_queued = 0; cancelled_running = 0 };
+    sessions = Hashtbl.create 8;
+  }
+
+(* one job on a pool worker: solve, then hand the completion to the event
+   loop through [comp_queue] *)
+let run_entry t entry ~worker =
+  let leased =
+    match entry.e_session with
+    | Some s when s.s_cache <> None && Mutex.try_lock s.s_cache_lock -> Some s
+    | _ -> None
   in
-  let comp_mutex = Mutex.create () in
-  let rec t =
-    lazy
-      {
-        config;
-        obs;
-        supervisor;
-        pool =
-          Parallel.Pool.create ~workers:config.workers (fun ~worker entry ->
-              let d = Lazy.force t in
-              let leased =
-                match entry.e_session with
-                | Some s when s.s_cache <> None && Mutex.try_lock s.s_cache_lock -> Some s
-                | _ -> None
-              in
-              let embed_cache = match leased with Some s -> s.s_cache | None -> None in
-              let warm = match entry.e_session with Some s -> Some s.s_warm | None -> None in
-              let result =
-                Batch.process ~cancel:(fun () -> Atomic.get d.cancel) ?warm ~worker
-                  ~attrs:[ ("client", entry.e_client) ]
-                  ~members:
-                    (Batch.resolve ~grid:config.grid ~supervisor ?embed_cache config.solver)
-                  ~obs ~parent:Obs.Span.none entry.spec ~enqueued_at:entry.enqueued_at ()
-              in
-              Option.iter (fun s -> Mutex.unlock s.s_cache_lock) leased;
-              let completion =
-                { client = entry.e_client; conn = entry.e_conn; job_id = entry.e_job_id; result }
-              in
-              Mutex.lock comp_mutex;
-              d.comp_queue <- completion :: d.comp_queue;
-              Mutex.unlock comp_mutex;
-              on_complete ());
-        queue = Jobq.create ~capacity:config.queue_capacity;
-        quota = Quota.create ~limit:config.per_client;
-        cancel = Atomic.make false;
-        comp_mutex;
-        comp_queue = [];
-        drained = [];
-        running = 0;
-        draining = false;
-        counters = { accepted = 0; completed = 0; cancelled_queued = 0; cancelled_running = 0 };
-        sessions = Hashtbl.create 8;
-      }
+  let embed_cache = match leased with Some s -> s.s_cache | None -> None in
+  let warm = match entry.e_session with Some s -> Some s.s_warm | None -> None in
+  let result =
+    Batch.process ~cancel:(fun () -> Atomic.get t.cancel) ?warm ~worker
+      ~attrs:[ ("client", entry.e_client) ]
+      ~members:
+        (Batch.resolve ~grid:t.config.grid ~supervisor:t.supervisor ?embed_cache
+           t.config.solver)
+      ~obs:t.obs ~parent:Obs.Span.none entry.spec ~enqueued_at:entry.enqueued_at ()
   in
-  Lazy.force t
+  Option.iter (fun s -> Mutex.unlock s.s_cache_lock) leased;
+  let completion =
+    { client = entry.e_client; conn = entry.e_conn; job_id = entry.e_job_id; result }
+  in
+  Mutex.lock t.comp_mutex;
+  t.comp_queue <- completion :: t.comp_queue;
+  Mutex.unlock t.comp_mutex;
+  t.on_complete ()
 
 let queued t = Jobq.length t.queue
 let running t = t.running
@@ -146,7 +144,7 @@ let pump t =
       match Jobq.pop t.queue with
       | Some entry ->
           t.running <- t.running + 1;
-          Parallel.Pool.submit t.pool entry;
+          Parallel.Pool.submit t.pool (run_entry t entry);
           go ()
       | None -> ()
   in

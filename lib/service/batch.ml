@@ -334,23 +334,23 @@ let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~memb
      through [Parallel.Pool.run], so exactly [workers] jobs are in flight
      and the helper's span worker id ([workers - 1]) stays inside
      [0, workers-1] *)
-  let pool =
-    Parallel.Pool.create ~workers:(workers - 1) (fun ~worker (spec, enqueued_at) ->
-        process ?cancel ?warm ~worker ~members ~obs ~parent:batch_span spec ~enqueued_at ())
-  in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Parallel.Pool.shutdown pool)
-      (fun () ->
-        let now = Unix.gettimeofday () in
-        Parallel.Pool.run pool (List.map (fun spec -> (spec, now)) jobs))
-  in
+  let pool = Parallel.Pool.create ~workers:(workers - 1) in
+  let results = Array.make (List.length jobs) None in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () ->
+      let enqueued_at = Unix.gettimeofday () in
+      Parallel.Pool.run pool
+        (List.mapi
+           (fun i spec ~worker ->
+             results.(i) <-
+               Some
+                 (process ?cancel ?warm ~worker ~members ~obs ~parent:batch_span spec
+                    ~enqueued_at ()))
+           jobs));
   Obs.Span.stop batch_span;
   let wall_time_s = Unix.gettimeofday () -. t0 in
-  let results =
-    Array.to_list results
-    |> List.map (function Ok r -> r | Error e -> raise e)
-  in
+  let results = List.map Option.get (Array.to_list results) in
   let summary =
     Telemetry.summarize ~workers ~wall_time_s (List.map (fun r -> r.record) results)
   in

@@ -36,7 +36,9 @@ type race_report = {
   wall_time_s : float;
 }
 
-let member_names = [ "hybrid"; "hybrid-noisy"; "minisat"; "kissat"; "walksat" ]
+(* cheapest first: a race's members take the shared pool's lanes in this
+   order, so the classical members start before the simulated annealers *)
+let member_names = [ "minisat"; "kissat"; "walksat"; "hybrid"; "hybrid-noisy" ]
 
 let idle_stats result =
   {
@@ -197,7 +199,7 @@ let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iteration
   | n ->
       (* members queue for the lanes of the process-wide pool, so a race
          adds no domains of its own *)
-      Parallel.Tasks.run (Parallel.Tasks.shared ()) (List.init n (fun _ -> pick_up)));
+      Parallel.Pool.run (Parallel.Pool.shared ()) (List.init n (fun _ -> pick_up)));
   let reports = List.map Option.get (Array.to_list reports) in
   let winner =
     match Atomic.get winner_idx with -1 -> None | i -> Some (List.nth reports i)

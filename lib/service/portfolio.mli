@@ -1,5 +1,5 @@
 (** Portfolio racing: run diverse solver configurations on the same
-    formula as tasks on the process-wide {!Parallel.Tasks.shared} pool and
+    formula as tasks on the process-wide {!Parallel.Pool.shared} pool and
     keep the first definite answer.  A race spawns no domains of its own:
     members queue for the pool's lanes, so the domain count stays bounded
     by the pool sizes however many races run at once.
@@ -69,8 +69,10 @@ type race_report = {
 }
 
 val member_names : string list
-(** The stock portfolio: ["hybrid"; "hybrid-noisy"; "minisat"; "kissat";
-    "walksat"]. *)
+(** The stock portfolio, cheapest first: ["minisat"; "kissat"; "walksat";
+    "hybrid"; "hybrid-noisy"].  {!race} picks members up in list order,
+    so the classical members take the pool's lanes before the simulated
+    annealers.  Member seeds are keyed by name, not position. *)
 
 val members_named :
   ?grid:int ->
@@ -88,7 +90,7 @@ val members_named :
     DRAT derivations so Unsat answers are checkable.  [qa] (default
     {!Job.default_qa}) is the annealer policy of the hybrid members:
     simulator faults, supervision, and best-of-k reads split into that
-    many chunks on {!Parallel.Tasks.shared}.  [supervisor] makes the
+    many chunks on {!Parallel.Pool.shared}.  [supervisor] makes the
     hybrid members go through that shared (domain-safe) supervised device
     instead of building a private one per solve — the server dispatcher
     passes its per-pool instance so one circuit breaker protects the
@@ -111,7 +113,7 @@ val race :
   Sat.Cnf.t ->
   race_report
 (** Race the members on [f]: each member is one task on
-    {!Parallel.Tasks.shared} (a one-member race runs inline on the
+    {!Parallel.Pool.shared} (a one-member race runs inline on the
     caller), and the first Sat/Unsat answer cancels the rest.  [cancel] is
     an external kill switch folded into every member's [should_stop] —
     the drain path flips it to stop in-flight races within ~128 solver

@@ -65,7 +65,3 @@ let interval_to_string = function
   | Near_satisfiable -> "near-satisfiable"
   | Uncertain -> "uncertain"
   | Near_unsatisfiable -> "near-unsatisfiable"
-
-let pp fmt m =
-  Format.fprintf fmt "GNB{sat=%a unsat=%a prior=%.2f}" Gaussian.pp m.sat Gaussian.pp
-    m.unsat m.prior_sat

@@ -45,4 +45,3 @@ val classify : partition -> float -> interval
     above ⇒ [Near_unsatisfiable]. *)
 
 val interval_to_string : interval -> string
-val pp : Format.formatter -> t -> unit

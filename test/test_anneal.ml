@@ -276,9 +276,9 @@ let best_of_deterministic_across_domains () =
   Alcotest.(check (array int)) "2 domains" serial (run 2);
   Alcotest.(check (array int)) "4 domains" serial (run 4);
   Alcotest.(check (array int)) "8 domains (more than reads/cores)" serial (run 8);
-  let pool = Parallel.Tasks.create ~workers:3 in
+  let pool = Parallel.Pool.create ~workers:3 in
   Fun.protect
-    ~finally:(fun () -> Parallel.Tasks.shutdown pool)
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
     (fun () ->
       Alcotest.(check (array int)) "explicit pool, 2 domains" serial (run ~pool 2);
       Alcotest.(check (array int)) "explicit pool, 4 domains" serial (run ~pool 4);

@@ -117,7 +117,7 @@ let histogram_bucket_edges () =
 let jsonl_golden () =
   let ctx, tick = fake_ctx 200.0 in
   let buf = Buffer.create 256 in
-  Obs.Ctx.attach ctx (Obs.Export.jsonl ~write:(Buffer.add_string buf) ());
+  Obs.Ctx.attach ctx (Obs.Export.jsonl ~write:(Buffer.add_string buf));
   tick := 200.25;
   let root = Obs.Span.start ctx ~attrs:[ ("file", "a \"b\".cnf") ] "solve" in
   tick := 200.5;

@@ -56,93 +56,92 @@ let spin_member () =
 
 (* ------------------------------------------------------------------ *)
 
+(* thunks report through their own side effects: here, each writes its
+   result into its index of an array *)
 let pool_preserves_order () =
-  let p = Pool.create ~workers:2 (fun ~worker:_ x -> x * x) in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown p)
-      (fun () -> Pool.run p (List.init 20 Fun.id))
-  in
-  let values =
-    Array.to_list (Array.map (function Ok v -> v | Error _ -> -1) results)
-  in
+  let p = Pool.create ~workers:2 in
+  let results = Array.make 20 (-1) in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () -> Pool.run p (List.init 20 (fun i ~worker:_ -> results.(i) <- i * i)));
   Alcotest.(check (list int)) "squares in submission order"
     (List.init 20 (fun i -> i * i))
-    values
+    (Array.to_list results)
 
+(* the pool captures every thunk's exception and re-raises the first one in
+   list order only once every thunk has finished; the slow thunk after the
+   raising ones must have completed by the time [run] raises *)
 let pool_captures_exceptions () =
-  let p = Pool.create ~workers:1 (fun ~worker:_ x -> if x = 1 then failwith "boom" else x) in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown p)
-      (fun () -> Pool.run p [ 0; 1; 2 ])
+  let p = Pool.create ~workers:1 in
+  let finished = Atomic.make 0 in
+  let thunk x ~worker:_ =
+    (match x with
+    | 1 ->
+        (* let the later raise happen first: list order, not time, decides *)
+        Unix.sleepf 0.02;
+        failwith "first"
+    | 2 -> Unix.sleepf 0.05
+    | 3 -> failwith "second"
+    | _ -> ());
+    Atomic.incr finished
   in
-  (match results with
-  | [| Ok 0; Error (Failure _); Ok 2 |] -> ()
-  | _ -> Alcotest.fail "expected [Ok 0; Error boom; Ok 2]")
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () ->
+      Alcotest.check_raises "first exception in list order" (Failure "first") (fun () ->
+          Pool.run p (List.map thunk [ 0; 1; 2; 3; 4 ]));
+      Alcotest.(check int) "every other thunk finished before the raise" 3
+        (Atomic.get finished))
 
 (* the persistent lifecycle: runs and fire-and-forget submits interleave
-   on one pool; only shutdown ends it.  A submitted item reports its own
+   on one pool; only shutdown ends it.  A submitted thunk reports its own
    completion (here: into a table, under a condition variable). *)
 let pool_reusable_across_runs () =
   let m = Mutex.create () and finished = Condition.create () in
   let seen = Hashtbl.create 8 in
-  let p =
-    Pool.create ~workers:2 (fun ~worker:_ x ->
-        Mutex.protect m (fun () ->
-            Hashtbl.replace seen x (2 * x);
-            Condition.broadcast finished);
-        2 * x)
+  let double x ~worker:_ =
+    Mutex.protect m (fun () ->
+        Hashtbl.replace seen x (2 * x);
+        Condition.broadcast finished)
   in
+  let doubled x = Mutex.protect m (fun () -> Hashtbl.find seen x) in
   let await keys =
     Mutex.protect m (fun () ->
         while not (List.for_all (Hashtbl.mem seen) keys) do
           Condition.wait finished m
         done)
   in
+  let p = Pool.create ~workers:2 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
       for round = 1 to 5 do
-        let results = Pool.run p (List.init 10 (fun i -> (100 * round) + i)) in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Ok v -> Alcotest.(check int) "doubled" (2 * ((100 * round) + i)) v
-            | Error _ -> Alcotest.fail "unexpected worker error")
-          results
+        let keys = List.init 10 (fun i -> (100 * round) + i) in
+        Pool.run p (List.map double keys);
+        List.iter (fun k -> Alcotest.(check int) "doubled" (2 * k) (doubled k)) keys
       done;
       for round = 1 to 3 do
         let keys = [ 1000 + (2 * round); 1001 + (2 * round) ] in
-        List.iter (Pool.submit p) keys;
+        List.iter (fun k -> Pool.submit p (double k)) keys;
         await keys;
-        List.iter
-          (fun k ->
-            Alcotest.(check int) "submitted item ran" (2 * k)
-              (Mutex.protect m (fun () -> Hashtbl.find seen k)))
-          keys;
+        List.iter (fun k -> Alcotest.(check int) "submitted thunk ran" (2 * k) (doubled k)) keys;
         (* and a run still works between submits *)
-        match Pool.run p [ round ] with
-        | [| Ok v |] -> Alcotest.(check int) "run after submit" (2 * round) v
-        | _ -> Alcotest.fail "unexpected worker error"
+        Pool.run p [ double round ];
+        Alcotest.(check int) "run after submit" (2 * round) (doubled round)
       done)
 
-(* the daemon submits once per job for its whole life: once an item has
-   run, the pool must hold neither it nor its result *)
+(* the daemon submits once per job for its whole life: once a thunk has
+   run, the pool must hold neither it, what it captured, nor its result *)
 let pool_submit_retains_nothing () =
   let items = Weak.create 1 and results = Weak.create 1 in
   let ran = Atomic.make false in
-  let p =
-    Pool.create ~workers:1 (fun ~worker:_ (x : bytes) ->
-        let r = Bytes.cat x x in
-        Weak.set results 0 (Some r);
-        Atomic.set ran true;
-        r)
-  in
+  let p = Pool.create ~workers:1 in
   let[@inline never] submit_one () =
     let x = Bytes.make 4096 'x' in
     Weak.set items 0 (Some x);
-    Pool.submit p x
+    Pool.submit p (fun ~worker:_ ->
+        Weak.set results 0 (Some (Bytes.cat x x));
+        Atomic.set ran true)
   in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
@@ -152,8 +151,8 @@ let pool_submit_retains_nothing () =
       while (not (Atomic.get ran)) && Unix.gettimeofday () -. t0 < 10. do
         Domain.cpu_relax ()
       done;
-      Alcotest.(check bool) "item ran" true (Atomic.get ran);
-      (* the worker may still be publishing the result: give it a moment *)
+      Alcotest.(check bool) "thunk ran" true (Atomic.get ran);
+      (* the worker may still be recording completion: give it a moment *)
       let rec collected tries =
         Gc.full_major ();
         if not (Weak.check items 0 || Weak.check results 0) then true
@@ -163,75 +162,70 @@ let pool_submit_retains_nothing () =
           collected (tries - 1)
         end
       in
-      Alcotest.(check bool) "completed item and result collected" true (collected 200))
+      Alcotest.(check bool) "completed thunk and result collected" true (collected 200))
 
-(* an item exception is captured in its slot and must not poison the pool:
-   the next run on the same pool works *)
+(* a raised exception must not poison the pool: the next run on the same
+   pool works *)
 let pool_exception_does_not_poison () =
-  let p =
-    Pool.create ~workers:2 (fun ~worker:_ x -> if x land 1 = 1 then failwith "odd" else x)
-  in
+  let p = Pool.create ~workers:2 in
+  let results = Array.make 3 0 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
-      let r1 = Pool.run p [ 0; 1; 2; 3 ] in
-      (match (r1.(0), r1.(1), r1.(2), r1.(3)) with
-      | Ok 0, Error (Failure _), Ok 2, Error (Failure _) -> ()
-      | _ -> Alcotest.fail "expected evens Ok, odds Error");
-      let r2 = Pool.run p [ 4; 6; 8 ] in
-      Array.iter
-        (function
-          | Ok _ -> () | Error _ -> Alcotest.fail "pool poisoned by earlier exception")
-        r2)
+      Alcotest.check_raises "odd thunk raised" (Failure "odd 1") (fun () ->
+          Pool.run p
+            (List.init 4 (fun x ~worker:_ ->
+                 if x land 1 = 1 then failwith (Printf.sprintf "odd %d" x))));
+      Pool.run p (List.init 3 (fun i ~worker:_ -> results.(i) <- 2 * (i + 2)));
+      Alcotest.(check (array int)) "pool not poisoned by earlier exception" [| 4; 6; 8 |]
+        results)
 
 (* a 0-worker pool runs everything inline on the calling domain *)
 let pool_zero_workers_runs_inline () =
   let self = (Domain.self () :> int) in
-  let last = ref None in
-  let p =
-    Pool.create ~workers:0 (fun ~worker x ->
-        let r = ((Domain.self () :> int), worker, x) in
-        last := Some r;
-        r)
-  in
+  let ran = ref [] in
+  let record x ~worker = ran := ((Domain.self () :> int), worker, x) :: !ran in
+  let p = Pool.create ~workers:0 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
       Alcotest.(check int) "no domains spawned" 0 (Pool.workers p);
-      (* with no worker to claim it, a submitted item runs before submit returns *)
-      Pool.submit p 7;
-      Alcotest.(check bool) "submit ran inline" true (!last = Some (self, 0, 7));
-      let results = Pool.run p [ 1; 2; 3 ] in
-      Array.iter
-        (function
-          | Ok (dom, worker, _) ->
-              Alcotest.(check int) "ran on the calling domain" self dom;
-              Alcotest.(check int) "helper worker id" (Pool.workers p) worker
-          | Error _ -> Alcotest.fail "unexpected error")
-        results)
+      (* with no worker to claim it, a submitted thunk runs before submit returns *)
+      Pool.submit p (record 7);
+      Alcotest.(check bool) "submit ran inline" true (!ran = [ (self, 0, 7) ]);
+      ran := [];
+      Pool.run p (List.map record [ 1; 2; 3 ]);
+      Alcotest.(check (list int)) "every thunk ran" [ 1; 2; 3 ]
+        (List.sort compare (List.map (fun (_, _, x) -> x) !ran));
+      List.iter
+        (fun (dom, worker, _) ->
+          Alcotest.(check int) "ran on the calling domain" self dom;
+          Alcotest.(check int) "helper worker id" (Pool.workers p) worker)
+        !ran)
 
 (* many tiny batches: the spawn-per-call cost this pool exists to remove
    would make this test take seconds; with a persistent pool it's instant *)
 let pool_many_tiny_runs () =
-  let p = Pool.create ~workers:3 (fun ~worker:_ x -> x + 1) in
+  let p = Pool.create ~workers:3 in
+  let out = ref 0 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
       for i = 1 to 500 do
-        match Pool.run p [ i ] with
-        | [| Ok v |] -> if v <> i + 1 then Alcotest.fail "wrong tiny-batch result"
-        | _ -> Alcotest.fail "expected one result"
+        Pool.run p [ (fun ~worker:_ -> out := i + 1) ];
+        if !out <> i + 1 then Alcotest.fail "wrong tiny-batch result"
       done)
 
 let pool_shutdown_closes () =
-  let p = Pool.create ~workers:1 (fun ~worker:_ () -> ()) in
-  ignore (Pool.run p [ () ]);
+  let p = Pool.create ~workers:1 in
+  let nop ~worker:_ = () in
+  Pool.run p [ nop ];
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *);
   Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () -> Pool.submit p ());
+    (Invalid_argument "Pool.submit: pool is shut down") (fun () -> Pool.submit p nop);
   Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Pool.run: pool is shut down") (fun () -> ignore (Pool.run p [ () ]))
+    (Invalid_argument "Pool.run: pool is shut down") (fun () -> Pool.run p [ nop ])
 
 let batch_jobs seeds =
   List.mapi
