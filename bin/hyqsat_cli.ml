@@ -1,7 +1,8 @@
 (* hyqsat: solve DIMACS CNF files with the hybrid QA+CDCL solver, the
-   classical baselines, or a parallel portfolio race — one file or a batch
-   across a worker pool.  A `.wcnf` input (or --maxsat) switches that
-   instance to the weighted-MaxSAT objective.
+   classical baselines, or a parallel portfolio race (`-s`, shared with
+   `hyqsat serve`) — one file or a batch across a worker pool.  A `.wcnf`
+   input (or --maxsat) switches that instance to the weighted-MaxSAT
+   objective.
 
    Exit codes follow the SAT/MaxSAT competitions: 10 = SAT, 20 = UNSAT,
    30 = OPTIMUM FOUND, 0 = unknown.  For a batch the code is the one all
@@ -94,10 +95,9 @@ let write_proof path (r : Service.Batch.job_result) =
       | None -> Printf.eprintf "warning: winner %s logged no proof\n%!" w.Service.Portfolio.member)
   | None -> ()
 
-let main paths solver portfolio noisy grid seed verbose jobs timeout retries
-    max_iterations json_out certify proof_file trace_file metrics warm_start maxsat
-    gap_limit opt_timeout qa_reads qa_domains qa_fault_rate qa_timeout_us
-    qa_retries =
+let main paths solver grid seed verbose jobs timeout retries max_iterations json_out certify
+    proof_file trace_file metrics warm_start maxsat gap_limit qa_reads qa_domains qa_fault_rate
+    qa_timeout_us qa_retries =
   if paths = [] then begin
     Printf.eprintf "hyqsat: no input files\n";
     exit 2
@@ -138,9 +138,8 @@ let main paths solver portfolio noisy grid seed verbose jobs timeout retries
             if is_wcnf path then parse Sat.Wcnf.parse_file path
             else Sat.Wcnf.of_cnf (parse Sat.Dimacs.parse_file path)
           in
-          Service.Job.optimize ~name:path ~gap_limit ~certify
-            ?timeout_s:(match opt_timeout with Some _ -> opt_timeout | None -> timeout)
-            ~max_iterations ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i w
+          Service.Job.optimize ~name:path ~gap_limit ~certify ?timeout_s:timeout ~max_iterations
+            ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i w
         else
           let spec =
             Service.Job.make ~name:path ~certify ?timeout_s:timeout ~max_iterations
@@ -150,10 +149,6 @@ let main paths solver portfolio noisy grid seed verbose jobs timeout retries
           note_conversion spec;
           spec)
       paths
-  in
-  let solver =
-    if portfolio then "portfolio" else if noisy && solver = "hybrid" then "hybrid-noisy"
-    else solver
   in
   let members = Service.Batch.resolve ~grid ~log_proof:(proof_file <> None) solver in
   let obs =
@@ -231,27 +226,20 @@ let paths_arg =
           "Input files (one or more): DIMACS CNF decision instances, or WDIMACS $(b,.wcnf) \
            weighted-MaxSAT instances.")
 
+(* one selector for the one-shot solver and the daemon *)
 let solver_arg =
-  let kinds = List.map (fun n -> (n, n)) [ "hybrid"; "minisat"; "kissat" ] in
-  Arg.(
-    value
-    & opt (enum kinds) "hybrid"
-    & info [ "s"; "solver" ] ~docv:"KIND"
-        ~doc:
-          "Solver: $(b,hybrid) (QA+CDCL), $(b,minisat) or $(b,kissat) baselines.  Ignored with \
-           $(b,--portfolio).")
-
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race all solver configurations (minisat, kissat, walksat, hybrid, hybrid-noisy; \
-           started in that order) per instance; first definite answer wins and cancels the \
-           rest.")
-
-let noisy_arg =
-  Arg.(value & flag & info [ "noisy" ] ~doc:"Use the D-Wave 2000Q noise model instead of the noise-free simulator.")
+  let names =
+    List.map (fun n -> (n, n)) Service.Portfolio.member_names @ [ ("portfolio", "portfolio") ]
+  in
+  let doc =
+    Printf.sprintf
+      "Solver run per job, %s: a portfolio member ($(b,hybrid) is QA+CDCL, \
+       $(b,hybrid-noisy) the same under the D-Wave 2000Q noise model, the others classical \
+       baselines), or $(b,portfolio) to race them all, cheapest first (the first definite \
+       answer wins and cancels the rest)."
+      (Arg.doc_alts_enum names)
+  in
+  Arg.(value & opt (enum names) "hybrid" & info [ "s"; "solver" ] ~docv:"KIND" ~doc)
 
 let grid_arg =
   Arg.(value & opt int 16 & info [ "grid" ] ~docv:"N" ~doc:"Chimera grid size (N×N cells; 16 = D-Wave 2000Q).")
@@ -269,7 +257,9 @@ let timeout_arg =
     value
     & opt (some float) None
     & info [ "timeout" ] ~docv:"SECS"
-        ~doc:"Per-instance wall-clock deadline; expiry reports $(b,unknown:timeout).")
+        ~doc:
+          "Per-instance wall-clock deadline, decision and MaxSAT jobs alike; expiry reports \
+           $(b,unknown:timeout), or for MaxSAT the best incumbent and its lower bound.")
 
 let retries_arg =
   Arg.(
@@ -353,15 +343,6 @@ let gap_limit_arg =
           "Optimisation jobs: accept any model whose cost is within $(docv) of the proven \
            lower bound instead of closing the gap entirely (0 = demand the exact optimum).")
 
-let opt_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "opt-timeout" ] ~docv:"SECS"
-        ~doc:
-          "Wall-clock deadline for optimisation jobs only (overrides $(b,--timeout) for \
-           them); on expiry the best incumbent and its lower bound are reported.")
-
 let qa_reads_arg =
   Arg.(
     value & opt int 1
@@ -435,8 +416,6 @@ let serve_main socket port metrics_port workers queue_capacity per_client grace 
           grid;
           seed;
         };
-      max_frame = Server.Codec.default_max_frame;
-      events_backlog_bytes = 256 * 1024;
     }
   in
   let report =
@@ -602,17 +581,6 @@ let grace_arg =
           "Drain grace period: how long running jobs get after SIGTERM/SIGINT before being \
            cancelled cooperatively.")
 
-let serve_solver_arg =
-  let names =
-    List.map (fun n -> (n, n)) Service.Portfolio.member_names @ [ ("portfolio", "portfolio") ]
-  in
-  Arg.(
-    value
-    & opt (enum names) "hybrid"
-    & info [ "s"; "solver" ] ~docv:"KIND"
-        ~doc:"Solver members run per job: one of the portfolio members, or $(b,portfolio) to \
-              race them all.")
-
 let priority_arg =
   Arg.(
     value & opt int 0
@@ -650,7 +618,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const serve_main $ socket_arg $ port_arg $ metrics_port_arg $ jobs_arg
-      $ queue_capacity_arg $ per_client_arg $ grace_arg $ serve_solver_arg $ grid_arg
+      $ queue_capacity_arg $ per_client_arg $ grace_arg $ solver_arg $ grid_arg
       $ seed_arg $ trace_arg $ json_arg)
 
 let submit_cmd =
@@ -664,11 +632,10 @@ let submit_cmd =
 
 let solve_term =
   Term.(
-    const main $ paths_arg $ solver_arg $ portfolio_arg $ noisy_arg $ grid_arg $ seed_arg
-    $ verbose_arg $ jobs_arg $ timeout_arg $ retries_arg $ max_iterations_arg $ json_arg
-    $ certify_arg $ proof_arg $ trace_arg $ metrics_arg $ warm_start_arg $ maxsat_arg
-    $ gap_limit_arg $ opt_timeout_arg $ qa_reads_arg $ qa_domains_arg
-    $ qa_fault_rate_arg $ qa_timeout_us_arg $ qa_retries_arg)
+    const main $ paths_arg $ solver_arg $ grid_arg $ seed_arg $ verbose_arg $ jobs_arg
+    $ timeout_arg $ retries_arg $ max_iterations_arg $ json_arg $ certify_arg $ proof_arg
+    $ trace_arg $ metrics_arg $ warm_start_arg $ maxsat_arg $ gap_limit_arg $ qa_reads_arg
+    $ qa_domains_arg $ qa_fault_rate_arg $ qa_timeout_us_arg $ qa_retries_arg)
 
 let solve_cmd =
   let doc = "solve DIMACS instances in-process (the default command)" in

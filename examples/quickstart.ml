@@ -45,15 +45,20 @@ let () =
     embedded.Embed.Hyqsat_scheme.embedded_clauses
     (Embed.Embedding.qubits_used embedded.Embed.Hyqsat_scheme.embedding);
 
-  (* ... and run one annealing cycle on the simulated hardware *)
+  (* ... and run one annealing cycle on the simulated hardware (a real
+     device call could fail; the simulator never does) *)
   let rng = Stats.Rng.create ~seed:7 in
-  let outcome =
-    Anneal.Machine.run rng
-      {
-        Anneal.Machine.embedding = embedded.Embed.Hyqsat_scheme.embedding;
-        objective = Qubo.Encode.objective enc;
-        edges = embedded.Embed.Hyqsat_scheme.edges;
-      }
+  let job =
+    {
+      Anneal.Machine.embedding = embedded.Embed.Hyqsat_scheme.embedding;
+      objective = Qubo.Encode.objective enc;
+      edges = embedded.Embed.Hyqsat_scheme.edges;
+    }
   in
-  Format.printf "one annealing cycle: energy %.1f in %.0f us@." outcome.Anneal.Machine.energy
-    outcome.Anneal.Machine.time_us
+  (match
+     Anneal.Machine.run_via ~sample:(Anneal.Backend.sample Anneal.Backend.best_of) rng job
+   with
+  | Ok outcome ->
+      Format.printf "one annealing cycle: energy %.1f in %.0f us@."
+        outcome.Anneal.Machine.energy outcome.Anneal.Machine.time_us
+  | Error f -> Format.printf "annealer failed: %s@." (Anneal.Backend.failure_label f))

@@ -3,7 +3,6 @@ type request = {
   params : Sampler.params;
   init : int array option;
   domains : int;
-  timing : Timing.t;
 }
 
 type response = { spins : int array; energy : float; time_us : float }
@@ -43,10 +42,12 @@ let of_fn ~name:n ?(capabilities = { fallible = true }) fn : t =
     let sample ?obs rng req = fn ?obs rng req
   end)
 
-(* modelled device wall-clock of one call, from the request's timing model *)
+(* modelled device wall-clock of one call: every device is timed as a
+   D-Wave 2000Q *)
 let model_time_us req =
-  if req.params.Sampler.reads <= 1 then Timing.single_sample_us req.timing
-  else Timing.multi_sample_us req.timing ~samples:req.params.Sampler.reads
+  let timing = Timing.d_wave_2000q in
+  if req.params.Sampler.reads <= 1 then Timing.single_sample_us timing
+  else Timing.multi_sample_us timing ~samples:req.params.Sampler.reads
 
 (* the one simulator: spins are a pure function of the caller's RNG state,
    whatever [req.domains] says (reads are stream-split) *)

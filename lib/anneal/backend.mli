@@ -16,7 +16,6 @@ type request = {
   params : Sampler.params;  (** schedule / noise / reads *)
   init : int array option;  (** per-read initial spins (chain-coherent) *)
   domains : int;  (** parallelism hint; result-invariant *)
-  timing : Timing.t;  (** device timing model for [time_us] *)
 }
 
 type response = {
@@ -58,8 +57,9 @@ val of_fn :
     with this.  Default capabilities: fallible. *)
 
 val model_time_us : request -> float
-(** Modelled device time of one call under the request's {!Timing} model:
-    [single_sample_us] for one read, [multi_sample_us] otherwise.  The
+(** Modelled device time of one call, timed as a D-Wave 2000Q
+    ({!Timing.d_wave_2000q}): [single_sample_us] for one read,
+    [multi_sample_us] otherwise.  The
     supervisor compares this (plus injected latency) against deadlines. *)
 
 (** {1 The simulator} *)

@@ -91,9 +91,9 @@ let greedy_descent objective ~nodes ~vars value =
    range *)
 let chain_strength = 2.0
 
-let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(postprocess = true)
-    ?(reads = 1) ?(domains = 1) ~sample rng job =
-  if reads < 1 then invalid_arg "Machine.run: reads";
+let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(domains = 1)
+    ~sample rng job =
+  if reads < 1 then invalid_arg "Machine.run_via: reads";
   let schedule =
     if noise.Noise.shallow_anneal then Sampler.quick_schedule else Sampler.default_schedule
   in
@@ -178,7 +178,6 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(postprocess = tr
       params = Sampler.make_params ~schedule ~noise ~reads ();
       init = Some init;
       domains;
-      timing = Timing.d_wave_2000q;
     }
   in
   match (sample rng request : (Backend.response, Backend.failure) result) with
@@ -204,31 +203,29 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(postprocess = tr
       List.iter
         (fun v -> if slot_of nodes v < 0 then fail "objective var %d not in embedding" v)
         vars;
-      if postprocess then begin
-        (* D-Wave-style optimisation post-processing: a short logical-level
-           anneal seeded from the unembedded sample, then steepest descent.
-           This runs host-side, so it never goes through the backend — it is
-           available even when the device is down.  It removes the energy
-           residue long chains leave behind; a genuinely unsatisfiable
-           clause set keeps its positive floor *)
-        let logical_sparse =
-          Sparse_ising.build ~n:num_spins
-            ~h:(Array.sub logical.Qubo.Ising.h 0 num_spins)
-            ~couplings:logical.Qubo.Ising.j ~offset:logical.Qubo.Ising.offset
-        in
-        (* every logical spin is an objective variable, hence a node *)
-        let node_of_spin = Array.init num_spins (fun i -> slot_of nodes var_of_spin.(i)) in
-        let init = Array.map (fun k -> if value.(k) then 1 else -1) node_of_spin in
-        (* depth scales with the logical problem: the paper's noise-free
-           reference runs dwave-neal "with a long timeout" [19] *)
-        let post_schedule =
-          { Sampler.sweeps = max 128 (8 * num_spins); beta_min = 0.3; beta_max = 12. }
-        in
-        let params = Sampler.make_params ~schedule:post_schedule () in
-        let spins' = Sampler.sample ~obs ~params ~init rng logical_sparse in
-        Array.iteri (fun i s -> value.(node_of_spin.(i)) <- s = 1) spins';
-        greedy_descent job.objective ~nodes ~vars value
-      end;
+      (* D-Wave-style optimisation post-processing: a short logical-level
+         anneal seeded from the unembedded sample, then steepest descent.
+         This runs host-side, so it never goes through the backend — it is
+         available even when the device is down.  It removes the energy
+         residue long chains leave behind; a genuinely unsatisfiable
+         clause set keeps its positive floor *)
+      let logical_sparse =
+        Sparse_ising.build ~n:num_spins
+          ~h:(Array.sub logical.Qubo.Ising.h 0 num_spins)
+          ~couplings:logical.Qubo.Ising.j ~offset:logical.Qubo.Ising.offset
+      in
+      (* every logical spin is an objective variable, hence a node *)
+      let node_of_spin = Array.init num_spins (fun i -> slot_of nodes var_of_spin.(i)) in
+      let init = Array.map (fun k -> if value.(k) then 1 else -1) node_of_spin in
+      (* depth scales with the logical problem: the paper's noise-free
+         reference runs dwave-neal "with a long timeout" [19] *)
+      let post_schedule =
+        { Sampler.sweeps = max 128 (8 * num_spins); beta_min = 0.3; beta_max = 12. }
+      in
+      let params = Sampler.make_params ~schedule:post_schedule () in
+      let spins' = Sampler.sample ~obs ~params ~init rng logical_sparse in
+      Array.iteri (fun i s -> value.(node_of_spin.(i)) <- s = 1) spins';
+      greedy_descent job.objective ~nodes ~vars value;
       let assignment = Array.to_list (Array.mapi (fun k node -> (node, value.(k))) nodes) in
       let energy = Qubo.Pbq.eval job.objective (fun v -> value.(slot_of nodes v)) in
       if not (Obs.Ctx.is_null obs) then begin
@@ -243,9 +240,3 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(postprocess = tr
           chain_breaks = !chain_breaks;
           time_us = resp.Backend.time_us;
         }
-
-let run ?obs ?noise ?postprocess ?reads ?domains rng job =
-  let sample rng req = Backend.sample ?obs Backend.best_of rng req in
-  match run_via ?obs ?noise ?postprocess ?reads ?domains ~sample rng job with
-  | Ok outcome -> outcome
-  | Error _ -> assert false (* the simulator is infallible *)

@@ -1,11 +1,12 @@
 (** The quantum-annealer facade: program an embedded problem, run one
-    annealing cycle through a {!Backend}, read out a logical assignment and
-    its energy.
+    annealing cycle through a device call, read out a logical assignment
+    and its energy.
 
-    This is the component a real deployment would replace with the D-Wave
-    API; everything above it (HyQSAT frontend/backend) is agnostic to
-    whether the sample came from hardware or from the simulator, and — via
-    {!run_via} — to whether the device call succeeded at all. *)
+    {!run_via} is the one entry point.  It is the component a real
+    deployment would replace with the D-Wave API; everything above it
+    (HyQSAT frontend/backend, the MaxSAT incumbent, calibration) is
+    agnostic to whether the sample came from hardware or from the
+    simulator, and to whether the device call succeeded at all. *)
 
 type job = {
   embedding : Embed.Embedding.t;
@@ -36,7 +37,6 @@ exception Unembedded_term of string
 val run_via :
   ?obs:Obs.Ctx.t ->
   ?noise:Noise.t ->
-  ?postprocess:bool ->
   ?reads:int ->
   ?domains:int ->
   sample:(Stats.Rng.t -> Backend.request -> (Backend.response, Backend.failure) result) ->
@@ -50,32 +50,19 @@ val run_via :
     a failing call always consumes the same caller-RNG prefix as a
     succeeding one), issues exactly one [sample], and on [Ok] unembeds by
     majority vote.  [Error f] is returned untouched for the caller to
-    degrade on.
+    degrade on; callers of the infallible simulator skip it.
 
     [reads] (default 1) requests the multi-sample device mode (best of
     [reads] anneals, fanned over [domains] on the process-wide
     {!Parallel.Pool.shared} pool when the backend supports it); [noise]
-    rides inside the request's {!Sampler.params}.  [postprocess] (default
-    [true]) runs the machine-side sample repair — a logical-level
-    anneal plus greedy descent — {e host-side}, never through the backend;
-    it cannot turn an unsatisfiable clause set's energy to zero, only
-    remove thermal/chain-break residue.  With a live [obs] the call adds
+    rides inside the request's {!Sampler.params}.  Every [Ok] sample then
+    gets the machine-side repair — a logical-level anneal plus greedy
+    descent — {e host-side}, never through the backend; it cannot turn an
+    unsatisfiable clause set's energy to zero, only remove
+    thermal/chain-break residue.  With a live [obs] the call adds
     chain breaks to [anneal_chain_breaks_total] and records the response's
     modelled [time_us] into the [anneal_time_us] histogram.
     Defaults: noise-free.  The schedule is {!Sampler.default_schedule}, or
     {!Sampler.quick_schedule} when the noise model says so; chains couple
     at strength 2.0 (relative to the normalised coefficient range); the
     device call is timed as a D-Wave 2000Q ({!Timing.d_wave_2000q}). *)
-
-val run :
-  ?obs:Obs.Ctx.t ->
-  ?noise:Noise.t ->
-  ?postprocess:bool ->
-  ?reads:int ->
-  ?domains:int ->
-  Stats.Rng.t ->
-  job ->
-  outcome
-(** {!run_via} over the infallible {!Backend.best_of} simulator — the
-    historical direct-call entry, kept for callers (calibration, MaxSAT)
-    that never need fault handling. *)

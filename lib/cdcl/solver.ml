@@ -1019,7 +1019,10 @@ let unsat_core t = Array.to_list t.last_core
 (* ------------------------------------------------------------------ *)
 (* learnt-clause interchange                                            *)
 
-let export_learnts ?(max_len = 4) ?(max_clauses = 512) t =
+let export_learnts t =
+  (* short clauses only, in a bounded snapshot: a sibling solver imports
+     them all *)
+  let max_len = 4 and max_clauses = 512 in
   (* root facts first: the strongest, cheapest clauses to hand a sibling
      solver working on the same formula *)
   let ar = t.arena in

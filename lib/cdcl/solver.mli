@@ -153,10 +153,10 @@ val unsat_core : t -> Sat.Lit.t list
     final-conflict analysis).  Not guaranteed minimal.  [[]] before any
     assumption conflict. *)
 
-val export_learnts : ?max_len:int -> ?max_clauses:int -> t -> Sat.Lit.t array list
+val export_learnts : t -> Sat.Lit.t array list
 (** Snapshot of the most valuable derived clauses: all root-level facts as
-    unit clauses, then the most active learnt clauses of length
-    [<= max_len] (default 4), capped at [max_clauses] (default 512) total.
+    unit clauses, then the most active learnt clauses of length [<= 4],
+    capped at 512 clauses in total.
     Every returned clause is a logical consequence of the solver's clause
     set, so it can be {!import_clauses}'d into any solver over the same (or
     a superset) formula. *)

@@ -60,15 +60,6 @@ let iter f t =
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.size - 1 do
-    f i t.data.(i)
-  done
-
-let exists p t =
-  let rec go i = i < t.size && (p t.data.(i) || go (i + 1)) in
-  go 0
-
 let to_list t = List.init t.size (fun i -> t.data.(i))
 
 let filter_in_place p t =

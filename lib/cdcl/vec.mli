@@ -29,8 +29,6 @@ val shrink : 'a t -> int -> unit
 (** [shrink t n] drops elements so that [size t = n]. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keeps only elements satisfying the predicate, preserving order. *)

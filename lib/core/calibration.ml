@@ -53,37 +53,29 @@ let random_problem rng ~dense =
   in
   Sat.Cnf.make ~num_vars:n (List.init m (fun _ -> clause ()))
 
-(* anneal the embedded prefix of a problem once; the label is the prefix
-   subformula's true satisfiability — exactly the population the backend
-   classifies at run time *)
-let labeled_energy ?(adjust = true) rng graph noise f =
-  let queue = Clause_queue.generate rng f ~activity:(fun _ -> 1.0) ~limit:250 in
-  let clauses = Array.of_list (List.map (Sat.Cnf.clause f) queue) in
-  let aux_of_clause, _ = Qubo.Encode.aux_numbering ~num_vars:(Sat.Cnf.num_vars f) clauses in
-  let res = Embed.Hyqsat_scheme.embed graph clauses ~aux_of_clause in
-  let embedded = res.Embed.Hyqsat_scheme.embedded_clauses in
-  if embedded = 0 then None
-  else begin
-    let prefix = Array.to_list (Array.sub clauses 0 embedded) in
-    let enc' = Qubo.Encode.encode ~num_vars:(Sat.Cnf.num_vars f) prefix in
-    if adjust then Qubo.Adjust.adjust enc';
-    let job =
-      {
-        Anneal.Machine.embedding = res.Embed.Hyqsat_scheme.embedding;
-        objective = Qubo.Encode.objective enc';
-        edges = res.Embed.Hyqsat_scheme.edges;
-      }
-    in
-    let energy = (Anneal.Machine.run ~noise rng job).Anneal.Machine.energy in
-    let sub = Sat.Cnf.make ~num_vars:(Sat.Cnf.num_vars f) prefix in
-    match Cdcl.Solver.solve (Cdcl.Solver.create sub) with
-    | Cdcl.Solver.Sat _ -> Some (energy, true)
-    | Cdcl.Solver.Unsat -> Some (energy, false)
-    | Cdcl.Solver.Unknown _ -> None
-  end
+(* anneal the embedded prefix of a problem once, through the same
+   [Frontend.prepare] job the hybrid solver builds (flat activity); the
+   label is the prefix subformula's true satisfiability — exactly the
+   population the backend classifies at run time *)
+let labeled_energy ~adjust rng graph noise f =
+  match Frontend.prepare ~adjust rng graph f ~activity:(fun _ -> 1.0) with
+  | None -> None
+  | Some prepared -> (
+      match
+        Anneal.Machine.run_via ~noise ~sample:(Anneal.Backend.sample Anneal.Backend.best_of)
+          rng prepared.Frontend.job
+      with
+      | Error _ -> None
+      | Ok outcome -> (
+          let prefix = List.map (Sat.Cnf.clause f) prepared.Frontend.clause_indices in
+          let sub = Sat.Cnf.make ~num_vars:(Sat.Cnf.num_vars f) prefix in
+          match Cdcl.Solver.solve (Cdcl.Solver.create sub) with
+          | Cdcl.Solver.Sat _ -> Some (outcome.Anneal.Machine.energy, true)
+          | Cdcl.Solver.Unsat -> Some (outcome.Anneal.Machine.energy, false)
+          | Cdcl.Solver.Unknown _ -> None))
 
-let calibrate ?(problems = 60) ?(noise = Anneal.Noise.default_2000q) ?(confidence = 0.9)
-    ?(adjust = true) rng graph =
+let calibrate ?(problems = 60) ?(noise = Anneal.Noise.default_2000q) ?(adjust = true) rng
+    graph =
   let sat = ref [] and unsat = ref [] in
   let guard = ref 0 in
   (* each class is drawn from its own population (the paper tests 1000
@@ -105,7 +97,7 @@ let calibrate ?(problems = 60) ?(noise = Anneal.Noise.default_2000q) ?(confidenc
   let model = Stats.Naive_bayes.fit ~sat:sat_energies ~unsat:unsat_energies in
   {
     model;
-    partition = Stats.Naive_bayes.partition ~confidence model;
+    partition = Stats.Naive_bayes.partition ~confidence:0.9 model;
     sat_energies;
     unsat_energies;
   }

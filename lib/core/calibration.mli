@@ -27,15 +27,16 @@ val simulator_default : t
 val calibrate :
   ?problems:int ->
   ?noise:Anneal.Noise.t ->
-  ?confidence:float ->
   ?adjust:bool ->
   Stats.Rng.t ->
   Chimera.Graph.t ->
   t
 (** [calibrate rng graph] collects [problems] (default 60) energy samples
-    per class by embedding random problems' clause queues, annealing each
+    per class by preparing each random problem's annealer job with
+    {!Frontend.prepare} (flat activity; [adjust] as there), annealing it
     once under [noise], and labelling with the {e embedded subset's} true
-    satisfiability (decided classically).  Calibrating on embedded subsets
+    satisfiability (decided classically).  The partition cuts sit at 90 %
+    confidence.  Calibrating on embedded subsets
     rather than whole problems matches the population the backend classifies
     at run time; Fig. 8's 50–160-clause, 15–40-variable shape is preserved
     through the queue generator. *)

@@ -20,9 +20,9 @@ val generate :
     [var_budget] bounds the distinct variables in the queue (the hardware's
     vertical-line count): a clause that would push the variable set past the
     budget is skipped — but reconsidered on later encounters, since its
-    missing variables may have joined the set through other clauses.  This
-    is what lets a 64-line graph host ~10× more clauses than variables, as
-    in the paper's ≈170-clause capacity.  Returns [[]] for an empty
+    missing variables may have joined the set through other clauses.  The
+    embedder then places only a prefix of the queue: ~45–53 clauses on the
+    16×16 graph, not the paper's ≈170.  Returns [[]] for an empty
     formula. *)
 
 val generate_random : Stats.Rng.t -> Sat.Cnf.t -> limit:int -> int list

@@ -19,15 +19,16 @@ type cache_key = int * Sat.Lit.var list list
 
 type cache = {
   graph : Chimera.Graph.t;  (* embeddings are only valid on this graph *)
-  capacity : int;
   table : (cache_key, Embed.Hyqsat_scheme.t) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create_cache ?(capacity = 64) graph =
-  if capacity < 1 then invalid_arg "Frontend.create_cache: capacity";
-  { graph; capacity; table = Hashtbl.create capacity; hits = 0; misses = 0 }
+(* placements a cache retains before it drops the whole table *)
+let cache_capacity = 64
+
+let create_cache graph =
+  { graph; table = Hashtbl.create cache_capacity; hits = 0; misses = 0 }
 
 let cache_stats c = (c.hits, c.misses)
 
@@ -50,7 +51,7 @@ let embed_via_cache obs cache graph f clauses ~aux_of_clause =
           (* a full table drops wholesale: the working set of a solve is a
              handful of conflict-hot queues, so an overflow means the keys
              stopped repeating and LRU bookkeeping would buy nothing *)
-          if Hashtbl.length c.table >= c.capacity then Hashtbl.reset c.table;
+          if Hashtbl.length c.table >= cache_capacity then Hashtbl.reset c.table;
           Hashtbl.add c.table key res;
           res)
 

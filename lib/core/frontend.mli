@@ -28,10 +28,10 @@ type cache
     call).  Warm-up iterations revisiting the same conflict-hot clauses
     reuse the placement instead of re-running place/route. *)
 
-val create_cache : ?capacity:int -> Chimera.Graph.t -> cache
-(** A cache bound to one hardware graph ([prepare] rejects any other).
-    [capacity] (default 64) bounds retained placements; overflow drops the
-    whole table.  Not domain-safe — use one cache per solving domain. *)
+val create_cache : Chimera.Graph.t -> cache
+(** A cache bound to one hardware graph ([prepare] rejects any other).  It
+    retains at most 64 placements; overflow drops the whole table.  Not
+    domain-safe — use one cache per solving domain. *)
 
 val cache_stats : cache -> int * int
 (** [(hits, misses)] since creation. *)

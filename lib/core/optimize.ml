@@ -36,8 +36,7 @@ let incumbent ?(max_flips = 20_000) ?should_stop rng w =
   Cdcl.Walksat.minimise ~max_flips ?should_stop rng ~num_vars:(Sat.Wcnf.num_vars w)
     (weighted_clauses w)
 
-let anneal_incumbent ?(samples = 8) ?(noise = Anneal.Noise.noise_free)
-    ?(should_stop = fun () -> false) rng graph w =
+let anneal_incumbent ?(samples = 8) ?(should_stop = fun () -> false) rng graph w =
   let n = Sat.Wcnf.num_vars w in
   let all = weighted_clauses w in
   let f = Sat.Cnf.make ~num_vars:n (Array.to_list (Array.map snd all)) in
@@ -51,15 +50,20 @@ let anneal_incumbent ?(samples = 8) ?(noise = Anneal.Noise.noise_free)
       let best = ref None in
       let k = ref 0 in
       while !k < samples && not (should_stop ()) do
-        let outcome = Anneal.Machine.run ~noise rng prepared.Frontend.job in
-        let x = Array.make (max n 1) false in
-        List.iter
-          (fun (node, v) -> if node < n then x.(node) <- v)
-          outcome.Anneal.Machine.assignment;
-        let cost = penalised_cost all x in
-        (match !best with
-        | Some (c0, _) when c0 <= cost -> ()
-        | _ -> best := Some (cost, x));
+        (match
+           Anneal.Machine.run_via ~sample:(Anneal.Backend.sample Anneal.Backend.best_of) rng
+             prepared.Frontend.job
+         with
+        | Error _ -> ()
+        | Ok outcome -> (
+            let x = Array.make (max n 1) false in
+            List.iter
+              (fun (node, v) -> if node < n then x.(node) <- v)
+              outcome.Anneal.Machine.assignment;
+            let cost = penalised_cost all x in
+            match !best with
+            | Some (c0, _) when c0 <= cost -> ()
+            | _ -> best := Some (cost, x)));
         incr k
       done;
       !best
@@ -67,20 +71,6 @@ let anneal_incumbent ?(samples = 8) ?(noise = Anneal.Noise.noise_free)
 (* ---- exact search ------------------------------------------------------ *)
 
 let model_prefix n model = Array.sub model 0 (min n (Array.length model))
-
-(* the deadline is wall-clock ([Unix.gettimeofday], matching what the
-   CLI/daemon document and what [Service.Deadline] classifies against), the
-   same clock as the reported [cpu_time_s] *)
-let stop_signal ~deadline ~should_stop =
-  match (deadline, should_stop) with
-  | None, None -> None
-  | _ ->
-      Some
-        (fun () ->
-          (match deadline with Some d -> Unix.gettimeofday () > d | None -> false)
-          || match should_stop with Some f -> f () | None -> false)
-
-let install_stop solver ~stop = Option.iter (Cdcl.Solver.set_terminate solver) stop
 
 let add_cardinality solver (card : Sat.Cardinality.t) =
   List.iter (fun c -> Cdcl.Solver.add_clause solver (Sat.Clause.lits c)) card.clauses
@@ -92,7 +82,7 @@ let add_cardinality solver (card : Sat.Cardinality.t) =
    ({!Sat.Cardinality.weighted_sum}, O(softs · log sum_weights)); only the
    variable-free bound comparison is re-emitted per round, so arbitrary
    WDIMACS weight magnitudes cost log, not unary, space. *)
-let linear ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
+let linear ~should_stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
   let n = Sat.Wcnf.num_vars w in
   let m = Sat.Wcnf.num_soft w in
   let softs = Sat.Wcnf.soft_clauses w in
@@ -110,7 +100,7 @@ let linear ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
       (Array.to_list w.Sat.Wcnf.hard @ relaxed @ counter.Sat.Cardinality.adder_clauses)
   in
   let solver = Cdcl.Solver.create base in
-  install_stop solver ~stop;
+  Cdcl.Solver.set_terminate solver should_stop;
   let calls = ref 0 in
   let finish ?best ~best_cost ~lower_bound status =
     {
@@ -162,13 +152,13 @@ let linear ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
    bound; the core's soft clauses are split (remainder weight stays on the
    original, a clone relaxed by a fresh variable carries the paid weight)
    under a hard exactly-one over the relaxation variables. *)
-let core_guided ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
+let core_guided ~should_stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
   let n = Sat.Wcnf.num_vars w in
   let solver =
     Cdcl.Solver.create
       (Sat.Cnf.make ~num_vars:n (Array.to_list w.Sat.Wcnf.hard))
   in
-  install_stop solver ~stop;
+  Cdcl.Solver.set_terminate solver should_stop;
   (* selector var → (remaining weight, clause body the selector relaxes) *)
   let softs : (int, int ref * Sat.Lit.t list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
@@ -273,29 +263,26 @@ let core_guided ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
 
 let default_seed = 20230225
 
-let solve ?(algorithm = Auto) ?max_conflicts ?timeout_s ?should_stop ?(gap_limit = 0)
-    ?max_flips ?samples ?rng ?graph w =
+let solve ?(algorithm = Auto) ?max_conflicts ?(should_stop = fun () -> false) ?(gap_limit = 0)
+    ?max_flips ?rng ?graph w =
   let t0 = Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> t0 +. s) timeout_s in
-  let stop = stop_signal ~deadline ~should_stop in
-  let stop_now = match stop with Some f -> f | None -> fun () -> false in
   let rng =
     match rng with Some r -> r | None -> Stats.Rng.create ~seed:default_seed
   in
   (* heuristic incumbents as a fallback chain: WalkSAT draws first from
      [rng]; the annealer runs only when a graph is given and WalkSAT's model
      violates a hard clause.  Only a hard-feasible model may seed the exact
-     search.  Both honour the deadline/cancel switch — the seeding phase
-     must not outlive the budget the exact search is held to. *)
+     search.  Both poll [should_stop] — the seeding phase must not outlive
+     the budget the exact search is held to. *)
   let feasible (_, x) =
     if Sat.Wcnf.hard_satisfied w x then Some (Sat.Wcnf.cost w x, x) else None
   in
   let seed_best =
-    match feasible (incumbent ?max_flips ~should_stop:stop_now rng w) with
+    match feasible (incumbent ?max_flips ~should_stop rng w) with
     | Some _ as walk -> walk
     | None ->
         Option.bind graph (fun g ->
-            Option.bind (anneal_incumbent ?samples ~should_stop:stop_now rng g w) feasible)
+            Option.bind (anneal_incumbent ~should_stop rng g w) feasible)
   in
   let algorithm =
     match algorithm with
@@ -303,5 +290,5 @@ let solve ?(algorithm = Auto) ?max_conflicts ?timeout_s ?should_stop ?(gap_limit
     | a -> a
   in
   match algorithm with
-  | Linear | Auto -> linear ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w
-  | Core_guided -> core_guided ~stop ~max_conflicts ~gap_limit ~seed_best ~t0 w
+  | Linear | Auto -> linear ~should_stop ~max_conflicts ~gap_limit ~seed_best ~t0 w
+  | Core_guided -> core_guided ~should_stop ~max_conflicts ~gap_limit ~seed_best ~t0 w

@@ -25,7 +25,9 @@
     draws first from the job's [rng], and annealer sampling only as a
     fallback when WalkSAT's model violates a hard clause.  Every answer
     carries [(best_cost, lower_bound)] so the optimality gap is always
-    reported. *)
+    reported.  {!solve} has no clock of its own: one [should_stop] closure
+    (the service's job stop switch: cancel or deadline) stops the seeding
+    and the exact search alike. *)
 
 type algorithm = Linear | Core_guided | Auto
 (** [Auto] picks [Linear] for small summed soft weight (few descent rounds
@@ -74,7 +76,6 @@ val incumbent :
 
 val anneal_incumbent :
   ?samples:int ->
-  ?noise:Anneal.Noise.t ->
   ?should_stop:(unit -> bool) ->
   Stats.Rng.t ->
   Chimera.Graph.t ->
@@ -82,29 +83,29 @@ val anneal_incumbent :
   (int * bool array) option
 (** Best of [samples] (default 8) annealing cycles over the weighted QUBO
     (hard clauses at weight [top], softs at their weight, queue ordered by
-    weight).  Returns the penalised cost as in {!incumbent}; [None] when
-    nothing embeds.  [should_stop] is polled between cycles.  {!solve}
+    weight), each one noise-free {!Anneal.Machine.run_via} on the
+    infallible {!Anneal.Backend.best_of} simulator.  Returns the penalised
+    cost as in {!incumbent}; [None] when nothing embeds.  [should_stop] is
+    polled between cycles.  {!solve}
     calls it only as a fallback, when {!incumbent}'s model violates a hard
     clause, and then on the [rng] stream WalkSAT left behind. *)
 
 val solve :
   ?algorithm:algorithm ->
   ?max_conflicts:int ->
-  ?timeout_s:float ->
   ?should_stop:(unit -> bool) ->
   ?gap_limit:int ->
   ?max_flips:int ->
-  ?samples:int ->
   ?rng:Stats.Rng.t ->
   ?graph:Chimera.Graph.t ->
   Sat.Wcnf.t ->
   result
 (** Exact weighted MaxSAT.  [max_conflicts] bounds each CDCL call
     (exhaustion returns the incumbent as [Feasible]/[Unknown]);
-    [timeout_s] is a wall-clock deadline ([Unix.gettimeofday], the clock
-    the service layer classifies timeouts against) and [should_stop] an
-    external cancel switch, both enforced through the solver's terminate
-    hook {e and} polled by the heuristic seeding phase; [gap_limit]
+    [should_stop] (default: never) is the stop switch — the service folds
+    the job deadline and its cancel switch into it — enforced through the
+    solver's terminate hook {e and} polled by the heuristic seeding phase;
+    [gap_limit]
     (default 0) stops as soon as [best_cost - lower_bound <= gap_limit];
     [rng] seeds the WalkSAT incumbent, which draws first (a fixed default
     seed is used when absent).  [graph] enables the annealer incumbent as a

@@ -273,16 +273,3 @@ let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
     learnts = Cdcl.Solver.export_learnts solver;
     proof = Cdcl.Solver.proof solver;
   }
-
-let optimize ?(mode = Hybrid Hybrid_solver.default_config) ?algorithm ?max_conflicts
-    ?timeout_s ?should_stop ?gap_limit ?seed w =
-  (* hybrid mode contributes its hardware graph, so the annealer can stand
-     in for a hard-infeasible WalkSAT incumbent, sampled exactly as the
-     decision pipeline would sample it *)
-  let graph =
-    match mode with
-    | Hybrid c -> Some c.Hybrid_solver.graph
-    | Classic _ -> None
-  in
-  let rng = Option.map (fun seed -> Stats.Rng.create ~seed) seed in
-  Optimize.solve ?algorithm ?max_conflicts ?timeout_s ?should_stop ?gap_limit ?rng ?graph w

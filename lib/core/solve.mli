@@ -1,10 +1,13 @@
-(** The single solving entry point.
+(** The single decision-solving entry point.
 
-    Everything above lib/core (service portfolio, certification, CLI) goes
-    through {!run} with a {!mode} value, so adding a solving mode is a new
-    variant, not a new function to thread through every layer.  {!run}
-    solves one formula once; incremental solving (clauses added between
-    solves, assumptions, cores) is {!Cdcl.Solver}'s own API. *)
+    Every portfolio member above lib/core goes through {!run} with a
+    {!mode} value, so adding a solving mode is a new variant, not a new
+    function to thread through every layer.  {!run} solves one formula
+    once; incremental solving (clauses added between solves, assumptions,
+    cores) is {!Cdcl.Solver}'s own API, and weighted MaxSAT is
+    {!Optimize.solve}.  Stopping is one [should_stop] closure: the service
+    folds a job's cancel switch and deadline into it, and {!run} never
+    reads a clock to decide when to stop. *)
 
 type mode = Hybrid_solver.mode =
   | Hybrid of Hybrid_solver.config
@@ -102,26 +105,3 @@ val run :
     conflict-hot queues skip place/route).  [Classic] mode emits a
     ["classic_solve"] span with one ["cdcl"] child and the CDCL engine's
     metrics.  Both root spans carry a [result] attribute. *)
-
-(** {2 Optimisation}
-
-    The decision pipeline above answers "is there a model"; the paired
-    {!optimize} entry point answers "what is the cheapest model" over a
-    weighted {!Sat.Wcnf.t}.  A service job is an optimisation job when
-    its spec carries a WCNF. *)
-
-val optimize :
-  ?mode:mode ->
-  ?algorithm:Optimize.algorithm ->
-  ?max_conflicts:int ->
-  ?timeout_s:float ->
-  ?should_stop:(unit -> bool) ->
-  ?gap_limit:int ->
-  ?seed:int ->
-  Sat.Wcnf.t ->
-  Optimize.result
-(** Exact weighted MaxSAT (see {!Optimize.solve}).  [mode] (default hybrid)
-    only shapes the heuristic incumbents: hybrid contributes its hardware
-    graph so annealer samples seed the search, classic uses WalkSAT alone.
-    Either way the exact phase is the same CDCL-based search, and the
-    result always carries [(best_cost, lower_bound)]. *)

@@ -12,8 +12,10 @@
 
     The construction is transactional per clause: if a clause's variables or
     segments do not fit, the clause (and everything after it) is left out
-    and the embedding of the preceding prefix stands — this is what bounds
-    the QA capacity at roughly 170 clauses on the 16×16 graph.
+    and the embedding of the preceding prefix stands.  On the 16×16 graph
+    this places ~45–53 clauses of a random 3-SAT queue per call, and
+    [bench fig13] embeds every 40-clause queue and no 60-clause one — about
+    a third of the paper's ≈170-clause capacity (Fig. 13).
 
     Complexity is linear in hardware size: each vertical line is assigned
     once and each horizontal qubit is claimed at most once. *)
@@ -36,6 +38,6 @@ val embed : Chimera.Graph.t -> Sat.Clause.t array -> aux_of_clause:int array -> 
     @raise Invalid_argument if the two arrays differ in length. *)
 
 val capacity_estimate : Chimera.Graph.t -> int
-(** Rough upper bound on embeddable 3-clauses (vertical lines bound distinct
-    variables; horizontal qubits bound segments).  Used by the clause-queue
-    generator as its size threshold. *)
+(** A cap on clause-queue length, not a capacity: horizontal qubits / 4,
+    256 on the 16×16 graph, several times what {!embed} places.  The
+    clause-queue generator stops there, so this value sizes every queue. *)

@@ -223,9 +223,6 @@ let objective t =
   Array.iter (fun s -> Pbq.add_scaled h s.penalty s.alpha) t.subs;
   h
 
-let aux_vars t =
-  List.init (t.num_total_vars - t.num_original_vars) (fun i -> t.num_original_vars + i)
-
 let clauses_satisfied t x =
   let a = Sat.Assignment.of_bools x in
   Array.for_all (fun c -> Sat.Assignment.satisfies_clause a c) t.clauses

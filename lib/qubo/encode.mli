@@ -61,9 +61,6 @@ val set_clause_weights : t -> float array -> unit
 val objective : t -> Pbq.t
 (** The α-weighted total objective H_C(X, A). *)
 
-val aux_vars : t -> int list
-(** All auxiliary variables, ascending. *)
-
 val clauses_satisfied : t -> bool array -> bool
 (** Whether a total assignment of the {e original} variables satisfies every
     encoded clause (auxiliaries are ignored). *)

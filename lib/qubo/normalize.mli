@@ -12,5 +12,5 @@ val d_star : Pbq.t -> float
 val apply : Pbq.t -> Pbq.t
 (** Fresh normalised copy: all coefficients divided by {!d_star}. *)
 
-val within_hardware_range : ?eps:float -> Pbq.t -> bool
-(** Checks [B ∈ [-2,2]] and [J ∈ [-1,1]] up to [eps]. *)
+val within_hardware_range : Pbq.t -> bool
+(** Checks [B ∈ [-2,2]] and [J ∈ [-1,1]] up to 1e-9. *)

@@ -6,7 +6,6 @@ type t = value array
 
 let create n = Array.make n Unassigned
 let of_bools bools = Array.map value_of_bool bools
-let num_vars = Array.length
 let value t v = t.(v)
 let set t v b = t.(v) <- value_of_bool b
 let unset t v = t.(v) <- Unassigned
@@ -48,14 +47,3 @@ let num_unsatisfied t f =
 
 let to_bools t ~default =
   Array.map (function True -> true | False -> false | Unassigned -> default) t
-
-let pp fmt t =
-  Format.fprintf fmt "@[<h>";
-  Array.iteri
-    (fun v x ->
-      match x with
-      | Unassigned -> ()
-      | True -> Format.fprintf fmt "x%d=1 " v
-      | False -> Format.fprintf fmt "x%d=0 " v)
-    t;
-  Format.fprintf fmt "@]"

@@ -13,7 +13,6 @@ val create : int -> t
 val of_bools : bool array -> t
 (** Total assignment from a boolean array. *)
 
-val num_vars : t -> int
 val value : t -> Lit.var -> value
 val set : t -> Lit.var -> bool -> unit
 val unset : t -> Lit.var -> unit
@@ -38,5 +37,3 @@ val num_unsatisfied : t -> Cnf.t -> int
 
 val to_bools : t -> default:bool -> bool array
 (** Totalise, mapping unassigned variables to [default]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,7 +18,6 @@ let is_tautology c =
   let rec go i = i + 1 < n && (Lit.var c.(i) = Lit.var c.(i + 1) || go (i + 1)) in
   go 0
 
-let mem l c = Array.exists (Lit.equal l) c
 let vars c = List.sort_uniq Int.compare (List.map Lit.var (lits c))
 
 let shares_var c1 c2 =
@@ -42,5 +41,3 @@ let pp fmt c =
   Format.fprintf fmt "(%a)"
     (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f " \\/ ") Lit.pp)
     (lits c)
-
-let to_string c = Format.asprintf "%a" pp c

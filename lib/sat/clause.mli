@@ -24,7 +24,6 @@ val is_empty : t -> bool
 val is_tautology : t -> bool
 (** [true] iff the clause contains a literal and its negation. *)
 
-val mem : Lit.t -> t -> bool
 val vars : t -> Lit.var list
 (** Sorted distinct variables of the clause. *)
 
@@ -34,4 +33,3 @@ val shares_var : t -> t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -33,9 +33,8 @@ let make ~num_vars ~hard ~soft =
     soft = Array.of_list (List.map (fun (weight, clause) -> { weight; clause }) soft);
   }
 
-let of_cnf ?(weight = 1) f =
-  make ~num_vars:(Cnf.num_vars f) ~hard:[]
-    ~soft:(List.map (fun c -> (weight, c)) (Cnf.clauses f))
+let of_cnf f =
+  make ~num_vars:(Cnf.num_vars f) ~hard:[] ~soft:(List.map (fun c -> (1, c)) (Cnf.clauses f))
 
 let num_vars f = f.num_vars
 let num_hard f = Array.length f.hard

@@ -19,9 +19,9 @@ val make : num_vars:int -> hard:Clause.t list -> soft:(int * Clause.t) list -> t
     penalised costs stay valid native ints; the parser reports the same
     condition as {!Parse_error}). *)
 
-val of_cnf : ?weight:int -> Cnf.t -> t
-(** Every clause of [f] becomes soft with the given weight (default [1]) —
-    the classic unweighted MaxSAT relaxation. *)
+val of_cnf : Cnf.t -> t
+(** Every clause of [f] becomes soft at weight 1 — the classic unweighted
+    MaxSAT relaxation. *)
 
 val num_vars : t -> int
 val num_hard : t -> int

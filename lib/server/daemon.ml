@@ -5,8 +5,6 @@ type config = {
   tcp_port : int option;
   metrics_port : int option;
   dispatch : Dispatch.config;
-  max_frame : int;
-  events_backlog_bytes : int;
 }
 
 let default_config =
@@ -15,9 +13,10 @@ let default_config =
     tcp_port = None;
     metrics_port = None;
     dispatch = Dispatch.default_config;
-    max_frame = Codec.default_max_frame;
-    events_backlog_bytes = 256 * 1024;
   }
+
+(* a subscriber with more unsent output than this gets its events dropped *)
+let events_backlog_bytes = 256 * 1024
 
 type ready = {
   r_unix_socket : string option;
@@ -140,7 +139,7 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
             fd;
             key;
             kind;
-            dec = Codec.decoder ~max_frame:config.max_frame ();
+            dec = Codec.decoder ();
             wr = Codec.writer ();
             http_in = Buffer.create 256;
             http_out = "";
@@ -230,14 +229,13 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
         | `Proto ->
             Codec.feed c.dec ~len:n read_buf;
             handle_proto_input c
-        | `Http ->
-            Buffer.add_subbytes c.http_in read_buf 0 n;
-            if c.http_out = "" && Metrics_http.request_complete (Buffer.contents c.http_in)
-            then begin
-              c.http_out <-
-                Metrics_http.response ~metrics:metrics_body (Buffer.contents c.http_in);
-              c.closing <- true
-            end)
+        | `Http when c.http_out = "" ->
+            Option.iter
+              (fun response ->
+                c.http_out <- response;
+                c.closing <- true)
+              (Metrics_http.on_read ~metrics:metrics_body c.http_in read_buf n)
+        | `Http -> () (* answered: the rest of the request is dropped *))
   in
 
   let handle_writable c =
@@ -295,7 +293,7 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
           if c.kind = `Proto && c.subscribed && not c.closing then
             List.iter
               (fun (r : Obs.Ctx.span_record) ->
-                if Codec.pending c.wr > config.events_backlog_bytes then
+                if Codec.pending c.wr > events_backlog_bytes then
                   metric "events_dropped_total"
                 else
                   send c

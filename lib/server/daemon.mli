@@ -9,7 +9,9 @@
     stream: clients that sent [Subscribe {events = true}] receive an
     {!Protocol.server_msg.Event} per ["job"]/["attempt"]/["race"]/
     ["member"] span, dropped (and counted in [events_dropped_total])
-    rather than buffered beyond [events_backlog_bytes] of unsent output.
+    rather than buffered beyond 256 KiB of unsent output.  Frames are
+    capped at {!Codec.default_max_frame}, and a [/metrics] request at
+    8 KiB.
 
     Shutdown contract: when [stop] flips (SIGTERM/SIGINT in the CLI),
     the daemon closes its listeners, rejects queued jobs as
@@ -23,15 +25,11 @@ type config = {
   tcp_port : int option;  (** loopback only; [Some 0] = ephemeral *)
   metrics_port : int option;  (** loopback HTTP [/metrics]; [Some 0] = ephemeral *)
   dispatch : Dispatch.config;
-  max_frame : int;  (** per-connection decoder limit *)
-  events_backlog_bytes : int;
-      (** per-subscriber unsent-output bound before events are dropped *)
 }
 
 val default_config : config
-(** No listeners configured (callers must set at least one),
-    {!Dispatch.default_config}, {!Codec.default_max_frame}, 256 KiB
-    event backlog. *)
+(** No listeners configured (callers must set at least one) and
+    {!Dispatch.default_config}. *)
 
 type ready = {
   r_unix_socket : string option;

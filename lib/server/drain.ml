@@ -26,11 +26,12 @@ let to_json_string r =
            ("wall_s", Num r.wall_s);
          ]))
 
-let install_stop_handlers ?signals () =
-  let signals = match signals with Some s -> s | None -> [ Sys.sigterm; Sys.sigint ] in
+let install_stop_handlers () =
   let stop = Atomic.make false in
   let handler _ =
     if Atomic.exchange stop true then exit 130 (* second signal: give up on grace *)
   in
-  List.iter (fun s -> Sys.set_signal s (Sys.Signal_handle handler)) signals;
+  List.iter
+    (fun s -> Sys.set_signal s (Sys.Signal_handle handler))
+    [ Sys.sigterm; Sys.sigint ];
   stop

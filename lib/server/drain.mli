@@ -26,9 +26,8 @@ val to_json_string : report -> string
 (** Versioned JSON object ({!Service.Telemetry.schema_version}), for the
     machine-readable drain report. *)
 
-val install_stop_handlers : ?signals:int list -> unit -> bool Atomic.t
-(** Install handlers for [signals] (default [Sys.sigterm; Sys.sigint])
-    that set the returned flag on first delivery; a second signal while
-    draining exits immediately with code 130.  Returns the flag polled by
-    the cooperative-cancellation paths ({!Service.Batch.run}'s [cancel],
-    the daemon's event loop). *)
+val install_stop_handlers : unit -> bool Atomic.t
+(** Install handlers for SIGTERM and SIGINT that set the returned flag on
+    first delivery; a second signal while draining exits immediately with
+    code 130.  Returns the flag polled by the cooperative-cancellation
+    paths ({!Service.Batch.run}'s [cancel], the daemon's event loop). *)

@@ -107,38 +107,48 @@ let result ?(verified = "") ?(winner = "") ?(attempts = 0) ?(solve_time_s = 0.)
 let unstarted spec outcome ~queue_wait_s =
   result spec outcome ~queue_wait_s (Portfolio.idle_stats outcome)
 
-(* why a job ends Unknown once its search or its certification stopped
-   early: the cancel switch, else the deadline, else the budget ran out *)
-let unknown_reason ~cancel deadline =
-  if cancel () then Job.Cancelled
-  else if Deadline.expired deadline then Job.Timeout
-  else Job.Budget
+(* the job's one stop switch, built once per job from the caller's
+   [cancel] (drain, SIGINT) and the job deadline: every phase below — the
+   race, the retry check, the MaxSAT search, certification — polls
+   [should_stop], and [reason] says why a stopped job ends Unknown *)
+type stop = { should_stop : unit -> bool; reason : unit -> Job.unknown_reason }
+
+let stop_switch ~cancel spec =
+  let deadline =
+    match spec.Job.timeout_s with None -> Deadline.none | Some s -> Deadline.after s
+  in
+  {
+    should_stop = (fun () -> cancel () || Deadline.expired deadline);
+    reason =
+      (fun () ->
+        if cancel () then Job.Cancelled
+        else if Deadline.expired deadline then Job.Timeout
+        else Job.Budget);
+  }
 
 (* certification hook shared by decision and optimisation jobs: [check]
-   runs the checker, polling [should_stop] (the cancel switch or the job
-   deadline).  A claim the checker rejects is withheld as
-   [Unknown Cert_failed] rather than handed to the caller wrong; a check
-   that was stopped certifies nothing, so the claim is withheld as
-   [Unknown Cancelled] / [Unknown Timeout] instead.  [label] names the
-   verdict in the record's [verified] field *)
-let certified ~cancel ~deadline ~label outcome check =
+   runs the checker, polling the job's stop switch.  A claim the checker
+   rejects is withheld as [Unknown Cert_failed] rather than handed to the
+   caller wrong; a check that was stopped certifies nothing, so the claim
+   is withheld as [Unknown Cancelled] / [Unknown Timeout] instead.
+   [label] names the verdict in the record's [verified] field *)
+let certified stop ~label outcome check =
   let stopped = ref false in
   let should_stop () =
-    stopped := cancel () || Deadline.expired deadline;
+    stopped := stop.should_stop ();
     !stopped
   in
   let verdict = check ~should_stop in
   match verdict with
   | Ok _ -> (outcome, label verdict)
-  | Error _ when !stopped -> (Job.Unknown (unknown_reason ~cancel deadline), label verdict)
+  | Error _ when !stopped -> (Job.Unknown (stop.reason ()), label verdict)
   | Error _ -> (Job.Unknown Job.Cert_failed, label verdict)
 
 (* decision jobs: the Sat model is checked against the original formula,
    the Unsat DRAT proof against the solved one.  [Job.outcome] and
    [Cdcl.Solver.result] are the same type ({!Sat.Answer.t}), so the
    outcome feeds the checker directly *)
-let certify_outcome ~cancel ~deadline (spec : Job.spec) (race : Portfolio.race_report)
-    outcome =
+let certify_outcome stop (spec : Job.spec) (race : Portfolio.race_report) outcome =
   if not spec.Job.certify then (outcome, "")
   else
     let original = Job.original_formula spec in
@@ -147,7 +157,7 @@ let certify_outcome ~cancel ~deadline (spec : Job.spec) (race : Portfolio.race_r
       | Job.Unsat, Some w -> w.Portfolio.stats.Portfolio.proof
       | _ -> None
     in
-    certified ~cancel ~deadline ~label:Check.Certify.verdict_label outcome
+    certified stop ~label:Check.Certify.verdict_label outcome
       (fun ~should_stop ->
         Check.Certify.certify ~should_stop ~original ~solved:spec.Job.formula ?proof outcome)
 
@@ -162,7 +172,7 @@ let max_member_iterations (race : Portfolio.race_report) =
    same [job_result]/[Telemetry.record] shapes (with an empty race report)
    so batch aggregation, tables and the wire protocol need no second
    path. *)
-let process_opt ~cancel ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
+let process_opt stop ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
   let traced = not (Obs.Ctx.is_null obs) in
   let started = Unix.gettimeofday () in
   let queue_wait_s = started -. enqueued_at in
@@ -173,13 +183,15 @@ let process_opt ~cancel ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
         "optimize"
     else Obs.Span.none
   in
-  let deadline = Job.deadline spec in
+  (* the hybrid graph lets the annealer stand in for a hard-infeasible
+     WalkSAT incumbent, sampled exactly as the decision pipeline samples *)
   let r =
-    Hyqsat.Solve.optimize
+    Hyqsat.Optimize.solve
       ?max_conflicts:
         (if spec.Job.max_iterations = max_int then None else Some spec.Job.max_iterations)
-      ?timeout_s:spec.Job.timeout_s ~should_stop:cancel ~gap_limit:spec.Job.gap_limit
-      ~seed:(Job.attempt_seed spec 0) w
+      ~should_stop:stop.should_stop ~gap_limit:spec.Job.gap_limit
+      ~rng:(Stats.Rng.create ~seed:(Job.attempt_seed spec 0))
+      ~graph:Hyqsat.Hybrid_solver.default_config.Hyqsat.Hybrid_solver.graph w
   in
   Obs.Span.stop span;
   let solve_time_s = Unix.gettimeofday () -. started in
@@ -187,7 +199,7 @@ let process_opt ~cancel ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
     match (r.Hyqsat.Optimize.status, r.Hyqsat.Optimize.best) with
     | (Hyqsat.Optimize.Optimal | Hyqsat.Optimize.Feasible), Some m -> Job.Sat m
     | Hyqsat.Optimize.Infeasible, _ -> Job.Unsat
-    | _ -> Job.Unknown (unknown_reason ~cancel deadline)
+    | _ -> Job.Unknown (stop.reason ())
   in
   let outcome, verified =
     match outcome with
@@ -195,12 +207,12 @@ let process_opt ~cancel ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
     | Job.Unknown _ -> (outcome, "") (* no claim, nothing to certify *)
     | Job.Sat _ | Job.Unsat ->
         (* certification re-solves stay inside the job's budget: the
-           conflict cap, the cancel/drain switch and the job deadline all
-           reach the fresh solvers through certify_opt — the expensive
+           conflict cap and the job's stop switch both reach the fresh
+           solvers through certify_opt — the expensive
            re-solves only happen for Optimal/Infeasible claims, which the
            search proved before the deadline, so there is budget left to
            check them *)
-        certified ~cancel ~deadline ~label:Check.Certify.opt_verdict_label outcome
+        certified stop ~label:Check.Certify.opt_verdict_label outcome
           (fun ~should_stop ->
             Check.Certify.certify_opt
               ?max_conflicts:
@@ -214,19 +226,17 @@ let process_opt ~cancel ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
     ~lower_bound:r.Hyqsat.Optimize.lower_bound spec outcome ~queue_wait_s
     { (Portfolio.idle_stats outcome) with iterations = r.Hyqsat.Optimize.cdcl_calls }
 
-let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueued_at
-    () =
+let process_decision stop ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueued_at () =
   let traced = not (Obs.Ctx.is_null obs) in
   let started = Unix.gettimeofday () in
   let queue_wait_s = started -. enqueued_at in
-  let deadline = Job.deadline spec in
   let warm_import =
     match warm with Some w -> Warm.lookup w spec.Job.formula | None -> []
   in
   (* bounded retry with reseeding: an attempt that ends Unknown (step budget
      exhausted, or an incomplete member giving up) is retried with fresh
-     seeds while attempts and wall-clock remain — and the external [cancel]
-     switch (drain, SIGTERM) hasn't fired *)
+     seeds while attempts remain and the job's stop switch (deadline,
+     drain, SIGTERM) hasn't fired *)
   let rec attempt k ~import =
     (* built before the span opens: a raising closure leaves no span open *)
     let members = members ~spec ~seed:(Job.attempt_seed spec k) in
@@ -238,14 +248,14 @@ let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqu
       else Obs.Span.none
     in
     let race =
-      Portfolio.race ~deadline ~cancel ~max_iterations:spec.Job.max_iterations ~obs
-        ~parent:aspan ~import members spec.Job.formula
+      Portfolio.race ~should_stop:stop.should_stop ~max_iterations:spec.Job.max_iterations
+        ~obs ~parent:aspan ~import members spec.Job.formula
     in
     Obs.Span.stop aspan;
     match race.Portfolio.winner with
     | Some _ -> (race, k + 1)
     | None ->
-        if k < spec.Job.retries && not (Deadline.expired deadline) && not (cancel ()) then
+        if k < spec.Job.retries && not (stop.should_stop ()) then
           (* the retry reseeds but keeps what the failed attempt learnt:
              same formula, so the clauses are sound implicates *)
           attempt (k + 1) ~import:(Portfolio.race_learnts race)
@@ -266,9 +276,9 @@ let process_decision ~cancel ?warm ~members ~obs ~parent (spec : Job.spec) ~enqu
             Job.Sat (project_model ~original:(Job.original_formula spec) m)
         | Cdcl.Solver.Unsat -> Job.Unsat
         | Cdcl.Solver.Unknown _ -> assert false (* winners are decisive *))
-    | None -> Job.Unknown (unknown_reason ~cancel deadline)
+    | None -> Job.Unknown (stop.reason ())
   in
-  let outcome, verified = certify_outcome ~cancel ~deadline spec race outcome in
+  let outcome, verified = certify_outcome stop spec race outcome in
   let winner, stats =
     match race.Portfolio.winner with
     | Some w -> (w.Portfolio.member, w.Portfolio.stats)
@@ -291,11 +301,12 @@ let process ?(cancel = fun () -> false) ?warm ?worker ?(attrs = []) ~members ~ob
       Obs.Span.start obs ~parent ~attrs "job"
     else Obs.Span.none
   in
+  let stop = stop_switch ~cancel spec in
   let r =
     try
       match spec.Job.wcnf with
-      | Some w -> process_opt ~cancel ~obs ~parent:span spec w ~enqueued_at ()
-      | None -> process_decision ~cancel ?warm ~members ~obs ~parent:span spec ~enqueued_at ()
+      | Some w -> process_opt stop ~obs ~parent:span spec w ~enqueued_at ()
+      | None -> process_decision stop ?warm ~members ~obs ~parent:span spec ~enqueued_at ()
     with e ->
       (* a raising job (its members closure, a solver fault) still answers,
          so its batch or connection keeps every other job's result *)

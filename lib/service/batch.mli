@@ -37,10 +37,10 @@ val run :
     aggregated summary plus per-job results in input order.
 
     [cancel] is an external kill switch (the CLI wires SIGINT/SIGTERM to
-    it): once it returns [true], in-flight races stop cooperatively within
-    ~128 solver steps and report [Unknown Cancelled], no further retries
-    are attempted, and the batch still returns normally with full
-    telemetry — nothing dies mid-write.
+    it), part of each job's stop switch (see {!process}): once it fires,
+    in-flight races stop cooperatively within ~128 solver steps and report
+    [Unknown Cancelled], no further retries are attempted, and the batch
+    still returns normally with full telemetry — nothing dies mid-write.
 
     With [warm_start] (default [false]) the batch keeps a shared pool of
     learnt clauses keyed by formula structure: when a later job presents a
@@ -75,16 +75,17 @@ val run :
     original formula, the Unsat DRAT proof against the solved formula (the
     members must run with [log_proof] for a proof to exist) — and a claim
     the checker rejects comes back as [Unknown Cert_failed] with the
-    reason in the record's [verified] field.  [cancel] and the job
-    deadline also reach the DRAT check (polled once per lemma): a check
-    they stop certifies nothing, so the Unsat claim comes back as
+    reason in the record's [verified] field.  The job's stop switch also
+    reaches the DRAT check (polled once per lemma): a check it stops
+    certifies nothing, so the Unsat claim comes back as
     [Unknown Cancelled] or [Unknown Timeout], never as an unchecked
     [Unsat].
 
     A spec carrying a [wcnf] is an {e optimisation job}: instead of racing
     [members], the worker runs the exact weighted-MaxSAT pipeline
-    ({!Hyqsat.Solve.optimize}, seeded with the spec's attempt-0 seed,
-    bounded by its timeout/budget and [gap_limit]) and reports
+    ({!Hyqsat.Optimize.solve} with the hybrid graph, its RNG seeded with
+    the spec's attempt-0 seed, bounded by the job's stop switch, its
+    budget and [gap_limit]) and reports
     [Sat model] / [Unsat] / [Unknown] through the same shapes, with the
     record's [cost]/[lower_bound] fields filled (decision jobs write -1).
     [certify] then means {!Check.Certify.certify_opt}: cost re-check plus
@@ -141,7 +142,11 @@ val process :
     schedules onto its pool and the server dispatcher onto its own.  Runs
     the full attempt/retry/certify pipeline and returns the same
     {!job_result} a batch would record; [enqueued_at] (absolute epoch
-    seconds) anchors the record's [queue_wait_s].  [warm] taps the job
+    seconds) anchors the record's [queue_wait_s], and the job's deadline
+    starts with the call.  The deadline and [cancel] make one stop switch
+    that every phase polls (race, retry check, MaxSAT search,
+    certification); a job it stops answers [unknown:cancelled] when
+    [cancel] fired, else [unknown:timeout].  [warm] taps the job
     into a shared {!Warm.t} pool (consult before solving, deposit after)
     — the dispatcher uses one pool per server session.
 

@@ -1,8 +1,5 @@
 type t = float (* absolute epoch seconds; infinity = no deadline *)
 
 let none = infinity
-let at t = t
 let after s = Unix.gettimeofday () +. s
 let expired t = t < infinity && Unix.gettimeofday () >= t
-let remaining_s t = if t = infinity then infinity else t -. Unix.gettimeofday ()
-let earliest a b = Float.min a b

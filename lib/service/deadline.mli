@@ -1,9 +1,10 @@
 (** Wall-clock deadlines for solver jobs.
 
-    A deadline is an absolute point in time (from [Unix.gettimeofday]); jobs
-    and portfolio racers poll {!expired} cooperatively.  [none] never
+    A deadline is an absolute point in time (from [Unix.gettimeofday]).
+    {!Batch} folds a job's deadline and the caller's cancel switch into the
+    one [should_stop] closure every phase of the job polls; [none] never
     expires.  Checking costs one [gettimeofday] call (~25 ns), cheap enough
-    to fold into a cancellation callback polled every few solver steps. *)
+    to poll every few solver steps. *)
 
 type t
 
@@ -13,13 +14,4 @@ val none : t
 val after : float -> t
 (** [after s] expires [s] seconds from now.  [s <= 0] is already expired. *)
 
-val at : float -> t
-(** Absolute epoch seconds. *)
-
 val expired : t -> bool
-
-val remaining_s : t -> float
-(** Seconds until expiry; negative once past, [infinity] for {!none}. *)
-
-val earliest : t -> t -> t
-(** The tighter of two deadlines. *)

@@ -76,9 +76,6 @@ let optimize ?name ?gap_limit ?certify ?timeout_s ?max_iterations ?retries ?qa ?
 
 let original_formula spec = match spec.original with Some g -> g | None -> spec.formula
 
-let deadline spec =
-  match spec.timeout_s with None -> Deadline.none | Some s -> Deadline.after s
-
 (* 7919 is the 1000th prime: attempt seeds stay far apart without colliding
    with the +1/+2 seed conventions used elsewhere in the suite *)
 let attempt_seed spec k = spec.seed + (7919 * k)

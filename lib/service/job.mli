@@ -36,7 +36,7 @@ type spec = {
           layout) *)
   wcnf : Sat.Wcnf.t option;
       (** [Some w] makes this an optimisation job: the worker runs the
-          exact weighted-MaxSAT pipeline ({!Hyqsat.Solve.optimize}) on [w]
+          exact weighted-MaxSAT pipeline ({!Hyqsat.Optimize.solve}) on [w]
           instead of racing a decision portfolio on [formula].  [formula]
           still carries [w]'s hard clauses so warm-start keying and
           admission sizing keep working unchanged *)
@@ -100,10 +100,6 @@ val optimize :
 val original_formula : spec -> Sat.Cnf.t
 (** The formula answers are reported against: [original] if present,
     otherwise [formula]. *)
-
-val deadline : spec -> Deadline.t
-(** The job's deadline anchored at the current instant (call it when the
-    job starts running). *)
 
 val attempt_seed : spec -> int -> int
 (** [attempt_seed spec k] is the reseeded base for attempt [k] (0-based). *)

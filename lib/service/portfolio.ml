@@ -138,7 +138,7 @@ let make_member ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ?superv
 let members_named ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed names =
   List.map (make_member ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed) names
 
-let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iterations = max_int)
+let race ?should_stop:(stop = fun () -> false) ?(max_iterations = max_int)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?(import = []) members f =
   if members = [] then invalid_arg "Portfolio.race: no members";
   let traced = not (Obs.Ctx.is_null obs) in
@@ -154,7 +154,7 @@ let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iteration
   let tickets = Atomic.make 0 in
   let winner_idx = Atomic.make (-1) in
   let won () = Atomic.get tickets >= decided in
-  let should_stop () = won () || cancel () || Deadline.expired deadline in
+  let should_stop () = won () || stop () in
   let members = Array.of_list members in
   let reports = Array.make (Array.length members) None in
   let run_one ~late i m =
@@ -174,7 +174,7 @@ let race ?(deadline = Deadline.none) ?(cancel = fun () -> false) ?(max_iteration
       end;
       { member = m.name; stats; time_s; cancelled; error }
     in
-    if late || cancel () || Deadline.expired deadline then
+    if late || stop () then
       report ~cancelled:true (idle_stats (Cdcl.Solver.Unknown Sat.Answer.Cancelled))
     else
       (* a raising member must not poison the race: the handler keeps every

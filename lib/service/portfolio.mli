@@ -6,10 +6,11 @@
 
     Each member receives a [should_stop] callback combining the shared
     race-cancel flag (set by the first member to answer Sat/Unsat) with the
-    job deadline; the cancellation contract of {!Cdcl.Solver.set_terminate}
-    / {!Hyqsat.Solve.run} guarantees losers return within ~128
-    solver steps of the flag flipping, and a member that reaches a lane
-    after that never starts. *)
+    job's one stop switch, which {!Batch} builds from the caller's cancel
+    and the job deadline; the cancellation contract of
+    {!Cdcl.Solver.set_terminate} / {!Hyqsat.Solve.run} guarantees losers
+    return within ~128 solver steps of the flag flipping, and a member that
+    reaches a lane after that never starts. *)
 
 type solve_stats = {
   result : Cdcl.Solver.result;  (** = {!Sat.Answer.t} (shared constructors) *)
@@ -103,8 +104,7 @@ val members_named :
     @raise Invalid_argument on an unknown name. *)
 
 val race :
-  ?deadline:Deadline.t ->
-  ?cancel:(unit -> bool) ->
+  ?should_stop:(unit -> bool) ->
   ?max_iterations:int ->
   ?obs:Obs.Ctx.t ->
   ?parent:Obs.Span.t ->
@@ -114,12 +114,12 @@ val race :
   race_report
 (** Race the members on [f]: each member is one task on
     {!Parallel.Pool.shared} (a one-member race runs inline on the
-    caller), and the first Sat/Unsat answer cancels the rest.  [cancel] is
-    an external kill switch folded into every member's [should_stop] —
-    the drain path flips it to stop in-flight races within ~128 solver
-    steps without waiting for their deadlines.  Members are picked up in
-    list order; one picked up after the race was won, or once [cancel] or
-    the deadline has fired, is reported [cancelled] with {!idle_stats}
+    caller), and the first Sat/Unsat answer cancels the rest.
+    [should_stop] is the job's stop switch (cancel or deadline), folded
+    into every member's own [should_stop]: once it fires, in-flight members
+    stop within ~128 solver steps.  Members are picked up in list order;
+    one picked up after the race was won, or once [should_stop] has fired,
+    is reported [cancelled] with {!idle_stats}
     [(Unknown Cancelled)] and never runs.  Every member has
     finished before [race] returns, so the report is complete.  A member
     that raises is reported with [error = Some _] and result [Unknown]

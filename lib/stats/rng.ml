@@ -1,7 +1,6 @@
 type t = Random.State.t
 
 let create ~seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5deece66d |]
-let split t = Random.State.make [| Random.State.bits t; Random.State.bits t |]
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n";

@@ -12,9 +12,6 @@ type t = Random.State.t
 val create : seed:int -> t
 (** Fresh generator from an integer seed. *)
 
-val split : t -> t
-(** Child generator; advancing the child does not affect the parent. *)
-
 val split_n : t -> int -> t array
 (** [split_n t n] is [n] independent child generators, derived from [t]
     with a sequential draw of seed material plus a per-index salt.  The

@@ -8,6 +8,14 @@ module Machine = Anneal.Machine
 
 let fcheck = Alcotest.(check (float 1e-9))
 
+(* one annealing cycle on the infallible simulator *)
+let run_via ?noise rng job =
+  match
+    Machine.run_via ?noise ~sample:(Anneal.Backend.sample Anneal.Backend.best_of) rng job
+  with
+  | Ok outcome -> outcome
+  | Error f -> Alcotest.fail (Anneal.Backend.failure_label f)
+
 let sparse_ising_energy () =
   (* E = 0.5 + 1·s0 - 2·s1 + 3·s0s1 *)
   let ising = SI.build ~n:2 ~h:[| 1.; -2. |] ~couplings:[ ((0, 1), 3.) ] ~offset:0.5 in
@@ -101,7 +109,7 @@ let machine_on_satisfiable_queue () =
       edges = res.Embed.Hyqsat_scheme.edges;
     }
   in
-  let outcome = Machine.run rng job in
+  let outcome = run_via rng job in
   Alcotest.(check bool) "no chain breaks noise-free" true (outcome.Machine.chain_breaks = 0);
   fcheck "zero energy" 0.0 outcome.Machine.energy;
   (* the assignment restricted to original vars satisfies the clauses *)
@@ -124,7 +132,7 @@ let machine_on_unsat_queue () =
       edges = res.Embed.Hyqsat_scheme.edges;
     }
   in
-  let outcome = Machine.run rng job in
+  let outcome = run_via rng job in
   Alcotest.(check bool) "energy >= 1" true (outcome.Machine.energy >= 1.0 -. 1e-9)
 
 let machine_noise_raises_energy_spread () =
@@ -145,7 +153,7 @@ let machine_noise_raises_energy_spread () =
   in
   let energies noise seed =
     let rng = Testutil.rng seed in
-    Array.init 30 (fun _ -> (Machine.run ~noise rng job).Machine.energy)
+    Array.init 30 (fun _ -> (run_via ~noise rng job).Machine.energy)
   in
   let clean = energies Noise.noise_free 17 in
   let noisy = energies Noise.default_2000q 17 in
@@ -159,7 +167,7 @@ let machine_rejects_unembedded () =
   let job = { Machine.embedding = Embed.Embedding.create g; objective = obj; edges = [] } in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Machine.run (Testutil.rng 1) job);
+       ignore (run_via (Testutil.rng 1) job);
        false
      with Machine.Unembedded_term _ -> true)
 
@@ -326,31 +334,6 @@ let best_of_rejects_bad_k () =
        false
      with Invalid_argument _ -> true)
 
-let machine_postprocess_off_keeps_soundness () =
-  (* postprocess off: energies may be worse, never negative-impossible, and
-     the assignment is still a real assignment of the objective *)
-  let g = Chimera.Graph.standard_2000q () in
-  let rng = Testutil.rng 23 in
-  let clauses =
-    [ Sat.Clause.of_dimacs [ 1; 2; 3 ]; Sat.Clause.of_dimacs [ -1; -2; 4 ] ]
-  in
-  let enc = Qubo.Encode.encode ~num_vars:4 clauses in
-  let res = Testutil.embed_encoded g enc in
-  let job =
-    {
-      Machine.embedding = res.Embed.Hyqsat_scheme.embedding;
-      objective = Qubo.Encode.objective enc;
-      edges = res.Embed.Hyqsat_scheme.edges;
-    }
-  in
-  let o = Machine.run ~postprocess:false rng job in
-  let lookup = o.Machine.assignment in
-  let e =
-    Qubo.Pbq.eval job.Machine.objective (fun v -> List.assoc v lookup)
-  in
-  Alcotest.(check (float 1e-6)) "reported energy consistent" e o.Machine.energy;
-  Alcotest.(check bool) "non-negative for penalty objectives" true (e >= -1e-9)
-
 let suite =
   [
     ( "anneal.sparse_ising",
@@ -387,6 +370,5 @@ let suite =
         Alcotest.test_case "unsat queue" `Quick machine_on_unsat_queue;
         Alcotest.test_case "noise raises energy" `Quick machine_noise_raises_energy_spread;
         Alcotest.test_case "rejects unembedded" `Quick machine_rejects_unembedded;
-        Alcotest.test_case "postprocess off soundness" `Quick machine_postprocess_off_keeps_soundness;
       ] );
   ]

@@ -227,7 +227,7 @@ let export_import_across_gc () =
   let s = Solver.create ~config:(gc_heavy Config.minisat_like) f in
   ignore (Solver.solve ~max_conflicts:1500 s);
   Solver.garbage_collect s;
-  let exported = Solver.export_learnts ~max_len:4 s in
+  let exported = Solver.export_learnts s in
   Alcotest.(check bool) "exported something" true (exported <> []);
   let s2 = Solver.create ~config:Config.minisat_like f in
   let imported = Solver.import_clauses s2 exported in

@@ -734,6 +734,104 @@ let daemon_drain_cancels_queued () =
         Alcotest.failf "job %d: unexpected outcome %s" id outcome)
     outcomes
 
+(* the blank line that ends a request is found however reads split it,
+   and a request that fills the cap without one is answered 431 *)
+let metrics_request_split_reads () =
+  let read request chunk =
+    Server.Metrics_http.on_read ~metrics:(fun () -> "") request (Bytes.of_string chunk)
+      (String.length chunk)
+  in
+  List.iter
+    (fun text ->
+      for cut = 0 to String.length text do
+        let request = Buffer.create 64 in
+        let first = read request (String.sub text 0 cut) in
+        let second = read request (String.sub text cut (String.length text - cut)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S cut at %d" text cut)
+          true
+          (first <> None || second <> None)
+      done)
+    [ "GET /metrics HTTP/1.0\r\n\r\n"; "GET /metrics\n\n"; "\r\n\r\n" ];
+  let request = Buffer.create 64 in
+  Alcotest.(check bool) "no blank line yet" true
+    (read request "GET /metrics HTTP/1.0\r\nHost: x\r\n" = None);
+  match read request (String.make (8 * 1024) 'x') with
+  | Some r -> Alcotest.(check string) "over the cap" "HTTP/1.0 431" (String.sub r 0 12)
+  | None -> Alcotest.fail "an over-cap request must be answered"
+
+(* a /metrics client that sends header bytes without ever ending the
+   request is answered 4xx and cut off at the request cap, and the one
+   event loop keeps serving wire clients meanwhile *)
+let daemon_metrics_request_cap () =
+  let socket = temp_socket () in
+  let stop = Atomic.make false in
+  let ready = Atomic.make None in
+  let config =
+    { Daemon.default_config with Daemon.unix_socket = Some socket; metrics_port = Some 0 }
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        ignore (Daemon.run ~stop ~on_ready:(fun r -> Atomic.set ready (Some r)) config))
+      ()
+  in
+  let rec await_ready n =
+    match Atomic.get ready with
+    | Some r -> r
+    | None ->
+        if n = 0 then Alcotest.fail "daemon never became ready";
+        Unix.sleepf 0.01;
+        await_ready (n - 1)
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Atomic.set stop true;
+      Thread.join th)
+    (fun () ->
+      let port = Option.get (await_ready 500).Daemon.r_metrics_port in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let request = "GET /metrics HTTP/1.0\r\n" ^ String.make (16 * 1024) 'x' in
+      let rec write_all off =
+        if off < String.length request then
+          write_all (off + Unix.write_substring fd request off (String.length request - off))
+      in
+      write_all 0;
+      (* read until the daemon closes, for at most 1 s *)
+      let deadline = Unix.gettimeofday () +. 1.0 in
+      let buf = Bytes.create 4096 in
+      let out = Buffer.create 256 in
+      let rec slurp () =
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then Alcotest.fail "no response and no close within 1 s";
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> slurp ()
+        | _ -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes out buf 0 n;
+                slurp ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+      in
+      slurp ();
+      let response = Buffer.contents out in
+      Alcotest.(check bool)
+        (Printf.sprintf "4xx status (got %S)" response)
+        true
+        (String.length response >= 10 && String.sub response 0 10 = "HTTP/1.0 4");
+      let t = Client.connect_unix socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close t)
+        (fun () ->
+          Client.handshake t;
+          Client.send t (Protocol.Ping 7);
+          match Client.recv ~timeout_s:5. t with
+          | Protocol.Pong 7 -> ()
+          | _ -> Alcotest.fail "wire client got no Pong"))
+
 let suite =
   [
     ( "server.codec",
@@ -772,10 +870,13 @@ let suite =
           wire_wcnf_fallback_matches_oneshot;
         Alcotest.test_case "wcnf wire rejects" `Quick wire_wcnf_rejects;
         Alcotest.test_case "prometheus export is deterministic" `Quick prometheus_deterministic;
+        Alcotest.test_case "metrics request split across reads" `Quick
+          metrics_request_split_reads;
       ] );
     ( "server.daemon",
       [
         Alcotest.test_case "end-to-end over unix socket" `Slow daemon_end_to_end;
         Alcotest.test_case "drain cancels queued jobs" `Slow daemon_drain_cancels_queued;
+        Alcotest.test_case "metrics request capped" `Quick daemon_metrics_request_cap;
       ] );
   ]

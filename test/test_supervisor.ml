@@ -30,7 +30,7 @@ let glass_ising r =
   SI.build ~n ~h ~couplings ~offset:0.
 
 let request ?(params = Sampler.default_params) ?(domains = 1) ising =
-  { Backend.ising; params; init = None; domains; timing = Timing.d_wave_2000q }
+  { Backend.ising; params; init = None; domains }
 
 let ok_response (req : Backend.request) =
   let spins = Array.make req.Backend.ising.SI.n (-1) in
