@@ -84,11 +84,7 @@ let run (ctx : Bench_util.ctx) =
       {
         Service.Job.default_qa with
         Service.Job.faults =
-          {
-            Anneal.Backend.default_faults with
-            Anneal.Backend.fail_rate = ctx.fault_rate;
-            fault_seed = ctx.seed + 13;
-          };
+          { Anneal.Backend.fail_rate = ctx.fault_rate; fault_seed = ctx.seed + 13 };
       }
     in
     let smoke_jobs =

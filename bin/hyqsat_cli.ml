@@ -116,14 +116,12 @@ let main paths solver grid seed verbose jobs timeout retries max_iterations json
   end;
   let qa =
     {
-      Service.Job.faults =
-        {
-          Anneal.Backend.default_faults with
-          Anneal.Backend.fail_rate = qa_fault_rate;
-          fault_seed = seed + 13;
-        };
+      Service.Job.faults = { Anneal.Backend.fail_rate = qa_fault_rate; fault_seed = seed + 13 };
       supervision =
-        Anneal.Supervisor.make_policy ?timeout_us:qa_timeout_us ~retries:(max 0 qa_retries) ();
+        {
+          Anneal.Supervisor.timeout_us = Option.value ~default:infinity qa_timeout_us;
+          retries = max 0 qa_retries;
+        };
       reads = qa_reads;
       domains = qa_domains;
     }
@@ -594,9 +592,9 @@ let session_arg =
     & info [ "session" ] ~docv:"NAME"
         ~doc:
           "Submit every instance under one server-side session: the daemon keeps the learnt \
-           clauses (and, when its configuration allows, the embedding cache) from earlier \
-           jobs of the session and warm-starts later ones that share clause structure.  The \
-           first job of a session answers exactly like a one-shot submit.")
+           clauses from earlier jobs of the session and warm-starts a later job whose formula \
+           equals an earlier one.  The first job of a session answers exactly like a one-shot \
+           submit.")
 
 let events_arg =
   Arg.(

@@ -67,31 +67,13 @@ let best_of : t =
 (* ------------------------------------------------------------------ *)
 (* fault injection *)
 
-type fault_profile = {
-  fail_rate : float;
-  latency_us : float;
-  fault_seed : int;
-  mix : (failure * float) list;
-}
+type fault_profile = { fail_rate : float; fault_seed : int }
 
-let default_mix =
-  [ (Timeout, 1.0); (Unavailable, 1.0); (Readout_corrupt, 1.0); (Chain_break_storm, 1.0) ]
+let default_faults = { fail_rate = 0.0; fault_seed = 7 }
 
-let default_faults = { fail_rate = 0.0; latency_us = 0.0; fault_seed = 7; mix = default_mix }
-
-let pick_weighted rng mix =
-  let total = List.fold_left (fun acc (_, w) -> acc +. Float.max 0. w) 0. mix in
-  if total <= 0. then Unavailable
-  else begin
-    let u = Stats.Rng.float rng total in
-    let rec go acc = function
-      | [] -> Unavailable
-      | (f, w) :: rest ->
-          let acc = acc +. Float.max 0. w in
-          if u < acc then f else go acc rest
-    in
-    go 0. mix
-  end
+(* the four device failures, equally likely: one [float frng 4.0] draw
+   per injected failure indexes this array *)
+let device_failures = [| Timeout; Unavailable; Readout_corrupt; Chain_break_storm |]
 
 let with_faults profile (module Inner : S) : t =
   (module struct
@@ -99,38 +81,24 @@ let with_faults profile (module Inner : S) : t =
     let capabilities = { fallible = true }
 
     (* the fault stream is private to the wrapper: deciding whether a call
-       fails (and which latency it gets) never touches the caller's RNG, so
-       a zero-rate injector is bit-identical to the inner backend, and a
-       failed call leaves the caller's stream exactly where it was — the
-       retry reproduces what the original call would have returned *)
+       fails never touches the caller's RNG, so a zero-rate injector is
+       bit-identical to the inner backend, and a failed call leaves the
+       caller's stream exactly where it was — the retry reproduces what
+       the original call would have returned *)
     let frng = Stats.Rng.create ~seed:profile.fault_seed
 
-    (* concurrent callers (a shared supervisor does not serialise device
-       calls, and the wrapper also runs unsupervised) take turns on
-       [frng]; the inner call runs outside the lock *)
+    (* concurrent callers take turns on [frng]; the inner call runs
+       outside the lock *)
     let fmutex = Mutex.create ()
 
     let sample ?obs rng req =
       let injected =
         Mutex.protect fmutex (fun () ->
             if profile.fail_rate > 0. && Stats.Rng.float frng 1.0 < profile.fail_rate then
-              Some (pick_weighted frng profile.mix)
+              Some device_failures.(int_of_float (Stats.Rng.float frng 4.0))
             else None)
       in
-      match injected with
-      | Some f -> Error f
-      | None -> (
-          match Inner.sample ?obs rng req with
-          | Error _ as e -> e
-          | Ok resp ->
-              if profile.latency_us <= 0. then Ok resp
-              else
-                (* uniform on [0, 2·mean): mean extra latency = latency_us *)
-                let extra =
-                  Mutex.protect fmutex (fun () -> Stats.Rng.float frng (2. *. profile.latency_us))
-                in
-                Ok { resp with time_us = resp.time_us +. extra })
+      match injected with Some f -> Error f | None -> Inner.sample ?obs rng req
   end)
 
-let simulator faults =
-  if faults.fail_rate > 0. || faults.latency_us > 0. then with_faults faults best_of else best_of
+let simulator faults = if faults.fail_rate > 0. then with_faults faults best_of else best_of

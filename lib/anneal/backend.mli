@@ -4,12 +4,12 @@
     makes that boundary explicit: a backend takes one {!request} (an Ising
     problem plus sampling parameters) and either returns a {!response} or
     fails with a typed {!failure}.  The solver core never calls a sampler
-    directly any more — it goes through a {!t}, usually wrapped in a
-    {!Supervisor} that adds deadlines, retries and a circuit breaker.
+    directly — it goes through a {!t}, which each solve wraps in its own
+    {!Supervisor} for deadlines, retries and a circuit breaker.
 
     All built-in backends are deterministic: spins are a pure function of
-    the caller's RNG state, failures and latency of the fault profile's
-    private stream.  No wall-clock randomness anywhere. *)
+    the caller's RNG state, failures of the fault profile's private
+    stream.  No wall-clock randomness anywhere. *)
 
 type request = {
   ising : Sparse_ising.t;  (** the physical problem, noise-free *)
@@ -60,7 +60,7 @@ val model_time_us : request -> float
 (** Modelled device time of one call, timed as a D-Wave 2000Q
     ({!Timing.d_wave_2000q}): [single_sample_us] for one read,
     [multi_sample_us] otherwise.  The
-    supervisor compares this (plus injected latency) against deadlines. *)
+    supervisor compares this against deadlines. *)
 
 (** {1 The simulator} *)
 
@@ -74,29 +74,22 @@ val best_of : t
 
 type fault_profile = {
   fail_rate : float;  (** per-call failure probability in [0,1] *)
-  latency_us : float;  (** mean extra latency on success (uniform on
-                           [[0, 2·latency_us)]) *)
   fault_seed : int;  (** seed of the injector's private RNG *)
-  mix : (failure * float) list;  (** failure kinds with relative weights *)
 }
 
-val default_mix : (failure * float) list
-(** Equal weights over the four device failures (never [Breaker_open]). *)
-
 val default_faults : fault_profile
-(** Rate 0, latency 0 — wrapping with this profile is a no-op. *)
+(** Rate 0 — wrapping with this profile is a no-op. *)
 
 val with_faults : fault_profile -> t -> t
-(** [with_faults p b] decides failure/latency from a private RNG seeded
-    with [p.fault_seed], so the caller's stream is untouched: a zero-rate
-    wrapper is bit-identical to [b], and a failed call leaves the caller's
-    RNG where it was — a retry reproduces what the original call would
-    have returned.  Failures follow the weighted [p.mix].  The private RNG
-    sits behind its own mutex, so one wrapper may serve concurrent callers
-    (a shared {!Supervisor} does not serialise device calls); the inner
-    backend runs outside that lock. *)
+(** [with_faults p b] decides each call's failure from a private RNG
+    seeded with [p.fault_seed], so the caller's stream is untouched: a
+    zero-rate wrapper is bit-identical to [b], and a failed call leaves
+    the caller's RNG where it was — a retry reproduces what the original
+    call would have returned.  A failing call is one of the four device
+    failures, equally likely (never [Breaker_open]).  The private RNG sits
+    behind its own mutex, so one wrapper may serve concurrent callers; the
+    inner backend runs outside that lock. *)
 
 val simulator : fault_profile -> t
 (** {!best_of}, wrapped in {!with_faults} only when the profile injects
-    failures or latency — the backend every job policy and CLI run
-    builds. *)
+    failures — the backend every job policy and CLI run builds. *)

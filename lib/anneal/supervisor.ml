@@ -1,54 +1,29 @@
-type policy = {
-  timeout_us : float;
-  retries : int;
-  backoff_base_us : float;
-  backoff_mult : float;
-  backoff_max_us : float;
-  backoff_jitter : float;
-  breaker_threshold : int;
-  breaker_cooldown : int;
-  half_open_probes : int;
-}
+type policy = { timeout_us : float; retries : int }
 
-let default_policy =
-  {
-    timeout_us = infinity;
-    retries = 2;
-    backoff_base_us = 200.0;
-    backoff_mult = 2.0;
-    backoff_max_us = 5_000.0;
-    backoff_jitter = 0.1;
-    breaker_threshold = 5;
-    breaker_cooldown = 8;
-    half_open_probes = 1;
-  }
+let default_policy = { timeout_us = infinity; retries = 2 }
 
-let make_policy ?(base = default_policy) ?timeout_us ?retries ?backoff_base_us ?backoff_mult
-    ?backoff_max_us ?backoff_jitter ?breaker_threshold ?breaker_cooldown ?half_open_probes () =
-  let v d o = Option.value ~default:d o in
-  {
-    timeout_us = v base.timeout_us timeout_us;
-    retries = v base.retries retries;
-    backoff_base_us = v base.backoff_base_us backoff_base_us;
-    backoff_mult = v base.backoff_mult backoff_mult;
-    backoff_max_us = v base.backoff_max_us backoff_max_us;
-    backoff_jitter = v base.backoff_jitter backoff_jitter;
-    breaker_threshold = v base.breaker_threshold breaker_threshold;
-    breaker_cooldown = v base.breaker_cooldown breaker_cooldown;
-    half_open_probes = v base.half_open_probes half_open_probes;
-  }
+(* backoff: 200 us before retry 1, doubling, capped at 5 ms, ±10 % jitter *)
+let backoff_base_us = 200.0
+let backoff_mult = 2.0
+let backoff_max_us = 5_000.0
+let backoff_jitter = 0.1
+
+(* breaker: opens after 5 consecutive failures; the 8th call after that is
+   the probe, and one good probe closes it *)
+let failures_to_open = 5
+let cooldown_calls = 8
 
 type breaker =
   | Closed of int  (* consecutive failures so far *)
   | Open of int  (* fast-fails remaining before a probe is allowed *)
-  | Half_open of int  (* successful probes still needed to close *)
+  | Half_open  (* admitting calls; the next success closes it *)
 
 type state = [ `Closed | `Open | `Half_open ]
 
 let state_of_breaker = function
   | Closed _ -> `Closed
   | Open _ -> `Open
-  | Half_open _ -> `Half_open
+  | Half_open -> `Half_open
 
 let state_label = function `Closed -> "closed" | `Open -> "open" | `Half_open -> "half_open"
 let state_gauge = function `Closed -> 0.0 | `Open -> 1.0 | `Half_open -> 2.0
@@ -74,12 +49,12 @@ type t = {
   mutex : Mutex.t;
       (* guards the bookkeeping only — [breaker], [stats], [rng] and the
          admission decision — never the device call itself.  A supervisor
-         shared across solver domains (the server dispatcher's per-pool
-         instance) therefore runs its callers' host-side simulations in
-         parallel, while every breaker transition and counter update stays
-         atomic.  The modelled QA time does not depend on that overlap:
-         each response carries the {!Timing} model's device time for its
-         own call, whatever else the host was running. *)
+         shared across solver domains therefore runs its callers' host-side
+         simulations in parallel, while every breaker transition and
+         counter update stays atomic.  The modelled QA time does not depend
+         on that overlap: each response carries the {!Timing} model's
+         device time for its own call, whatever else the host was
+         running. *)
   mutable breaker : breaker;
   mutable stats : stats;
 }
@@ -102,8 +77,6 @@ let create ?(obs = Obs.Ctx.null) ?(policy = default_policy) ?(seed = 0) backend 
   Obs.Metrics.incr ~by:0.0 obs "qa_retries_total";
   t
 
-let backend t = t.backend
-let policy t = t.policy
 let stats t = Mutex.protect t.mutex (fun () -> t.stats)
 let state t = Mutex.protect t.mutex (fun () -> state_of_breaker t.breaker)
 
@@ -121,30 +94,25 @@ let note_success t =
   match t.breaker with
   | Closed 0 -> ()
   | Closed _ -> t.breaker <- Closed 0 (* same state: not a transition *)
-  | Half_open probes_left ->
-      if probes_left <= 1 then transition t (Closed 0)
-      else t.breaker <- Half_open (probes_left - 1)
+  | Half_open -> transition t (Closed 0)
   | Open _ -> () (* unreachable: Open never reaches the backend *)
 
 let note_failure t =
   match t.breaker with
   | Closed n ->
       let n = n + 1 in
-      if n >= t.policy.breaker_threshold then transition t (Open t.policy.breaker_cooldown)
+      if n >= failures_to_open then transition t (Open cooldown_calls)
       else t.breaker <- Closed n
-  | Half_open _ -> transition t (Open t.policy.breaker_cooldown)
+  | Half_open -> transition t (Open cooldown_calls)
   | Open _ -> ()
 
 (* Deterministic exponential backoff with jitter drawn from the
    supervisor's private RNG — modelled microseconds, never slept. *)
 let backoff_us t ~attempt =
   let base =
-    Float.min t.policy.backoff_max_us
-      (t.policy.backoff_base_us *. (t.policy.backoff_mult ** float_of_int attempt))
+    Float.min backoff_max_us (backoff_base_us *. (backoff_mult ** float_of_int attempt))
   in
-  let j = t.policy.backoff_jitter in
-  if j <= 0.0 then base
-  else base *. (1.0 +. (j *. ((2.0 *. Stats.Rng.float t.rng 1.0) -. 1.0)))
+  base *. (1.0 +. (backoff_jitter *. ((2.0 *. Stats.Rng.float t.rng 1.0) -. 1.0)))
 
 let count_failure t reason =
   t.stats <- { t.stats with failures = t.stats.failures + 1 };
@@ -172,7 +140,7 @@ let sample t rng (req : Backend.request) =
     let admit =
       match t.breaker with
       | Closed _ -> true
-      | Half_open _ -> true
+      | Half_open -> true
       | Open remaining ->
           if remaining > 1 then begin
             t.breaker <- Open (remaining - 1);
@@ -180,7 +148,7 @@ let sample t rng (req : Backend.request) =
           end
           else begin
             (* cooldown spent: let this call through as the probe *)
-            transition t (Half_open t.policy.half_open_probes);
+            transition t Half_open;
             true
           end
     in

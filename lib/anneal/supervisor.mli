@@ -10,6 +10,12 @@
     {e calls} rather than wall time — a supervised run is exactly
     reproducible from its seeds.
 
+    Only the deadline and the retry count are set per caller
+    ({!policy}); the rest is fixed.  Retry [k] (from 0) waits
+    [min 5000 (200 · 2^k)] µs, scaled by a uniform ±10 % jitter.  The
+    breaker opens after 5 consecutive failed attempts, fast-fails the next
+    7 calls, admits the 8th as a probe, and closes after 1 good probe.
+
     Failing attempts consume nothing from the caller's RNG (built-in fault
     injectors draw from their own stream), so a retry re-runs the exact
     sample the failed attempt would have produced. *)
@@ -19,35 +25,10 @@ type policy = {
                            [infinity] disables it *)
   retries : int;  (** extra attempts after the first (so at most
                       [retries + 1] backend calls per [sample]) *)
-  backoff_base_us : float;  (** wait before retry 1 *)
-  backoff_mult : float;  (** multiplier per further retry *)
-  backoff_max_us : float;  (** backoff cap, pre-jitter *)
-  backoff_jitter : float;  (** relative jitter: wait × (1 ± j·u) *)
-  breaker_threshold : int;  (** consecutive failures that open the breaker *)
-  breaker_cooldown : int;  (** calls fast-failed while open before one
-                               probe is admitted *)
-  half_open_probes : int;  (** consecutive successes needed to close *)
 }
 
 val default_policy : policy
-(** No deadline, 2 retries, 200 µs × 2 backoff capped at 5 ms with 10 %
-    jitter; breaker opens after 5 consecutive failures, fast-fails 8
-    calls, closes after 1 good probe. *)
-
-val make_policy :
-  ?base:policy ->
-  ?timeout_us:float ->
-  ?retries:int ->
-  ?backoff_base_us:float ->
-  ?backoff_mult:float ->
-  ?backoff_max_us:float ->
-  ?backoff_jitter:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown:int ->
-  ?half_open_probes:int ->
-  unit ->
-  policy
-(** Labelled constructor over [base] (default {!default_policy}). *)
+(** No deadline, 2 retries. *)
 
 type t
 
@@ -70,18 +51,16 @@ val create : ?obs:Obs.Ctx.t -> ?policy:policy -> ?seed:int -> Backend.t -> t
     [qa_breaker_transitions_total{to=…}], and gauge [qa_breaker_state]
     (0 closed / 1 open / 2 half-open). *)
 
-val backend : t -> Backend.t
-val policy : t -> policy
 val state : t -> state
 val stats : t -> stats
 
 val sample : t -> Stats.Rng.t -> Backend.request -> (Backend.response, Backend.failure) result
 (** One supervised call.  A single supervisor may be shared by concurrent
-    solver domains — it then models one shared device whose circuit
-    breaker protects every job going through it (the server dispatcher
-    does exactly this).  An internal mutex guards the breaker, the
-    {!stats} counters, the admission decision and the backoff-jitter RNG;
-    it is {e not} held across the backend call, so concurrent callers'
+    solver domains — it then models one device whose circuit breaker
+    protects every caller going through it (the hybrid solver builds one
+    per solve).  An internal mutex guards the breaker, the {!stats}
+    counters, the admission decision and the backoff-jitter RNG; it is
+    {e not} held across the backend call, so concurrent callers'
     host-side simulations run in parallel and only their bookkeeping
     steps interleave.  The modelled device time is unaffected: each
     response is charged its own {!Timing} model time whatever the host

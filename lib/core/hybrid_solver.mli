@@ -29,7 +29,8 @@ type config = {
           {!Anneal.Backend.best_of}); wrap with
           {!Anneal.Backend.with_faults} to exercise degradation *)
   supervision : Anneal.Supervisor.policy;
-      (** deadline / retry / circuit-breaker policy applied to [backend] *)
+      (** deadline and retry count of the supervisor each solve wraps
+          around [backend] *)
   seed : int;
 }
 

@@ -36,23 +36,17 @@ let strategy_name = function
    CDCL steps, every [qa_period]-th one preceded by an annealer
    consultation whose feedback steers the solver.  [Some answer] when the
    warm-up decided the instance. *)
-let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
-    ~max_iterations ~should_stop tally solver f =
+let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterations
+    ~should_stop tally solver f =
   let traced = not (Obs.Ctx.is_null obs) in
   let rng = Stats.Rng.create ~seed:config.seed in
-  (* default: one supervisor per solve — breaker state is an instance
+  (* one supervised device per solve: breaker state is an instance
      property and the jitter seed derives from the solve seed, so runs
-     replay exactly.  A caller-supplied supervisor is shared across solves
-     (the server's per-pool device): breaker state then carries over and
-     [qa_failures] is reported as this solve's delta. *)
+     replay exactly *)
   let supervisor =
-    match supervisor with
-    | Some s -> s
-    | None ->
-        Anneal.Supervisor.create ~obs ~policy:config.supervision ~seed:(config.seed + 77)
-          config.backend
+    Anneal.Supervisor.create ~obs ~policy:config.supervision ~seed:(config.seed + 77)
+      config.backend
   in
-  let failures_at_start = (Anneal.Supervisor.stats supervisor).Anneal.Supervisor.failures in
   (* pre-register so the export shows an explicit 0 when nothing degrades *)
   Obs.Metrics.incr ~by:0.0 obs "qa_degraded_total";
   let embed_cache =
@@ -185,11 +179,10 @@ let warm_up (config : Hybrid_solver.config) ~supervisor ~obs ~root ~embed_cache
           | `Unsat_assumptions -> assert false (* no assumptions installed *))
   in
   let decided = loop () in
-  tally.qa_failures <-
-    (Anneal.Supervisor.stats supervisor).Anneal.Supervisor.failures - failures_at_start;
+  tally.qa_failures <- (Anneal.Supervisor.stats supervisor).Anneal.Supervisor.failures;
   decided
 
-let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
+let run ?(max_iterations = max_int) ?(should_stop = fun () -> false)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?embed_cache ?(import = []) mode f =
   let traced = not (Obs.Ctx.is_null obs) in
   let root =
@@ -234,8 +227,7 @@ let run ?supervisor ?(max_iterations = max_int) ?(should_stop = fun () -> false)
   let decided =
     match mode with
     | Hybrid config ->
-        warm_up config ~supervisor ~obs ~root ~embed_cache ~max_iterations ~should_stop
-          tally solver f
+        warm_up config ~obs ~root ~embed_cache ~max_iterations ~should_stop tally solver f
     | Classic _ -> None
   in
   let result =

@@ -26,7 +26,6 @@ val mode_label : mode -> string
 (** ["hybrid"] or ["classic"] — stable, used in member names and specs. *)
 
 val run :
-  ?supervisor:Anneal.Supervisor.t ->
   ?max_iterations:int ->
   ?should_stop:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
@@ -57,7 +56,9 @@ val run :
     Warm-start knobs (both default to a cold solve):
     {ul
     {- [embed_cache] reuses a caller-owned embedding cache (hybrid mode;
-       unused by [Classic]) rather than a per-solve one.}
+       unused by [Classic]) rather than a per-solve one.  The service
+       layer never passes one: every job's solve starts from an empty
+       cache.}
     {- [import] installs foreign learnt clauses
        ({!Cdcl.Solver.import_clauses}) before searching; the count actually
        installed is reported as [reused_clauses].  No-op under proof
@@ -72,17 +73,13 @@ val run :
     [Unknown Cancelled].  It must be cheap and safe to call from the
     solving domain — the service layer passes an [Atomic.get].
 
-    [supervisor] (hybrid mode) overrides the per-solve supervisor built
-    from [config.backend]/[config.supervision] (jitter seed derived from
-    [config.seed], so runs replay exactly): pass a shared instance to put
-    every solve behind {e one} circuit-broken device (the server
-    dispatcher's deployment shape — see {!Anneal.Supervisor.sample} on
-    domain-safety).  The report's [qa_failures] is then this solve's delta
-    of the shared failure count, which can over-attribute under concurrent
-    interleaving; exact when solves are serial.  When a supervised call
-    fails — retries exhausted or breaker open — that warm-up iteration
-    degrades to pure CDCL: no hints are applied, [qa_degraded] is bumped,
-    and the search continues; at a 100 % failure rate the solve is
+    Hybrid mode builds one {!Anneal.Supervisor} per solve from
+    [config.backend] and [config.supervision] (jitter seed derived from
+    [config.seed], so runs replay exactly), and the report's [qa_failures]
+    is that supervisor's failure count.  When a supervised call fails —
+    retries exhausted or breaker open — that warm-up iteration degrades to
+    pure CDCL: no hints are applied, [qa_degraded] is bumped, and the
+    search continues; at a 100 % failure rate the solve is
     bit-identical to [Classic] mode modulo reporting.
 
     With a live [obs] the hybrid mode emits a ["hybrid_solve"] span (under

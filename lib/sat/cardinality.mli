@@ -1,9 +1,16 @@
-(** Cardinality constraints as CNF (sequential-counter encoding, Sinz 2005).
+(** Cardinality constraints as CNF, in two encodings.
 
-    [at_most_k] introduces the register variables [s_{i,j}] ("at least j of
-    the first i+1 literals are true") and emits the standard O(n·k) clause
-    set.  Used by the exact MAX-SAT solver's linear search and available to
-    any encoding that needs counting. *)
+    The unary bounds ([at_most_k], [at_least_k], [exactly_k]) use the
+    sequential counter (Sinz 2005): [at_most_k] introduces the register
+    variables [s_{i,j}] ("at least j of the first i+1 literals are true")
+    and emits the standard O(n·k) clause set.  Its one caller in the
+    solver is core-guided MaxSAT search, which adds an exactly-one
+    ([exactly_k ~k:1]) over each core's relaxation variables.
+
+    The weighted bounds below use a binary adder network instead: the
+    exact MaxSAT linear search bounds its cost with {!weighted_sum} and
+    {!bound_clauses}, and the optimality certificate with
+    {!at_most_weight}. *)
 
 type t = {
   clauses : Clause.t list;

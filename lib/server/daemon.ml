@@ -18,6 +18,11 @@ let default_config =
 (* a subscriber with more unsent output than this gets its events dropped *)
 let events_backlog_bytes = 256 * 1024
 
+(* a protocol connection with more unsent output than this is not read
+   until its client drains it: every request still gets its reply, but a
+   client that never reads cannot grow the server's buffers without bound *)
+let output_backlog_bytes = 1024 * 1024
+
 type ready = {
   r_unix_socket : string option;
   r_tcp_port : int option;
@@ -340,7 +345,11 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     end;
     let reads =
       (pipe_r :: !proto_listeners) @ !http_listeners
-      @ Hashtbl.fold (fun _ c acc -> c.fd :: acc) conns []
+      @ Hashtbl.fold
+          (fun _ c acc ->
+            if c.kind = `Proto && Codec.pending c.wr > output_backlog_bytes then acc
+            else c.fd :: acc)
+          conns []
     in
     let writes = Hashtbl.fold (fun _ c acc -> if conn_pending c > 0 then c.fd :: acc else acc) conns [] in
     let timeout = if !draining then 0.02 else 0.2 in

@@ -9,9 +9,11 @@
     stream: clients that sent [Subscribe {events = true}] receive an
     {!Protocol.server_msg.Event} per ["job"]/["attempt"]/["race"]/
     ["member"] span, dropped (and counted in [events_dropped_total])
-    rather than buffered beyond 256 KiB of unsent output.  Frames are
-    capped at {!Codec.default_max_frame}, and a [/metrics] request at
-    8 KiB.
+    rather than buffered beyond 256 KiB of unsent output.  A connection
+    with more than 1 MiB of unsent replies is not read until its client
+    drains them, so a client that never reads stalls in its own writes
+    instead of growing the daemon's buffers.  Frames are capped at
+    {!Codec.default_max_frame}, and a [/metrics] request at 8 KiB.
 
     Shutdown contract: when [stop] flips (SIGTERM/SIGINT in the CLI),
     the daemon closes its listeners, rejects queued jobs as

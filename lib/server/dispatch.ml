@@ -40,26 +40,11 @@ type counters = {
   cancelled_running : int;
 }
 
-(* Per-(client, session-name) solver state.  The learnt-clause pool is
-   internally synchronised, so concurrent same-session jobs may both use
-   it.  The embedding cache is NOT domain-safe: workers lease it through
-   [cache_lock] with a try-lock — whoever holds the lease gets the cache,
-   a concurrent same-session job just solves without it.  [cache] is
-   [None] when the server config cannot share one (a portfolio race would
-   hand it to members running at once; a non-default grid makes the
-   members build a fresh graph per solve, and a cache is bound to one
-   graph value). *)
-type session = {
-  s_warm : Batch.Warm.t;
-  s_cache_lock : Mutex.t;
-  s_cache : Hyqsat.Frontend.cache option;
-}
-
 type entry = {
   e_client : string;
   e_conn : int;
   e_job_id : int;
-  e_session : session option;
+  e_warm : Batch.Warm.t option;  (* the session's learnt-clause pool *)
   spec : Job.spec;
   enqueued_at : float;
 }
@@ -68,7 +53,6 @@ type t = {
   config : config;
   obs : Obs.Ctx.t;
   on_complete : unit -> unit;  (* fired by a worker domain after each job *)
-  supervisor : Anneal.Supervisor.t;
   pool : Parallel.Pool.t;
   queue : entry Jobq.t;
   quota : Quota.t;
@@ -80,19 +64,15 @@ type t = {
   mutable running : int;
   mutable draining : bool;
   mutable counters : counters;
-  (* event-loop-only: keyed by "client\x00session-name" *)
-  sessions : (string, session) Hashtbl.t;
+  (* event-loop-only: one learnt-clause pool per "client\x00session-name" *)
+  sessions : (string, Batch.Warm.t) Hashtbl.t;
 }
 
 let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
-  let qa = Job.default_qa in
   {
     config;
     obs;
     on_complete;
-    supervisor =
-      Anneal.Supervisor.create ~obs ~policy:qa.Job.supervision ~seed:(config.seed + 77)
-        (Anneal.Backend.simulator qa.Job.faults);
     pool = Parallel.Pool.create ~workers:config.workers;
     queue = Jobq.create ~capacity:config.queue_capacity;
     quota = Quota.create ~limit:config.per_client;
@@ -109,22 +89,12 @@ let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
 (* one job on a pool worker: solve, then hand the completion to the event
    loop through [comp_queue] *)
 let run_entry t entry ~worker =
-  let leased =
-    match entry.e_session with
-    | Some s when s.s_cache <> None && Mutex.try_lock s.s_cache_lock -> Some s
-    | _ -> None
-  in
-  let embed_cache = match leased with Some s -> s.s_cache | None -> None in
-  let warm = match entry.e_session with Some s -> Some s.s_warm | None -> None in
   let result =
-    Batch.process ~cancel:(fun () -> Atomic.get t.cancel) ?warm ~worker
+    Batch.process ~cancel:(fun () -> Atomic.get t.cancel) ?warm:entry.e_warm ~worker
       ~attrs:[ ("client", entry.e_client) ]
-      ~members:
-        (Batch.resolve ~grid:t.config.grid ~supervisor:t.supervisor ?embed_cache
-           t.config.solver)
+      ~members:(Batch.resolve ~grid:t.config.grid t.config.solver)
       ~obs:t.obs ~parent:Obs.Span.none entry.spec ~enqueued_at:entry.enqueued_at ()
   in
-  Option.iter (fun s -> Mutex.unlock s.s_cache_lock) leased;
   let completion =
     { client = entry.e_client; conn = entry.e_conn; job_id = entry.e_job_id; result }
   in
@@ -164,31 +134,12 @@ let session_for t ~client = function
   | Some name -> (
       let key = client ^ "\x00" ^ name in
       match Hashtbl.find_opt t.sessions key with
-      | Some s -> Some s
+      | Some w -> Some w
       | None when Hashtbl.length t.sessions >= max_sessions -> None
       | None ->
-          let cache =
-            (* see the [session] type: only shareable for a solo hybrid
-               member on the default grid (the graph is then the one
-               physical value every solve uses) *)
-            if
-              t.config.grid = 16
-              && (t.config.solver = "hybrid" || t.config.solver = "hybrid-noisy")
-            then
-              Some
-                (Hyqsat.Frontend.create_cache
-                   Hyqsat.Hybrid_solver.default_config.Hyqsat.Hybrid_solver.graph)
-            else None
-          in
-          let s =
-            {
-              s_warm = Batch.Warm.create ();
-              s_cache_lock = Mutex.create ();
-              s_cache = cache;
-            }
-          in
-          Hashtbl.add t.sessions key s;
-          Some s)
+          let w = Batch.Warm.create () in
+          Hashtbl.add t.sessions key w;
+          Some w)
 
 let submit t ~client ~conn (js : Protocol.job_spec) =
   if t.draining then
@@ -254,7 +205,7 @@ let submit t ~client ~conn (js : Protocol.job_spec) =
               e_client = client;
               e_conn = conn;
               e_job_id = js.Protocol.id;
-              e_session = session_for t ~client js.Protocol.session;
+              e_warm = session_for t ~client js.Protocol.session;
               spec;
               enqueued_at = Unix.gettimeofday ();
             }

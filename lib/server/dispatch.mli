@@ -1,5 +1,5 @@
 (** The daemon's scheduling core: admission control in front of a
-    {!Parallel.Pool} of solver workers, sharing one supervised annealer.
+    {!Parallel.Pool} of solver workers.
 
     Admission is checked in order — draining, DIMACS parse, per-client
     {!Quota}, bounded {!Jobq} — and each failure maps to a wire error
@@ -9,9 +9,10 @@
     telemetry) under the dispatcher's cancel flag, so a drain stops them
     cooperatively mid-solve.
 
-    All hybrid members go through {e one} {!Anneal.Supervisor} created at
-    {!create} — the shared-device model: a single circuit breaker
-    protects the annealer across every job and connection.
+    A job is solved exactly as the one-shot CLI solves it: every hybrid
+    solve builds its own supervised annealer and embedding cache.  The
+    one solver state that crosses jobs is a wire session's learnt-clause
+    pool ({!Service.Batch.Warm.t}), kept per (client, session name).
 
     Threading: every function below must be called from the event-loop
     thread.  Worker domains only append to an internal completion queue

@@ -36,13 +36,13 @@ type job_spec = {
   seed : int option;  (** [None]: the server derives one from its own seed *)
   priority : int;  (** higher runs sooner; FIFO within a priority *)
   session : string option;
-      (** scope for server-side solver-state reuse.  Jobs submitted by the
-          same client under the same session name share a learnt-clause
-          pool (a later job whose formula equals an earlier one starts
-          from its learnt clauses) and, when the server config allows it,
-          one embedding cache.  Reuse never changes an answer — the first
-          job of a session behaves exactly like a one-shot submit.
-          [None] (the wire default) keeps every job independent. *)
+      (** scope for server-side learnt-clause reuse.  Jobs submitted by
+          the same client under the same session name share a
+          learnt-clause pool: a later job whose formula equals an earlier
+          one starts from its learnt clauses.  Reuse never changes an
+          answer — the first job of a session behaves exactly like a
+          one-shot submit.  [None] (the wire default) keeps every job
+          independent. *)
 }
 
 val make_job_spec :

@@ -8,18 +8,16 @@ type job_result = {
 
 (* partially applying the name yields the [members ~spec ~seed] closure
    shape [run] expects, with the job's own QA policy picked up per spec *)
-let solo ?grid ?log_proof ?supervisor ?embed_cache name ~spec ~seed =
-  Portfolio.members_named ?grid ?log_proof ?supervisor ?embed_cache ~qa:spec.Job.qa ~seed
-    [ name ]
+let solo ?grid ?log_proof name ~spec ~seed =
+  Portfolio.members_named ?grid ?log_proof ~qa:spec.Job.qa ~seed [ name ]
 
 (* one name for every way a job can be solved: a stock member runs solo, and
    "portfolio" races them all.  A certified job always logs proofs *)
-let resolve ?grid ?(log_proof = false) ?supervisor ?embed_cache solver ~spec ~seed =
+let resolve ?grid ?(log_proof = false) solver ~spec ~seed =
   let log_proof = log_proof || spec.Job.certify in
   if solver = "portfolio" then
-    Portfolio.members_named ?grid ~log_proof ~qa:spec.Job.qa ?supervisor ~seed
-      Portfolio.member_names
-  else solo ?grid ~log_proof ?supervisor ?embed_cache solver ~spec ~seed
+    Portfolio.members_named ?grid ~log_proof ~qa:spec.Job.qa ~seed Portfolio.member_names
+  else solo ?grid ~log_proof solver ~spec ~seed
 
 (* warm-start pool: learnt clauses keyed by formula structure, shared
    across batch workers.  Sound by construction: stored clauses are only

@@ -5,7 +5,10 @@
 
     Results come back in submission order regardless of worker count, and
     per-job outcomes depend only on the job's seeds — never on scheduling —
-    so a batch is reproducible at any [workers] setting. *)
+    so a batch is reproducible at any [workers] setting.  Each hybrid
+    solve builds its own supervised annealer and embedding cache; the one
+    solver state a job can hand to a later one is a {!Warm.t} pool of
+    learnt clauses. *)
 
 module Warm : sig
   type t
@@ -94,8 +97,6 @@ val run :
 val solo :
   ?grid:int ->
   ?log_proof:bool ->
-  ?supervisor:Anneal.Supervisor.t ->
-  ?embed_cache:Hyqsat.Frontend.cache ->
   string ->
   spec:Job.spec ->
   seed:int ->
@@ -103,24 +104,18 @@ val solo :
 (** [solo name] is a 1-member portfolio — the degenerate race used for
     plain batch solving ([--jobs] without [--portfolio]).  Partially
     applied ([solo "minisat"]) it has exactly the [members] closure shape
-    {!run} expects, picking up each job's QA policy from its spec.
-    [supervisor] and [embed_cache] are the
-    shared-state options of {!Portfolio.members_named}; the single-member
-    shape makes [embed_cache] safe here (no members running beside it). *)
+    {!run} expects, picking up each job's QA policy from its spec. *)
 
 val resolve :
   ?grid:int ->
   ?log_proof:bool ->
-  ?supervisor:Anneal.Supervisor.t ->
-  ?embed_cache:Hyqsat.Frontend.cache ->
   string ->
   spec:Job.spec ->
   seed:int ->
   Portfolio.member list
 (** [resolve solver] turns a solver name into the [members] closure {!run}
     and {!process} take: a {!Portfolio.member_names} entry runs {!solo},
-    and ["portfolio"] races all of them ([embed_cache], which is not
-    domain-safe, is then ignored).  Members log DRAT proofs when
+    and ["portfolio"] races all of them.  Members log DRAT proofs when
     [log_proof] (default [false]) is set or the job certifies.  The CLI
     and the daemon both resolve their [--solver] through it.  An unknown
     name raises [Invalid_argument] from the closure, which {!process}

@@ -66,7 +66,7 @@ let stats_of_report (r : Hyqsat.Hybrid_solver.report) =
     proof = r.Hyqsat.Hybrid_solver.proof;
   }
 
-let hybrid_member ?supervisor ?embed_cache ~name ~base ~grid ~seed ~log_proof ~qa () =
+let hybrid_member ~name ~base ~grid ~seed ~log_proof ~qa =
   {
     name;
     run =
@@ -83,8 +83,8 @@ let hybrid_member ?supervisor ?embed_cache ~name ~base ~grid ~seed ~log_proof ~q
             ~supervisor:qa.Job.supervision ~seed ()
         in
         stats_of_report
-          (Hyqsat.Solve.run ?supervisor ?embed_cache ~max_iterations ~should_stop ~obs
-             ~parent ~import (Hyqsat.Solve.Hybrid config) f));
+          (Hyqsat.Solve.run ~max_iterations ~should_stop ~obs ~parent ~import
+             (Hyqsat.Solve.Hybrid config) f));
   }
 
 let classic_member ~name ~base ~seed ~log_proof =
@@ -120,14 +120,13 @@ let walksat_member ~seed =
         { (idle_stats result) with iterations = st.Cdcl.Walksat.flips });
   }
 
-let make_member ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ?supervisor
-    ?embed_cache ~seed = function
+let make_member ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ~seed = function
   | "hybrid" ->
-      hybrid_member ?supervisor ?embed_cache ~name:"hybrid"
-        ~base:Hyqsat.Hybrid_solver.default_config ~grid ~seed ~log_proof ~qa ()
+      hybrid_member ~name:"hybrid" ~base:Hyqsat.Hybrid_solver.default_config ~grid ~seed
+        ~log_proof ~qa
   | "hybrid-noisy" ->
-      hybrid_member ?supervisor ?embed_cache ~name:"hybrid-noisy"
-        ~base:Hyqsat.Hybrid_solver.noisy_config ~grid ~seed:(seed + 1) ~log_proof ~qa ()
+      hybrid_member ~name:"hybrid-noisy" ~base:Hyqsat.Hybrid_solver.noisy_config ~grid
+        ~seed:(seed + 1) ~log_proof ~qa
   | "minisat" ->
       classic_member ~name:"minisat" ~base:Cdcl.Config.minisat_like ~seed:(seed + 2) ~log_proof
   | "kissat" ->
@@ -135,8 +134,8 @@ let make_member ?(grid = 16) ?(log_proof = false) ?(qa = Job.default_qa) ?superv
   | "walksat" -> walksat_member ~seed:(seed + 4)
   | name -> invalid_arg (Printf.sprintf "Portfolio: unknown member %S" name)
 
-let members_named ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed names =
-  List.map (make_member ?grid ?log_proof ?qa ?supervisor ?embed_cache ~seed) names
+let members_named ?grid ?log_proof ?qa ~seed names =
+  List.map (make_member ?grid ?log_proof ?qa ~seed) names
 
 let race ?should_stop:(stop = fun () -> false) ?(max_iterations = max_int)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?(import = []) members f =

@@ -10,7 +10,9 @@
     and the job deadline; the cancellation contract of
     {!Cdcl.Solver.set_terminate} / {!Hyqsat.Solve.run} guarantees losers
     return within ~128 solver steps of the flag flipping, and a member that
-    reaches a lane after that never starts. *)
+    reaches a lane after that never starts.  Members share nothing but the
+    formula and the [import] list: each hybrid solve has its own
+    supervised annealer and embedding cache. *)
 
 type solve_stats = {
   result : Cdcl.Solver.result;  (** = {!Sat.Answer.t} (shared constructors) *)
@@ -79,8 +81,6 @@ val members_named :
   ?grid:int ->
   ?log_proof:bool ->
   ?qa:Job.qa_policy ->
-  ?supervisor:Anneal.Supervisor.t ->
-  ?embed_cache:Hyqsat.Frontend.cache ->
   seed:int ->
   string list ->
   member list
@@ -91,16 +91,9 @@ val members_named :
     DRAT derivations so Unsat answers are checkable.  [qa] (default
     {!Job.default_qa}) is the annealer policy of the hybrid members:
     simulator faults, supervision, and best-of-k reads split into that
-    many chunks on {!Parallel.Pool.shared}.  [supervisor] makes the
-    hybrid members go through that shared (domain-safe) supervised device
-    instead of building a private one per solve — the server dispatcher
-    passes its per-pool instance so one circuit breaker protects the
-    backend across every job.  [embed_cache] hands the hybrid members a
-    persistent embedding cache ({!Hyqsat.Frontend.cache}) so a stream of
-    structurally similar instances skips re-embedding; the cache is {e
-    not} domain-safe, so only pass it to single-member (solo) selections
-    or otherwise guarantee exclusive use — the server dispatcher leases
-    it per session with a mutex.
+    many chunks on {!Parallel.Pool.shared}.  Each hybrid solve builds its
+    own supervised device and embedding cache from [qa], so no member
+    shares annealer state with another member or another job.
     @raise Invalid_argument on an unknown name. *)
 
 val race :

@@ -447,6 +447,52 @@ let wire_matches_oneshot () =
   Alcotest.(check string) "4-SAT answer" "sat" r.Telemetry.outcome;
   Alcotest.(check string) "4-SAT model certified" "model" r.Telemetry.verified
 
+(* two hybrid jobs solved at once by a 2-worker dispatcher answer exactly
+   as each does alone through Batch.run: no annealer state crosses jobs *)
+let concurrent_hybrid_matches_batch () =
+  let formulas =
+    [ Workload.Uniform.uf (Testutil.rng 31) 40; Workload.Uniform.uf (Testutil.rng 37) 50 ]
+  in
+  let name id = Printf.sprintf "c%d.cnf" id in
+  let seed id = 7000 + (13 * id) in
+  let expected =
+    List.mapi
+      (fun id f ->
+        let spec = Job.make ~name:(name id) ~certify:true ~seed:(seed id) ~id f in
+        let _, results = Batch.run ~members:(Batch.resolve "hybrid") [ spec ] in
+        record_bytes (List.hd results).Batch.record)
+      formulas
+  in
+  let d =
+    Dispatch.create
+      { dispatch_config with Dispatch.workers = 2; solver = "hybrid"; per_client = 4 }
+  in
+  List.iteri
+    (fun id f ->
+      let wire =
+        Protocol.make_job_spec ~name:(name id) ~certify:true ~seed:(seed id) ~id
+          (Sat.Dimacs.to_string f)
+      in
+      match Dispatch.submit d ~client:"t" ~conn:1 wire with
+      | Dispatch.Accepted _ -> ()
+      | _ -> Alcotest.fail "wire submit rejected")
+    formulas;
+  Alcotest.(check int) "both jobs running at once" 2 (Dispatch.running d);
+  let retired = retire_all d in
+  Dispatch.shutdown d;
+  Alcotest.(check int) "both jobs retired" 2 (List.length retired);
+  List.iter
+    (fun c ->
+      let record = c.Dispatch.result.Batch.record in
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d consulted the annealer" c.Dispatch.job_id)
+        true (record.Telemetry.qa_calls > 0);
+      Alcotest.(check string)
+        (Printf.sprintf "job %d telemetry bytes identical (timing zeroed)" c.Dispatch.job_id)
+        (List.nth expected c.Dispatch.job_id)
+        (record_bytes record))
+    retired
+
 let demo_wcnf = "p wcnf 3 4 10\n10 1 2 0\n3 -1 0\n2 -2 3 0\n4 -3 0\n"
 
 (* one WDIMACS document through both paths; returns the one-shot record
@@ -832,6 +878,93 @@ let daemon_metrics_request_cap () =
           | Protocol.Pong 7 -> ()
           | _ -> Alcotest.fail "wire client got no Pong"))
 
+(* a client that writes requests and never reads the replies stops being
+   read once its unsent replies pass the daemon's 1 MiB output cap: its
+   writes block, other clients are still served, and once it reads, every
+   reply arrives in order *)
+let daemon_output_backpressure () =
+  let socket = temp_socket () in
+  let stop = Atomic.make false in
+  let ready = Atomic.make false in
+  let config = { Daemon.default_config with Daemon.unix_socket = Some socket } in
+  let th =
+    Thread.create
+      (fun () -> ignore (Daemon.run ~stop ~on_ready:(fun _ -> Atomic.set ready true) config))
+      ()
+  in
+  let rec await_ready n =
+    if not (Atomic.get ready) then begin
+      if n = 0 then Alcotest.fail "daemon never became ready";
+      Unix.sleepf 0.01;
+      await_ready (n - 1)
+    end
+  in
+  await_ready 500;
+  (* ~8 MB of Pongs: far past the cap plus both sockets' kernel buffers *)
+  let pings = 200_000 in
+  let stream =
+    String.concat ""
+      (List.init pings (fun i -> Codec.frame (Protocol.encode_client (Protocol.Ping i))))
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let written = Atomic.make false in
+  let writer = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Option.iter Thread.join !writer;
+      Atomic.set stop true;
+      Thread.join th)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      writer :=
+        Some
+          (Thread.create
+             (fun () ->
+               let rec go off =
+                 if off < String.length stream then
+                   go (off + Unix.write_substring fd stream off (String.length stream - off))
+               in
+               (try go 0 with Unix.Unix_error _ -> ());
+               Atomic.set written true)
+             ());
+      Unix.sleepf 3.0;
+      Alcotest.(check bool) "the non-reading client's writes are blocked" false
+        (Atomic.get written);
+      let t = Client.connect_unix socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close t)
+        (fun () ->
+          Client.send t (Protocol.Ping (-1));
+          match Client.recv ~timeout_s:5. t with
+          | Protocol.Pong (-1) -> ()
+          | _ -> Alcotest.fail "another client got no Pong");
+      let dec = Codec.decoder () in
+      let buf = Bytes.create 65536 in
+      let deadline = Unix.gettimeofday () +. 60. in
+      let rec read_pongs next =
+        if next < pings then
+          match Codec.next dec with
+          | Ok (Some payload) -> (
+              match Protocol.decode_server payload with
+              | Ok (Protocol.Pong n) when n = next -> read_pongs (next + 1)
+              | Ok (Protocol.Pong n) -> Alcotest.failf "Pong %d arrived where %d was due" n next
+              | _ -> Alcotest.failf "unexpected reply where Pong %d was due" next)
+          | Error e -> Alcotest.failf "decoder error: %s" (Codec.error_label e)
+          | Ok None ->
+              if Unix.gettimeofday () > deadline then
+                Alcotest.failf "only %d of %d Pongs within 60 s" next pings;
+              (match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> Alcotest.failf "daemon closed after %d of %d Pongs" next pings
+              | n -> Codec.feed dec ~len:n buf);
+              read_pongs next
+      in
+      read_pongs 0;
+      Option.iter Thread.join !writer;
+      writer := None;
+      Alcotest.(check bool) "the writer finished once the replies drained" true
+        (Atomic.get written))
+
 let suite =
   [
     ( "server.codec",
@@ -864,6 +997,8 @@ let suite =
     ( "server.telemetry",
       [
         Alcotest.test_case "wire record = one-shot record" `Slow wire_matches_oneshot;
+        Alcotest.test_case "concurrent hybrid jobs = batch records" `Slow
+          concurrent_hybrid_matches_batch;
         Alcotest.test_case "wire wcnf record = one-shot record" `Slow
           wire_wcnf_matches_oneshot;
         Alcotest.test_case "wire wcnf record = one-shot record (annealer fallback)" `Slow
@@ -878,5 +1013,7 @@ let suite =
         Alcotest.test_case "end-to-end over unix socket" `Slow daemon_end_to_end;
         Alcotest.test_case "drain cancels queued jobs" `Slow daemon_drain_cancels_queued;
         Alcotest.test_case "metrics request capped" `Quick daemon_metrics_request_cap;
+        Alcotest.test_case "output backpressure on a non-reading client" `Quick
+          daemon_output_backpressure;
       ] );
   ]

@@ -59,7 +59,7 @@ let scripted ?(after = `Ok) script =
 
 let retry_exhaustion_returns_last_failure () =
   let backend = scripted ~after:(`Fail Backend.Readout_corrupt) [] in
-  let policy = Sup.make_policy ~retries:2 ~breaker_threshold:100 () in
+  let policy = { Sup.timeout_us = infinity; retries = 2 } in
   let sup = Sup.create ~policy backend in
   match Sup.sample sup (Testutil.rng 1) (request (small_ising ())) with
   | Error Backend.Readout_corrupt ->
@@ -75,7 +75,7 @@ let retry_exhaustion_returns_last_failure () =
 let transient_failure_recovers_with_deterministic_backoff () =
   let run seed =
     let backend = scripted [ `Fail Backend.Unavailable; `Fail Backend.Chain_break_storm ] in
-    let sup = Sup.create ~seed ~policy:(Sup.make_policy ~retries:2 ()) backend in
+    let sup = Sup.create ~seed ~policy:{ Sup.timeout_us = infinity; retries = 2 } backend in
     match Sup.sample sup (Testutil.rng 3) (request (small_ising ())) with
     | Ok r -> (r, Sup.stats sup)
     | Error f -> Alcotest.failf "expected recovery, got %s" (Backend.failure_label f)
@@ -96,7 +96,7 @@ let deadline_mid_read_times_out () =
   (* the scripted device always answers, but its modelled 138 us exceeds the
      50 us budget: the read is discarded as a timeout, never returned *)
   let backend = scripted [] in
-  let policy = Sup.make_policy ~timeout_us:50.0 ~retries:1 () in
+  let policy = { Sup.timeout_us = 50.0; retries = 1 } in
   let sup = Sup.create ~policy backend in
   match Sup.sample sup (Testutil.rng 1) (request (small_ising ())) with
   | Error Backend.Timeout ->
@@ -106,32 +106,39 @@ let deadline_mid_read_times_out () =
   | Ok _ -> Alcotest.fail "a read past the deadline must not be returned"
   | Error f -> Alcotest.failf "wrong failure: %s" (Backend.failure_label f)
 
+(* the breaker's fixed settings: it opens after 5 consecutive failures,
+   fast-fails the next 7 calls, admits the 8th as the probe, and 1 good
+   probe closes it *)
+let failures_to_open = 5
+let cooldown_calls = 8
+
 let breaker_lifecycle () =
   let failing = ref true in
   let backend =
     Backend.of_fn ~name:"flaky" (fun ?obs:_ _rng req ->
         if !failing then Error Backend.Unavailable else Ok (ok_response req))
   in
-  let policy =
-    Sup.make_policy ~retries:0 ~breaker_threshold:2 ~breaker_cooldown:2 ~half_open_probes:1 ()
-  in
-  let sup = Sup.create ~policy backend in
+  let sup = Sup.create ~policy:{ Sup.timeout_us = infinity; retries = 0 } backend in
   let req = request (small_ising ()) in
   let call () = Sup.sample sup (Testutil.rng 1) req in
-  (match call () with
-  | Error Backend.Unavailable -> ()
-  | _ -> Alcotest.fail "first failure expected");
-  Alcotest.(check bool) "still closed after one failure" true (Sup.state sup = `Closed);
-  (match call () with
-  | Error Backend.Unavailable -> ()
-  | _ -> Alcotest.fail "second failure expected");
+  for i = 1 to failures_to_open do
+    (match call () with
+    | Error Backend.Unavailable -> ()
+    | _ -> Alcotest.failf "failure %d expected" i);
+    if i < failures_to_open then
+      Alcotest.(check bool) (Printf.sprintf "still closed after %d failures" i) true
+        (Sup.state sup = `Closed)
+  done;
   Alcotest.(check bool) "threshold reached: open" true (Sup.state sup = `Open);
-  (* while open the device is not touched: the call fast-fails *)
-  (match call () with
-  | Error Backend.Breaker_open -> ()
-  | _ -> Alcotest.fail "open breaker must fast-fail");
-  Alcotest.(check int) "fast-fail counted" 1 (Sup.stats sup).Sup.fast_fails;
-  Alcotest.(check int) "fast-fail never reached the device" 2 (Sup.stats sup).Sup.attempts;
+  (* while open the device is not touched: the calls fast-fail *)
+  for _ = 1 to cooldown_calls - 1 do
+    match call () with
+    | Error Backend.Breaker_open -> ()
+    | _ -> Alcotest.fail "open breaker must fast-fail"
+  done;
+  Alcotest.(check int) "fast-fails counted" (cooldown_calls - 1) (Sup.stats sup).Sup.fast_fails;
+  Alcotest.(check int) "fast-fails never reached the device" failures_to_open
+    (Sup.stats sup).Sup.attempts;
   (* cooldown spent: next call is admitted as the half-open probe *)
   failing := false;
   (match call () with
@@ -144,28 +151,30 @@ let breaker_lifecycle () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "closed breaker must admit calls"
 
+(* open the breaker of [sup] over an always-failing device, then run the
+   cooldown out up to (not including) the probe *)
+let open_and_cool_down sup req =
+  for _ = 1 to failures_to_open + cooldown_calls - 1 do
+    ignore (Sup.sample sup (Testutil.rng 1) req)
+  done
+
 let probe_failure_reopens_breaker () =
   let backend = scripted ~after:(`Fail Backend.Unavailable) [] in
-  let policy =
-    Sup.make_policy ~retries:0 ~breaker_threshold:1 ~breaker_cooldown:1 ~half_open_probes:1 ()
-  in
-  let sup = Sup.create ~policy backend in
+  let sup = Sup.create ~policy:{ Sup.timeout_us = infinity; retries = 0 } backend in
   let req = request (small_ising ()) in
+  open_and_cool_down sup req;
+  Alcotest.(check bool) "open after the threshold" true (Sup.state sup = `Open);
+  (* cooldown spent: this very call is the probe — and it fails *)
   ignore (Sup.sample sup (Testutil.rng 1) req);
-  Alcotest.(check bool) "open after threshold 1" true (Sup.state sup = `Open);
-  (* cooldown of 1: this very call is the probe — and it fails *)
-  ignore (Sup.sample sup (Testutil.rng 1) req);
-  Alcotest.(check bool) "failed probe reopens" true (Sup.state sup = `Open)
+  Alcotest.(check bool) "failed probe reopens" true (Sup.state sup = `Open);
+  Alcotest.(check int) "closed -> open -> half_open -> open" 3 (Sup.stats sup).Sup.transitions
 
 let supervisor_metrics_exported () =
   let obs = Obs.Ctx.create () in
   let backend = scripted ~after:(`Fail Backend.Unavailable) [] in
-  let policy =
-    Sup.make_policy ~retries:0 ~breaker_threshold:1 ~breaker_cooldown:1 ~half_open_probes:1 ()
-  in
-  let sup = Sup.create ~obs ~policy backend in
+  let sup = Sup.create ~obs ~policy:{ Sup.timeout_us = infinity; retries = 0 } backend in
   let req = request (small_ising ()) in
-  ignore (Sup.sample sup (Testutil.rng 1) req);
+  open_and_cool_down sup req;
   ignore (Sup.sample sup (Testutil.rng 1) req);
   let snap = Obs.Ctx.snapshot obs in
   let counter name =
@@ -173,9 +182,12 @@ let supervisor_metrics_exported () =
     | Some (Obs.Ctx.Counter { count }) -> int_of_float count
     | _ -> Alcotest.failf "missing counter %s" name
   in
-  Alcotest.(check int) "calls counted" 2 (counter "qa_backend_calls_total");
-  Alcotest.(check int) "failures labelled by reason" 2
+  Alcotest.(check int) "calls counted" (failures_to_open + cooldown_calls)
+    (counter "qa_backend_calls_total");
+  Alcotest.(check int) "device failures labelled by reason" (failures_to_open + 1)
     (counter "qa_failures_total{reason=\"unavailable\"}");
+  Alcotest.(check int) "fast-fails labelled by reason" (cooldown_calls - 1)
+    (counter "qa_failures_total{reason=\"breaker_open\"}");
   Alcotest.(check int) "transitions to open" 2
     (counter "qa_breaker_transitions_total{to=\"open\"}");
   Alcotest.(check int) "transitions to half_open" 1
@@ -217,10 +229,10 @@ let failed_attempts_consume_no_caller_rng () =
   let req = request ~params ising in
   let faulty =
     Backend.with_faults
-      { Backend.fail_rate = 0.5; latency_us = 0.; fault_seed = 5; mix = Backend.default_mix }
+      { Backend.fail_rate = 0.5; fault_seed = 5 }
       Backend.best_of
   in
-  let policy = Sup.make_policy ~retries:20 ~breaker_threshold:1000 () in
+  let policy = { Sup.timeout_us = infinity; retries = 20 } in
   let sup = Sup.create ~policy faulty in
   for i = 0 to 9 do
     let seed = 71 + i in
@@ -238,19 +250,6 @@ let failed_attempts_consume_no_caller_rng () =
   done;
   Alcotest.(check bool) "the injector actually fired" true ((Sup.stats sup).Sup.failures > 0)
 
-let injected_latency_is_charged () =
-  let ising = small_ising () in
-  let req = request ising in
-  let clean = Backend.model_time_us req in
-  let slow =
-    Backend.with_faults
-      { Backend.fail_rate = 0.; latency_us = 500.; fault_seed = 2; mix = Backend.default_mix }
-      Backend.best_of
-  in
-  match Backend.sample slow (Testutil.rng 3) req with
-  | Ok r -> Alcotest.(check bool) "latency added to time_us" true (r.Backend.time_us > clean)
-  | Error _ -> Alcotest.fail "zero fail rate cannot fail"
-
 (* ------------------------------------------------------------------ *)
 (* sharing one supervisor across domains *)
 
@@ -260,7 +259,7 @@ let on_two_domains f =
   let r0 = f 0 in
   (r0, Domain.join d)
 
-(* The daemon's workers share one supervisor, so the device call must not
+(* A supervisor is documented domain-safe, so the device call must not
    run under its lock: each call counts itself in and waits (at most 2 s)
    until both calls have entered the backend.  Under a serialising lock
    the first call gives up at the bound and fails, so the test fails
@@ -278,7 +277,7 @@ let shared_supervisor_overlaps_device_calls () =
            holding the second out *)
         if Atomic.get entered >= 2 then Ok (ok_response req) else Error Backend.Unavailable)
   in
-  let policy = Sup.make_policy ~retries:0 () in
+  let policy = { Sup.timeout_us = infinity; retries = 0 } in
   let sup = Sup.create ~policy backend in
   let req = request (small_ising ()) in
   let call i = Result.is_ok (Sup.sample sup (Testutil.rng (5 + i)) req) in
@@ -291,10 +290,10 @@ let shared_supervisor_overlaps_device_calls () =
 let shared_supervisor_counts_concurrent_faults () =
   let faulty =
     Backend.with_faults
-      { Backend.fail_rate = 0.3; latency_us = 50.; fault_seed = 9; mix = Backend.default_mix }
+      { Backend.fail_rate = 0.3; fault_seed = 9 }
       Backend.best_of
   in
-  let sup = Sup.create ~policy:(Sup.make_policy ~retries:1 ()) faulty in
+  let sup = Sup.create ~policy:{ Sup.timeout_us = infinity; retries = 1 } faulty in
   let params = Sampler.make_params ~schedule:Sampler.quick_schedule () in
   let req = request ~params (glass_ising (Testutil.rng 83)) in
   let per_domain = 150 in
@@ -317,9 +316,7 @@ let shared_supervisor_counts_concurrent_faults () =
 
 let full_fault_hybrid_equals_classic () =
   let f = Workload.Uniform.uf (Testutil.rng 91) 30 in
-  let faults =
-    { Backend.fail_rate = 1.0; latency_us = 0.; fault_seed = 3; mix = Backend.default_mix }
-  in
+  let faults = { Backend.fail_rate = 1.0; fault_seed = 3 } in
   let config =
     Hyqsat.Hybrid_solver.make_config
       ~backend:(Backend.simulator faults)
@@ -345,7 +342,7 @@ let full_fault_hybrid_equals_classic () =
 
 let faulty_certified_batch_stays_sound () =
   let rng = Testutil.rng 97 in
-  let faults = { Backend.default_faults with Backend.fail_rate = 0.3; fault_seed = 5 } in
+  let faults = { Backend.fail_rate = 0.3; fault_seed = 5 } in
   let qa = { Job.default_qa with Job.faults } in
   let jobs =
     List.init 6 (fun i ->
@@ -393,7 +390,6 @@ let suite =
           zero_rate_wrapper_and_serial_reads_agree;
         Alcotest.test_case "failures consume no caller RNG" `Quick
           failed_attempts_consume_no_caller_rng;
-        Alcotest.test_case "injected latency charged" `Quick injected_latency_is_charged;
       ] );
     ( "anneal.degradation",
       [
