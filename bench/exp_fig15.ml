@@ -27,7 +27,7 @@ let gap_gain (ctx : Bench_util.ctx) salt ~num_vars ~num_clauses =
   let enc = Qubo.Encode.encode ~num_vars (Sat.Cnf.clauses f) in
   match Baselines.Gap.energy_gap enc with
   | before when before > 1e-9 ->
-      Qubo.Adjust.adjust enc;
+      ignore (Qubo.Adjust.adjust enc);
       let after = Baselines.Gap.energy_gap enc in
       Some (before, after)
   | _ -> None

@@ -80,24 +80,28 @@ let prepare ?(obs = Obs.Ctx.null) ?cache ?(queue_mode = Activity_bfs)
     else begin
       let prefix_clauses = Array.to_list (Array.sub clauses 0 embedded) in
       let enc' = Qubo.Encode.encode ~num_vars:(Sat.Cnf.num_vars f) prefix_clauses in
-      if adjust then Qubo.Adjust.adjust enc';
+      let adjusted = if adjust then Some (Qubo.Adjust.adjust enc') else None in
       (* weighted (MaxSAT) mode: scale the adjusted α's by per-clause
          weights so the sampled energy tracks weighted violation cost; the
          unembedded suffix simply keeps its weights out of this job, same
          as unweighted clauses outside the queue prefix *)
-      (match weights with
-      | None -> ()
-      | Some w ->
-          let prefix_w =
-            Array.of_list
-              (List.filteri (fun i _ -> i < embedded) queue
-              |> List.map (fun k -> float_of_int w.(k)))
-          in
-          Qubo.Encode.set_clause_weights enc' prefix_w);
+      let objective =
+        match (weights, adjusted) with
+        | None, Some objective -> objective
+        | None, None -> Qubo.Encode.objective enc'
+        | Some w, _ ->
+            let prefix_w =
+              Array.of_list
+                (List.filteri (fun i _ -> i < embedded) queue
+                |> List.map (fun k -> float_of_int w.(k)))
+            in
+            Qubo.Encode.set_clause_weights enc' prefix_w;
+            Qubo.Encode.objective enc'
+      in
       let job =
         {
           Anneal.Machine.embedding = res.Embed.Hyqsat_scheme.embedding;
-          objective = Qubo.Encode.objective enc';
+          objective;
           edges = res.Embed.Hyqsat_scheme.edges;
         }
       in

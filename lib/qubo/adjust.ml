@@ -14,11 +14,11 @@ let reset (t : Encode.t) = Array.iter (fun s -> s.Encode.alpha <- 1.) t.Encode.s
 
 let eps = 1e-9
 
-(* one capping pass: for every objective term whose stacked coefficient now
-   exceeds d*, scale the boosted sub-clauses containing that term back down
-   (never below α = 1).  Returns true if anything was scaled. *)
-let cap_pass (t : Encode.t) d_star =
-  let obj = Encode.objective t in
+(* one capping pass over [obj], the objective of the current α's: for every
+   term whose stacked coefficient exceeds d*, scale the boosted sub-clauses
+   containing that term back down (never below α = 1).  Returns true if
+   anything was scaled, which makes [obj] stale. *)
+let cap_pass (t : Encode.t) obj d_star =
   let offenders = ref [] in
   Pbq.iter_linear obj (fun v b ->
       let c = Float.abs b /. 2. in
@@ -55,5 +55,10 @@ let adjust (t : Encode.t) =
      to 1 when a stacked term is dominated by floored (α = 1) baseline
      contributions, so give the fixpoint enough passes to shrink the
      residual overshoot well below the eps tolerance *)
-  let rec cap budget = if budget > 0 && cap_pass t d_star then cap (budget - 1) in
+  (* a pass that scales nothing leaves its objective current, so that one is
+     the result; only a spent budget builds one more, after its last pass *)
+  let rec cap budget =
+    let obj = Encode.objective t in
+    if budget > 0 && cap_pass t obj d_star then cap (budget - 1) else obj
+  in
   cap 256

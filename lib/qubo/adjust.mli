@@ -15,7 +15,7 @@ val d_sub : Pbq.t -> Encode.sub -> float
     coefficients of the global [objective].  Returns [1.0] if every involved
     coefficient vanished. *)
 
-val adjust : Encode.t -> unit
+val adjust : Encode.t -> Pbq.t
 (** Sets every sub-clause's [alpha] to [d*/d_{i,j}] in place, using the
     current α = 1 baseline objective — then caps: when boosted sub-clauses
     share variables their coefficients stack and can exceed d*, which would
@@ -23,7 +23,14 @@ val adjust : Encode.t -> unit
     meant to protect.  Offending sub-clauses are scaled back (never below
     α = 1) until the adjusted objective's d* is no larger than the
     baseline's.  (The paper states d* is preserved; that only holds without
-    variable sharing, so the cap is this reproduction's explicit fix.) *)
+    variable sharing, so the cap is this reproduction's explicit fix.)
+
+    Returns the adjusted objective: the one the last cap pass built and
+    found within d*, or, when the pass budget runs out, one built after the
+    last pass.  Either way it equals [Encode.objective t] rebuilt at once,
+    term for term and in the same table iteration order.  It goes stale as
+    soon as any α changes again: [Frontend.prepare] rebuilds it after
+    {!Encode.set_clause_weights} rescales the α's for MaxSAT weights. *)
 
 val reset : Encode.t -> unit
 (** Restore all α to 1. *)

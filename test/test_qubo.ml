@@ -76,7 +76,7 @@ let encoding_soundness_adjusted =
          return (Testutil.random_cnf (Testutil.rng (seed + (n * 57) + m)) ~n ~m ~k:3)))
     (fun f ->
       let enc = Encode.encode ~num_vars:(Sat.Cnf.num_vars f) (Sat.Cnf.clauses f) in
-      Adjust.adjust enc;
+      ignore (Adjust.adjust enc);
       let n = Sat.Cnf.num_vars f in
       let ok = ref true in
       for bits = 0 to (1 lsl n) - 1 do
@@ -109,13 +109,12 @@ let paper_example_objective () =
 let paper_example_adjusted () =
   let c = Sat.Clause.of_dimacs [ 1; 2; 3 ] in
   let enc = Encode.encode ~num_vars:3 [ c ] in
-  Adjust.adjust enc;
+  let h = Adjust.adjust enc in
   (match Array.to_list enc.Encode.subs with
   | [ s1; s2 ] ->
       fcheck "alpha_{1,1}" 1.0 s1.Encode.alpha;
       fcheck "alpha_{1,2}" 2.0 s2.Encode.alpha
   | _ -> Alcotest.fail "expected two sub-clauses");
-  let h = Encode.objective enc in
   fcheck "const" 2.0 (Pbq.const h);
   fcheck "x1" 1.0 (Pbq.linear h 0);
   fcheck "x2" 1.0 (Pbq.linear h 1);
@@ -142,8 +141,7 @@ let normalization_range =
   QCheck.Test.make ~name:"normalised objective fits hardware range" ~count:100
     Testutil.small_cnf_arb (fun f ->
       let enc = Encode.encode ~num_vars:(Sat.Cnf.num_vars f) (Sat.Cnf.clauses f) in
-      Adjust.adjust enc;
-      Normalize.within_hardware_range (Normalize.apply (Encode.objective enc)))
+      Normalize.within_hardware_range (Normalize.apply (Adjust.adjust enc)))
 
 let adjustment_helps_gap =
   (* rigorous core of the Fig 15 claim: α ≥ 1 dominates the α = 1 penalty
@@ -169,7 +167,7 @@ let adjustment_helps_gap =
       taut
       ||
       let before = Gap.energy_gap ~normalized:false enc in
-      Adjust.adjust enc;
+      ignore (Adjust.adjust enc);
       let after = Gap.energy_gap ~normalized:false enc in
       after >= before -. 1e-9)
 
@@ -187,7 +185,7 @@ let adjustment_boosts_weak_clauses () =
       ]
   in
   let before = Gap.energy_gap enc in
-  Adjust.adjust enc;
+  ignore (Adjust.adjust enc);
   let after = Gap.energy_gap enc in
   fcheck "before" 0.5 before;
   fcheck "after" 1.0 after
@@ -197,8 +195,7 @@ let adjustment_preserves_d_star =
     Testutil.small_cnf_arb (fun f ->
       let enc = Encode.encode ~num_vars:(Sat.Cnf.num_vars f) (Sat.Cnf.clauses f) in
       let before = Normalize.d_star (Encode.objective enc) in
-      Adjust.adjust enc;
-      Normalize.d_star (Encode.objective enc) <= before +. 1e-6)
+      Normalize.d_star (Adjust.adjust enc) <= before +. 1e-6)
 
 let adjustment_normalized_gap_never_worse =
   (* with the cap, the normalised gap is now monotone too: numerator can
@@ -221,14 +218,36 @@ let adjustment_normalized_gap_never_worse =
       taut
       ||
       let before = Gap.energy_gap enc in
-      Adjust.adjust enc;
+      ignore (Adjust.adjust enc);
       Gap.energy_gap enc >= before -. 1e-6)
+
+(* every term of a table, in its iteration order, floats as bit patterns *)
+let terms_bits h =
+  let lin = ref [] and quad = ref [] in
+  Pbq.iter_linear h (fun v b -> lin := (v, Int64.bits_of_float b) :: !lin);
+  Pbq.iter_quad h (fun u w j -> quad := (u, w, Int64.bits_of_float j) :: !quad);
+  (Int64.bits_of_float (Pbq.const h), List.rev !lin, List.rev !quad)
+
+(* the objective [adjust] hands back is the one a rebuild from the final
+   α's gives: same terms, same bits, same iteration order *)
+let adjusted_objective_equals_rebuild =
+  QCheck.Test.make ~name:"adjust returns the rebuilt objective bit for bit" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 3 12 >>= fun n ->
+         int_range 1 40 >>= fun m ->
+         int_bound 100000 >>= fun seed ->
+         return (Testutil.random_cnf (Testutil.rng (seed + (17 * n) + m)) ~n ~m ~k:3)))
+    (fun f ->
+      let enc = Encode.encode ~num_vars:(Sat.Cnf.num_vars f) (Sat.Cnf.clauses f) in
+      let adjusted = Adjust.adjust enc in
+      terms_bits adjusted = terms_bits (Encode.objective enc))
 
 let alphas_at_least_one =
   QCheck.Test.make ~name:"adjusted alphas are >= 1" ~count:100 Testutil.small_cnf_arb
     (fun f ->
       let enc = Encode.encode ~num_vars:(Sat.Cnf.num_vars f) (Sat.Cnf.clauses f) in
-      Adjust.adjust enc;
+      ignore (Adjust.adjust enc);
       Array.for_all (fun s -> s.Encode.alpha >= 1. -. 1e-9) enc.Encode.subs)
 
 let ising_roundtrip =
@@ -321,6 +340,7 @@ let suite =
         QCheck_alcotest.to_alcotest adjustment_helps_gap;
         QCheck_alcotest.to_alcotest adjustment_preserves_d_star;
         QCheck_alcotest.to_alcotest adjustment_normalized_gap_never_worse;
+        QCheck_alcotest.to_alcotest adjusted_objective_equals_rebuild;
         Alcotest.test_case "weak clauses boosted (normalised gap 4x)" `Quick
           adjustment_boosts_weak_clauses;
       ] );
