@@ -59,7 +59,12 @@ val run_via :
     gets the machine-side repair — a logical-level anneal plus greedy
     descent — {e host-side}, never through the backend; it cannot turn an
     unsatisfiable clause set's energy to zero, only remove
-    thermal/chain-break residue.  With a live [obs] the call adds
+    thermal/chain-break residue.  The repair's anneal runs
+    [max 8 (spins / 2)] sweeps over the objective's logical spins (one per
+    variable of [job.objective]), from β 0.3 to 12; that depth is the
+    cheapest that keeps the hybrid loop's iteration counts (EXPERIMENTS.md,
+    "Depth of the post-process anneal"), and the greedy descent after it
+    makes at most 8 passes.  With a live [obs] the call adds
     chain breaks to [anneal_chain_breaks_total] and records the response's
     modelled [time_us] into the [anneal_time_us] histogram.
     Defaults: noise-free.  The schedule is {!Sampler.default_schedule}, or
