@@ -31,6 +31,6 @@ let () =
       Format.printf "@.";
       (* sanity: decode is a proper colouring because the CNF was satisfied *)
       Format.printf "model checks out: %b@."
-        (Sat.Assignment.satisfies (Sat.Assignment.of_bools model) f)
+        (Sat.Assignment.satisfies model f)
   | Cdcl.Solver.Unsat -> Format.printf "unexpected UNSAT (flat graphs are 3-colourable)@."
   | Cdcl.Solver.Unknown _ -> Format.printf "unknown@."

@@ -52,7 +52,6 @@ let () =
     {
       Anneal.Machine.embedding = embedded.Embed.Hyqsat_scheme.embedding;
       objective = Qubo.Encode.objective enc;
-      edges = embedded.Embed.Hyqsat_scheme.edges;
     }
   in
   (match

@@ -13,7 +13,6 @@ type job = {
   objective : Qubo.Pbq.t;
       (** logical objective over problem-graph nodes, {e unnormalised}; the
           machine normalises to hardware range internally (Equation 6) *)
-  edges : (int * int) list;  (** problem edges the embedding realises *)
 }
 
 type outcome = {

@@ -71,7 +71,6 @@ let learnt t c = t.data.(c) land 2 <> 0
 let deleted t c = t.data.(c) land 1 <> 0
 let origin t c = t.data.(c + 1)
 let lit t c i = t.data.(c + lits_offset + i)
-let set_lit t c i l = t.data.(c + lits_offset + i) <- l
 let activity t c = t.act.(c)
 let set_activity t c a = t.act.(c) <- a
 

@@ -43,7 +43,6 @@ val learnt : t -> cref -> bool
 val deleted : t -> cref -> bool
 val origin : t -> cref -> int
 val lit : t -> cref -> int -> Sat.Lit.t
-val set_lit : t -> cref -> int -> Sat.Lit.t -> unit
 val activity : t -> cref -> float
 val set_activity : t -> cref -> float -> unit
 

@@ -88,7 +88,6 @@ let lit_sign l = if Sat.Lit.is_pos l then 1 else -1
 let value_lit t l = t.assigns.(Sat.Lit.var l) * lit_sign l
 let value_var t v = t.assigns.(v)
 let decision_level t = Vec.size t.trail_lim
-let num_vars t = t.n
 
 let create ?(config = Config.default) (f : Sat.Cnf.t) =
   let n = Sat.Cnf.num_vars f in
@@ -722,5 +721,3 @@ let stats t : Solver.stats =
     iterations = t.s_iterations;
     max_decision_level = t.s_max_level;
   }
-
-let model t = match t.status with Sat m -> Some m | _ -> None

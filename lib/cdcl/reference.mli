@@ -31,9 +31,6 @@ val solve_with_assumptions :
   [ `Sat of bool array | `Unsat | `Unsat_assumptions | `Unknown ]
 
 val unsat_core : t -> Sat.Lit.t list
-val num_vars : t -> int
 
 val stats : t -> Solver.stats
 (** Shares {!Solver.stats} so differential tests compare records directly. *)
-
-val model : t -> bool array option

@@ -1126,15 +1126,7 @@ let clause_visits t i = (t.visits_prop.(i), t.visits_confl.(i))
 let set_polarity t v b = t.polarity.(v) <- b
 let prioritize_vars t vars = List.iter (fun v -> Queue.push v t.forced_queue) vars
 
-let value t v =
-  match t.assigns.(v) with
-  | 1 -> Sat.Assignment.True
-  | -1 -> Sat.Assignment.False
-  | _ -> Sat.Assignment.Unassigned
-
-let trail_literals t = Vec.to_list t.trail
 let proof t = if t.config.Config.log_proof then Some (List.rev t.proof_rev) else None
-let model t = match t.status with Sat m -> Some m | _ -> None
 
 let is_decided t = match t.status with Unknown _ -> false | _ -> true
 

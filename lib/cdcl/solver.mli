@@ -118,13 +118,7 @@ val bump_var : t -> Sat.Lit.var -> float -> unit
 
 (** {2 Introspection} *)
 
-val value : t -> Sat.Lit.var -> Sat.Assignment.value
 val decision_level : t -> int
-val trail_literals : t -> Sat.Lit.t list
-(** Currently assigned literals in assignment order. *)
-
-val model : t -> bool array option
-(** The model, once [solve] returned [Sat]. *)
 
 val is_decided : t -> bool
 (** [true] once the search has concluded (SAT or UNSAT). *)

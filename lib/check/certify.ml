@@ -16,11 +16,10 @@ let check_model ~original m =
       (Printf.sprintf "model assigns %d of %d original variables" (Array.length m) n)
   else begin
     let m = if Array.length m > n then Array.sub m 0 n else m in
-    let a = Sat.Assignment.of_bools m in
     let bad = ref None in
     Sat.Cnf.iter_clauses
       (fun i c ->
-        if !bad = None && not (Sat.Assignment.satisfies_clause a c) then bad := Some (i, c))
+        if !bad = None && not (Sat.Assignment.satisfies_clause m c) then bad := Some (i, c))
       original;
     match !bad with
     | None -> Ok ()

@@ -13,10 +13,6 @@ let rows t = t.rows
 let cols t = t.cols
 let num_qubits t = t.rows * t.cols * 8
 
-let num_couplers t =
-  (* 16 in-cell + 4 down per non-last row + 4 right per non-last col *)
-  (t.rows * t.cols * 16) + ((t.rows - 1) * t.cols * 4) + (t.rows * (t.cols - 1) * 4)
-
 let id_of_coords t { row; col; orientation; index } =
   if row < 0 || row >= t.rows || col < 0 || col >= t.cols || index < 0 || index > 3 then
     invalid_arg "Chimera.Graph.id_of_coords";
@@ -85,14 +81,6 @@ let horizontal_line_qubits t hl =
   if hl < 0 || hl >= num_horizontal_lines t then invalid_arg "horizontal_line_qubits";
   let row = hl / 4 and index = hl mod 4 in
   List.init t.cols (fun col -> id_of_coords t { row; col; orientation = Horizontal; index })
-
-let vline_of_qubit t id =
-  let c = coords_of_id t id in
-  match c.orientation with Vertical -> Some ((c.col * 4) + c.index) | Horizontal -> None
-
-let hline_of_qubit t id =
-  let c = coords_of_id t id in
-  match c.orientation with Horizontal -> Some ((c.row * 4) + c.index) | Vertical -> None
 
 let crossing t ~vline ~hline =
   let col = vline / 4 and vk = vline mod 4 in

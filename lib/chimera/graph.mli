@@ -27,7 +27,6 @@ val standard_2000q : unit -> t
 val rows : t -> int
 val cols : t -> int
 val num_qubits : t -> int
-val num_couplers : t -> int
 
 val id_of_coords : t -> qubit_coords -> int
 val coords_of_id : t -> int -> qubit_coords
@@ -51,10 +50,6 @@ val vertical_line_qubits : t -> int -> int list
 val horizontal_line_qubits : t -> int -> int list
 (** Qubits of a horizontal line, leftmost column first. *)
 
-val vline_of_qubit : t -> int -> int option
-(** The vertical line containing a qubit ([None] for horizontal qubits). *)
-
-val hline_of_qubit : t -> int -> int option
 val vline_col : t -> int -> int
 (** Column of a vertical line. *)
 

@@ -42,7 +42,7 @@ let apply ?(enabled = all_enabled) ?(hint_filter = fun _ _ -> true) calib solver
         (* trust but verify: extend with the annealer values and check *)
         let model = Array.make num_vars false in
         List.iter (fun (v, b) -> model.(v) <- b) assignment_of_node;
-        if Sat.Assignment.satisfies (Sat.Assignment.of_bools model) f then Some model else None
+        if Sat.Assignment.satisfies model f then Some model else None
     | S2_keep_assignment | S3_none | S4_reach_conflict -> None
   in
   (match (strategy, solved) with

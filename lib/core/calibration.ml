@@ -5,21 +5,6 @@ type t = {
   unsat_energies : float array;
 }
 
-let paper_default =
-  let model =
-    {
-      Stats.Naive_bayes.sat = { Stats.Gaussian.mu = 1.8; sigma = 1.9 };
-      unsat = { Stats.Gaussian.mu = 9.5; sigma = 2.6 };
-      prior_sat = 0.5;
-    }
-  in
-  {
-    model;
-    partition = { Stats.Naive_bayes.sat_cut = 4.5; unsat_cut = 8.0 };
-    sat_energies = [||];
-    unsat_energies = [||];
-  }
-
 let simulator_default =
   let model =
     {

@@ -12,12 +12,6 @@ type t = {
   unsat_energies : float array;  (** calibration sample, unsatisfiable class *)
 }
 
-val paper_default : t
-(** The distribution the paper reports for D-Wave 2000Q: cut points at 4.5
-    (90 % satisfiable below) and 8 (90 % unsatisfiable above), with Gaussians
-    matching Fig. 8's shape.  Zero-cost — use when a full calibration run is
-    not wanted. *)
-
 val simulator_default : t
 (** Fitted to this repository's simulated annealer (fig8 bench, default
     noise): the same three-interval structure on a compressed energy scale

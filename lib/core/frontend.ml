@@ -98,13 +98,7 @@ let prepare ?(obs = Obs.Ctx.null) ?cache ?(queue_mode = Activity_bfs)
             Qubo.Encode.set_clause_weights enc' prefix_w;
             Qubo.Encode.objective enc'
       in
-      let job =
-        {
-          Anneal.Machine.embedding = res.Embed.Hyqsat_scheme.embedding;
-          objective;
-          edges = res.Embed.Hyqsat_scheme.edges;
-        }
-      in
+      let job = { Anneal.Machine.embedding = res.Embed.Hyqsat_scheme.embedding; objective } in
       let clause_indices = List.filteri (fun i _ -> i < embedded) queue in
       let vars_involved =
         List.sort_uniq Int.compare

@@ -55,7 +55,6 @@ let noisy_config = make_config ~noise:Anneal.Noise.default_2000q ()
 
 type mode = Hybrid of config | Classic of Cdcl.Config.t
 
-let mode_label = function Hybrid _ -> "hybrid" | Classic _ -> "classic"
 
 type report = {
   result : Cdcl.Solver.result;

@@ -67,9 +67,6 @@ type mode = Hybrid of config | Classic of Cdcl.Config.t
     (** what {!Solve.run} runs: the full quantum-guided pipeline, or the
         pure CDCL baseline through the same reporting type (zero QA). *)
 
-val mode_label : mode -> string
-(** ["hybrid"] or ["classic"] — stable strings used in telemetry. *)
-
 type report = {
   result : Cdcl.Solver.result;
   iterations : int;  (** CDCL iterations executed {e by this call} *)

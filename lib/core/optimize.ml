@@ -27,9 +27,8 @@ let weighted_clauses w =
     (Array.map (fun s -> (s.Sat.Wcnf.weight, s.Sat.Wcnf.clause)) w.Sat.Wcnf.soft)
 
 let penalised_cost all x =
-  let a = Sat.Assignment.of_bools x in
   Array.fold_left
-    (fun acc (wt, c) -> if Sat.Assignment.satisfies_clause a c then acc else acc + wt)
+    (fun acc (wt, c) -> if Sat.Assignment.satisfies_clause x c then acc else acc + wt)
     0 all
 
 let incumbent ?(max_flips = 20_000) ?should_stop rng w =

@@ -4,7 +4,6 @@ type mode = Hybrid_solver.mode =
 
 let hybrid ?config () = Hybrid (Option.value ~default:Hybrid_solver.default_config config)
 let classic ?config () = Classic (Option.value ~default:Cdcl.Config.minisat_like config)
-let mode_label = Hybrid_solver.mode_label
 
 (* what the hybrid warm-up did, for the report (all zero in [Classic]
    mode), and the wall time of the CDCL work in either mode *)

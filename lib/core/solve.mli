@@ -22,9 +22,6 @@ val hybrid : ?config:Hybrid_solver.config -> unit -> mode
 val classic : ?config:Cdcl.Config.t -> unit -> mode
 (** [Classic] with [Cdcl.Config.minisat_like] by default. *)
 
-val mode_label : mode -> string
-(** ["hybrid"] or ["classic"] — stable, used in member names and specs. *)
-
 val run :
   ?max_iterations:int ->
   ?should_stop:(unit -> bool) ->

@@ -1,7 +1,6 @@
 type t = {
   embedding : Embedding.t;
   embedded_clauses : int;
-  edges : (int * int) list;
 }
 
 (* per-clause transactionality is implemented with an undo journal: every
@@ -270,9 +269,7 @@ let embed graph clauses ~aux_of_clause =
       end
   in
   let embedded_clauses = go 0 in
-  let embedding = build_embedding st in
-  let edges = Hashtbl.fold (fun e _ acc -> e :: acc) st.edges_done [] in
-  { embedding; embedded_clauses; edges = List.sort compare edges }
+  { embedding = build_embedding st; embedded_clauses }
 
 let capacity_estimate graph =
   (* horizontal qubits bound segment space (~4 columns per clause across the

@@ -23,9 +23,6 @@
 type t = {
   embedding : Embedding.t;
   embedded_clauses : int;  (** length of the embedded clause-queue prefix *)
-  edges : (int * int) list;
-      (** problem-graph edges realised for the prefix (node ids: the
-          clause variables, plus the auxiliaries of [aux_of_clause]) *)
 }
 
 val embed : Chimera.Graph.t -> Sat.Clause.t array -> aux_of_clause:int array -> t

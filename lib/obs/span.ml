@@ -11,7 +11,6 @@ type t =
     }
 
 let none = Disabled
-let is_none t = t == none
 let id = function Disabled -> 0 | Span s -> s.id
 
 let start ctx ?(parent = none) ?(attrs = []) name =

@@ -10,8 +10,6 @@ val none : t
 (** The disabled span.  [start Ctx.null _ == none], and [none] is the
     default parent everywhere (meaning "root"). *)
 
-val is_none : t -> bool
-
 val start :
   Ctx.t -> ?parent:t -> ?attrs:(string * string) list -> string -> t
 (** Open a span now.  It is delivered to sinks only when stopped. *)

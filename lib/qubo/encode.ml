@@ -132,78 +132,6 @@ let encode ~num_vars clause_list =
     subs = Array.of_list (List.rev !subs);
   }
 
-let encode_ksat ~num_vars clause_list =
-  let clauses = Array.of_list clause_list in
-  let next_aux = ref num_vars in
-  let fresh () =
-    let a = !next_aux in
-    incr next_aux;
-    a
-  in
-  let aux_of_clause = Array.make (Array.length clauses) (-1) in
-  let subs = ref [] in
-  let push s = subs := s :: !subs in
-  Array.iteri
-    (fun k c ->
-      let lits = Sat.Clause.lits c in
-      if List.length lits <= 3 then begin
-        (* reuse the 3-SAT machinery clause-wise *)
-        let small = encode ~num_vars:!next_aux [ c ] in
-        next_aux := small.num_total_vars;
-        aux_of_clause.(k) <- small.aux_of_clause.(0);
-        Array.iter
-          (fun s -> push { s with clause_index = k; sub_vars = s.sub_vars })
-          small.subs
-      end
-      else begin
-        match lits with
-        | l1 :: l2 :: rest ->
-            (* chain: a1 ↔ (l1 ∨ l2); a_{i+1} ↔ (a_i ∨ l_{i+2}); (a ∨ lk) *)
-            let a1 = fresh () in
-            push
-              {
-                clause_index = k;
-                sub_index = 1;
-                sub_vars = [ a1; Sat.Lit.var l1; Sat.Lit.var l2 ];
-                penalty = penalty_equiv a1 l1 l2;
-                alpha = 1.;
-              };
-            let rec chain prev idx = function
-              | [ lk ] ->
-                  aux_of_clause.(k) <- prev;
-                  push
-                    {
-                      clause_index = k;
-                      sub_index = idx;
-                      sub_vars = [ prev; Sat.Lit.var lk ];
-                      penalty = penalty_or_aux prev lk;
-                      alpha = 1.;
-                    }
-              | l :: rest ->
-                  let a = fresh () in
-                  push
-                    {
-                      clause_index = k;
-                      sub_index = idx;
-                      sub_vars = [ a; prev; Sat.Lit.var l ];
-                      penalty = penalty_equiv a (Sat.Lit.pos prev) l;
-                      alpha = 1.;
-                    };
-                  chain a (idx + 1) rest
-              | [] -> assert false
-            in
-            chain a1 2 rest
-        | _ -> assert false
-      end)
-    clauses;
-  {
-    clauses;
-    num_original_vars = num_vars;
-    num_total_vars = !next_aux;
-    aux_of_clause;
-    subs = Array.of_list (List.rev !subs);
-  }
-
 let set_clause_weights t weights =
   if Array.length weights <> Array.length t.clauses then
     invalid_arg
@@ -222,49 +150,3 @@ let objective t =
   let h = Pbq.create () in
   Array.iter (fun s -> Pbq.add_scaled h s.penalty s.alpha) t.subs;
   h
-
-let clauses_satisfied t x =
-  let a = Sat.Assignment.of_bools x in
-  Array.for_all (fun c -> Sat.Assignment.satisfies_clause a c) t.clauses
-
-let best_aux t x =
-  let full = Array.make t.num_total_vars false in
-  Array.blit x 0 full 0 (Array.length x);
-  let subs_by_clause = Array.make (Array.length t.clauses) [] in
-  Array.iter
-    (fun s -> subs_by_clause.(s.clause_index) <- s :: subs_by_clause.(s.clause_index))
-    t.subs;
-  (* auxiliaries are per-clause, so the argmin decomposes clause-wise; each
-     clause has 1 auxiliary in the 3-SAT encoding and k-2 in the K-SAT chain
-     encoding, enumerated exactly *)
-  Array.iteri
-    (fun k _ ->
-      let auxs =
-        List.sort_uniq Int.compare
-          (List.concat_map
-             (fun s -> List.filter (fun v -> v >= t.num_original_vars) s.sub_vars)
-             subs_by_clause.(k))
-      in
-      let na = List.length auxs in
-      if na > 0 then begin
-        if na > 16 then invalid_arg "Encode.best_aux: too many auxiliaries per clause";
-        let energy () =
-          List.fold_left
-            (fun acc s -> acc +. (s.alpha *. Pbq.eval_array s.penalty full))
-            0. subs_by_clause.(k)
-        in
-        let best_bits = ref 0 and best_e = ref infinity in
-        for bits = 0 to (1 lsl na) - 1 do
-          List.iteri (fun i a -> full.(a) <- bits land (1 lsl i) <> 0) auxs;
-          let e = energy () in
-          if e < !best_e then begin
-            best_e := e;
-            best_bits := bits
-          end
-        done;
-        List.iteri (fun i a -> full.(a) <- !best_bits land (1 lsl i) <> 0) auxs
-      end)
-    t.clauses;
-  full
-
-let min_energy_for t x = Pbq.eval_array (objective t) (best_aux t x)

@@ -39,16 +39,6 @@ val encode : num_vars:int -> Sat.Clause.t list -> t
     variables are numbered by {!aux_numbering}.
     @raise Invalid_argument on clauses with more than 3 literals. *)
 
-val encode_ksat : num_vars:int -> Sat.Clause.t list -> t
-(** The paper's §VII-B direct K-SAT encoding: a clause [l1 ∨ … ∨ lk] with
-    [k > 3] is decomposed through a chain of auxiliaries
-    [a1 ↔ (l1 ∨ l2)], [a2 ↔ (a1 ∨ l3)], …, ending with the 2-literal
-    sub-clause [(a_{k-2} ∨ lk)] — [k-2] auxiliaries per clause (the paper's
-    example: a 26-literal clause needs 24).  [aux_of_clause] holds the
-    {e last} auxiliary of each chain.  The result is hardware-inefficient
-    (aux-to-aux couplings) and is not accepted by the line embedder; it
-    exists for the K-SAT feasibility study. *)
-
 val set_clause_weights : t -> float array -> unit
 (** Weighted (MaxSAT) mode: scale every sub-clause's {e current} α by its
     clause's weight, normalised so the heaviest clause keeps its α — the
@@ -60,18 +50,3 @@ val set_clause_weights : t -> float array -> unit
 
 val objective : t -> Pbq.t
 (** The α-weighted total objective H_C(X, A). *)
-
-val clauses_satisfied : t -> bool array -> bool
-(** Whether a total assignment of the {e original} variables satisfies every
-    encoded clause (auxiliaries are ignored). *)
-
-val best_aux : t -> bool array -> bool array
-(** [best_aux t x] extends an original-variable assignment with
-    energy-minimising values for every auxiliary: for a clause
-    [l1 ∨ l2 ∨ l3], the optimal choice under equation 4 is
-    [a = l1 ∨ l2].  The result has length [num_total_vars]. *)
-
-val min_energy_for : t -> bool array -> float
-(** Objective value with optimal auxiliaries: 0 iff all clauses satisfied
-    (for the unadjusted α = 1 encoding this equals the number of falsified
-    clauses or more). *)

@@ -50,8 +50,6 @@ let eval t assign =
   Hashtbl.iter (fun (i, j) c -> if assign i && assign j then v := !v +. c) t.quad;
   !v
 
-let eval_array t a = eval t (fun i -> a.(i))
-
 let scale t alpha =
   let s = create () in
   add_scaled s t alpha;

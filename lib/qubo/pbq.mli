@@ -37,8 +37,6 @@ val iter_quad : t -> (int -> int -> float -> unit) -> unit
 val eval : t -> (int -> bool) -> float
 (** Evaluate under a 0/1 assignment. *)
 
-val eval_array : t -> bool array -> float
-
 val scale : t -> float -> t
 (** Fresh function multiplied by a scalar. *)
 

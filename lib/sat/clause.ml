@@ -20,9 +20,6 @@ let is_tautology c =
 
 let vars c = List.sort_uniq Int.compare (List.map Lit.var (lits c))
 
-let shares_var c1 c2 =
-  Array.exists (fun l1 -> Array.exists (fun l2 -> Lit.var l1 = Lit.var l2) c2) c1
-
 let compare c1 c2 =
   let n = Int.compare (Array.length c1) (Array.length c2) in
   if n <> 0 then n

@@ -27,9 +27,6 @@ val is_tautology : t -> bool
 val vars : t -> Lit.var list
 (** Sorted distinct variables of the clause. *)
 
-val shares_var : t -> t -> bool
-(** [shares_var c1 c2] is [true] iff the clauses mention a common variable. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -10,7 +10,6 @@ let neg_of v = make v false
 let var l = l lsr 1
 let negate l = l lxor 1
 let is_pos l = l land 1 = 0
-let is_neg l = l land 1 = 1
 let to_dimacs l = if is_pos l then var l + 1 else -(var l + 1)
 
 let of_dimacs i =
@@ -19,6 +18,5 @@ let of_dimacs i =
   else neg_of (-i - 1)
 
 let compare = Int.compare
-let equal = Int.equal
 let to_string l = if is_pos l then Printf.sprintf "x%d" (var l) else Printf.sprintf "~x%d" (var l)
 let pp fmt l = Format.pp_print_string fmt (to_string l)

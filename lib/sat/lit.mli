@@ -30,9 +30,6 @@ val negate : t -> t
 val is_pos : t -> bool
 (** [is_pos l] is [true] iff [l] is a positive literal. *)
 
-val is_neg : t -> bool
-(** [is_neg l] is [true] iff [l] is a negated literal. *)
-
 val to_dimacs : t -> int
 (** [to_dimacs l] is the 1-based signed integer DIMACS encoding of [l]. *)
 
@@ -43,7 +40,6 @@ val of_dimacs : int -> t
 val compare : t -> t -> int
 (** Total order on literals (variable-major, positive first). *)
 
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints [x3] or [~x3]. *)

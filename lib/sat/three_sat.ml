@@ -1,7 +1,5 @@
 type mapping = { original_vars : int; aux_vars : int }
 
-let aux_count_for_clause k = if k <= 3 then 0 else k - 3
-
 let convert f =
   let next = ref (Cnf.num_vars f) in
   let fresh () =

@@ -11,9 +11,3 @@ type mapping = { original_vars : int; aux_vars : int }
 val convert : Cnf.t -> Cnf.t * mapping
 (** [convert f] returns an equisatisfiable 3-SAT formula and the variable
     mapping.  Clauses of size ≤ 3 are kept verbatim. *)
-
-val aux_count_for_clause : int -> int
-(** [aux_count_for_clause k] is the number of auxiliary variables introduced
-    for a clause of size [k] (the paper's example: a 26-literal clause needs
-    — in its direct QUBO encoding — 24 auxiliaries; the chain split here
-    needs [k - 3]). *)

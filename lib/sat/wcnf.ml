@@ -45,14 +45,11 @@ let hard_cnf f = Cnf.of_arrays ~num_vars:f.num_vars (Array.copy f.hard)
 let soft_clauses f = Array.to_list f.soft |> List.map (fun s -> (s.weight, s.clause))
 
 let cost f model =
-  let a = Assignment.of_bools model in
   Array.fold_left
-    (fun acc s -> if Assignment.satisfies_clause a s.clause then acc else acc + s.weight)
+    (fun acc s -> if Assignment.satisfies_clause model s.clause then acc else acc + s.weight)
     0 f.soft
 
-let hard_satisfied f model =
-  let a = Assignment.of_bools model in
-  Array.for_all (fun c -> Assignment.satisfies_clause a c) f.hard
+let hard_satisfied f model = Array.for_all (Assignment.satisfies_clause model) f.hard
 
 (* ---- WDIMACS parsing ---- *)
 
@@ -154,18 +151,3 @@ let to_string ?(format = `Classic) ?(comments = []) f =
 let write_file ?format ?comments path f =
   Out_channel.with_open_bin path (fun oc -> output_string oc (to_string ?format ?comments f))
 
-let equal f1 f2 =
-  f1.num_vars = f2.num_vars
-  && Array.length f1.hard = Array.length f2.hard
-  && Array.length f1.soft = Array.length f2.soft
-  && Array.for_all2 Clause.equal f1.hard f2.hard
-  && Array.for_all2
-       (fun s1 s2 -> s1.weight = s2.weight && Clause.equal s1.clause s2.clause)
-       f1.soft f2.soft
-
-let pp fmt f =
-  Format.fprintf fmt "@[<v>wcnf %d vars, %d hard, %d soft (top %d)@," f.num_vars
-    (num_hard f) (num_soft f) (top f);
-  Array.iter (fun c -> Format.fprintf fmt "h %a@," Clause.pp c) f.hard;
-  Array.iter (fun s -> Format.fprintf fmt "%d %a@," s.weight Clause.pp s.clause) f.soft;
-  Format.fprintf fmt "@]"

@@ -60,5 +60,3 @@ val to_string : ?format:[ `Classic | `Std2022 ] -> ?comments:string list -> t ->
     count as the largest literal mentioned). *)
 
 val write_file : ?format:[ `Classic | `Std2022 ] -> ?comments:string list -> string -> t -> unit
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -33,8 +33,6 @@ let percentile xs p =
   let frac = rank -. floor rank in
   (ys.(lo) *. (1. -. frac)) +. (ys.(hi) *. frac)
 
-let median xs = percentile xs 50.
-
 let min xs =
   nonempty "min" xs;
   Array.fold_left Float.min xs.(0) xs

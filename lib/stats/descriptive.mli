@@ -10,7 +10,6 @@ val std : float array -> float
 val geomean : float array -> float
 (** Geometric mean; requires strictly positive entries. *)
 
-val median : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0,100], linear interpolation. *)
 

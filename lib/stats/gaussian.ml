@@ -9,30 +9,4 @@ let log_pdf { mu; sigma } x =
   let z = (x -. mu) /. sigma in
   -0.5 *. ((z *. z) +. log (2. *. Float.pi)) -. log sigma
 
-let pdf g x = exp (log_pdf g x)
-
-(* Abramowitz & Stegun 7.1.26 *)
-let erf x =
-  let sign = if x < 0. then -1. else 1. in
-  let x = Float.abs x in
-  let t = 1. /. (1. +. (0.3275911 *. x)) in
-  let poly =
-    t
-    *. (0.254829592
-       +. (t *. (-0.284496736 +. (t *. (1.421413741 +. (t *. (-1.453152027 +. (t *. 1.061405429))))))))
-  in
-  sign *. (1. -. (poly *. exp (-.x *. x)))
-
-let cdf { mu; sigma } x = 0.5 *. (1. +. erf ((x -. mu) /. (sigma *. sqrt 2.)))
-
-let quantile g p =
-  if p <= 0. || p >= 1. then invalid_arg "Gaussian.quantile: p out of (0,1)";
-  let rec bisect lo hi n =
-    if n = 0 then (lo +. hi) /. 2.
-    else
-      let mid = (lo +. hi) /. 2. in
-      if cdf g mid < p then bisect mid hi (n - 1) else bisect lo mid (n - 1)
-  in
-  bisect (g.mu -. (12. *. g.sigma)) (g.mu +. (12. *. g.sigma)) 80
-
 let pp fmt { mu; sigma } = Format.fprintf fmt "N(%.4f, %.4f)" mu sigma

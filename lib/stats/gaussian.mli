@@ -1,4 +1,4 @@
-(** Univariate Gaussian distribution: fitting, density, tail functions. *)
+(** Univariate Gaussian distribution: fitting and log-density. *)
 
 type t = { mu : float; sigma : float }
 
@@ -6,12 +6,6 @@ val fit : float array -> t
 (** Maximum-likelihood fit (population variance); a floor of [1e-9] is applied
     to [sigma] so degenerate samples stay usable. *)
 
-val pdf : t -> float -> float
 val log_pdf : t -> float -> float
-val cdf : t -> float -> float
-(** Via the Abramowitz–Stegun erf approximation (|error| < 1.5e-7). *)
-
-val quantile : t -> float -> float
-(** Inverse CDF by bisection; [p] must be in (0,1). *)
 
 val pp : Format.formatter -> t -> unit

@@ -59,9 +59,3 @@ let classify p e =
   else if e <= p.sat_cut then Near_satisfiable
   else if e <= p.unsat_cut then Uncertain
   else Near_unsatisfiable
-
-let interval_to_string = function
-  | Satisfiable -> "satisfiable"
-  | Near_satisfiable -> "near-satisfiable"
-  | Uncertain -> "uncertain"
-  | Near_unsatisfiable -> "near-unsatisfiable"

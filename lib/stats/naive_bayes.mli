@@ -43,5 +43,3 @@ val classify : partition -> float -> interval
 (** The paper's four intervals: energy 0 ⇒ [Satisfiable];
     (0, sat_cut] ⇒ [Near_satisfiable]; (sat_cut, unsat_cut] ⇒ [Uncertain];
     above ⇒ [Near_unsatisfiable]. *)
-
-val interval_to_string : interval -> string

@@ -32,10 +32,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let choice t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choice: empty array";
-  arr.(int t (Array.length arr))
-
 let sample_without_replacement t k n =
   if k > n then invalid_arg "Rng.sample_without_replacement: k > n";
   let arr = Array.init n Fun.id in

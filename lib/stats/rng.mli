@@ -33,9 +33,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choice : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is [k] distinct indices from
     [0 .. n-1], in random order.  Requires [k <= n]. *)

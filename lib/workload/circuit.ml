@@ -3,7 +3,6 @@ type wire = int
 type gate =
   | Input
   | Const of bool
-  | Not of wire
   | And of wire * wire
   | Or of wire * wire
   | Xor of wire * wire
@@ -26,7 +25,6 @@ let add t g =
 let fresh_input t = add t Input
 let const_true t = add t (Const true)
 let const_false t = add t (Const false)
-let not_ t a = add t (Not a)
 let and_ t a b = add t (And (a, b))
 let or_ t a b = add t (Or (a, b))
 let xor_ t a b = add t (Xor (a, b))
@@ -85,9 +83,6 @@ let to_cnf t =
       | Input -> ()
       | Const true -> emit [ p z ]
       | Const false -> emit [ n z ]
-      | Not a ->
-          emit [ p z; p a ];
-          emit [ n z; n a ]
       | And (a, b) ->
           emit [ n z; p a ];
           emit [ n z; p b ];
@@ -120,7 +115,6 @@ let eval t ~inputs =
           match gates.(w) with
           | Input -> raise Not_found
           | Const b -> b
-          | Not a -> not (value a)
           | And (a, b) -> value a && value b
           | Or (a, b) -> value a || value b
           | Nand (a, b) -> not (value a && value b)

@@ -12,7 +12,6 @@ val fresh_input : t -> wire
 val const_true : t -> wire
 val const_false : t -> wire
 
-val not_ : t -> wire -> wire
 val and_ : t -> wire -> wire -> wire
 val or_ : t -> wire -> wire -> wire
 val xor_ : t -> wire -> wire -> wire

@@ -119,4 +119,3 @@ let table1 =
     ai "AI5" "UF250-1065" 100 ~paper:250 ~small:200;
   ]
 
-let find id = List.find (fun s -> s.id = id) table1

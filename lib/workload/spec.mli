@@ -24,5 +24,3 @@ val table1 : t list
 (** GC1 GC2 GC3 CFA BP II IF1 IF2 CRY AI1 AI2 AI3 AI4 AI5, in Table I
     order. *)
 
-val find : string -> t
-(** Lookup by [id].  @raise Not_found. *)

@@ -13,8 +13,7 @@ let fold ?(limit_vars = 24) f acc step =
   (try
      for bits = 0 to (1 lsl n) - 1 do
        let model = assignment_of_bits n bits in
-       let a = Sat.Assignment.of_bools model in
-       match step !acc model (Sat.Assignment.satisfies a f) with
+       match step !acc model (Sat.Assignment.satisfies model f) with
        | `Stop v ->
            acc := v;
            raise Exit
@@ -51,8 +50,7 @@ let min_unsatisfied ?(limit_vars = 24) f =
   let n = Sat.Cnf.num_vars f in
   let best = ref max_int in
   for bits = 0 to (1 lsl n) - 1 do
-    let a = Sat.Assignment.of_bools (assignment_of_bits n bits) in
-    let u = Sat.Assignment.num_unsatisfied a f in
+    let u = Partial.num_unsatisfied (assignment_of_bits n bits) f in
     if u < !best then best := u
   done;
   if Sat.Cnf.num_clauses f = 0 then 0 else !best

@@ -4,7 +4,7 @@ exception Budget
 
 let solve ?(max_decisions = max_int) f =
   let n = Sat.Cnf.num_vars f in
-  let assign = Sat.Assignment.create n in
+  let assign = Partial.create n in
   let decisions = ref 0 and propagations = ref 0 and backtracks = ref 0 in
   (* returns the literals it assigned, or None on conflict *)
   let propagate () =
@@ -16,10 +16,10 @@ let solve ?(max_decisions = max_int) f =
       Sat.Cnf.iter_clauses
         (fun _ c ->
           if not !conflict then
-            match Sat.Assignment.clause_status assign c with
+            match Partial.clause_status assign c with
             | `Falsified -> conflict := true
             | `Unit l ->
-                Sat.Assignment.set assign (Sat.Lit.var l) (Sat.Lit.is_pos l);
+                Partial.set assign (Sat.Lit.var l) (Sat.Lit.is_pos l);
                 incr propagations;
                 assigned := Sat.Lit.var l :: !assigned;
                 changed := true
@@ -27,7 +27,7 @@ let solve ?(max_decisions = max_int) f =
         f
     done;
     if !conflict then begin
-      List.iter (Sat.Assignment.unset assign) !assigned;
+      List.iter (Partial.unset assign) !assigned;
       None
     end
     else Some !assigned
@@ -36,7 +36,7 @@ let solve ?(max_decisions = max_int) f =
   let pick () =
     let best = ref (-1) and best_count = ref (-1) in
     for v = 0 to n - 1 do
-      if Sat.Assignment.value assign v = Sat.Assignment.Unassigned then begin
+      if Partial.value assign v = Partial.Unassigned then begin
         let count = List.length (Sat.Cnf.clauses_of_var f v) in
         if count > !best_count then begin
           best := v;
@@ -51,20 +51,21 @@ let solve ?(max_decisions = max_int) f =
     | None -> false
     | Some propagated -> (
         let undo_and_fail () =
-          List.iter (Sat.Assignment.unset assign) propagated;
+          List.iter (Partial.unset assign) propagated;
           incr backtracks;
           false
         in
         match pick () with
         | None ->
-            if Sat.Assignment.satisfies assign f then true else undo_and_fail ()
+            if Sat.Assignment.satisfies (Partial.to_bools assign ~default:false) f then true
+            else undo_and_fail ()
         | Some v ->
             incr decisions;
             if !decisions > max_decisions then raise Budget;
             let try_value b =
-              Sat.Assignment.set assign v b;
+              Partial.set assign v b;
               let ok = search () in
-              if not ok then Sat.Assignment.unset assign v;
+              if not ok then Partial.unset assign v;
               ok
             in
             if try_value true || try_value false then true else undo_and_fail ())
@@ -72,7 +73,7 @@ let solve ?(max_decisions = max_int) f =
   let result =
     try
       if Sat.Cnf.num_clauses f = 0 then Cdcl.Solver.Sat (Array.make n false)
-      else if search () then Cdcl.Solver.Sat (Sat.Assignment.to_bools assign ~default:false)
+      else if search () then Cdcl.Solver.Sat (Partial.to_bools assign ~default:false)
       else Cdcl.Solver.Unsat
     with Budget -> Cdcl.Solver.Unknown Sat.Answer.Budget
   in

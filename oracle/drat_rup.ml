@@ -24,14 +24,14 @@ module Db = struct
 
   (* unit propagation from assumptions; true iff a conflict arises *)
   let propagates_to_conflict db ~assumed num_vars =
-    let value = Assignment.create num_vars in
+    let value = Partial.create num_vars in
     let conflict = ref false in
     (try
        List.iter
          (fun l ->
-           match Assignment.lit_value value l with
-           | Assignment.False -> raise Exit
-           | _ -> Assignment.set value (Lit.var l) (Lit.is_pos l))
+           match Partial.lit_value value l with
+           | Partial.False -> raise Exit
+           | _ -> Partial.set value (Lit.var l) (Lit.is_pos l))
          assumed
      with Exit -> conflict := true);
     let changed = ref true in
@@ -43,16 +43,16 @@ module Db = struct
             let unassigned = ref [] and satisfied = ref false in
             List.iter
               (fun l ->
-                match Assignment.lit_value value l with
-                | Assignment.True -> satisfied := true
-                | Assignment.False -> ()
-                | Assignment.Unassigned -> unassigned := l :: !unassigned)
+                match Partial.lit_value value l with
+                | Partial.True -> satisfied := true
+                | Partial.False -> ()
+                | Partial.Unassigned -> unassigned := l :: !unassigned)
               c;
             if not !satisfied then
               match !unassigned with
               | [] -> conflict := true
               | [ l ] ->
-                  Assignment.set value (Lit.var l) (Lit.is_pos l);
+                  Partial.set value (Lit.var l) (Lit.is_pos l);
                   changed := true
               | _ -> ()
           end)

@@ -1,7 +1,6 @@
 let penalised_cost all x =
-  let a = Sat.Assignment.of_bools x in
   Array.fold_left
-    (fun acc (wt, c) -> if Sat.Assignment.satisfies_clause a c then acc else acc + wt)
+    (fun acc (wt, c) -> if Sat.Assignment.satisfies_clause x c then acc else acc + wt)
     0 all
 
 let minimise ~max_flips ?(should_stop = fun () -> false) rng ~num_vars all =
@@ -11,11 +10,10 @@ let minimise ~max_flips ?(should_stop = fun () -> false) rng ~num_vars all =
   let best_cost = ref (penalised_cost all x) in
   let flips = ref 0 in
   while !flips < max_flips && !best_cost > 0 && not (should_stop ()) do
-    let a = Sat.Assignment.of_bools x in
     (* consing over a left fold: the list runs in descending clause order *)
     let falsified =
       Array.fold_left
-        (fun acc (_, c) -> if Sat.Assignment.satisfies_clause a c then acc else c :: acc)
+        (fun acc (_, c) -> if Sat.Assignment.satisfies_clause x c then acc else c :: acc)
         [] all
     in
     (match falsified with

@@ -144,7 +144,7 @@ let exact_maxsat_matches_brute =
           r.status = Optimal
           && r.best_cost = r.lower_bound
           && r.best_cost = Oracle.Brute.min_unsatisfied f
-          && Sat.Assignment.num_unsatisfied (Sat.Assignment.of_bools x) f = r.best_cost)
+          && Oracle.Partial.num_unsatisfied x f = r.best_cost)
 
 let exact_maxsat_on_unsat_pair () =
   let f = Sat.Dimacs.parse_string "p cnf 1 2\n1 0\n-1 0\n" in

@@ -8,21 +8,18 @@ module Solver = Cdcl.Solver
 
 let vec_basics () =
   let v = Vec.create ~dummy:0 () in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
+  Alcotest.(check int) "empty" 0 (Vec.size v);
   for i = 0 to 99 do
     Vec.push v i
   done;
   Alcotest.(check int) "size" 100 (Vec.size v);
   Alcotest.(check int) "get" 42 (Vec.get v 42);
-  Alcotest.(check int) "last" 99 (Vec.last v);
-  Alcotest.(check int) "pop" 99 (Vec.pop v);
+  Vec.shrink v 99;
   Vec.filter_in_place (fun x -> x mod 2 = 0) v;
   Alcotest.(check int) "filtered size" 50 (Vec.size v);
   Alcotest.(check int) "filtered order" 10 (Vec.get v 5);
   Vec.shrink v 3;
-  Alcotest.(check (list int)) "shrunk" [ 0; 2; 4 ] (Vec.to_list v);
-  Vec.clear v;
-  Alcotest.(check bool) "cleared" true (Vec.is_empty v)
+  Alcotest.(check (list int)) "shrunk" [ 0; 2; 4 ] (List.init (Vec.size v) (Vec.get v))
 
 let heap_orders_by_activity () =
   let act = [| 5.0; 1.0; 9.0; 3.0; 7.0 |] in
@@ -179,30 +176,24 @@ let polarity_hint_respected () =
   | _ -> Alcotest.fail "expected SAT"
 
 let prioritize_vars_first () =
-  let r = Testutil.rng 5 in
-  let f = Testutil.random_cnf r ~n:20 ~m:30 ~k:3 in
-  let s = Solver.create f in
-  Solver.prioritize_vars s [ 17; 3 ];
-  (* drive two iterations: first decisions must be 17 then 3 unless they were
-     propagated away first (no unit clauses here, so they are decided) *)
-  let decided = ref [] in
-  let rec drive k =
-    if k > 0 then
-      match Solver.step s with
-      | `Continue ->
-          List.iter
-            (fun l ->
-              let v = Sat.Lit.var l in
-              if not (List.mem v !decided) then decided := v :: !decided)
-            (Solver.trail_literals s);
-          drive (k - 1)
-      | _ -> ()
+  (* x17 = false and x3 = false each fail in one propagation (through x0 and
+     x1), and a decision without random polarity assigns false: deciding
+     either learns it true as a root unit, so the order of the root units
+     is the order of the decisions.  Deciding x0 or x1 first would
+     propagate x17 or x3 instead, learning nothing *)
+  let f =
+    Sat.Cnf.make ~num_vars:20
+      (List.map Sat.Clause.of_dimacs [ [ 18; 1 ]; [ 18; -1 ]; [ 4; 2 ]; [ 4; -2 ] ])
   in
-  drive 2;
-  match List.rev !decided with
-  | v1 :: v2 :: _ ->
-      Alcotest.(check int) "first priority var" 17 v1;
-      Alcotest.(check int) "second priority var" 3 v2
+  let s = Solver.create ~config:Cdcl.Config.kissat_like f in
+  Solver.prioritize_vars s [ 17; 3 ];
+  for _ = 1 to 4 do
+    ignore (Solver.step s)
+  done;
+  match Solver.export_learnts s with
+  | [| u1 |] :: [| u2 |] :: _ ->
+      Alcotest.(check int) "first priority var" (Sat.Lit.pos 17) u1;
+      Alcotest.(check int) "second priority var" (Sat.Lit.pos 3) u2
   | _ -> Alcotest.fail "expected two decisions"
 
 let clause_activity_grows () =

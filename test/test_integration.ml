@@ -71,7 +71,7 @@ let extreme_noise_soundness () =
     tiny_instances
 
 let pipelined_time_bounds () =
-  let f = small_instance (Workload.Spec.find "AI1") 9 in
+  let f = small_instance (Testutil.spec "AI1") 9 in
   let r = hsolve f in
   Alcotest.(check bool) "pipelined <= serialised" true
     (Hybrid.end_to_end_pipelined_s r <= Hybrid.end_to_end_time_s r +. 1e-12);
@@ -79,7 +79,7 @@ let pipelined_time_bounds () =
     (Hybrid.end_to_end_pipelined_s r >= r.Hybrid.cdcl_time_s -. 1e-12)
 
 let deterministic_given_seed () =
-  let f = small_instance (Workload.Spec.find "AI1") 11 in
+  let f = small_instance (Testutil.spec "AI1") 11 in
   let r1 = hsolve f and r2 = hsolve f in
   Alcotest.(check int) "same iterations" r1.Hybrid.iterations r2.Hybrid.iterations;
   Alcotest.(check int) "same qa calls" r1.Hybrid.qa_calls r2.Hybrid.qa_calls;
@@ -88,7 +88,7 @@ let deterministic_given_seed () =
 
 let cli_roundtrip_via_dimacs () =
   (* what the CLI does: write an instance, parse it back, solve *)
-  let f = small_instance (Workload.Spec.find "GC1") 13 in
+  let f = small_instance (Testutil.spec "GC1") 13 in
   let path = Filename.temp_file "hyqsat_test" ".cnf" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

@@ -18,13 +18,13 @@ let wcnf_gen =
     return (random_wcnf (Testutil.rng (seed + (n * 131) + hard + (soft * 17))) ~n ~hard ~soft))
 
 let wcnf_arb =
-  QCheck.make ~print:(fun w -> Format.asprintf "%a" Sat.Wcnf.pp w) wcnf_gen
+  QCheck.make ~print:(fun w -> Sat.Wcnf.to_string w) wcnf_gen
 
 (* ---- WDIMACS ---- *)
 
 let roundtrip_classic =
   QCheck.Test.make ~name:"wdimacs classic round-trip" ~count:100 wcnf_arb (fun w ->
-      Sat.Wcnf.equal w (Sat.Wcnf.parse_string (Sat.Wcnf.to_string w)))
+      w = Sat.Wcnf.parse_string (Sat.Wcnf.to_string w))
 
 let roundtrip_2022 =
   QCheck.Test.make ~name:"wdimacs 2022 round-trip (modulo trailing vars)" ~count:100
@@ -123,7 +123,7 @@ let incumbent_bounds =
         + Sat.Wcnf.top w
           * Array.fold_left
               (fun acc c ->
-                if Sat.Assignment.satisfies_clause (Sat.Assignment.of_bools x) c then acc
+                if Sat.Assignment.satisfies_clause x c then acc
                 else acc + 1)
               0 w.Sat.Wcnf.hard
       in

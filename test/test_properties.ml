@@ -85,14 +85,15 @@ let warmup_scales_with_sqrt_k () =
    lines, and each space randomly a tab run: layouts DIMACS must read as
    the plain rendering *)
 let scramble_layout r text =
+  let choice a = a.(Stats.Rng.int r (Array.length a)) in
   let comments = [| "c layout\n"; " \tc 1 2 0\r\n"; "c\n" |] in
   let b = Buffer.create (2 * String.length text) in
   String.iter
     (function
       | '\n' ->
           Buffer.add_string b (if Stats.Rng.bool r then "\r\n" else "\n");
-          if Stats.Rng.int r 4 = 0 then Buffer.add_string b (Stats.Rng.choice r comments)
-      | ' ' -> Buffer.add_string b (Stats.Rng.choice r [| " "; "\t"; " \t  " |])
+          if Stats.Rng.int r 4 = 0 then Buffer.add_string b (choice comments)
+      | ' ' -> Buffer.add_string b (choice [| " "; "\t"; " \t  " |])
       | c -> Buffer.add_char b c)
     text;
   Buffer.contents b

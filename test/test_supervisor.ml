@@ -322,8 +322,6 @@ let full_fault_hybrid_equals_classic () =
       ~backend:(Backend.simulator faults)
       ()
   in
-  Alcotest.(check string) "mode labels" "hybrid"
-    (Hyqsat.Solve.mode_label (Hyqsat.Solve.Hybrid config));
   let hybrid = Hyqsat.Solve.run (Hyqsat.Solve.Hybrid config) f in
   let classic = Hyqsat.Solve.run (Hyqsat.Solve.Classic config.Hyqsat.Hybrid_solver.cdcl) f in
   Alcotest.(check int) "identical iteration count" classic.Hyqsat.Hybrid_solver.iterations

@@ -190,9 +190,9 @@ let spec_all_generate () =
 
 let spec_paper_scale_counts () =
   let r = Testutil.rng 107 in
-  let gc1 = (Spec.find "GC1").Spec.generate r `Paper in
+  let gc1 = (Testutil.spec "GC1").Spec.generate r `Paper in
   Alcotest.(check int) "GC1 vars" 450 (Sat.Cnf.num_vars gc1);
-  let ai1 = (Spec.find "AI1").Spec.generate r `Paper in
+  let ai1 = (Testutil.spec "AI1").Spec.generate r `Paper in
   Alcotest.(check int) "AI1 vars" 150 (Sat.Cnf.num_vars ai1);
   Alcotest.(check int) "AI1 clauses" 645 (Sat.Cnf.num_clauses ai1)
 

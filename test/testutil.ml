@@ -29,7 +29,10 @@ let small_cnf_arb =
 let embed_encoded g enc =
   Embed.Hyqsat_scheme.embed g enc.Qubo.Encode.clauses ~aux_of_clause:enc.Qubo.Encode.aux_of_clause
 
+(* a Table I benchmark by id *)
+let spec id = List.find (fun s -> s.Workload.Spec.id = id) Workload.Spec.table1
+
 let qsuite name cells = (name, List.map QCheck_alcotest.to_alcotest cells)
 
 let check_model f model =
-  Sat.Assignment.satisfies (Sat.Assignment.of_bools model) f
+  Sat.Assignment.satisfies model f
