@@ -7,6 +7,24 @@ type t = {
   offset : float;
 }
 
+let of_qubo q ~n ~spin =
+  let h = Array.make n 0. in
+  let offset = ref (Qubo.Pbq.const q) in
+  (* x = (1+s)/2:  B·x = B/2 + (B/2)·s ;  J·x·y = J/4 + (J/4)(s_x+s_y) + (J/4)s_x s_y *)
+  Qubo.Pbq.iter_linear q (fun v b ->
+      let i = spin v in
+      h.(i) <- h.(i) +. (b /. 2.);
+      offset := !offset +. (b /. 2.));
+  let j = ref [] in
+  Qubo.Pbq.iter_quad q (fun v w c ->
+      let i = spin v and k = spin w in
+      let i, k = if i < k then (i, k) else (k, i) in
+      h.(i) <- h.(i) +. (c /. 4.);
+      h.(k) <- h.(k) +. (c /. 4.);
+      offset := !offset +. (c /. 4.);
+      j := ((i, k), c /. 4.) :: !j);
+  (h, !j, !offset)
+
 let build ~n ~h ~couplings ~offset =
   if Array.length h <> n then invalid_arg "Sparse_ising.build: h length";
   (* accumulate duplicates; an int key [i * n + j] (i < j) avoids the tuple
