@@ -114,6 +114,10 @@ let main paths solver grid seed verbose jobs timeout retries max_iterations json
     Printf.eprintf "hyqsat: --gap-limit must be >= 0\n";
     exit 2
   end;
+  if qa_reads < 1 then begin
+    Printf.eprintf "hyqsat: --qa-reads must be >= 1\n";
+    exit 2
+  end;
   let qa =
     {
       Service.Job.faults = { Anneal.Backend.fail_rate = qa_fault_rate; fault_seed = seed + 13 };

@@ -965,6 +965,102 @@ let daemon_output_backpressure () =
       Alcotest.(check bool) "the writer finished once the replies drained" true
         (Atomic.get written))
 
+(* the daemon serves at most 256 connections at once (its
+   [max_connections]): the 257th client is accepted and closed at once,
+   and an admitted client is still served.  Every client is a plain socket
+   in this thread *)
+let daemon_connection_cap () =
+  let cap = 256 in
+  let socket = temp_socket () in
+  let stop = Atomic.make false in
+  let ready = Atomic.make false in
+  let config = { Daemon.default_config with Daemon.unix_socket = Some socket } in
+  let th =
+    Thread.create
+      (fun () -> ignore (Daemon.run ~stop ~on_ready:(fun _ -> Atomic.set ready true) config))
+      ()
+  in
+  let rec await_ready n =
+    if not (Atomic.get ready) then begin
+      if n = 0 then Alcotest.fail "daemon never became ready";
+      Unix.sleepf 0.01;
+      await_ready (n - 1)
+    end
+  in
+  await_ready 500;
+  let fds = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fds;
+      Atomic.set stop true;
+      Thread.join th)
+    (fun () ->
+      for _ = 0 to cap do
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        fds := fd :: !fds;
+        Unix.connect fd (Unix.ADDR_UNIX socket)
+      done;
+      let clients = List.rev !fds in
+      let buf = Bytes.create 65536 in
+      (* a client the daemon closed reads end of file; the others read
+         nothing, since no client has sent a byte *)
+      let closed fd =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+      in
+      let await_refused () =
+        match Unix.select clients [] [] 10. with
+        | [], _, _ -> Alcotest.fail "no client was refused within 10 s"
+        | readable, _, _ -> List.filter closed readable
+      in
+      let refused = await_refused () in
+      let rest = List.filter (fun fd -> not (List.mem fd refused)) clients in
+      (match Unix.select rest [] [] 0.5 with
+      | [], _, _ -> ()
+      | more, _, _ -> Alcotest.failf "%d more clients readable" (List.length more));
+      Alcotest.(check int) "one client refused" 1 (List.length refused);
+      let fd = List.hd rest in
+      let dec = Codec.decoder () in
+      let send msg =
+        let frame = Codec.frame (Protocol.encode_client msg) in
+        ignore (Unix.write_substring fd frame 0 (String.length frame))
+      in
+      let deadline = Unix.gettimeofday () +. 60. in
+      let rec recv () =
+        match Codec.next dec with
+        | Ok (Some payload) -> (
+            match Protocol.decode_server payload with
+            | Ok m -> m
+            | Error e -> Alcotest.failf "undecodable reply: %s" e)
+        | Error e -> Alcotest.failf "decoder error: %s" (Codec.error_label e)
+        | Ok None ->
+            let left = deadline -. Unix.gettimeofday () in
+            if left <= 0. then Alcotest.fail "no reply within 60 s";
+            (match Unix.select [ fd ] [] [] left with
+            | [], _, _ -> ()
+            | _ -> (
+                match Unix.read fd buf 0 (Bytes.length buf) with
+                | 0 -> Alcotest.fail "an admitted client was closed"
+                | n -> Codec.feed dec ~len:n buf));
+            recv ()
+      in
+      send (Protocol.Ping 5);
+      (match recv () with
+      | Protocol.Pong 5 -> ()
+      | _ -> Alcotest.fail "an admitted client got no Pong");
+      send (Protocol.Submit (Protocol.make_job_spec ~name:"cap" ~seed:1 ~id:9 sat_dimacs));
+      let rec await_result () =
+        match recv () with
+        | Protocol.Result { id = 9; record; _ } ->
+            Alcotest.(check string) "job answered" "sat" record.Telemetry.outcome
+        | Protocol.Rejected { code; reason; _ } ->
+            Alcotest.failf "job rejected (%s): %s" code reason
+        | _ -> await_result ()
+      in
+      await_result ())
+
 let suite =
   [
     ( "server.codec",
@@ -1013,6 +1109,7 @@ let suite =
         Alcotest.test_case "end-to-end over unix socket" `Slow daemon_end_to_end;
         Alcotest.test_case "drain cancels queued jobs" `Slow daemon_drain_cancels_queued;
         Alcotest.test_case "metrics request capped" `Quick daemon_metrics_request_cap;
+        Alcotest.test_case "connection cap" `Quick daemon_connection_cap;
         Alcotest.test_case "output backpressure on a non-reading client" `Quick
           daemon_output_backpressure;
       ] );
