@@ -252,10 +252,11 @@ let core_guided ~should_stop ~max_conflicts ~gap_limit ~seed_best ~t0 w =
                           Sat.Lit.pos b)
                         core_sels
                     in
+                    (* exactly one relaxation fires: one clause and an
+                       at-most-one *)
+                    Cdcl.Solver.add_clause solver bs;
                     add_cardinality solver
-                      (Sat.Cardinality.exactly_k
-                         ~num_vars:(Cdcl.Solver.num_vars solver)
-                         bs ~k:1));
+                      (Sat.Cardinality.at_most_one ~num_vars:(Cdcl.Solver.num_vars solver) bs));
                 iterate ()))
   in
   iterate ()

@@ -1,38 +1,25 @@
 type t = { clauses : Clause.t list; num_vars : int }
 
-let at_most_k ~num_vars lits ~k =
-  if k < 0 then invalid_arg "Cardinality.at_most_k: negative k";
+let at_most_one ~num_vars lits =
   let lits = Array.of_list lits in
   let n = Array.length lits in
-  if k >= n then { clauses = []; num_vars }
-  else if k = 0 then
-    { clauses = Array.to_list (Array.map (fun l -> Clause.make [ Lit.negate l ]) lits); num_vars }
+  if n <= 1 then { clauses = []; num_vars }
   else begin
-    (* registers s i j (0-based): "at least j+1 of lits[0..i] are true" *)
-    let s i j = num_vars + (i * k) + j in
+    (* register s i (0-based): "one of lits[0..i] is true" *)
+    let s i = num_vars + i in
     let clauses = ref [] in
     let emit lits = clauses := Clause.make lits :: !clauses in
-    (* l0 -> s00 *)
-    emit [ Lit.negate lits.(0); Lit.pos (s 0 0) ];
-    for j = 1 to k - 1 do
-      emit [ Lit.neg_of (s 0 j) ]
-    done;
+    emit [ Lit.negate lits.(0); Lit.pos (s 0) ];
     for i = 1 to n - 1 do
       if i < n - 1 then begin
-        (* carry: s_{i-1,j} -> s_{i,j} *)
-        for j = 0 to k - 1 do
-          emit [ Lit.neg_of (s (i - 1) j); Lit.pos (s i j) ]
-        done;
-        (* increment: l_i ∧ s_{i-1,j-1} -> s_{i,j};  l_i -> s_{i,0} *)
-        emit [ Lit.negate lits.(i); Lit.pos (s i 0) ];
-        for j = 1 to k - 1 do
-          emit [ Lit.negate lits.(i); Lit.neg_of (s (i - 1) (j - 1)); Lit.pos (s i j) ]
-        done
+        (* carry: s_{i-1} -> s_i;  set: l_i -> s_i *)
+        emit [ Lit.neg_of (s (i - 1)); Lit.pos (s i) ];
+        emit [ Lit.negate lits.(i); Lit.pos (s i) ]
       end;
-      (* overflow: l_i ∧ s_{i-1,k-1} is forbidden *)
-      emit [ Lit.negate lits.(i); Lit.neg_of (s (i - 1) (k - 1)) ]
+      (* overflow: l_i ∧ s_{i-1} is forbidden *)
+      emit [ Lit.negate lits.(i); Lit.neg_of (s (i - 1)) ]
     done;
-    { clauses = List.rev !clauses; num_vars = num_vars + ((n - 1) * k) }
+    { clauses = List.rev !clauses; num_vars = num_vars + n - 1 }
   end
 
 (* ---- weighted bounds via a binary adder network (Warners 1998) ----
@@ -191,14 +178,3 @@ let at_most_weight ~num_vars wlits ~k =
     clauses = adder.adder_clauses @ bound_clauses adder ~k;
     num_vars = adder.adder_num_vars;
   }
-
-let at_least_k ~num_vars lits ~k =
-  let n = List.length lits in
-  if k <= 0 then { clauses = []; num_vars }
-  else if k > n then { clauses = [ Clause.make [] ]; num_vars }
-  else at_most_k ~num_vars (List.map Lit.negate lits) ~k:(n - k)
-
-let exactly_k ~num_vars lits ~k =
-  let upper = at_most_k ~num_vars lits ~k in
-  let lower = at_least_k ~num_vars:upper.num_vars lits ~k in
-  { clauses = upper.clauses @ lower.clauses; num_vars = lower.num_vars }

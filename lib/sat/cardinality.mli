@@ -1,11 +1,10 @@
 (** Cardinality constraints as CNF, in two encodings.
 
-    The unary bounds ([at_most_k], [at_least_k], [exactly_k]) use the
-    sequential counter (Sinz 2005): [at_most_k] introduces the register
-    variables [s_{i,j}] ("at least j of the first i+1 literals are true")
-    and emits the standard O(n·k) clause set.  Its one caller in the
-    solver is core-guided MaxSAT search, which adds an exactly-one
-    ([exactly_k ~k:1]) over each core's relaxation variables.
+    [at_most_one] uses the sequential counter (Sinz 2005): the register
+    variables [s_i] ("one of the first i+1 literals is true") and 3n-4
+    clauses.  Its one caller in the solver is core-guided MaxSAT search,
+    which relaxes each core with exactly one of its relaxation variables:
+    the clause over them plus [at_most_one].
 
     The weighted bounds below use a binary adder network instead: the
     exact MaxSAT linear search bounds its cost with {!weighted_sum} and
@@ -17,16 +16,10 @@ type t = {
   num_vars : int;  (** total variable count after adding the registers *)
 }
 
-val at_most_k : num_vars:int -> Lit.t list -> k:int -> t
-(** [at_most_k ~num_vars lits ~k] constrains at most [k] of [lits] to be
-    true.  Fresh variables are numbered from [num_vars].  [k = 0] forces
-    all literals false (no registers needed); [k >= length lits] yields no
-    clauses. *)
-
-val at_least_k : num_vars:int -> Lit.t list -> k:int -> t
-(** At least [k] true, via [at_most (n-k)] over the negations. *)
-
-val exactly_k : num_vars:int -> Lit.t list -> k:int -> t
+val at_most_one : num_vars:int -> Lit.t list -> t
+(** [at_most_one ~num_vars lits] constrains at most one of [lits] to be
+    true.  The n-1 registers are numbered from [num_vars]; fewer than two
+    literals yield no clauses. *)
 
 (** {2 Weighted bounds}
 

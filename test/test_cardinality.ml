@@ -3,63 +3,32 @@
 module Card = Sat.Cardinality
 
 (* semantic check: the encoding (with registers existential) accepts exactly
-   the base assignments with <= k true literals *)
-let card_semantics_check ~n ~k ~lits =
-  let enc = Card.at_most_k ~num_vars:n lits ~k in
-  let base_formula bits =
-    let units =
-      List.init n (fun v ->
-          Sat.Clause.make [ (if bits land (1 lsl v) <> 0 then Sat.Lit.pos v else Sat.Lit.neg_of v) ])
-    in
-    Sat.Cnf.make ~num_vars:enc.Card.num_vars (units @ enc.Card.clauses)
-  in
-  let ok = ref true in
-  for bits = 0 to (1 lsl n) - 1 do
-    let count =
-      List.fold_left
-        (fun acc l ->
-          let v = bits land (1 lsl Sat.Lit.var l) <> 0 in
-          if (if Sat.Lit.is_pos l then v else not v) then acc + 1 else acc)
-        0 lits
-    in
-    let sat = Oracle.Brute.solve ~limit_vars:24 (base_formula bits) <> None in
-    if sat <> (count <= k) then ok := false
-  done;
-  !ok
-
-let at_most_k_semantics =
-  QCheck.Test.make ~name:"at_most_k accepts exactly counts <= k" ~count:60
-    QCheck.(triple (int_range 1 5) (int_range 0 5) (int_bound 1000))
-    (fun (n, k, seed) ->
-      let r = Testutil.rng (seed + (n * 17) + k) in
+   the base assignments with at most one true literal *)
+let at_most_one_semantics =
+  QCheck.Test.make ~name:"at_most_one accepts exactly counts <= 1" ~count:60
+    QCheck.(pair (int_range 0 6) (int_bound 1000))
+    (fun (n, seed) ->
+      let r = Testutil.rng (seed + (n * 17)) in
       let lits = List.init n (fun v -> Sat.Lit.make v (Stats.Rng.bool r)) in
-      card_semantics_check ~n ~k ~lits)
-
-let at_least_exactly () =
-  let n = 4 in
-  let lits = List.init n (fun v -> Sat.Lit.pos v) in
-  (* at_least 2: assignments with >= 2 true *)
-  let enc = Card.at_least_k ~num_vars:n lits ~k:2 in
-  let with_base bits =
-    let units =
-      List.init n (fun v ->
-          Sat.Clause.make [ (if bits land (1 lsl v) <> 0 then Sat.Lit.pos v else Sat.Lit.neg_of v) ])
-    in
-    Sat.Cnf.make ~num_vars:enc.Card.num_vars (units @ enc.Card.clauses)
-  in
-  for bits = 0 to 15 do
-    let count = List.length (List.filter (fun v -> bits land (1 lsl v) <> 0) [ 0; 1; 2; 3 ]) in
-    Alcotest.(check bool)
-      (Printf.sprintf "bits=%d" bits)
-      (count >= 2)
-      (Oracle.Brute.solve (with_base bits) <> None)
-  done;
-  (* exactly 0 and exactly n degenerate cases *)
-  let e0 = Card.exactly_k ~num_vars:2 [ Sat.Lit.pos 0; Sat.Lit.pos 1 ] ~k:0 in
-  let f0 = Sat.Cnf.make ~num_vars:e0.Card.num_vars e0.Card.clauses in
-  (match Oracle.Brute.solve f0 with
-  | Some m -> Alcotest.(check bool) "all false" false (m.(0) || m.(1))
-  | None -> Alcotest.fail "k=0 satisfiable by all-false")
+      let enc = Card.at_most_one ~num_vars:n lits in
+      let ok = ref true in
+      for bits = 0 to (1 lsl n) - 1 do
+        let units =
+          List.init n (fun v ->
+              Sat.Clause.make
+                [ (if bits land (1 lsl v) <> 0 then Sat.Lit.pos v else Sat.Lit.neg_of v) ])
+        in
+        let count =
+          List.fold_left
+            (fun acc l ->
+              let v = bits land (1 lsl Sat.Lit.var l) <> 0 in
+              if (if Sat.Lit.is_pos l then v else not v) then acc + 1 else acc)
+            0 lits
+        in
+        let f = Sat.Cnf.make ~num_vars:enc.Card.num_vars (units @ enc.Card.clauses) in
+        if Oracle.Brute.solve ~limit_vars:24 f <> None <> (count <= 1) then ok := false
+      done;
+      !ok)
 
 (* semantic check for the weighted adder encoding: fix the base literals
    with unit clauses and ask a CDCL solver (the adder's auxiliaries are
@@ -155,8 +124,7 @@ let suite =
   [
     ( "sat.cardinality",
       [
-        QCheck_alcotest.to_alcotest at_most_k_semantics;
-        Alcotest.test_case "at_least / exactly" `Quick at_least_exactly;
+        QCheck_alcotest.to_alcotest at_most_one_semantics;
         QCheck_alcotest.to_alcotest at_most_weight_semantics;
         Alcotest.test_case "at_most_weight large weights" `Quick
           at_most_weight_large_weights;
