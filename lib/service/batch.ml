@@ -283,8 +283,15 @@ let process_decision stop ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueue
     | None ->
         ("", { (Portfolio.idle_stats outcome) with iterations = max_member_iterations race })
   in
-  result ~verified ~winner ~attempts ~solve_time_s ~warm_start:(warm_import <> []) ~race spec
-    outcome ~queue_wait_s stats
+  let r =
+    result ~verified ~winner ~attempts ~solve_time_s ~warm_start:(warm_import <> []) ~race spec
+      outcome ~queue_wait_s stats
+  in
+  (* a race nobody won may have lost a member to an exception: report the
+     first one rather than a silent unknown *)
+  match race.Portfolio.winner with
+  | Some _ -> r
+  | None -> { r with error = List.find_map (fun m -> m.Portfolio.error) race.Portfolio.members }
 
 let process ?(cancel = fun () -> false) ?warm ?worker ?(attrs = []) ~members ~obs ~parent
     (spec : Job.spec) ~enqueued_at () =

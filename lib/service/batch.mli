@@ -25,7 +25,8 @@ type job_result = {
   race : Portfolio.race_report;  (** last attempt's full race detail *)
   error : string option;
       (** the exception the job raised, when it raised: the job then
-          answers [unknown:budget] with an idle record *)
+          answers [unknown:budget] with an idle record.  Also the first
+          member error of a race nobody won *)
 }
 
 val run :
@@ -70,7 +71,8 @@ val run :
     included — answers [unknown:budget] with the exception in its
     result's [error], and every other job keeps its answer (a raising
     portfolio member is absorbed by the race itself — see
-    {!Portfolio.race}).
+    {!Portfolio.race}; when no member wins, the first member error of
+    the last attempt's race is copied into [error]).
 
     Sat models are projected back to the job's original variable space
     ({!Job.original_formula}) before being reported.  When the job has

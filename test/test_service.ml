@@ -355,6 +355,27 @@ let batch_captures_raising_job () =
       end)
     results
 
+(* a member that raises loses the race quietly, but a race nobody won
+   reports the member's exception: the job answers unknown:budget with it
+   in [error] instead of a silent unknown *)
+let batch_reports_raising_member () =
+  let raising =
+    {
+      Portfolio.name = "raising";
+      run =
+        (fun ~obs:_ ~parent:_ ~should_stop:_ ~max_iterations:_ ~import:_ _f ->
+          invalid_arg "member exploded");
+    }
+  in
+  let _, results =
+    Batch.run ~members:(fun ~spec:_ ~seed:_ -> [ raising ]) [ Job.make ~id:0 (planted_cnf 61 20) ]
+  in
+  let r = List.hd results in
+  Alcotest.(check string) "no answer" "unknown:budget" r.Batch.record.Telemetry.outcome;
+  Alcotest.(check (option string)) "error carries the member's exception"
+    (Some (Printexc.to_string (Invalid_argument "member exploded")))
+    r.Batch.error
+
 (* a race that is cancelled before it starts runs none of its members *)
 let cancelled_race_enters_no_member () =
   let entries = Atomic.make 0 in
@@ -610,6 +631,7 @@ let suite =
         Alcotest.test_case "walksat stops on cancel" `Quick walksat_stops_on_cancel;
         Alcotest.test_case "portfolio race finds answer" `Quick portfolio_race_finds_answer;
         Alcotest.test_case "batch captures raising job" `Quick batch_captures_raising_job;
+        Alcotest.test_case "batch reports raising member" `Quick batch_reports_raising_member;
         Alcotest.test_case "cancelled race enters no member" `Quick
           cancelled_race_enters_no_member;
         Alcotest.test_case "telemetry JSON round-trip" `Quick telemetry_json_roundtrip;
