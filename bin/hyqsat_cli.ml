@@ -8,12 +8,35 @@
    30 = OPTIMUM FOUND, 0 = unknown.  For a batch the code is the one all
    instances agree on, else 0. *)
 
-(* malformed input exits 2, like the other input errors *)
-let parse parse_file path =
-  try parse_file path
-  with Sat.Lexer.Parse_error { line; reason } ->
-    Printf.eprintf "hyqsat: %s: line %d: %s\n" path line reason;
-    exit 2
+(* the one job_spec a file makes, for `hyqsat FILE` and `hyqsat submit
+   FILE` alike: a .wcnf is WDIMACS, --maxsat makes a plain CNF weighted
+   MaxSAT (every clause soft at weight 1), and file [i] gets seed + 101·i,
+   so a daemon answer is reproducible against `hyqsat FILE --seed S` *)
+let job_spec_of_file ~maxsat ~gap_limit ~certify ~timeout ~max_iterations ~retries ~seed i path =
+  let format =
+    if Filename.check_suffix path ".wcnf" then Some "wcnf"
+    else if maxsat then Some "maxsat"
+    else None
+  in
+  Server.Protocol.make_job_spec ~name:path ?format ~gap_limit ~certify ?timeout_s:timeout
+    ~max_iterations ~retries ~seed:(seed + (101 * i)) ~id:i
+    (In_channel.with_open_bin path In_channel.input_all)
+
+(* Dispatch.job_of_spec names a bad field as the wire does: name the flag
+   that set it instead *)
+let name_flag reason =
+  List.fold_left
+    (fun r (field, flag) ->
+      let n = String.length field in
+      if String.starts_with ~prefix:(field ^ " ") r then flag ^ String.sub r n (String.length r - n)
+      else r)
+    reason
+    [
+      ("gap_limit", "--gap-limit");
+      ("retries", "--retries");
+      ("max_iterations", "--max-iterations");
+      ("timeout_s", "--timeout");
+    ]
 
 (* Job.make 3-SAT-converts a non-3-SAT input and keeps it as [original]:
    say so on stderr *)
@@ -80,7 +103,34 @@ let print_opt_status (record : Service.Telemetry.record) =
     print_endline "s SATISFIABLE"
   end
 
-let is_wcnf path = Filename.check_suffix path ".wcnf"
+(* the one result printer, for `hyqsat` and `hyqsat submit` alike: an
+   answer is a telemetry record and, for a Sat outcome, its model.  With
+   more than one job each answer gets a header line and no `v` line *)
+let print_answers ~json_out ~single summary answers =
+  if json_out then
+    print_endline (Service.Telemetry.to_json_string summary (List.map fst answers))
+  else
+    List.iter
+      (fun ((record : Service.Telemetry.record), model) ->
+        if not single then
+          Printf.printf "c ---- %s (%s)\n" record.Service.Telemetry.job_name
+            record.Service.Telemetry.outcome;
+        print_certification record;
+        match record.Service.Telemetry.outcome with
+        | "sat" ->
+            if record.Service.Telemetry.cost >= 0 then print_opt_status record
+            else print_endline "s SATISFIABLE";
+            if single then Option.iter print_model model
+        | "unsat" -> print_endline "s UNSATISFIABLE"
+        | _ -> print_endline "s UNKNOWN")
+      answers
+
+(* hybrid members build a Chimera grid of this many cells a side *)
+let check_grid cmd grid =
+  if grid < 1 then begin
+    Printf.eprintf "%s: --grid must be >= 1\n" cmd;
+    exit 2
+  end
 
 let write_proof path (r : Service.Batch.job_result) =
   match r.Service.Batch.race.Service.Portfolio.winner with
@@ -110,21 +160,22 @@ let main paths solver grid seed verbose jobs timeout retries max_iterations json
     Printf.eprintf "hyqsat: --qa-fault-rate must be in [0,1]\n";
     exit 2
   end;
-  if gap_limit < 0 then begin
-    Printf.eprintf "hyqsat: --gap-limit must be >= 0\n";
-    exit 2
-  end;
   if qa_reads < 1 then begin
     Printf.eprintf "hyqsat: --qa-reads must be >= 1\n";
     exit 2
   end;
+  if qa_retries < 0 then begin
+    Printf.eprintf "hyqsat: --qa-retries must be >= 0\n";
+    exit 2
+  end;
+  check_grid "hyqsat" grid;
   let qa =
     {
       Service.Job.faults = { Anneal.Backend.fail_rate = qa_fault_rate; fault_seed = seed + 13 };
       supervision =
         {
           Anneal.Supervisor.timeout_us = Option.value ~default:infinity qa_timeout_us;
-          retries = max 0 qa_retries;
+          retries = qa_retries;
         };
       reads = qa_reads;
       domains = qa_domains;
@@ -133,23 +184,18 @@ let main paths solver grid seed verbose jobs timeout retries max_iterations json
   let specs =
     List.mapi
       (fun i path ->
-        if maxsat || is_wcnf path then
-          (* a .wcnf is WDIMACS; --maxsat on a plain CNF maximises the
-             number of satisfied clauses (every clause soft at weight 1) *)
-          let w =
-            if is_wcnf path then parse Sat.Wcnf.parse_file path
-            else Sat.Wcnf.of_cnf (parse Sat.Dimacs.parse_file path)
-          in
-          Service.Job.optimize ~name:path ~gap_limit ~certify ?timeout_s:timeout ~max_iterations
-            ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i w
-        else
-          let spec =
-            Service.Job.make ~name:path ~certify ?timeout_s:timeout ~max_iterations
-              ~retries:(max 0 retries) ~qa ~seed:(seed + (101 * i)) ~id:i
-              (parse Sat.Dimacs.parse_file path)
-          in
-          note_conversion spec;
-          spec)
+        let js =
+          job_spec_of_file ~maxsat ~gap_limit ~certify ~timeout ~max_iterations ~retries ~seed i
+            path
+        in
+        match Server.Dispatch.job_of_spec ~qa ~seed js with
+        | Ok spec ->
+            note_conversion spec;
+            spec
+        | Error reason ->
+            (* malformed input or an out-of-range flag exits 2 *)
+            Printf.eprintf "hyqsat: %s: %s\n" path (name_flag reason);
+            exit 2)
       paths
   in
   let members = Service.Batch.resolve ~grid ~log_proof:(proof_file <> None) solver in
@@ -189,31 +235,20 @@ let main paths solver grid seed verbose jobs timeout retries max_iterations json
   let metric_snapshot = Obs.Ctx.snapshot obs in
   Obs.Ctx.close obs;
   let records = List.map (fun r -> r.Service.Batch.record) results in
-  if json_out then print_endline (Service.Telemetry.to_json_string summary records)
-  else begin
-    let single = List.length results = 1 in
-    List.iter
-      (fun r ->
-        if not single then
-          Printf.printf "c ---- %s (%s)\n" r.Service.Batch.spec.Service.Job.name
-            r.Service.Batch.record.Service.Telemetry.outcome;
-        print_certification r.Service.Batch.record;
-        (match r.Service.Batch.outcome with
-        | Service.Job.Sat model ->
-            if r.Service.Batch.record.Service.Telemetry.cost >= 0 then
-              print_opt_status r.Service.Batch.record
-            else print_endline "s SATISFIABLE";
-            if single then print_model model
-        | Service.Job.Unsat -> print_endline "s UNSATISFIABLE"
-        | Service.Job.Unknown _ -> print_endline "s UNKNOWN");
-        match proof_file with
-        | Some path when r.Service.Batch.outcome = Service.Job.Unsat -> write_proof path r
-        | _ -> ())
-      results;
-    if verbose || not single then begin
-      if verbose then print_comment_block (Format.asprintf "%a" Service.Telemetry.pp_table records);
+  let single = List.length results = 1 in
+  print_answers ~json_out ~single summary
+    (List.map
+       (fun r ->
+         ( r.Service.Batch.record,
+           match r.Service.Batch.outcome with Service.Job.Sat m -> Some m | _ -> None ))
+       results);
+  if not json_out then begin
+    (match (proof_file, results) with
+    | Some path, [ r ] when r.Service.Batch.outcome = Service.Job.Unsat -> write_proof path r
+    | _ -> ());
+    if verbose then print_comment_block (Format.asprintf "%a" Service.Telemetry.pp_table records);
+    if verbose || not single then
       print_comment_block (Format.asprintf "%a" Service.Telemetry.pp_summary summary)
-    end
   end;
   if metrics then print_string (Obs.Export.prometheus_string metric_snapshot);
   exit_code_of_records records
@@ -398,6 +433,7 @@ let serve_main socket port metrics_port workers queue_capacity per_client grace 
     Printf.eprintf "hyqsat serve: need --socket PATH and/or --port P\n";
     exit 2
   end;
+  check_grid "hyqsat serve" grid;
   (* a live obs context always: the /metrics endpoint and jobs_total
      counters depend on it, trace file or not *)
   let obs = Obs.Ctx.create () in
@@ -441,7 +477,7 @@ let serve_main socket port metrics_port workers queue_capacity per_client grace 
 (* submit: the thin client *)
 
 let submit_main paths socket port certify timeout retries max_iterations seed priority
-    session events json_out verbose wcnf gap_limit =
+    session events json_out verbose maxsat gap_limit =
   if paths = [] then begin
     Printf.eprintf "hyqsat submit: no input files\n";
     exit 2
@@ -464,16 +500,11 @@ let submit_main paths socket port certify timeout retries max_iterations seed pr
   if events then Server.Client.send t (Server.Protocol.Subscribe { events = true });
   List.iteri
     (fun i path ->
-      let dimacs = In_channel.with_open_bin path In_channel.input_all in
-      (* same per-file seed derivation as the one-shot solver, so a daemon
-         answer is reproducible against `hyqsat FILE --seed S` *)
-      let format = if wcnf || is_wcnf path then Some "wcnf" else None in
-      let spec =
-        Server.Protocol.make_job_spec ~name:path ?format ~gap_limit ~certify
-          ?timeout_s:timeout ~max_iterations ~retries ~seed:(seed + (101 * i)) ~priority
-          ?session ~id:i dimacs
+      let js =
+        job_spec_of_file ~maxsat ~gap_limit ~certify ~timeout ~max_iterations ~retries ~seed i
+          path
       in
-      Server.Client.send t (Server.Protocol.Submit spec))
+      Server.Client.send t (Server.Protocol.Submit { js with priority; session }))
     paths;
   let n = List.length paths in
   let results = Array.make n None in
@@ -508,36 +539,14 @@ let submit_main paths socket port certify timeout retries max_iterations seed pr
      Server.Client.send t Server.Protocol.Bye
    with Server.Client.Protocol_error m -> exit_err m);
   Server.Client.close t;
-  let collected = Array.to_list results |> List.filter_map (fun x -> x) in
-  let records = List.map fst collected in
-  if json_out then
-    print_endline
-      (Service.Telemetry.to_json_string
-         (Service.Telemetry.summarize ~workers:0 ~wall_time_s:0. records)
-         records)
-  else begin
-    let single = n = 1 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some ((record : Service.Telemetry.record), model) ->
-            if not single then
-              Printf.printf "c ---- %s (%s)\n" record.Service.Telemetry.job_name
-                record.Service.Telemetry.outcome;
-            print_certification record;
-            let label = record.Service.Telemetry.outcome in
-            if label = "sat" then begin
-              if record.Service.Telemetry.cost >= 0 then print_opt_status record
-              else print_endline "s SATISFIABLE";
-              match model with Some m when single -> print_model m | _ -> ()
-            end
-            else if label = "unsat" then print_endline "s UNSATISFIABLE"
-            else print_endline "s UNKNOWN")
-      results;
-    if verbose then
-      print_comment_block (Format.asprintf "%a" Service.Telemetry.pp_table records)
-  end;
-  if List.length collected < n then 0 (* a rejected/unanswered job is an unknown *)
+  let answers = Array.to_list results |> List.filter_map Fun.id in
+  let records = List.map fst answers in
+  print_answers ~json_out ~single:(n = 1)
+    (Service.Telemetry.summarize ~workers:0 ~wall_time_s:0. records)
+    answers;
+  if verbose && not json_out then
+    print_comment_block (Format.asprintf "%a" Service.Telemetry.pp_table records);
+  if List.length answers < n then 0 (* a rejected/unanswered job is an unknown *)
   else exit_code_of_records records
 
 (* ------------------------------------------------------------------ *)
@@ -605,15 +614,6 @@ let events_arg =
     value & flag
     & info [ "events" ] ~doc:"Subscribe to progress events and print them as comment lines.")
 
-let submit_wcnf_arg =
-  Arg.(
-    value & flag
-    & info [ "wcnf" ]
-        ~doc:
-          "Submit the inputs as WDIMACS weighted-MaxSAT instances (implied for $(b,.wcnf) \
-           files).  The daemon answers with the certified cost and lower bound in the \
-           result record.")
-
 let serve_cmd =
   let doc = "run the persistent solver daemon" in
   Cmd.v
@@ -630,7 +630,7 @@ let submit_cmd =
     Term.(
       const submit_main $ paths_arg $ socket_arg $ port_arg $ certify_arg $ timeout_arg
       $ retries_arg $ max_iterations_arg $ seed_arg $ priority_arg $ session_arg $ events_arg
-      $ json_arg $ verbose_arg $ submit_wcnf_arg $ gap_limit_arg)
+      $ json_arg $ verbose_arg $ maxsat_arg $ gap_limit_arg)
 
 let solve_term =
   Term.(

@@ -15,8 +15,6 @@ let parse_string s =
     Lexer.fail lx "header declares %d clauses, found %d" num_clauses !found;
   Cnf.make ~num_vars (List.rev !clauses)
 
-let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
-
 let to_string ?(comments = []) f =
   let buf = Buffer.create 1024 in
   List.iter (fun c -> Buffer.add_string buf ("c " ^ c ^ "\n")) comments;

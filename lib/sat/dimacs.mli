@@ -10,9 +10,6 @@ exception Parse_error of { line : int; reason : string }
 val parse_string : string -> Cnf.t
 (** Parse a DIMACS document from a string.  @raise Parse_error. *)
 
-val parse_file : string -> Cnf.t
-(** Parse a DIMACS file.  @raise Parse_error and [Sys_error]. *)
-
 val to_string : ?comments:string list -> Cnf.t -> string
 (** Render to DIMACS, prefixing each [comments] entry as a [c] line. *)
 

@@ -108,8 +108,6 @@ let parse_string s =
   try make ~num_vars ~hard:(List.rev !hard) ~soft:(List.rev !soft)
   with Invalid_argument msg -> Lexer.fail lx "%s" msg
 
-let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
-
 let clause_body buf c =
   List.iter (fun l -> Buffer.add_string buf (string_of_int (Lit.to_dimacs l)); Buffer.add_char buf ' ') (Clause.lits c);
   Buffer.add_string buf "0\n"

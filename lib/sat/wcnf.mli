@@ -51,9 +51,6 @@ val parse_string : string -> t
 (** Parse either WDIMACS dialect, with the grammar and caps of {!Lexer}.
     @raise Parse_error on malformed input. *)
 
-val parse_file : string -> t
-(** @raise Parse_error and [Sys_error]. *)
-
 val to_string : ?format:[ `Classic | `Std2022 ] -> ?comments:string list -> t -> string
 (** Render to WDIMACS (default [`Classic], which preserves [num_vars]
     exactly through a parse round-trip; [`Std2022] recovers the variable

@@ -141,54 +141,50 @@ let session_for t ~client = function
           Hashtbl.add t.sessions key w;
           Some w)
 
+(* the first numeric field out of range, named as the wire names it *)
+let field_error (js : Protocol.job_spec) =
+  match js with
+  | { gap_limit; _ } when gap_limit < 0 ->
+      Some (Printf.sprintf "gap_limit must be >= 0, got %d" gap_limit)
+  | { retries; _ } when retries < 0 -> Some (Printf.sprintf "retries must be >= 0, got %d" retries)
+  | { max_iterations; _ } when max_iterations < 1 ->
+      Some (Printf.sprintf "max_iterations must be >= 1, got %d" max_iterations)
+  | { timeout_s = Some s; _ } when not (Float.is_finite s && s > 0.) ->
+      Some (Printf.sprintf "timeout_s must be finite and > 0, got %g" s)
+  | _ -> None
+
+(* the one place a job is built: the daemon admits every submit through it
+   and the one-shot CLI converts its own specs with it *)
+let job_of_spec ?qa ~seed (js : Protocol.job_spec) =
+  let parse parse_string =
+    match parse_string js.Protocol.dimacs with
+    | exception e -> Error (Printexc.to_string e)
+    | x -> Ok x
+  in
+  let seed = Option.value js.Protocol.seed ~default:(seed + (101 * js.Protocol.id)) in
+  let { Protocol.name; certify; timeout_s; max_iterations; retries; id; _ } = js in
+  let optimize w =
+    Job.optimize ~name ~gap_limit:js.Protocol.gap_limit ~certify ?timeout_s ~max_iterations
+      ~retries ?qa ~seed ~id w
+  in
+  match (field_error js, js.Protocol.format) with
+  | Some reason, _ -> Error reason
+  | None, None ->
+      Result.map
+        (fun f -> Job.make ~name ~certify ?timeout_s ~max_iterations ~retries ?qa ~seed ~id f)
+        (parse Sat.Dimacs.parse_string)
+  | None, Some "wcnf" -> Result.map optimize (parse Sat.Wcnf.parse_string)
+  | None, Some "maxsat" ->
+      Result.map (fun f -> optimize (Sat.Wcnf.of_cnf f)) (parse Sat.Dimacs.parse_string)
+  | None, Some other ->
+      Error (Printf.sprintf "format %S unknown (supported: \"wcnf\", \"maxsat\")" other)
+
 let submit t ~client ~conn (js : Protocol.job_spec) =
   if t.draining then
     Rejected { code = "draining"; reason = "server is shutting down"; retry_after_s = None }
   else
-    let parse_reject what e =
-      Rejected
-        {
-          code = "parse";
-          reason = Printf.sprintf "%s: %s" what (Printexc.to_string e);
-          retry_after_s = None;
-        }
-    in
-    let seed =
-      match js.Protocol.seed with
-      | Some s -> s
-      | None -> t.config.seed + (101 * js.Protocol.id)
-    in
-    let spec_result =
-      match js.Protocol.format with
-      | Some "wcnf" -> (
-          match Sat.Wcnf.parse_string js.Protocol.dimacs with
-          | exception e -> Error (parse_reject "WDIMACS" e)
-          | w ->
-              Ok
-                (Job.optimize ~name:js.Protocol.name ~gap_limit:(max 0 js.Protocol.gap_limit)
-                   ~certify:js.Protocol.certify ?timeout_s:js.Protocol.timeout_s
-                   ~max_iterations:js.Protocol.max_iterations
-                   ~retries:(max 0 js.Protocol.retries) ~seed ~id:js.Protocol.id w))
-      | Some other ->
-          Error
-            (Rejected
-               {
-                 code = "parse";
-                 reason = Printf.sprintf "unknown format %S (supported: \"wcnf\")" other;
-                 retry_after_s = None;
-               })
-      | None -> (
-          match Sat.Dimacs.parse_string js.Protocol.dimacs with
-          | exception e -> Error (parse_reject "DIMACS" e)
-          | formula ->
-              Ok
-                (Job.make ~name:js.Protocol.name ~certify:js.Protocol.certify
-                   ?timeout_s:js.Protocol.timeout_s
-                   ~max_iterations:js.Protocol.max_iterations
-                   ~retries:(max 0 js.Protocol.retries) ~seed ~id:js.Protocol.id formula))
-    in
-    match spec_result with
-    | Error rejection -> rejection
+    match job_of_spec ~seed:t.config.seed js with
+    | Error reason -> Rejected { code = "parse"; reason; retry_after_s = None }
     | Ok spec ->
         if not (Quota.admit t.quota client) then
           Rejected

@@ -1,7 +1,7 @@
 (** The daemon's scheduling core: admission control in front of a
     {!Parallel.Pool} of solver workers.
 
-    Admission is checked in order — draining, DIMACS parse, per-client
+    Admission is checked in order — draining, {!job_of_spec}, per-client
     {!Quota}, bounded {!Jobq} — and each failure maps to a wire error
     code ({!Protocol.section-codes}).  Accepted jobs wait in the priority
     queue until a worker slot frees, then run the full
@@ -59,10 +59,30 @@ type t
 
 val create : ?obs:Obs.Ctx.t -> ?on_complete:(unit -> unit) -> config -> t
 
+val job_of_spec :
+  ?qa:Service.Job.qa_policy -> seed:int -> Protocol.job_spec -> (Service.Job.spec, string) result
+(** Build the job a spec describes: the one place a job is built, for the
+    daemon's admission and the one-shot CLI alike.  It checks each
+    numeric field once and refuses a bad value rather than clamping it:
+    [gap_limit >= 0], [retries >= 0], [max_iterations >= 1], and a
+    [timeout_s] that is finite and [> 0].  It then parses [dimacs] by
+    [format] ({!Protocol.job_spec}): no format is a DIMACS decision job
+    ({!Service.Job.make}, which 3-SAT-converts a non-3-SAT input),
+    ["wcnf"] a WDIMACS optimisation job, and ["maxsat"] a DIMACS text
+    with every clause soft at weight 1 ({!Sat.Wcnf.of_cnf}).  A spec
+    without a seed gets [seed + 101·id].  [qa] (default
+    {!Service.Job.default_qa}) is the annealer policy of hybrid members.
+
+    [Error reason] on the first failure: an out-of-range field (the reason
+    starts with the field's wire name, e.g. ["gap_limit must be >= 0, got
+    -1"]), an unknown format (it starts with ["format"]), or a parse error
+    (["line L: reason"]). *)
+
 val submit : t -> client:string -> conn:int -> Protocol.job_spec -> verdict
 (** Run the admission pipeline and, on acceptance, schedule as soon as a
-    worker is free.  The rejection's [retry_after_s] is populated for
-    ["queue_full"]. *)
+    worker is free.  A spec {!job_of_spec} refuses is rejected with code
+    ["parse"] and its reason, and nothing is queued.  The rejection's
+    [retry_after_s] is populated for ["queue_full"]. *)
 
 val take_completions : t -> completion list
 (** Retire every finished job (oldest first): releases quota slots,

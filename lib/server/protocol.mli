@@ -20,10 +20,12 @@ type job_spec = {
   name : string;
   dimacs : string;  (** the instance text: DIMACS, or WDIMACS when [format] says so *)
   format : string option;
-      (** [Some "wcnf"] marks [dimacs] as WDIMACS and makes this an
-          optimisation (weighted MaxSAT) job; [None] (the wire default)
-          is a plain DIMACS decision job.  Unknown formats are rejected
-          with code ["parse"]. *)
+      (** how to read [dimacs]: [None] (the wire default) is a plain
+          DIMACS decision job; [Some "wcnf"] a WDIMACS optimisation
+          (weighted MaxSAT) job; [Some "maxsat"] a DIMACS text solved as
+          MaxSAT with every clause soft at weight 1 (what [hyqsat
+          --maxsat x.cnf] sends).  Unknown formats are rejected with code
+          ["parse"]. *)
   gap_limit : int;
       (** optimisation jobs: accept any answer whose optimality gap is at
           most this (0 = demand a proven optimum); ignored for decision
@@ -59,9 +61,10 @@ val make_job_spec :
   id:int ->
   string ->
   job_spec
-(** Spec for a DIMACS text with the same defaults a local {!Service.Job.make}
-    would use ([name] defaults to ["job-<id>"]; no [format] = decision
-    job, [gap_limit] = 0). *)
+(** Spec for an instance text with the same defaults a local
+    {!Service.Job.make} would use ([name] defaults to ["job-<id>"]; no
+    [format] = DIMACS decision job, [gap_limit] = 0).  It checks nothing:
+    {!Dispatch.job_of_spec} does, for the daemon and the one-shot CLI. *)
 
 type client_msg =
   | Hello of { client : string; proto : int }
@@ -101,7 +104,10 @@ type server_msg =
 
     ["queue_full"] (admission queue at capacity — retry after the hint),
     ["quota"] (per-client in-flight limit reached), ["draining"] (server
-    shutting down), ["parse"] (DIMACS or JSON unreadable), ["bad_frame"]
+    shutting down), ["parse"] (the instance text or the JSON unreadable,
+    an unknown [format], or a job field out of range — a negative
+    [gap_limit] or [retries], [max_iterations < 1], a [timeout_s] that is
+    not finite and positive; the reason names the field), ["bad_frame"]
     (framing violation), ["unsupported"] (schema or proto version newer
     than the server's), ["bad_msg"] (valid JSON, unknown kind). *)
 

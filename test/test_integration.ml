@@ -94,7 +94,7 @@ let cli_roundtrip_via_dimacs () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Sat.Dimacs.write_file ~comments:[ "integration test" ] path f;
-      let f' = Sat.Dimacs.parse_file path in
+      let f' = Sat.Dimacs.parse_string (In_channel.with_open_bin path In_channel.input_all) in
       Alcotest.(check bool) "roundtrip equal" true (Sat.Cnf.equal f f');
       match (hsolve f').Hybrid.result with
       | Cdcl.Solver.Sat m -> Alcotest.(check bool) "model" true (Testutil.check_model f m)

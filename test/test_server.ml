@@ -368,6 +368,33 @@ let dispatch_hostile_header_reject () =
   Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Dispatch.accepted;
   Dispatch.shutdown d
 
+(* the front door checks each numeric field once and refuses a bad value
+   (no clamping), naming the field; nothing reaches the queue *)
+let dispatch_field_rejects () =
+  let d = Dispatch.create dispatch_config in
+  let base = wire_spec ~id:0 sat_dimacs in
+  List.iter
+    (fun (field, (js : Protocol.job_spec)) ->
+      match Dispatch.submit d ~client:"a" ~conn:1 js with
+      | Dispatch.Rejected { code = "parse"; reason; _ } ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s" reason field)
+            true
+            (String.starts_with ~prefix:field reason)
+      | _ -> Alcotest.failf "a bad %s should be rejected with code parse" field)
+    [
+      ("gap_limit", { base with gap_limit = -1 });
+      ("retries", { base with retries = -1 });
+      ("max_iterations", { base with max_iterations = 0 });
+      ("timeout_s", { base with timeout_s = Some 0. });
+      ("timeout_s", { base with timeout_s = Some (-1.) });
+      ("timeout_s", { base with timeout_s = Some Float.nan });
+      ("format", { base with format = Some "opb" });
+    ];
+  Alcotest.(check bool) "nothing queued or running" true (Dispatch.idle d);
+  Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Dispatch.accepted;
+  Dispatch.shutdown d
+
 let dispatch_priority_order () =
   let d = Dispatch.create { dispatch_config with Dispatch.queue_capacity = 8; per_client = 8 } in
   ignore (Dispatch.submit d ~client:"a" ~conn:1 (wire_spec ~id:0 sat_dimacs));
@@ -412,38 +439,42 @@ let strip_timing (r : Telemetry.record) = { r with queue_wait_s = 0.; solve_time
 
 let record_bytes r = Json.to_string (Telemetry.json_of_record (strip_timing r))
 
-(* one CNF through both paths; on each, Job.make converts a non-3-SAT input *)
-let wire_equals_oneshot ~seed formula =
-  let dimacs = Sat.Dimacs.to_string formula in
-  (* one-shot path: exactly what `hyqsat FILE --certify --seed S` runs *)
-  let spec = Job.make ~name:"w.cnf" ~certify:true ~seed ~id:0 formula in
-  let members ~spec ~seed = Batch.solo ~grid:16 ~log_proof:true "hybrid" ~spec ~seed in
-  let _, results = Batch.run ~members [ spec ] in
-  let oneshot = (List.hd results).Batch.record in
-  (* wire path: same instance and seed through the dispatcher *)
-  let d = Dispatch.create { dispatch_config with Dispatch.solver = "hybrid" } in
-  let wire =
-    Protocol.make_job_spec ~name:"w.cnf" ~certify:true ~seed ~id:0 dimacs
+(* one instance through both paths, each building its job with the one
+   front door, Dispatch.job_of_spec: the one-shot path runs it as
+   `hyqsat FILE --certify --seed S` does, the wire path through the
+   dispatcher.  Returns the one-shot record after checking the wire record
+   is byte-identical to it *)
+let wire_equals_oneshot ~seed ?format ~name text =
+  let js = Protocol.make_job_spec ~name ?format ~certify:true ~seed ~id:0 text in
+  let spec =
+    match Dispatch.job_of_spec ~seed js with
+    | Ok spec -> spec
+    | Error reason -> Alcotest.fail ("job_of_spec refused the spec: " ^ reason)
   in
-  (match Dispatch.submit d ~client:"t" ~conn:1 wire with
+  let _, results = Batch.run ~members:(Batch.resolve ~grid:16 "hybrid") [ spec ] in
+  let oneshot = (List.hd results).Batch.record in
+  let d = Dispatch.create { dispatch_config with Dispatch.solver = "hybrid" } in
+  (match Dispatch.submit d ~client:"t" ~conn:1 js with
   | Dispatch.Accepted _ -> ()
-  | _ -> Alcotest.fail "wire submit rejected");
+  | Dispatch.Rejected { reason; _ } -> Alcotest.fail ("wire submit rejected: " ^ reason));
   let retired = retire_all d in
   Dispatch.shutdown d;
-  match retired with
+  (match retired with
   | [ c ] ->
       Alcotest.(check string) "telemetry bytes identical (timing zeroed)"
-        (record_bytes oneshot) (record_bytes c.Dispatch.result.Batch.record);
-      oneshot
-  | _ -> Alcotest.fail "expected exactly one wire result"
+        (record_bytes oneshot) (record_bytes c.Dispatch.result.Batch.record)
+  | _ -> Alcotest.fail "expected exactly one wire result");
+  oneshot
 
 let wire_matches_oneshot () =
-  ignore (wire_equals_oneshot ~seed:4242 (Workload.Uniform.uf (Testutil.rng 5) 20));
+  let three_sat = Sat.Dimacs.to_string (Workload.Uniform.uf (Testutil.rng 5) 20) in
+  let r = wire_equals_oneshot ~seed:4242 ~name:"w.cnf" three_sat in
+  Alcotest.(check string) "3-SAT model certified" "model" r.Telemetry.verified;
   (* a 4-SAT input: both paths solve its 3-SAT conversion and certify the
      model against the input *)
   let four_sat = Testutil.random_cnf (Testutil.rng 6) ~n:12 ~m:30 ~k:4 in
   Alcotest.(check bool) "input is not 3-SAT" false (Sat.Cnf.is_3sat four_sat);
-  let r = wire_equals_oneshot ~seed:4242 four_sat in
+  let r = wire_equals_oneshot ~seed:4242 ~name:"w4.cnf" (Sat.Dimacs.to_string four_sat) in
   Alcotest.(check string) "4-SAT answer" "sat" r.Telemetry.outcome;
   Alcotest.(check string) "4-SAT model certified" "model" r.Telemetry.verified
 
@@ -495,37 +526,21 @@ let concurrent_hybrid_matches_batch () =
 
 let demo_wcnf = "p wcnf 3 4 10\n10 1 2 0\n3 -1 0\n2 -2 3 0\n4 -3 0\n"
 
-(* one WDIMACS document through both paths; returns the one-shot record
-   after checking the wire record is byte-identical to it *)
-let wcnf_wire_equals_oneshot ~seed text =
-  (* one-shot path: exactly what `hyqsat FILE.wcnf --certify --seed S` runs *)
-  let w = Sat.Wcnf.parse_string text in
-  let spec = Job.optimize ~name:"o.wcnf" ~certify:true ~seed ~id:0 w in
-  let _, results = Batch.run ~members:(Batch.solo "minisat") [ spec ] in
-  let oneshot = (List.hd results).Batch.record in
-  (* wire path: same WDIMACS bytes and seed through the dispatcher *)
-  let d = Dispatch.create dispatch_config in
-  let wire =
-    Protocol.make_job_spec ~name:"o.wcnf" ~format:"wcnf" ~certify:true ~seed ~id:0 text
-  in
-  (match Dispatch.submit d ~client:"t" ~conn:1 wire with
-  | Dispatch.Accepted _ -> ()
-  | Dispatch.Rejected { reason; _ } -> Alcotest.fail ("wcnf submit rejected: " ^ reason));
-  let retired = retire_all d in
-  Dispatch.shutdown d;
-  (match retired with
-  | [ c ] ->
-      Alcotest.(check string) "telemetry bytes identical (timing zeroed)"
-        (record_bytes oneshot) (record_bytes c.Dispatch.result.Batch.record)
-  | _ -> Alcotest.fail "expected exactly one wire result");
-  oneshot
-
 let wire_wcnf_matches_oneshot () =
-  let oneshot = wcnf_wire_equals_oneshot ~seed:4242 demo_wcnf in
+  let oneshot = wire_equals_oneshot ~seed:4242 ~format:"wcnf" ~name:"o.wcnf" demo_wcnf in
   Alcotest.(check int) "one-shot finds the optimum" 2 oneshot.Telemetry.cost;
   Alcotest.(check int) "one-shot proves the bound" 2 oneshot.Telemetry.lower_bound;
   Alcotest.(check string) "one-shot certifies optimality" "optimal"
-    oneshot.Telemetry.verified
+    oneshot.Telemetry.verified;
+  (* a plain CNF sent as "maxsat": every clause soft at weight 1, so the
+     optimum is the fewest clauses any assignment falsifies *)
+  let f = Testutil.random_cnf (Testutil.rng 8) ~n:6 ~m:40 ~k:3 in
+  let maxsat =
+    wire_equals_oneshot ~seed:4242 ~format:"maxsat" ~name:"m.cnf" (Sat.Dimacs.to_string f)
+  in
+  Alcotest.(check int) "maxsat optimum" (Oracle.Brute.min_unsatisfied f) maxsat.Telemetry.cost;
+  Alcotest.(check int) "maxsat bound closed" maxsat.Telemetry.cost maxsat.Telemetry.lower_bound;
+  Alcotest.(check string) "maxsat optimality certified" "optimal" maxsat.Telemetry.verified
 
 (* a weighted colouring whose WalkSAT incumbent under seed 1 breaks a hard
    clause, so both paths seed the exact search from the annealer *)
@@ -537,28 +552,26 @@ let wire_wcnf_fallback_matches_oneshot () =
   let _, walk = Hyqsat.Optimize.incumbent (Testutil.rng seed) w in
   Alcotest.(check bool) "WalkSAT incumbent breaks a hard clause" false
     (Sat.Wcnf.hard_satisfied w walk);
-  let oneshot = wcnf_wire_equals_oneshot ~seed (Sat.Wcnf.to_string w) in
+  let oneshot = wire_equals_oneshot ~seed ~format:"wcnf" ~name:"o.wcnf" (Sat.Wcnf.to_string w) in
   Alcotest.(check string) "one-shot certifies optimality" "optimal"
     oneshot.Telemetry.verified
 
 let wire_wcnf_rejects () =
   let d = Dispatch.create dispatch_config in
-  (* malformed WDIMACS and unknown formats bounce at admission with code
-     "parse" — they never reach the queue *)
-  (match
-     Dispatch.submit d ~client:"a" ~conn:1
-       (Protocol.make_job_spec ~format:"wcnf" ~id:0 "w nonsense\n")
-   with
-  | Dispatch.Rejected { code = "parse"; _ } -> ()
-  | _ -> Alcotest.fail "bad WDIMACS should be rejected with code parse");
-  (match
-     Dispatch.submit d ~client:"a" ~conn:1
-       (Protocol.make_job_spec ~format:"opb" ~id:1 demo_wcnf)
-   with
-  | Dispatch.Rejected { code = "parse"; reason; _ } ->
-      Alcotest.(check bool) "reason names the format" true
-        (String.length reason > 0)
-  | _ -> Alcotest.fail "unknown format should be rejected with code parse");
+  (* malformed optimisation inputs bounce at admission with code "parse" —
+     they never reach the queue.  "maxsat" reads DIMACS, so a WDIMACS text
+     sent under it is malformed too *)
+  List.iter
+    (fun (format, text) ->
+      match
+        Dispatch.submit d ~client:"a" ~conn:1 (Protocol.make_job_spec ~format ~id:0 text)
+      with
+      | Dispatch.Rejected { code = "parse"; reason; _ } ->
+          Alcotest.(check bool) "reason gives the line" true
+            (String.starts_with ~prefix:"line " reason)
+      | _ -> Alcotest.failf "bad %s input should be rejected with code parse" format)
+    [ ("wcnf", "w nonsense\n"); ("maxsat", demo_wcnf) ];
+  Alcotest.(check bool) "nothing queued or running" true (Dispatch.idle d);
   Dispatch.shutdown d
 
 (* ------------------------------------------------------------------ *)
@@ -1086,6 +1099,7 @@ let suite =
         Alcotest.test_case "backpressure: queue_full + retry-after" `Quick dispatch_backpressure;
         Alcotest.test_case "per-client quota over the dispatcher" `Quick dispatch_quota;
         Alcotest.test_case "unparseable DIMACS rejected" `Quick dispatch_parse_reject;
+        Alcotest.test_case "out-of-range fields rejected" `Quick dispatch_field_rejects;
         Alcotest.test_case "hostile DIMACS header rejected" `Quick dispatch_hostile_header_reject;
         Alcotest.test_case "priority scheduling order" `Quick dispatch_priority_order;
         Alcotest.test_case "drain cancels queued exactly once" `Quick dispatch_drain_exactly_once;
