@@ -10,11 +10,13 @@ type prepared = {
 }
 
 (* The embedding of a clause queue depends only on the hardware graph and
-   the queue's *structure*: which variables each clause touches, in queue
-   order, over which variable universe (auxiliary ids are numbered
-   num_vars + position-of-3-lit-clause).  Literal signs only shape the QUBO
+   the queue's *structure*: each clause's literal variables, in literal
+   order and with repeats, in queue order, over which variable universe
+   (auxiliary ids are numbered num_vars + position-of-3-lit-clause, so the
+   key keeps each clause's size: the tautology (x ∨ ¬x ∨ y) takes an
+   auxiliary and (x ∨ y) does not).  Literal signs only shape the QUBO
    coefficients, which are re-encoded on every call — so two queues with
-   the same canonical structure share one Chimera placement. *)
+   the same structure share one Chimera placement. *)
 type cache_key = int * Sat.Lit.var list list
 
 type cache = {
@@ -38,7 +40,11 @@ let embed_via_cache obs cache graph f clauses ~aux_of_clause =
   | Some c ->
       if not (c.graph == graph) then
         invalid_arg "Frontend.prepare: cache built for a different graph";
-      let key = (Sat.Cnf.num_vars f, Array.to_list (Array.map Sat.Clause.vars clauses)) in
+      let key =
+        ( Sat.Cnf.num_vars f,
+          Array.to_list
+            (Array.map (fun c -> List.map Sat.Lit.var (Sat.Clause.lits c)) clauses) )
+      in
       (match Hashtbl.find_opt c.table key with
       | Some res ->
           c.hits <- c.hits + 1;

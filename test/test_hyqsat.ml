@@ -173,6 +173,23 @@ let frontend_cache_hits_share_embedding () =
   Alcotest.(check (pair int int)) "new structure misses" (1, 2)
     (Hyqsat.Frontend.cache_stats cache)
 
+(* (x0 ∨ ¬x0 ∨ x1) touches the variables of (x0 ∨ x1) but takes an
+   auxiliary qubit: the two queues must not share a placement, or the
+   second job's auxiliary lands on no chain *)
+let frontend_cache_key_keeps_clause_size () =
+  let g = Chimera.Graph.standard_2000q () in
+  let cache = Frontend.create_cache g in
+  let formula first = Sat.Cnf.make ~num_vars:5 [ first; Sat.Clause.of_dimacs [ 2; 3; 4 ] ] in
+  let prep f = Frontend.prepare ~cache (Testutil.rng 1) g f ~activity:flat_activity in
+  ignore (prep (formula (Sat.Clause.of_dimacs [ 1; 2 ])));
+  match prep (formula (Sat.Clause.of_dimacs [ 1; -1; 2 ])) with
+  | None -> Alcotest.fail "nothing prepared"
+  | Some p ->
+      let sample = Anneal.Backend.sample Anneal.Backend.best_of in
+      Alcotest.(check bool) "job anneals" true
+        (Result.is_ok (Anneal.Machine.run_via ~sample (Testutil.rng 2) p.Frontend.job));
+      Alcotest.(check (pair int int)) "two placements" (0, 2) (Frontend.cache_stats cache)
+
 let frontend_cache_bound_to_graph () =
   let g1 = Chimera.Graph.create ~rows:4 ~cols:4 in
   let g2 = Chimera.Graph.create ~rows:4 ~cols:4 in
@@ -460,6 +477,8 @@ let suite =
         Alcotest.test_case "small formula fully embeds" `Quick frontend_small_formula_fully_embeds;
         Alcotest.test_case "cache hits share embedding" `Quick frontend_cache_hits_share_embedding;
         Alcotest.test_case "cache bound to its graph" `Quick frontend_cache_bound_to_graph;
+        Alcotest.test_case "cache key keeps clause size" `Quick
+          frontend_cache_key_keeps_clause_size;
       ] );
     ( "hyqsat.backend",
       [
