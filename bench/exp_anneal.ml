@@ -47,7 +47,7 @@ let chimera_instance seed =
 let reference ~schedule rng ising = ignore (Oracle.Anneal_sweep.sample ~schedule rng ising)
 
 let incremental ~schedule rng ising =
-  ignore (Sampler.sample ~params:(Sampler.make_params ~schedule ()) rng ising)
+  ignore (Sampler.sample ~schedule rng ising)
 
 let minor_words_per_flip ~schedule ising seed =
   let rng = Stats.Rng.create ~seed in
@@ -97,12 +97,11 @@ let time_regime ~anneal ~beta ~trials ising seed =
    re-seeded per trial, so every trial computes the identical result (the
    sampler's determinism contract) and min-of-N is purely a noise filter. *)
 let time_best_of ~domains ~schedule ~reads ~trials ising seed =
-  let params = Sampler.make_params ~schedule ~reads () in
   let once () =
     let rng = Stats.Rng.create ~seed in
     let spins = ref [||] in
     let (), wall =
-      Bench_util.wall (fun () -> spins := Sampler.sample ~params ~domains rng ising)
+      Bench_util.wall (fun () -> spins := Sampler.sample ~schedule ~reads ~domains rng ising)
     in
     (wall, SI.energy ising !spins)
   in

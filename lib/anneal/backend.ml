@@ -1,6 +1,7 @@
 type request = {
   ising : Sparse_ising.t;
-  params : Sampler.params;
+  noise : Noise.t;
+  reads : int;
   init : int array option;
   domains : int;
 }
@@ -46,11 +47,12 @@ let of_fn ~name:n ?(capabilities = { fallible = true }) fn : t =
    D-Wave 2000Q *)
 let model_time_us req =
   let timing = Timing.d_wave_2000q in
-  if req.params.Sampler.reads <= 1 then Timing.single_sample_us timing
-  else Timing.multi_sample_us timing ~samples:req.params.Sampler.reads
+  if req.reads <= 1 then Timing.single_sample_us timing
+  else Timing.multi_sample_us timing ~samples:req.reads
 
-(* the one simulator: spins are a pure function of the caller's RNG state,
-   whatever [req.domains] says (reads are stream-split) *)
+(* the one simulator, on the one schedule: spins are a pure function of
+   the caller's RNG state, whatever [req.domains] says (reads are
+   stream-split) *)
 let best_of : t =
   (module struct
     let name = "best-of"
@@ -58,8 +60,8 @@ let best_of : t =
 
     let sample ?obs rng req =
       let spins =
-        Sampler.sample ?obs ~params:req.params ?init:req.init
-          ~domains:(max 1 req.domains) rng req.ising
+        Sampler.sample ?obs ~noise:req.noise ~reads:req.reads ?init:req.init
+          ~domains:(max 1 req.domains) ~schedule:Sampler.default_schedule rng req.ising
       in
       Ok { spins; energy = Sparse_ising.energy req.ising spins; time_us = model_time_us req }
   end)

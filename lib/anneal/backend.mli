@@ -2,10 +2,11 @@
 
     HyQSAT treats the annealer as a remote, noisy accelerator.  This module
     makes that boundary explicit: a backend takes one {!request} (an Ising
-    problem plus sampling parameters) and either returns a {!response} or
-    fails with a typed {!failure}.  The solver core never calls a sampler
-    directly — it goes through a {!t}, which each solve wraps in its own
-    {!Supervisor} for deadlines, retries and a circuit breaker.
+    problem, the device's noise and a read count) and either returns a
+    {!response} or fails with a typed {!failure}.  The solver core never
+    calls a sampler directly — it goes through a {!t}, which each solve
+    wraps in its own {!Supervisor} for deadlines, retries and a circuit
+    breaker.
 
     All built-in backends are deterministic: spins are a pure function of
     the caller's RNG state, failures of the fault profile's private
@@ -13,7 +14,10 @@
 
 type request = {
   ising : Sparse_ising.t;  (** the physical problem, noise-free *)
-  params : Sampler.params;  (** schedule / noise / reads *)
+  noise : Noise.t;  (** coefficient and readout noise the device applies *)
+  reads : int;
+      (** anneals per call, best-of by energy; 1 = the paper's single-shot
+          protocol *)
   init : int array option;  (** per-read initial spins (chain-coherent) *)
   domains : int;  (** parallelism hint; result-invariant *)
 }
@@ -66,9 +70,11 @@ val model_time_us : request -> float
 
 val best_of : t
 (** The dwave-neal-style simulated-annealing device: {!Sampler.sample}
-    with the request's params, fanning [params.reads] across
-    [request.domains].  Infallible; the spins are a pure function of the
-    caller's RNG state, whatever [request.domains] says. *)
+    on {!Sampler.default_schedule} with the request's noise, fanning
+    [request.reads] across [request.domains].  The device owns its
+    schedule: a request cannot choose one.  Infallible; the spins are a
+    pure function of the caller's RNG state, whatever [request.domains]
+    says. *)
 
 (** {1 Fault injection} *)
 

@@ -50,7 +50,7 @@ let slot_of slots v = if v >= 0 && v < Array.length slots then slots.(v) else -1
 
 (* steepest-descent repair on the logical objective: models the machine-side
    post-processing D-Wave applies to raw samples (paper's related work [6]);
-   chain breaks and thermal residue mostly vanish here while genuinely
+   chain breaks and anneal residue mostly vanish here while genuinely
    frustrated (unsatisfiable) problems keep a positive energy floor.
    [value] holds one bool per embedding node (indexed by [slots]), and
    [vars] are the objective's variables, all of them nodes *)
@@ -99,9 +99,6 @@ let post_sweeps num_spins = max 8 (num_spins / 2)
 let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(domains = 1)
     ~sample rng job =
   if reads < 1 then invalid_arg "Machine.run_via: reads";
-  let schedule =
-    if noise.Noise.shallow_anneal then Sampler.quick_schedule else Sampler.default_schedule
-  in
   let g = job.embedding.Embed.Embedding.graph in
   (* embedding nodes, ascending, with their chains: every per-node table
      below is an array indexed by a node's position here *)
@@ -185,14 +182,7 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(dom
       let s = if Stats.Rng.bool rng then 1 else -1 in
       List.iter (fun q -> init.(phys_of_qubit.(q)) <- s) chain)
     chains;
-  let request =
-    {
-      Backend.ising;
-      params = Sampler.make_params ~schedule ~noise ~reads ();
-      init = Some init;
-      domains;
-    }
-  in
+  let request = { Backend.ising; noise; reads; init = Some init; domains } in
   match (sample rng request : (Backend.response, Backend.failure) result) with
   | Error _ as e -> e
   | Ok resp ->
@@ -223,11 +213,10 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(dom
       in
       let node_of_spin = Array.map (fun v -> slots.(v)) var_of_spin in
       let init = Array.map (fun k -> if value.(k) then 1 else -1) node_of_spin in
-      let post_schedule =
+      let schedule =
         { Sampler.sweeps = post_sweeps num_spins; beta_min = 0.3; beta_max = 12. }
       in
-      let params = Sampler.make_params ~schedule:post_schedule () in
-      let spins' = Sampler.sample ~obs ~params ~init rng logical_sparse in
+      let spins' = Sampler.sample ~obs ~schedule ~init rng logical_sparse in
       Array.iteri (fun i s -> value.(node_of_spin.(i)) <- s = 1) spins';
       greedy_descent job.objective ~slots ~vars value;
       let assignment = Array.to_list (Array.mapi (fun k node -> (node, value.(k))) nodes) in

@@ -53,20 +53,22 @@ val run_via :
 
     [reads] (default 1) requests the multi-sample device mode (best of
     [reads] anneals, fanned over [domains] on the process-wide
-    {!Parallel.Pool.shared} pool when the backend supports it); [noise]
-    rides inside the request's {!Sampler.params}.  Every [Ok] sample then
-    gets the machine-side repair — a logical-level anneal plus greedy
-    descent — {e host-side}, never through the backend; it cannot turn an
-    unsatisfiable clause set's energy to zero, only remove
-    thermal/chain-break residue.  The repair's anneal runs
-    [max 8 (spins / 2)] sweeps over the objective's logical spins (one per
-    variable of [job.objective]), from β 0.3 to 12; that depth is the
-    cheapest that keeps the hybrid loop's iteration counts (EXPERIMENTS.md,
-    "Depth of the post-process anneal"), and the greedy descent after it
-    makes at most 8 passes.  With a live [obs] the call adds
-    chain breaks to [anneal_chain_breaks_total] and records the response's
-    modelled [time_us] into the [anneal_time_us] histogram.
-    Defaults: noise-free.  The schedule is {!Sampler.default_schedule}, or
-    {!Sampler.quick_schedule} when the noise model says so; chains couple
-    at strength 2.0 (relative to the normalised coefficient range); the
-    device call is timed as a D-Wave 2000Q ({!Timing.d_wave_2000q}). *)
+    {!Parallel.Pool.shared} pool when the backend supports it).  [noise]
+    (default noise-free) rides in the request; the device applies it as
+    coefficient noise before the anneal and readout flips after it, and
+    anneals on its own schedule, the same for every noise model.
+
+    Every [Ok] sample then gets the machine-side repair — a logical-level
+    anneal plus greedy descent — {e host-side}, never through the backend;
+    it cannot turn an unsatisfiable clause set's energy to zero, only
+    remove the residue that noise, chain breaks and a finite anneal leave.
+    The repair's anneal runs [max 8 (spins / 2)] sweeps over the
+    objective's logical spins (one per variable of [job.objective]), from
+    β 0.3 to 12; that depth is the cheapest that keeps the hybrid loop's
+    iteration counts (EXPERIMENTS.md, "Depth of the post-process anneal"),
+    and the greedy descent after it makes at most 8 passes.  With a live
+    [obs] the call adds chain breaks to [anneal_chain_breaks_total] and
+    records the response's modelled [time_us] into the [anneal_time_us]
+    histogram.  Chains couple at strength 2.0 (relative to the normalised
+    coefficient range); the device call is timed as a D-Wave 2000Q
+    ({!Timing.d_wave_2000q}). *)

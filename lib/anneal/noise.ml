@@ -1,8 +1,8 @@
-type t = { coeff_sigma : float; readout_flip : float; shallow_anneal : bool }
+type t = { coeff_sigma : float; readout_flip : float }
 
-let noise_free = { coeff_sigma = 0.; readout_flip = 0.; shallow_anneal = false }
-let default_2000q = { coeff_sigma = 0.03; readout_flip = 0.01; shallow_anneal = true }
-let bit_flip_only p = { coeff_sigma = 0.; readout_flip = p; shallow_anneal = false }
+let noise_free = { coeff_sigma = 0.; readout_flip = 0. }
+let default_2000q = { coeff_sigma = 0.03; readout_flip = 0.01 }
+let bit_flip_only p = { coeff_sigma = 0.; readout_flip = p }
 
 let apply_coeff t rng (ising : Sparse_ising.t) =
   if t.coeff_sigma = 0. then ising

@@ -1,9 +1,12 @@
 (** NISQ noise model for the simulated annealer (paper §I: environment,
     crosstalk and readout noise on D-Wave 2000Q).
 
-    Coefficient noise perturbs the programmed fields/couplings (integrated
-    control-error model); readout noise flips measured spins independently.
-    Thermal noise is modelled by running a shallower annealing schedule.
+    Two channels, and only these two.  Coefficient noise perturbs the
+    programmed fields and couplings (an integrated control-error model of
+    environment and crosstalk); readout noise flips measured spins
+    independently.  The anneal itself is the same for every noise model:
+    a noisy device runs the clean device's schedule
+    ({!Sampler.default_schedule}).
 
     {b Draw-order contract.}  Both [apply_*] functions draw from the
     {e caller's} RNG, in call-site order, with a fixed per-call shape:
@@ -23,17 +26,16 @@
 type t = {
   coeff_sigma : float;  (** Gaussian σ added to each h and J, relative scale *)
   readout_flip : float;  (** independent bit-flip probability at readout *)
-  shallow_anneal : bool;  (** use {!Sampler.quick_schedule} (thermal noise) *)
 }
 
 val noise_free : t
 val default_2000q : t
-(** Calibrated so that HyQSAT's Table II iteration-variance stays near 1:
-    σ = 0.03, 1 % readout flips, shallow anneal. *)
+(** The "real-world QA" device of Table II: σ = 0.03 coefficient noise and
+    1 % readout flips. *)
 
 val bit_flip_only : float -> t
-(** The Table III scalability model: a pure [p] readout bit-flip channel on
-    top of noise-free annealing. *)
+(** The Table III scalability model: a pure [p] readout bit-flip channel,
+    with no coefficient noise. *)
 
 val apply_coeff : t -> Stats.Rng.t -> Sparse_ising.t -> Sparse_ising.t
 (** Fresh problem with perturbed coefficients (noise-free input is shared,

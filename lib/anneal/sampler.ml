@@ -1,23 +1,6 @@
 type schedule = { sweeps : int; beta_min : float; beta_max : float }
 
 let default_schedule = { sweeps = 256; beta_min = 0.1; beta_max = 16.0 }
-let quick_schedule = { sweeps = 96; beta_min = 0.1; beta_max = 8.0 }
-
-type params = {
-  schedule : schedule;
-  noise : Noise.t;
-  reads : int;
-}
-
-let default_params = { schedule = default_schedule; noise = Noise.noise_free; reads = 1 }
-
-let make_params ?(base = default_params) ?schedule ?noise ?reads () =
-  let v d o = Option.value ~default:d o in
-  {
-    schedule = v base.schedule schedule;
-    noise = v base.noise noise;
-    reads = v base.reads reads;
-  }
 
 let beta_ratio schedule =
   if schedule.sweeps <= 1 then 1.0
@@ -43,30 +26,6 @@ let random_spins_into rng spins =
     spins.(i) <- (if Stats.Rng.bool rng then 1 else -1)
   done
 
-let checked_init n s =
-  if Array.length s <> n then invalid_arg "Sampler.sample: init length"
-
-let count_obs obs ~sweeps ~accepted =
-  if not (Obs.Ctx.is_null obs) then begin
-    Obs.Metrics.count obs "anneal_sweeps_total" sweeps;
-    Obs.Metrics.count obs "anneal_accepted_flips_total" accepted
-  end
-
-(* one read, drawing directly from [rng] — the historical single-shot draw
-   sequence, kept bit-identical so noise-free seeds reproduce across PRs *)
-let sample_single ~obs ~schedule ?init rng (ising : Sparse_ising.t) =
-  let n = ising.Sparse_ising.n in
-  let spins =
-    match init with
-    | Some s ->
-        checked_init n s;
-        Array.copy s
-    | None -> Array.init n (fun _ -> if Stats.Rng.bool rng then 1 else -1)
-  in
-  let accepted = anneal_in_place ~schedule rng ising spins in
-  count_obs obs ~sweeps:schedule.sweeps ~accepted;
-  spins
-
 (* per-domain reusable anneal scratch, one buffer per spin count: chunked
    reads on the persistent pool reuse it across chunks AND across calls,
    so the parallel path allocates no scratch on the hot path (only the
@@ -83,13 +42,17 @@ let scratch_for n =
       Hashtbl.add tbl n b;
       b
 
-let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t) k =
+(* the best of [k] reads: the one read path, whatever [k] *)
+let best_of ~obs ~schedule ?init ~domains rng (ising : Sparse_ising.t) k =
   let n = ising.Sparse_ising.n in
-  Option.iter (checked_init n) init;
-  (* every read gets its own RNG stream, split off the caller's generator
-     up front — the spin outcome is a pure function of (rng state, k) and
-     cannot depend on how many domains execute the reads *)
-  let streams = Stats.Rng.split_n rng k in
+  Option.iter
+    (fun s -> if Array.length s <> n then invalid_arg "Sampler.sample: init length")
+    init;
+  (* a lone read anneals on the caller's own stream; [k > 1] reads each get
+     a stream split off the caller's generator up front, so the spin
+     outcome is a pure function of (rng state, k) and cannot depend on how
+     many domains execute the reads *)
+  let streams = if k = 1 then [| rng |] else Stats.Rng.split_n rng k in
   let seed_spins buf stream =
     match init with
     | Some s -> Array.blit s 0 buf 0 n
@@ -112,19 +75,18 @@ let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t
     done;
     (!best_e, !total)
   in
-  let best, _best_e, total_accepted =
+  let best, total_accepted =
     if domains <= 1 || k = 1 then begin
       (* serial path: one scratch buffer + one best buffer, reused across
          all k reads — no per-read allocation *)
       let scratch = Array.make n 0 and best = Array.make n 0 in
-      let best_e, total = best_of_range scratch best 0 k in
-      (best, best_e, total)
+      let _, total = best_of_range scratch best 0 k in
+      (best, total)
     end
     else begin
-      (* chunked assignment on a persistent pool: k reads cost
+      (* chunked assignment on the shared persistent pool: k reads cost
          ⌈k/chunks⌉-read chunks (one hand-off each) instead of k hand-offs,
          and no domain is spawned — the pool outlives the call *)
-      let pool = match pool with Some p -> p | None -> Parallel.Pool.shared () in
       let chunks = min domains k in
       let per = (k + chunks - 1) / chunks in
       let chunk_best = Array.make chunks [||] in
@@ -144,19 +106,22 @@ let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t
           chunk_acc.(c) <- acc
         end
       in
-      Parallel.Pool.run pool (List.init chunks thunk);
+      Parallel.Pool.run (Parallel.Pool.shared ()) (List.init chunks thunk);
       (* chunks cover contiguous ascending read ranges, so strict < in
          chunk order again selects the lowest-index minimal-energy read *)
       let bi = ref 0 in
       for c = 1 to chunks - 1 do
         if chunk_e.(c) < chunk_e.(!bi) then bi := c
       done;
-      (chunk_best.(!bi), chunk_e.(!bi), Array.fold_left ( + ) 0 chunk_acc)
+      (chunk_best.(!bi), Array.fold_left ( + ) 0 chunk_acc)
     end
   in
   (* counters aggregated once, after the join — workers never touch [obs] *)
-  count_obs obs ~sweeps:(k * schedule.sweeps) ~accepted:total_accepted;
-  if not (Obs.Ctx.is_null obs) then Obs.Metrics.count obs "anneal_reads_total" k;
+  if not (Obs.Ctx.is_null obs) then begin
+    Obs.Metrics.count obs "anneal_sweeps_total" (k * schedule.sweeps);
+    Obs.Metrics.count obs "anneal_accepted_flips_total" total_accepted;
+    if k > 1 then Obs.Metrics.count obs "anneal_reads_total" k
+  end;
   best
 
 (* Draw-order contract (see Noise): for one [sample] call the caller's RNG
@@ -168,14 +133,8 @@ let sample_multi ~obs ~schedule ?init ?pool ~domains rng (ising : Sparse_ising.t
      4. [Noise.apply_readout] (readout flips; zero draws when p = 0)
    Anything injected around the call (faults, latency) must use a separate
    stream or the sequence — and with it bit-reproducibility — breaks. *)
-let sample ?(obs = Obs.Ctx.null) ?(params = default_params) ?init ?pool ?(domains = 1) rng
-    (ising : Sparse_ising.t) =
-  if params.reads < 1 then invalid_arg "Sampler.sample: reads";
-  let programmed = Noise.apply_coeff params.noise rng ising in
-  let spins =
-    if params.reads = 1 then sample_single ~obs ~schedule:params.schedule ?init rng programmed
-    else
-      sample_multi ~obs ~schedule:params.schedule ?init ?pool ~domains rng programmed
-        params.reads
-  in
-  Noise.apply_readout params.noise rng spins
+let sample ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?init ?(domains = 1)
+    ~schedule rng (ising : Sparse_ising.t) =
+  if reads < 1 then invalid_arg "Sampler.sample: reads";
+  let programmed = Noise.apply_coeff noise rng ising in
+  Noise.apply_readout noise rng (best_of ~obs ~schedule ?init ~domains rng programmed reads)

@@ -8,11 +8,14 @@ module Machine = Anneal.Machine
 
 let fcheck = Alcotest.(check (float 1e-9))
 
-(* one annealing cycle on the infallible simulator *)
-let run_via ?obs ?noise rng job =
-  match
-    Machine.run_via ?obs ?noise ~sample:(Anneal.Backend.sample Anneal.Backend.best_of) rng job
-  with
+(* a shallower schedule than the device's: 96 sweeps, β 0.1 → 8, the one
+   the noisy device ran before noise acted only through coefficients and
+   readout *)
+let shallow = { Sampler.sweeps = 96; beta_min = 0.1; beta_max = 8.0 }
+
+(* one annealing cycle, by default on the infallible simulator *)
+let run_via ?obs ?noise ?(sample = Anneal.Backend.sample Anneal.Backend.best_of) rng job =
+  match Machine.run_via ?obs ?noise ~sample rng job with
   | Ok outcome -> outcome
   | Error f -> Alcotest.fail (Anneal.Backend.failure_label f)
 
@@ -42,7 +45,7 @@ let sampler_finds_ground_state () =
   let couplings = List.init (n - 1) (fun i -> ((i, i + 1), -1.0)) in
   let ising = SI.build ~n ~h ~couplings ~offset:0. in
   let rng = Testutil.rng 3 in
-  let spins = Sampler.sample rng ising in
+  let spins = Sampler.sample ~schedule:Sampler.default_schedule rng ising in
   Alcotest.(check bool) "ground state reached" true (Array.for_all (fun s -> s = -1) spins)
 
 let sampler_best_of_improves () =
@@ -55,16 +58,12 @@ let sampler_best_of_improves () =
       (List.init (n - 1) (fun i -> [ ((i, i + 1), Stats.Rng.gaussian r ~mu:0. ~sigma:1.) ]))
   in
   let ising = SI.build ~n ~h ~couplings ~offset:0. in
-  let single =
-    let params = Sampler.make_params ~schedule:Sampler.quick_schedule () in
+  let mean_energy reads =
     Stats.Descriptive.mean
-      (Array.init 20 (fun _ -> SI.energy ising (Sampler.sample ~params r ising)))
+      (Array.init 20 (fun _ -> SI.energy ising (Sampler.sample ~reads ~schedule:shallow r ising)))
   in
-  let best =
-    let params = Sampler.make_params ~schedule:Sampler.quick_schedule ~reads:8 () in
-    Stats.Descriptive.mean
-      (Array.init 20 (fun _ -> SI.energy ising (Sampler.sample ~params r ising)))
-  in
+  let single = mean_energy 1 in
+  let best = mean_energy 8 in
   Alcotest.(check bool) "best-of-k at least as good" true (best <= single +. 1e-9)
 
 let noise_perturbs_coefficients () =
@@ -194,16 +193,60 @@ let golden_job () =
     objective = Qubo.Adjust.adjust enc';
   }
 
+let check_golden o ~energy_bits ~physical_energy ~chain_breaks ~assignment =
+  Alcotest.(check int64) "energy bits" energy_bits (Int64.bits_of_float o.Machine.energy);
+  Alcotest.(check int64) "physical energy bits" (Int64.bits_of_float physical_energy)
+    (Int64.bits_of_float o.Machine.physical_energy);
+  Alcotest.(check int) "chain breaks" chain_breaks o.Machine.chain_breaks;
+  Alcotest.(check (list int)) "nodes" (List.init 74 Fun.id) (List.map fst o.Machine.assignment);
+  Alcotest.(check string) "assignment" assignment
+    (String.concat "" (List.map (fun (_, v) -> if v then "1" else "0") o.Machine.assignment))
+
 let machine_golden_outcome () =
   let o = run_via ~noise:Noise.default_2000q (Testutil.rng 43) (golden_job ()) in
-  Alcotest.(check int64) "energy bits" 4607182418800016934L (Int64.bits_of_float o.Machine.energy);
-  Alcotest.(check int64) "physical energy bits" (Int64.bits_of_float (-839.59447097561213))
-    (Int64.bits_of_float o.Machine.physical_energy);
-  Alcotest.(check int) "chain breaks" 5 o.Machine.chain_breaks;
-  Alcotest.(check (list int)) "nodes" (List.init 74 Fun.id) (List.map fst o.Machine.assignment);
-  Alcotest.(check string) "assignment"
-    "01100011111100001110111101011111111111111111111111111110111111011111111111"
-    (String.concat "" (List.map (fun (_, v) -> if v then "1" else "0") o.Machine.assignment))
+  check_golden o ~energy_bits:4607908805836689881L ~physical_energy:(-843.3390039329347)
+    ~chain_breaks:6
+    ~assignment:"00101011110110101110111100100111111111111111111011111110111111011101111111"
+
+(* the simulator on [shallow] instead of the device's schedule, with the
+   request's noise and reads *)
+let shallow_device rng (req : Anneal.Backend.request) =
+  let open Anneal.Backend in
+  let spins =
+    Sampler.sample ~noise:req.noise ~reads:req.reads ?init:req.init ~domains:req.domains
+      ~schedule:shallow rng req.ising
+  in
+  Ok { spins; energy = SI.energy req.ising spins; time_us = model_time_us req }
+
+(* the golden cycle as first pinned, when the noisy device ran [shallow]:
+   driving that schedule through [~sample] gives the old values back, so
+   the schedule is all that moved them *)
+let machine_golden_outcome_on_shallow_schedule () =
+  let o =
+    run_via ~noise:Noise.default_2000q ~sample:shallow_device (Testutil.rng 43) (golden_job ())
+  in
+  check_golden o ~energy_bits:4607182418800016934L ~physical_energy:(-839.59447097561213)
+    ~chain_breaks:5
+    ~assignment:"01100011111100001110111101011111111111111111111111111110111111011111111111"
+
+(* noise acts only through coefficients and readout: a clean and a noisy
+   cycle on one job anneal equally deep, device and repair together *)
+let machine_noise_keeps_schedule () =
+  let job = cyclic_job () in
+  let sweeps noise =
+    let ctx = Obs.Ctx.create () in
+    let sample = Anneal.Backend.sample ~obs:ctx Anneal.Backend.best_of in
+    ignore (run_via ~obs:ctx ~noise ~sample (Testutil.rng 23) job);
+    let n = counter ctx "anneal_sweeps_total" in
+    Obs.Ctx.close ctx;
+    n
+  in
+  let spins = List.length (Qubo.Pbq.vars job.Machine.objective) in
+  let clean = sweeps Noise.noise_free in
+  Alcotest.(check int) "device and repair sweeps"
+    (Sampler.default_schedule.Sampler.sweeps + max 8 (spins / 2))
+    clean;
+  Alcotest.(check int) "noisy equals clean" clean (sweeps Noise.default_2000q)
 
 let machine_rejects_unembedded () =
   let g = Chimera.Graph.create ~rows:2 ~cols:2 in
@@ -249,8 +292,7 @@ let sampler_respects_init () =
   let rng = Testutil.rng 19 in
   let spins =
     Sampler.sample
-      ~params:
-        (Sampler.make_params ~schedule:{ Sampler.sweeps = 30; beta_min = 2.0; beta_max = 20.0 } ())
+      ~schedule:{ Sampler.sweeps = 30; beta_min = 2.0; beta_max = 20.0 }
       ~init:[| 1; 1 |] rng ising
   in
   Alcotest.(check bool) "stays aligned" true (spins.(0) = spins.(1))
@@ -259,7 +301,8 @@ let sampler_init_length_checked () =
   let ising = SI.build ~n:3 ~h:[| 0.; 0.; 0. |] ~couplings:[] ~offset:0. in
   Alcotest.(check bool) "bad init rejected" true
     (try
-       ignore (Sampler.sample ~init:[| 1 |] (Testutil.rng 1) ising);
+       ignore
+         (Sampler.sample ~schedule:Sampler.default_schedule ~init:[| 1 |] (Testutil.rng 1) ising);
        false
      with Invalid_argument _ -> true)
 
@@ -285,12 +328,13 @@ let kernel_matches_reference () =
   let r = Testutil.rng 29 in
   for case = 1 to 20 do
     let ising = random_ising r in
-    let schedule = if case mod 2 = 0 then Sampler.default_schedule else Sampler.quick_schedule in
+    let schedule =
+      if case mod 2 = 0 then Sampler.default_schedule
+      else { Sampler.sweeps = 96; beta_min = 0.1; beta_max = 8.0 }
+    in
     let seed = 1000 + case in
     let s_ref = Oracle.Anneal_sweep.sample ~schedule (Testutil.rng seed) ising in
-    let s_inc =
-      Sampler.sample ~params:(Sampler.make_params ~schedule ()) (Testutil.rng seed) ising
-    in
+    let s_inc = Sampler.sample ~schedule (Testutil.rng seed) ising in
     Alcotest.(check (array int))
       (Printf.sprintf "case %d (n=%d)" case ising.SI.n)
       s_ref s_inc
@@ -309,10 +353,9 @@ let kernel_allocation_free () =
       couplings := ((i, j), Stats.Rng.gaussian r ~mu:0. ~sigma:1.) :: !couplings);
   let ising = SI.build ~n ~h ~couplings:!couplings ~offset:0. in
   let schedule = Sampler.default_schedule in
-  let params = Sampler.make_params ~schedule ~reads:1 () in
   let rng = Testutil.rng 73 in
   let before = Gc.minor_words () in
-  ignore (Sampler.sample ~params rng ising);
+  ignore (Sampler.sample ~schedule rng ising);
   let words = Gc.minor_words () -. before in
   let per_flip = words /. float_of_int (schedule.Sampler.sweeps * n) in
   if per_flip >= 0.25 then
@@ -339,29 +382,16 @@ let kernel_field_invariant () =
       (Anneal.Kernel.delta k i)
   done
 
-(* best-of-k is a pure function of (rng seed, k): any domain count, on the
-   default shared pool or an explicit persistent one of any size, returns
+(* best-of-k is a pure function of (rng seed, k): any domain count returns
    the same spins — chunks cover ascending read ranges and the reduce is a
    strict minimum, so "lowest-index minimal-energy read wins" is preserved *)
 let best_of_deterministic_across_domains () =
   let ising = random_ising (Testutil.rng 37) in
-  let run ?pool domains =
-    Sampler.sample
-      ~params:(Sampler.make_params ~schedule:Sampler.quick_schedule ~reads:8 ())
-      ?pool ~domains (Testutil.rng 41) ising
-  in
+  let run domains = Sampler.sample ~reads:8 ~domains ~schedule:shallow (Testutil.rng 41) ising in
   let serial = run 1 in
   Alcotest.(check (array int)) "2 domains" serial (run 2);
   Alcotest.(check (array int)) "4 domains" serial (run 4);
   Alcotest.(check (array int)) "8 domains (more than reads/cores)" serial (run 8);
-  let pool = Parallel.Pool.create ~workers:3 in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check (array int)) "explicit pool, 2 domains" serial (run ~pool 2);
-      Alcotest.(check (array int)) "explicit pool, 4 domains" serial (run ~pool 4);
-      (* the same pool again: results don't depend on pool history *)
-      Alcotest.(check (array int)) "explicit pool, reused" serial (run ~pool 4));
   Alcotest.(check (float 1e-9)) "energy agrees" (SI.energy ising serial)
     (SI.energy ising (run 4))
 
@@ -371,19 +401,12 @@ let best_of_threads_obs_and_init () =
   (* a zero-sweep schedule returns the init untouched, whichever read wins *)
   let init = Array.init n (fun i -> if i mod 2 = 0 then 1 else -1) in
   let frozen = { Sampler.sweeps = 0; beta_min = 1.0; beta_max = 1.0 } in
-  let spins =
-    Sampler.sample
-      ~params:(Sampler.make_params ~schedule:frozen ~reads:3 ())
-      ~init (Testutil.rng 47) ising
-  in
+  let spins = Sampler.sample ~reads:3 ~init ~schedule:frozen (Testutil.rng 47) ising in
   Alcotest.(check (array int)) "init passes through" init spins;
   (* counters aggregate across reads *)
   let ctx = Obs.Ctx.create () in
-  let sched = { Sampler.quick_schedule with Sampler.sweeps = 3 } in
-  ignore
-    (Sampler.sample ~obs:ctx
-       ~params:(Sampler.make_params ~schedule:sched ~reads:4 ())
-       ~domains:2 (Testutil.rng 53) ising);
+  let schedule = { shallow with Sampler.sweeps = 3 } in
+  ignore (Sampler.sample ~obs:ctx ~reads:4 ~domains:2 ~schedule (Testutil.rng 53) ising);
   Alcotest.(check int) "sweeps = k * schedule" 12 (counter ctx "anneal_sweeps_total");
   Alcotest.(check int) "reads counted" 4 (counter ctx "anneal_reads_total");
   Alcotest.(check bool) "accepted flips counted" true
@@ -395,7 +418,7 @@ let best_of_rejects_bad_k () =
   Alcotest.(check bool) "reads = 0 rejected" true
     (try
        ignore
-         (Sampler.sample ~params:(Sampler.make_params ~reads:0 ()) (Testutil.rng 1) ising);
+         (Sampler.sample ~reads:0 ~schedule:Sampler.default_schedule (Testutil.rng 1) ising);
        false
      with Invalid_argument _ -> true)
 
@@ -438,5 +461,8 @@ let suite =
         Alcotest.test_case "post-process depth" `Quick machine_post_process_depth;
         Alcotest.test_case "rejects unembedded" `Quick machine_rejects_unembedded;
         Alcotest.test_case "golden outcome" `Quick machine_golden_outcome;
+        Alcotest.test_case "golden outcome on a shallow schedule" `Quick
+          machine_golden_outcome_on_shallow_schedule;
+        Alcotest.test_case "noise keeps the schedule" `Quick machine_noise_keeps_schedule;
       ] );
   ]

@@ -55,9 +55,7 @@ let extreme_noise_soundness () =
   (* failure injection: an adversarially noisy annealer cannot change any
      answer, only slow the search down *)
   let config =
-    Hybrid.make_config
-      ~noise:{ Anneal.Noise.coeff_sigma = 1.0; readout_flip = 0.5; shallow_anneal = true }
-      ()
+    Hybrid.make_config ~noise:{ Anneal.Noise.coeff_sigma = 1.0; readout_flip = 0.5 } ()
   in
   List.iter
     (fun (name, gen) ->

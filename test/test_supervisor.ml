@@ -4,7 +4,6 @@
    RNG-isolation contract, and end-to-end degradation to pure CDCL. *)
 
 module SI = Anneal.Sparse_ising
-module Sampler = Anneal.Sampler
 module Backend = Anneal.Backend
 module Sup = Anneal.Supervisor
 module Timing = Anneal.Timing
@@ -29,8 +28,8 @@ let glass_ising r =
   in
   SI.build ~n ~h ~couplings ~offset:0.
 
-let request ?(params = Sampler.default_params) ?(domains = 1) ising =
-  { Backend.ising; params; init = None; domains }
+let request ?(noise = Anneal.Noise.noise_free) ?(reads = 1) ?(domains = 1) ising =
+  { Backend.ising; noise; reads; init = None; domains }
 
 let ok_response (req : Backend.request) =
   let spins = Array.make req.Backend.ising.SI.n (-1) in
@@ -205,12 +204,9 @@ let supervisor_metrics_exported () =
 
 let zero_rate_wrapper_and_serial_reads_agree () =
   let ising = glass_ising (Testutil.rng 67) in
-  let params =
-    Sampler.make_params ~schedule:Sampler.quick_schedule ~noise:Anneal.Noise.default_2000q
-      ~reads:3 ()
-  in
   let run ?(domains = 2) backend seed =
-    match Backend.sample backend (Testutil.rng seed) (request ~params ~domains ising) with
+    let req = request ~noise:Anneal.Noise.default_2000q ~reads:3 ~domains ising in
+    match Backend.sample backend (Testutil.rng seed) req with
     | Ok r -> r.Backend.spins
     | Error f -> Alcotest.failf "simulator failed: %s" (Backend.failure_label f)
   in
@@ -225,8 +221,7 @@ let failed_attempts_consume_no_caller_rng () =
      faulty device must return exactly what the clean device returns for
      the same caller seed — retries are exact reruns *)
   let ising = glass_ising (Testutil.rng 61) in
-  let params = Sampler.make_params ~schedule:Sampler.quick_schedule ~reads:2 () in
-  let req = request ~params ising in
+  let req = request ~reads:2 ising in
   let faulty =
     Backend.with_faults
       { Backend.fail_rate = 0.5; fault_seed = 5 }
@@ -294,8 +289,7 @@ let shared_supervisor_counts_concurrent_faults () =
       Backend.best_of
   in
   let sup = Sup.create ~policy:{ Sup.timeout_us = infinity; retries = 1 } faulty in
-  let params = Sampler.make_params ~schedule:Sampler.quick_schedule () in
-  let req = request ~params (glass_ising (Testutil.rng 83)) in
+  let req = request (glass_ising (Testutil.rng 83)) in
   let per_domain = 150 in
   let run i =
     let rng = Testutil.rng (89 + i) in
