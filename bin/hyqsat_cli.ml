@@ -216,13 +216,16 @@ let main paths solver grid seed verbose jobs timeout retries max_iterations json
       ~members specs
   in
   if Atomic.get stop then begin
-    let cancelled =
-      List.length
-        (List.filter
-           (fun r -> r.Service.Batch.outcome = Service.Job.Unknown Service.Job.Cancelled)
-           results)
+    (* a cancelled decision job answers unknown; a stopped optimisation job
+       answers its incumbent with the gap still open *)
+    let stopped_early (r : Service.Batch.job_result) =
+      let record = r.Service.Batch.record in
+      r.Service.Batch.outcome = Service.Job.Unknown Service.Job.Cancelled
+      || (record.Service.Telemetry.cost >= 0
+         && record.Service.Telemetry.cost <> record.Service.Telemetry.lower_bound)
     in
-    Printf.eprintf "hyqsat: interrupted — %d job(s) cancelled, telemetry flushed\n%!" cancelled
+    Printf.eprintf "hyqsat: interrupted — %d job(s) stopped early, telemetry flushed\n%!"
+      (List.length (List.filter stopped_early results))
   end;
   List.iter
     (fun r ->
