@@ -5,6 +5,15 @@ type t = {
   unsat_energies : float array;
 }
 
+(* Fitted by [bench fig8] under [Noise.default_2000q] on the device as it
+   then was: a noisy device annealing 96 sweeps (β 0.1 → 8), then the
+   host-side repair at [max 128 (8 · spins)] sweeps.  The hybrid solver
+   reads these cuts on the noise-free 256-sweep device.  They have been
+   stale since the repair went to [max 8 (spins / 2)] sweeps ([bench fig8]
+   now fits 1.38 / 3.96 at 68.8 % accuracy, against 0.51 / 2.20 at 87.5 %
+   before; EXPERIMENTS.md, Figure 8), and the noisy device now anneals on
+   the clean device's schedule.  A refit moves noise-free answers, so it
+   waits for the device depth curve (ROADMAP). *)
 let simulator_default =
   let model =
     {

@@ -14,9 +14,11 @@ type t = {
 
 val simulator_default : t
 (** Fitted to this repository's simulated annealer (fig8 bench, default
-    noise): the same three-interval structure on a compressed energy scale
-    (the SA device with post-processing leaves less residue than 2016-era
-    hardware).  This is the hybrid solver's default. *)
+    noise) at an earlier, shallower device and repair depth, and stale
+    since (EXPERIMENTS.md, Figure 8): the same three-interval structure on
+    a compressed energy scale (the SA device with post-processing leaves
+    less residue than 2016-era hardware).  This is the hybrid solver's
+    default. *)
 
 val calibrate :
   ?problems:int ->
