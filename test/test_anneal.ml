@@ -8,9 +8,8 @@ module Machine = Anneal.Machine
 
 let fcheck = Alcotest.(check (float 1e-9))
 
-(* a shallower schedule than the device's: 96 sweeps, β 0.1 → 8, the one
-   the noisy device ran before noise acted only through coefficients and
-   readout *)
+(* a shallower schedule than the device's, 96 sweeps from β 0.1 to 8: the
+   golden cycle's first pinned values came from a noisy device on it *)
 let shallow = { Sampler.sweeps = 96; beta_min = 0.1; beta_max = 8.0 }
 
 (* one annealing cycle, by default on the infallible simulator *)
