@@ -115,7 +115,13 @@ let prepare ?(obs = Obs.Ctx.null) ?cache ?(queue_mode = Activity_bfs)
           job;
           clause_indices;
           vars_involved;
-          all_clauses_embedded = embedded = Sat.Cnf.num_clauses f;
+          (* the queue holds no tautology, so the job covers the formula
+             when it covers every other clause *)
+          all_clauses_embedded =
+            embedded
+            = Sat.Cnf.fold_clauses
+                (fun n _ c -> if Sat.Clause.is_tautology c then n else n + 1)
+                0 f;
           time_s = Unix.gettimeofday () -. t0;
           embed_time_s;
         }

@@ -9,10 +9,12 @@ type queue_mode = Activity_bfs | Random
 
 type prepared = {
   job : Anneal.Machine.job;
-  clause_indices : int list;  (** original clause indices actually embedded *)
+  clause_indices : int list;
+      (** original clause indices actually embedded; never a tautology *)
   vars_involved : int list;  (** original variables in the embedded prefix *)
   all_clauses_embedded : bool;
-      (** the job covers the entire formula — strategy 1 becomes possible *)
+      (** the job covers every clause of the formula but its tautologies,
+          which any assignment satisfies — strategy 1 becomes possible *)
   time_s : float;  (** measured frontend wall-clock time, embedding included *)
   embed_time_s : float;
       (** measured wall-clock time of the hardware-embedding step alone (a
