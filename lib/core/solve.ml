@@ -91,11 +91,18 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
           Obs.Span.record obs ~parent:span_frontend
             ~dur_s:prepared.Frontend.embed_time_s "embed";
           Obs.Span.stop ~dur_s:prepared.Frontend.time_s span_frontend;
-          match
+          (* the call's host wall time (device simulation and repair), on
+             success and failure alike; the modelled device time is the
+             "anneal" span below *)
+          let t0 = Unix.gettimeofday () in
+          let via =
             Anneal.Machine.run_via ~obs ~noise:config.noise ~reads:config.qa_reads
               ~domains:config.qa_domains ~sample:(Anneal.Supervisor.sample supervisor)
               rng prepared.Frontend.job
-          with
+          in
+          Obs.Span.record obs ~parent:span_iter ~dur_s:(Unix.gettimeofday () -. t0)
+            "anneal_host";
+          match via with
           | Error failure ->
               (* graceful degradation: the offload is skipped for this
                  warm-up iteration and the search falls through to the

@@ -290,7 +290,45 @@ let hybrid_stage_spans_sum_to_end_to_end () =
   Alcotest.(check int) "qa_calls_total matches report" r.Hyqsat.Hybrid_solver.qa_calls
     (counter "qa_calls_total");
   Alcotest.(check bool) "cdcl_conflicts_total recorded" true
-    (counter "cdcl_conflicts_total" >= 0)
+    (counter "cdcl_conflicts_total" >= 0);
+  (* one anneal_host span per run_via call, successful or degraded, each
+     under its warm-up iteration *)
+  let host_spans spans =
+    let iters =
+      List.filter_map
+        (fun s -> if s.Obs.Ctx.name = "warmup_iter" then Some s.Obs.Ctx.id else None)
+        spans
+    in
+    let host = List.filter (fun s -> s.Obs.Ctx.name = "anneal_host") spans in
+    List.iter
+      (fun s ->
+        Alcotest.(check bool) "anneal_host under warmup_iter" true
+          (List.mem s.Obs.Ctx.parent iters))
+      host;
+    List.length host
+  in
+  Alcotest.(check int) "one anneal_host per QA call" r.Hyqsat.Hybrid_solver.qa_calls
+    (host_spans !spans);
+  (* a device failing half its calls: degraded calls get a span too *)
+  let ctx = Obs.Ctx.create () in
+  let spans = ref [] in
+  Obs.Ctx.attach ctx (memory_sink spans (ref []));
+  let backend =
+    Anneal.Backend.with_faults
+      { Anneal.Backend.fail_rate = 0.5; fault_seed = 3 }
+      Anneal.Backend.best_of
+  in
+  let config =
+    Hyqsat.Hybrid_solver.make_config ~backend
+      ~supervisor:{ Anneal.Supervisor.default_policy with Anneal.Supervisor.retries = 0 }
+      ()
+  in
+  let r = Hyqsat.Solve.run ~obs:ctx (Hyqsat.Hybrid_solver.Hybrid config) f in
+  Obs.Ctx.close ctx;
+  Alcotest.(check bool) "some calls degraded" true (r.Hyqsat.Hybrid_solver.qa_degraded > 0);
+  Alcotest.(check int) "one anneal_host per QA call and degraded call"
+    (r.Hyqsat.Hybrid_solver.qa_calls + r.Hyqsat.Hybrid_solver.qa_degraded)
+    (host_spans !spans)
 
 let suite =
   [
