@@ -5,26 +5,12 @@
    anneal contributes next to the machine-side sample post-processing. *)
 
 module Hybrid = Hyqsat.Hybrid_solver
-module Backend = Anneal.Backend
 
 (* the simulator cut to one sweep at β = 0.1, near infinite temperature:
    what it returns is close to the chain-coherent random start, so the
    hybrid loop's hints on this row come from the host-side repair *)
 let hot_sweep_device =
-  Backend.of_fn ~name:"1-hot-sweep" ~capabilities:{ Backend.fallible = false }
-    (fun ?obs rng (req : Backend.request) ->
-      let spins =
-        Anneal.Sampler.sample ?obs ~noise:req.noise ~reads:req.reads ?init:req.init
-          ~domains:(max 1 req.domains)
-          ~schedule:{ Anneal.Sampler.sweeps = 1; beta_min = 0.1; beta_max = 0.1 }
-          rng req.ising
-      in
-      Ok
-        {
-          Backend.spins;
-          energy = Anneal.Sparse_ising.energy req.ising spins;
-          time_us = Backend.model_time_us req;
-        })
+  Exp_common.device { Anneal.Sampler.sweeps = 1; beta_min = 0.1; beta_max = 0.1 }
 
 let uf_suite (ctx : Bench_util.ctx) =
   let sizes = match ctx.Bench_util.scale with `Paper -> [ 150; 200 ] | `Small -> [ 100; 150 ] in

@@ -14,10 +14,31 @@ let variants =
     ("all", Backend.all_enabled);
   ]
 
+let s1_only = List.assoc "s1 only" variants
+
+(* the per-benchmark rows run one problem fewer than the other tables *)
+let row_ctx (ctx : Bench_util.ctx) =
+  { ctx with Bench_util.problems = max 2 (ctx.Bench_util.problems - 1) }
+
+(* the extra fully-embeddable row's geomean reduction: with every clause on
+   the annealer, strategy 1 can finish the search outright (the regime the
+   paper's BP row lives in), so this row needs the device to reach zero
+   energy *)
+let uf_s ?backend ctx strategies =
+  let ctx = row_ctx ctx in
+  Bench_util.geomean
+    (List.init (ctx.Bench_util.problems + 2) (fun i ->
+         let rng = Bench_util.rng_of ctx (1000 + i) in
+         let f = Workload.Uniform.generate rng ~num_vars:20 ~num_clauses:42 in
+         let classic = Exp_common.solve_classic f in
+         let config = Exp_common.hybrid_config ~strategies ?backend ctx.Bench_util.seed in
+         let hybrid = Exp_common.solve_hybrid ~config f in
+         Exp_common.reduction classic hybrid))
+
 let run (ctx : Bench_util.ctx) =
   Bench_util.header "Figure 10 — feedback-strategy ablation (iteration reduction vs classic)"
     "all strategies contribute; s1 smallest; s4 ~= all on the unsatisfiable CFA benchmark";
-  let ctx = { ctx with Bench_util.problems = max 2 (ctx.Bench_util.problems - 1) } in
+  let row = row_ctx ctx in
   Printf.printf "%-5s" "id";
   List.iter (fun (name, _) -> Printf.printf " %9s" name) variants;
   print_newline ();
@@ -27,27 +48,12 @@ let run (ctx : Bench_util.ctx) =
       Printf.printf "%-5s" spec.Workload.Spec.id;
       List.iter
         (fun (_, strategies) ->
-          let config = Exp_common.hybrid_config ~strategies ctx.Bench_util.seed in
-          let runs = Exp_common.reductions_for ctx spec ~config in
+          let config = Exp_common.hybrid_config ~strategies row.Bench_util.seed in
+          let runs = Exp_common.reductions_for row spec ~config in
           Printf.printf " %9.2f" (Bench_util.geomean (List.map (fun (_, _, r) -> r) runs)))
         variants;
       print_newline ())
     Workload.Spec.table1;
-  (* an extra fully-embeddable row: with every clause on the annealer,
-     strategy 1 can finish the search outright (the regime the paper's BP
-     row lives in) *)
   Printf.printf "%-5s" "UF-s";
-  List.iter
-    (fun (_, strategies) ->
-      let reds =
-        List.init (ctx.Bench_util.problems + 2) (fun i ->
-            let rng = Bench_util.rng_of ctx (1000 + i) in
-            let f = Workload.Uniform.generate rng ~num_vars:20 ~num_clauses:42 in
-            let classic = Exp_common.solve_classic f in
-            let config = Exp_common.hybrid_config ~strategies ctx.Bench_util.seed in
-            let hybrid = Exp_common.solve_hybrid ~config f in
-            Exp_common.reduction classic hybrid)
-      in
-      Printf.printf " %9.2f" (Bench_util.geomean reds))
-    variants;
+  List.iter (fun (_, strategies) -> Printf.printf " %9.2f" (uf_s ctx strategies)) variants;
   print_newline ()

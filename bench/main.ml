@@ -19,6 +19,7 @@ let experiments =
     ("fig15", Exp_fig15.run);
     ("table3", Exp_table3.run);
     ("ablation", Exp_ablation.run);
+    ("device", Exp_device.run);
     ("batch", Exp_batch.run);
     ("anneal", Exp_anneal.run);
     ("serve", Exp_serve.run);
