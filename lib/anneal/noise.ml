@@ -1,6 +1,8 @@
 type t = { coeff_sigma : float; readout_flip : float }
 
 let noise_free = { coeff_sigma = 0.; readout_flip = 0. }
+(* set on the 96-sweep noisy device of Table II's first runs, not refitted
+   for the 32-sweep one it runs on now (noise.mli) *)
 let default_2000q = { coeff_sigma = 0.03; readout_flip = 0.01 }
 let bit_flip_only p = { coeff_sigma = 0.; readout_flip = p }
 

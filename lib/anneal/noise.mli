@@ -31,7 +31,15 @@ type t = {
 val noise_free : t
 val default_2000q : t
 (** The "real-world QA" device of Table II: σ = 0.03 coefficient noise and
-    1 % readout flips. *)
+    1 % readout flips.  The rates were set on the noisy device of that
+    time, which annealed its own 96 sweeps (β 0.1 → 8) before a
+    [max 128 (8 · spins)]-sweep repair, so that Table II's iteration
+    variance stays near 1 (it read 0.77–1.60 per row there, 3 problems per
+    row).  Not refitted for the device it now runs on (32 sweeps,
+    β 0.1 → 16, {!Sampler.default_schedule}, then a [max 8 (spins / 2)]
+    repair): there [bench table2 --problems 10] reads an iteration variance
+    of 0.98–7.50 per row, against 0.60–2.57 on the 256-sweep device before
+    it (EXPERIMENTS.md, Table II). *)
 
 val bit_flip_only : float -> t
 (** The Table III scalability model: a pure [p] readout bit-flip channel,
