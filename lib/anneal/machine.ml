@@ -221,10 +221,8 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(dom
       greedy_descent job.objective ~slots ~vars value;
       let assignment = Array.to_list (Array.mapi (fun k node -> (node, value.(k))) nodes) in
       let energy = Qubo.Pbq.eval job.objective (fun v -> value.(slots.(v))) in
-      if not (Obs.Ctx.is_null obs) then begin
-        Obs.Metrics.count obs "anneal_chain_breaks_total" !chain_breaks;
-        Obs.Metrics.observe obs "anneal_time_us" resp.Backend.time_us
-      end;
+      Obs.Metrics.count obs "anneal_chain_breaks_total" !chain_breaks;
+      Obs.Metrics.observe obs "anneal_time_us" resp.Backend.time_us;
       Ok
         {
           assignment;

@@ -123,11 +123,9 @@ let best_of ~obs ~schedule ?init ~domains rng (ising : Sparse_ising.t) k =
     end
   in
   (* counters aggregated once, after the join — workers never touch [obs] *)
-  if not (Obs.Ctx.is_null obs) then begin
-    Obs.Metrics.count obs "anneal_sweeps_total" (k * schedule.sweeps);
-    Obs.Metrics.count obs "anneal_accepted_flips_total" total_accepted;
-    if k > 1 then Obs.Metrics.count obs "anneal_reads_total" k
-  end;
+  Obs.Metrics.count obs "anneal_sweeps_total" (k * schedule.sweeps);
+  Obs.Metrics.count obs "anneal_accepted_flips_total" total_accepted;
+  if k > 1 then Obs.Metrics.count obs "anneal_reads_total" k;
   best
 
 (* Draw-order contract (see Noise): for one [sample] call the caller's RNG

@@ -46,15 +46,6 @@ type t = {
   policy : policy;
   obs : Obs.Ctx.t;
   rng : Stats.Rng.t;  (* private: backoff jitter only *)
-  mutex : Mutex.t;
-      (* guards the bookkeeping only — [breaker], [stats], [rng] and the
-         admission decision — never the device call itself.  A supervisor
-         shared across solver domains therefore runs its callers' host-side
-         simulations in parallel, while every breaker transition and
-         counter update stays atomic.  The modelled QA time does not depend
-         on that overlap: each response carries the {!Timing} model's
-         device time for its own call, whatever else the host was
-         running. *)
   mutable breaker : breaker;
   mutable stats : stats;
 }
@@ -66,7 +57,6 @@ let create ?(obs = Obs.Ctx.null) ?(policy = default_policy) ?(seed = 0) backend 
       policy;
       obs;
       rng = Stats.Rng.create ~seed;
-      mutex = Mutex.create ();
       breaker = Closed 0;
       stats = zero_stats;
     }
@@ -77,18 +67,16 @@ let create ?(obs = Obs.Ctx.null) ?(policy = default_policy) ?(seed = 0) backend 
   Obs.Metrics.incr ~by:0.0 obs "qa_retries_total";
   t
 
-let stats t = Mutex.protect t.mutex (fun () -> t.stats)
-let state t = Mutex.protect t.mutex (fun () -> state_of_breaker t.breaker)
+let stats t = t.stats
+let state t = state_of_breaker t.breaker
 
 let transition t next =
   t.breaker <- next;
   t.stats <- { t.stats with transitions = t.stats.transitions + 1 };
   let s = state_of_breaker next in
-  if not (Obs.Ctx.is_null t.obs) then begin
-    Obs.Metrics.incr t.obs
-      (Obs.Metrics.labelled "qa_breaker_transitions_total" [ ("to", state_label s) ]);
-    Obs.Metrics.gauge t.obs "qa_breaker_state" (state_gauge s)
-  end
+  Obs.Metrics.incr t.obs
+    (Obs.Metrics.labelled "qa_breaker_transitions_total" [ ("to", state_label s) ]);
+  Obs.Metrics.gauge t.obs "qa_breaker_state" (state_gauge s)
 
 let note_success t =
   match t.breaker with
@@ -116,55 +104,43 @@ let backoff_us t ~attempt =
 
 let count_failure t reason =
   t.stats <- { t.stats with failures = t.stats.failures + 1 };
-  if not (Obs.Ctx.is_null t.obs) then
-    Obs.Metrics.incr t.obs
-      (Obs.Metrics.labelled "qa_failures_total" [ ("reason", Backend.failure_label reason) ])
+  Obs.Metrics.incr t.obs
+    (Obs.Metrics.labelled "qa_failures_total" [ ("reason", Backend.failure_label reason) ])
 
 (* One supervised call.  The caller's [rng] is only consumed by successful
    or failing *backend* attempts — and a failing attempt consumes nothing
    (fault injectors draw from their own stream), so retries are exact
    reruns.  Breaker cooldown is counted in fast-failed calls rather than
    modelled time: time only advances on calls, so a wall-clock cooldown
-   would deadlock a deterministic replay.
-
-   The mutex is held for each bookkeeping step (admission, the attempt
-   count, the outcome's breaker/stats update and the backoff draw) and
-   released around [Backend.sample].  With one caller this is the same
-   sequence of steps as holding it throughout; with several, their device
-   calls overlap and their bookkeeping steps interleave. *)
+   would deadlock a deterministic replay. *)
 let sample t rng (req : Backend.request) =
+  t.stats <- { t.stats with calls = t.stats.calls + 1 };
+  Obs.Metrics.incr t.obs "qa_backend_calls_total";
   let admit =
-    Mutex.protect t.mutex @@ fun () ->
-    t.stats <- { t.stats with calls = t.stats.calls + 1 };
-    Obs.Metrics.incr t.obs "qa_backend_calls_total";
-    let admit =
-      match t.breaker with
-      | Closed _ -> true
-      | Half_open -> true
-      | Open remaining ->
-          if remaining > 1 then begin
-            t.breaker <- Open (remaining - 1);
-            false
-          end
-          else begin
-            (* cooldown spent: let this call through as the probe *)
-            transition t Half_open;
-            true
-          end
-    in
-    if not admit then begin
-      t.stats <- { t.stats with fast_fails = t.stats.fast_fails + 1 };
-      count_failure t Backend.Breaker_open
-    end;
-    admit
+    match t.breaker with
+    | Closed _ -> true
+    | Half_open -> true
+    | Open remaining ->
+        if remaining > 1 then begin
+          t.breaker <- Open (remaining - 1);
+          false
+        end
+        else begin
+          (* cooldown spent: let this call through as the probe *)
+          transition t Half_open;
+          true
+        end
   in
-  if not admit then Error Backend.Breaker_open
+  if not admit then begin
+    t.stats <- { t.stats with fast_fails = t.stats.fast_fails + 1 };
+    count_failure t Backend.Breaker_open;
+    Error Backend.Breaker_open
+  end
   else begin
     (* wasted_us: modelled time burnt on failed attempts + backoff waits,
        folded into the successful response's [time_us] *)
     let rec attempt_loop ~attempt ~wasted_us =
-      Mutex.protect t.mutex (fun () ->
-          t.stats <- { t.stats with attempts = t.stats.attempts + 1 });
+      t.stats <- { t.stats with attempts = t.stats.attempts + 1 };
       let outcome =
         match Backend.sample ~obs:t.obs t.backend rng req with
         | Ok resp when resp.Backend.time_us > t.policy.timeout_us ->
@@ -177,27 +153,20 @@ let sample t rng (req : Backend.request) =
       in
       match outcome with
       | Ok resp ->
-          Mutex.protect t.mutex (fun () ->
-              note_success t;
-              t.stats <- { t.stats with successes = t.stats.successes + 1 });
+          note_success t;
+          t.stats <- { t.stats with successes = t.stats.successes + 1 };
           Ok { resp with Backend.time_us = resp.Backend.time_us +. wasted_us }
-      | Error (reason, charged_us) -> (
-          let retry =
-            Mutex.protect t.mutex @@ fun () ->
-            count_failure t reason;
-            note_failure t;
-            let breaker_open = match t.breaker with Open _ -> true | _ -> false in
-            if attempt >= t.policy.retries || breaker_open then None
-            else begin
-              t.stats <- { t.stats with retries = t.stats.retries + 1 };
-              Obs.Metrics.incr t.obs "qa_retries_total";
-              Some (backoff_us t ~attempt)
-            end
-          in
-          match retry with
-          | None -> Error reason
-          | Some wait ->
-              attempt_loop ~attempt:(attempt + 1) ~wasted_us:(wasted_us +. charged_us +. wait))
+      | Error (reason, charged_us) ->
+          count_failure t reason;
+          note_failure t;
+          let breaker_open = match t.breaker with Open _ -> true | _ -> false in
+          if attempt >= t.policy.retries || breaker_open then Error reason
+          else begin
+            t.stats <- { t.stats with retries = t.stats.retries + 1 };
+            Obs.Metrics.incr t.obs "qa_retries_total";
+            let wait = backoff_us t ~attempt in
+            attempt_loop ~attempt:(attempt + 1) ~wasted_us:(wasted_us +. charged_us +. wait)
+          end
     in
     attempt_loop ~attempt:0 ~wasted_us:0.0
   end

@@ -18,7 +18,11 @@
 
     Failing attempts consume nothing from the caller's RNG (built-in fault
     injectors draw from their own stream), so a retry re-runs the exact
-    sample the failed attempt would have produced. *)
+    sample the failed attempt would have produced.
+
+    Not domain-safe: [Solve.run] builds one per solve, so its breaker
+    state and {!stats} describe one solve's device calls and replay
+    exactly from its seeds. *)
 
 type policy = {
   timeout_us : float;  (** per-call deadline on modelled device time;
@@ -55,17 +59,7 @@ val state : t -> state
 val stats : t -> stats
 
 val sample : t -> Stats.Rng.t -> Backend.request -> (Backend.response, Backend.failure) result
-(** One supervised call.  A single supervisor may be shared by concurrent
-    solver domains — it then models one device whose circuit breaker
-    protects every caller going through it (the hybrid solver builds one
-    per solve).  An internal mutex guards the breaker, the {!stats}
-    counters, the admission decision and the backoff-jitter RNG; it is
-    {e not} held across the backend call, so concurrent callers'
-    host-side simulations run in parallel and only their bookkeeping
-    steps interleave.  The modelled device time is unaffected: each
-    response is charged its own {!Timing} model time whatever the host
-    concurrency.  With one caller at a time a run replays exactly from
-    its seeds.  While the breaker is open the backend is not
+(** One supervised call.  While the breaker is open the backend is not
     touched and the call fast-fails with [Breaker_open].  A response whose
     modelled time exceeds [timeout_us] is discarded as [Timeout] (deadline
     hit mid-read) and charged the full deadline.  On success, [time_us]

@@ -1138,11 +1138,9 @@ let arena_wasted t = Arena.wasted t.arena
 
 let flush_obs t =
   let obs = t.obs in
-  if not (Obs.Ctx.is_null obs) then begin
-    Obs.Metrics.count obs "cdcl_conflicts_total" t.s_conflicts;
-    Obs.Metrics.count obs "cdcl_propagations_total" t.s_propagations;
-    Obs.Metrics.count obs "cdcl_decisions_total" t.s_decisions;
-    Obs.Metrics.count obs "cdcl_restarts_total" t.s_restarts;
-    Obs.Metrics.count obs "cdcl_learnt_clauses_total" t.s_learnt_clauses;
-    Obs.Metrics.count obs "cdcl_deleted_clauses_total" t.s_deleted
-  end
+  Obs.Metrics.count obs "cdcl_conflicts_total" t.s_conflicts;
+  Obs.Metrics.count obs "cdcl_propagations_total" t.s_propagations;
+  Obs.Metrics.count obs "cdcl_decisions_total" t.s_decisions;
+  Obs.Metrics.count obs "cdcl_restarts_total" t.s_restarts;
+  Obs.Metrics.count obs "cdcl_learnt_clauses_total" t.s_learnt_clauses;
+  Obs.Metrics.count obs "cdcl_deleted_clauses_total" t.s_deleted

@@ -37,7 +37,6 @@ let strategy_name = function
    warm-up decided the instance. *)
 let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterations
     ~should_stop tally solver f =
-  let traced = not (Obs.Ctx.is_null obs) in
   let rng = Stats.Rng.create ~seed:config.seed in
   (* one supervised device per solve: breaker state is an instance
      property and the jitter seed derives from the solve seed, so runs
@@ -67,11 +66,7 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
   (* one annealer consultation; [Some model] when the sample solves [f] *)
   let consult () =
     let span_iter =
-      if traced then
-        Obs.Span.start obs ~parent:root
-          ~attrs:[ ("iter", string_of_int tally.steps) ]
-          "warmup_iter"
-      else Obs.Span.none
+      Obs.Span.start obs ~parent:root ~attrs:[ ("iter", string_of_int tally.steps) ] "warmup_iter"
     in
     let span_frontend = Obs.Span.start obs ~parent:span_iter "frontend" in
     let solved =
@@ -110,14 +105,13 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
                  guidance for this round *)
               tally.qa_degraded <- tally.qa_degraded + 1;
               Obs.Metrics.incr obs "qa_degraded_total";
-              if traced then
-                Obs.Span.record obs ~parent:span_iter
-                  ~attrs:
-                    [
-                      ("backend", Anneal.Backend.name config.backend);
-                      ("status", Anneal.Backend.failure_label failure);
-                    ]
-                  ~dur_s:0. "qa_call";
+              Obs.Span.record obs ~parent:span_iter
+                ~attrs:
+                  [
+                    ("backend", Anneal.Backend.name config.backend);
+                    ("status", Anneal.Backend.failure_label failure);
+                  ]
+                ~dur_s:0. "qa_call";
               None
           | Ok outcome -> (
               tally.qa_calls <- tally.qa_calls + 1;
@@ -125,15 +119,10 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
               Obs.Span.record obs ~parent:span_iter
                 ~dur_s:(outcome.Anneal.Machine.time_us *. 1e-6)
                 "anneal";
-              if traced then
-                Obs.Span.record obs ~parent:span_iter
-                  ~attrs:
-                    [
-                      ("backend", Anneal.Backend.name config.backend);
-                      ("status", "ok");
-                    ]
-                  ~dur_s:(outcome.Anneal.Machine.time_us *. 1e-6)
-                  "qa_call";
+              Obs.Span.record obs ~parent:span_iter
+                ~attrs:[ ("backend", Anneal.Backend.name config.backend); ("status", "ok") ]
+                ~dur_s:(outcome.Anneal.Machine.time_us *. 1e-6)
+                "qa_call";
               Obs.Metrics.incr obs "qa_calls_total";
               (* rate-limit phase hints: consecutive samples solve different
                  random subsets, and re-phasing every iteration oscillates *)
@@ -156,10 +145,9 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
               tally.strategy_uses.(s) <- tally.strategy_uses.(s) + 1;
               Obs.Span.record obs ~parent:span_iter ~dur_s:applied.Backend.time_s
                 "backend";
-              if traced then
-                Obs.Metrics.incr obs
-                  (Obs.Metrics.labelled "strategy_uses_total"
-                     [ ("strategy", strategy_name applied.Backend.strategy) ]);
+              Obs.Metrics.incr obs
+                (Obs.Metrics.labelled "strategy_uses_total"
+                   [ ("strategy", strategy_name applied.Backend.strategy) ]);
               applied.Backend.solved))
     in
     Obs.Span.stop span_iter;
@@ -190,10 +178,8 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
 
 let run ?(max_iterations = max_int) ?(should_stop = fun () -> false)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?embed_cache ?(import = []) mode f =
-  let traced = not (Obs.Ctx.is_null obs) in
   let root =
     match mode with
-    | _ when not traced -> Obs.Span.none
     | Hybrid _ ->
         Obs.Span.start obs ~parent
           ~attrs:
@@ -247,12 +233,10 @@ let run ?(max_iterations = max_int) ?(should_stop = fun () -> false)
         tally.cdcl_s <- tally.cdcl_s +. (Unix.gettimeofday () -. t0);
         a
   in
-  if traced then begin
-    Obs.Span.record obs ~parent:root ~dur_s:tally.cdcl_s "cdcl";
-    Cdcl.Solver.flush_obs solver;
-    Obs.Span.add_attr root "result" (Sat.Answer.label result);
-    Obs.Span.stop root
-  end;
+  Obs.Span.record obs ~parent:root ~dur_s:tally.cdcl_s "cdcl";
+  Cdcl.Solver.flush_obs solver;
+  Obs.Span.add_attr root "result" (Sat.Answer.label result);
+  Obs.Span.stop root;
   let stats = Cdcl.Solver.stats solver in
   {
     Hybrid_solver.result;

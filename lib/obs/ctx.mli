@@ -3,8 +3,11 @@
     A context owns a monotonic clock, a span-id generator, a metrics
     registry and a list of {!sink}s.  Every instrumentation point in the
     code base takes a context and does {e nothing} when handed {!null} —
-    the guard is one physical-equality check, so disabled observability
-    costs neither time nor allocation on hot paths.
+    the guard is one physical-equality check inside [Span] and [Metrics],
+    so {!null} is the only off switch: callers make their span and metric
+    calls unconditionally.  Sinks are the one way spans leave a context;
+    a sink attached for a while (a server's live event tap) is removed
+    again with {!detach}.
 
     Contexts are domain-safe: span emission and metric updates are
     serialised on an internal mutex (instrumented code runs in pool
@@ -62,16 +65,11 @@ val create : ?clock:(unit -> float) -> unit -> t
 val attach : t -> sink -> unit
 (** Add an exporter.  No-op on {!null}. *)
 
-val subscribe : t -> (span_record -> unit) -> int
-(** Register a live span listener and return its token.  Unlike a
-    {!sink}, a listener can be removed again ({!unsubscribe}) — the
-    server uses one per event-streaming client.  Listeners run under the
-    context mutex as each span stops (keep them cheap: push to a queue,
-    don't do I/O); exceptions they raise are swallowed.  On {!null} this
-    is a no-op returning [0]. *)
-
-val unsubscribe : t -> int -> unit
-(** Remove a listener by token.  Unknown tokens are ignored. *)
+val detach : t -> sink -> unit
+(** Remove a sink attached earlier, compared by physical equality; an
+    unknown sink is ignored.  Once [detach] returns, the sink receives no
+    further span, and a {!close} that starts afterwards does not call it
+    either.  No-op on {!null}. *)
 
 val close : t -> unit
 (** Snapshot the metrics, deliver them to every sink, then run the sinks'

@@ -78,9 +78,8 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
   if config.unix_socket = None && config.tcp_port = None && config.metrics_port = None then
     invalid_arg "Daemon.run: no listener configured";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let traced = not (Obs.Ctx.is_null obs) in
 
-  (* self-pipe: worker domains and the span listener wake the select *)
+  (* self-pipe: worker domains and the span tap wake the select *)
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
@@ -88,20 +87,27 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
 
   let dispatch = Dispatch.create ~obs ~on_complete:wake config.dispatch in
 
-  (* live span tap: cheap append under the ctx mutex, fanned out to
-     subscribers from the event loop *)
+  (* live span tap: a sink doing a cheap append under the ctx mutex,
+     fanned out to subscribers from the event loop; detached before the
+     self-pipe closes *)
   let subscribers = Atomic.make 0 in
   let ev_mutex = Mutex.create () in
   let ev_queue = ref [] in
-  let listener_token =
-    Obs.Ctx.subscribe obs (fun (r : Obs.Ctx.span_record) ->
-        if Atomic.get subscribers > 0 && streamed_span r.Obs.Ctx.name then begin
-          Mutex.lock ev_mutex;
-          ev_queue := r :: !ev_queue;
-          Mutex.unlock ev_mutex;
-          wake ()
-        end)
+  let tap =
+    {
+      Obs.Ctx.on_span =
+        (fun r ->
+          if Atomic.get subscribers > 0 && streamed_span r.Obs.Ctx.name then begin
+            Mutex.lock ev_mutex;
+            ev_queue := r :: !ev_queue;
+            Mutex.unlock ev_mutex;
+            wake ()
+          end);
+      on_metrics = ignore;
+      on_close = ignore;
+    }
   in
+  Obs.Ctx.attach obs tap;
 
   let proto_listeners = ref [] in
   let http_listeners = ref [] in
@@ -135,7 +141,7 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
   in
   let send c msg = Codec.push c.wr (P.encode_server msg) in
-  let metric name = if traced then Obs.Metrics.incr obs name in
+  let metric name = Obs.Metrics.incr obs name in
 
   let accept_on kind lfd =
     match Unix.accept lfd with
@@ -424,7 +430,7 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     end
   in
   flush ();
-  Obs.Ctx.unsubscribe obs listener_token;
+  Obs.Ctx.detach obs tap;
   Dispatch.shutdown dispatch;
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;
   close_listeners ();

@@ -171,15 +171,12 @@ let max_member_iterations (race : Portfolio.race_report) =
    so batch aggregation, tables and the wire protocol need no second
    path. *)
 let process_opt stop ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
-  let traced = not (Obs.Ctx.is_null obs) in
   let started = Unix.gettimeofday () in
   let queue_wait_s = started -. enqueued_at in
   let span =
-    if traced then
-      Obs.Span.start obs ~parent
-        ~attrs:[ ("gap_limit", string_of_int spec.Job.gap_limit) ]
-        "optimize"
-    else Obs.Span.none
+    Obs.Span.start obs ~parent
+      ~attrs:[ ("gap_limit", string_of_int spec.Job.gap_limit) ]
+      "optimize"
   in
   (* the hybrid graph lets the annealer stand in for a hard-infeasible
      WalkSAT incumbent, sampled exactly as the decision pipeline samples *)
@@ -225,7 +222,6 @@ let process_opt stop ~obs ~parent (spec : Job.spec) w ~enqueued_at () =
     { (Portfolio.idle_stats outcome) with iterations = r.Hyqsat.Optimize.cdcl_calls }
 
 let process_decision stop ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueued_at () =
-  let traced = not (Obs.Ctx.is_null obs) in
   let started = Unix.gettimeofday () in
   let queue_wait_s = started -. enqueued_at in
   let warm_import =
@@ -239,11 +235,7 @@ let process_decision stop ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueue
     (* built before the span opens: a raising closure leaves no span open *)
     let members = members ~spec ~seed:(Job.attempt_seed spec k) in
     let aspan =
-      if traced then
-        Obs.Span.start obs ~parent
-          ~attrs:[ ("attempt", string_of_int k) ]
-          "attempt"
-      else Obs.Span.none
+      Obs.Span.start obs ~parent ~attrs:[ ("attempt", string_of_int k) ] "attempt"
     in
     let race =
       Portfolio.race ~should_stop:stop.should_stop ~max_iterations:spec.Job.max_iterations
@@ -295,16 +287,13 @@ let process_decision stop ?warm ~members ~obs ~parent (spec : Job.spec) ~enqueue
 
 let process ?(cancel = fun () -> false) ?warm ?worker ?(attrs = []) ~members ~obs ~parent
     (spec : Job.spec) ~enqueued_at () =
-  let traced = not (Obs.Ctx.is_null obs) in
   let span =
-    if traced then
-      let worker = Option.map (fun w -> ("worker", string_of_int w)) worker in
-      let attrs =
-        ("id", string_of_int spec.Job.id) :: ("name", spec.Job.name)
-        :: (Option.to_list worker @ attrs)
-      in
-      Obs.Span.start obs ~parent ~attrs "job"
-    else Obs.Span.none
+    let worker = Option.map (fun w -> ("worker", string_of_int w)) worker in
+    let attrs =
+      ("id", string_of_int spec.Job.id) :: ("name", spec.Job.name)
+      :: (Option.to_list worker @ attrs)
+    in
+    Obs.Span.start obs ~parent ~attrs "job"
   in
   let stop = stop_switch ~cancel spec in
   let r =
@@ -322,28 +311,20 @@ let process ?(cancel = fun () -> false) ?warm ?worker ?(attrs = []) ~members ~ob
         error = Some (Printexc.to_string e);
       }
   in
-  if traced then begin
-    let outcome = Job.outcome_label r.outcome in
-    Obs.Span.add_attr span "outcome" outcome;
-    Obs.Span.stop span;
-    Obs.Metrics.incr obs (Obs.Metrics.labelled "jobs_total" [ ("outcome", outcome) ])
-  end;
+  let outcome = Job.outcome_label r.outcome in
+  Obs.Span.add_attr span "outcome" outcome;
+  Obs.Span.stop span;
+  Obs.Metrics.incr obs (Obs.Metrics.labelled "jobs_total" [ ("outcome", outcome) ]);
   r
 
 let run ?(workers = 1) ?(obs = Obs.Ctx.null) ?cancel ?(warm_start = false) ~members jobs =
   let workers = max 1 (min 64 workers) in (* same clamp as Parallel.Pool.create *)
   let warm = if warm_start then Some (Warm.create ()) else None in
-  let traced = not (Obs.Ctx.is_null obs) in
   let batch_span =
-    if traced then
-      Obs.Span.start obs
-        ~attrs:
-          [
-            ("jobs", string_of_int (List.length jobs));
-            ("workers", string_of_int workers);
-          ]
-        "batch"
-    else Obs.Span.none
+    Obs.Span.start obs
+      ~attrs:
+        [ ("jobs", string_of_int (List.length jobs)); ("workers", string_of_int workers) ]
+      "batch"
   in
   let t0 = Unix.gettimeofday () in
   (* workers-1 spawned domains: the calling domain helps execute the batch

@@ -140,10 +140,7 @@ let members_named ?grid ?log_proof ?qa ~seed names =
 let race ?should_stop:(stop = fun () -> false) ?(max_iterations = max_int)
     ?(obs = Obs.Ctx.null) ?(parent = Obs.Span.none) ?(import = []) members f =
   if members = [] then invalid_arg "Portfolio.race: no members";
-  let traced = not (Obs.Ctx.is_null obs) in
-  let race_span =
-    if traced then Obs.Span.start obs ~parent "race" else Obs.Span.none
-  in
+  let race_span = Obs.Span.start obs ~parent "race" in
   let t_start = Unix.gettimeofday () in
   (* members are picked up in list order by drawing tickets from one
      counter, and the winner adds [decided] to that counter: whether a
@@ -157,20 +154,14 @@ let race ?should_stop:(stop = fun () -> false) ?(max_iterations = max_int)
   let members = Array.of_list members in
   let reports = Array.make (Array.length members) None in
   let run_one ~late i m =
-    let span =
-      if traced then
-        Obs.Span.start obs ~parent:race_span ~attrs:[ ("name", m.name) ] "member"
-      else Obs.Span.none
-    in
+    let span = Obs.Span.start obs ~parent:race_span ~attrs:[ ("name", m.name) ] "member" in
     let t0 = Unix.gettimeofday () in
     let report ?error ~cancelled stats =
       let time_s = Unix.gettimeofday () -. t0 in
-      if traced then begin
-        Obs.Span.add_attr span "result" (Sat.Answer.label stats.result);
-        if cancelled then Obs.Span.add_attr span "cancelled" "true";
-        Option.iter (Obs.Span.add_attr span "error") error;
-        Obs.Span.stop span
-      end;
+      Obs.Span.add_attr span "result" (Sat.Answer.label stats.result);
+      if cancelled then Obs.Span.add_attr span "cancelled" "true";
+      Option.iter (Obs.Span.add_attr span "error") error;
+      Obs.Span.stop span;
       { member = m.name; stats; time_s; cancelled; error }
     in
     if late || stop () then
@@ -203,12 +194,8 @@ let race ?should_stop:(stop = fun () -> false) ?(max_iterations = max_int)
   let winner =
     match Atomic.get winner_idx with -1 -> None | i -> Some (List.nth reports i)
   in
-  if traced then begin
-    (match winner with
-    | Some w -> Obs.Span.add_attr race_span "winner" w.member
-    | None -> ());
-    Obs.Span.stop race_span
-  end;
+  Option.iter (fun w -> Obs.Span.add_attr race_span "winner" w.member) winner;
+  Obs.Span.stop race_span;
   { winner; members = reports; wall_time_s = Unix.gettimeofday () -. t_start }
 
 let race_learnts ?(max_clauses = 512) report =

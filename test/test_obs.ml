@@ -330,6 +330,41 @@ let hybrid_stage_spans_sum_to_end_to_end () =
     (r.Hyqsat.Hybrid_solver.qa_calls + r.Hyqsat.Hybrid_solver.qa_degraded)
     (host_spans !spans)
 
+(* sinks are the one span path: a detached sink sees nothing more — no
+   span, no metrics, no close — while its sibling sees everything *)
+let detached_sink_receives_nothing () =
+  let ctx, tick = fake_ctx 0.0 in
+  let recording () =
+    let spans = ref [] and metrics = ref [] and closed = ref 0 in
+    let sink =
+      {
+        Obs.Ctx.on_span = (fun r -> spans := r.Obs.Ctx.name :: !spans);
+        on_metrics = (fun ms -> metrics := List.map fst ms);
+        on_close = (fun () -> incr closed);
+      }
+    in
+    (sink, spans, metrics, closed)
+  in
+  let kept, kept_spans, kept_metrics, kept_closed = recording () in
+  let gone, gone_spans, gone_metrics, gone_closed = recording () in
+  Obs.Ctx.attach ctx kept;
+  Obs.Ctx.attach ctx gone;
+  Obs.Ctx.detach ctx gone;
+  Obs.Ctx.detach ctx gone (* unknown by now: ignored *);
+  let root = Obs.Span.start ctx "root" in
+  tick := 1.0;
+  Obs.Span.record ctx ~parent:root ~dur_s:0.5 "leaf";
+  Obs.Span.stop root;
+  Obs.Metrics.incr ctx "things_total";
+  Obs.Ctx.close ctx;
+  Alcotest.(check (list string)) "kept sink saw every span" [ "leaf"; "root" ]
+    (List.rev !kept_spans);
+  Alcotest.(check (list string)) "kept sink got the metrics" [ "things_total" ] !kept_metrics;
+  Alcotest.(check int) "kept sink closed once" 1 !kept_closed;
+  Alcotest.(check (list string)) "detached sink saw no span" [] !gone_spans;
+  Alcotest.(check (list string)) "detached sink got no metrics" [] !gone_metrics;
+  Alcotest.(check int) "detached sink never closed" 0 !gone_closed
+
 let suite =
   [
     ( "obs",
@@ -344,5 +379,6 @@ let suite =
         Alcotest.test_case "batch trace end-to-end" `Quick batch_trace_end_to_end;
         Alcotest.test_case "hybrid stage spans sum to end-to-end" `Quick
           hybrid_stage_spans_sum_to_end_to_end;
+        Alcotest.test_case "detached sink receives nothing" `Quick detached_sink_receives_nothing;
       ] );
   ]

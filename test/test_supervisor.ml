@@ -246,66 +246,6 @@ let failed_attempts_consume_no_caller_rng () =
   Alcotest.(check bool) "the injector actually fired" true ((Sup.stats sup).Sup.failures > 0)
 
 (* ------------------------------------------------------------------ *)
-(* sharing one supervisor across domains *)
-
-(* run [f 0] and [f 1] on two domains; a raise in either fails the test *)
-let on_two_domains f =
-  let d = Domain.spawn (fun () -> f 1) in
-  let r0 = f 0 in
-  (r0, Domain.join d)
-
-(* A supervisor is documented domain-safe, so the device call must not
-   run under its lock: each call counts itself in and waits (at most 2 s)
-   until both calls have entered the backend.  Under a serialising lock
-   the first call gives up at the bound and fails, so the test fails
-   rather than hangs. *)
-let shared_supervisor_overlaps_device_calls () =
-  let entered = Atomic.make 0 in
-  let backend =
-    Backend.of_fn ~name:"rendezvous" (fun ?obs:_ _rng req ->
-        Atomic.incr entered;
-        let deadline = Unix.gettimeofday () +. 2.0 in
-        while Atomic.get entered < 2 && Unix.gettimeofday () < deadline do
-          Domain.cpu_relax ()
-        done;
-        (* the first call in sees the second arrive only if it is not
-           holding the second out *)
-        if Atomic.get entered >= 2 then Ok (ok_response req) else Error Backend.Unavailable)
-  in
-  let policy = { Sup.timeout_us = infinity; retries = 0 } in
-  let sup = Sup.create ~policy backend in
-  let req = request (small_ising ()) in
-  let call i = Result.is_ok (Sup.sample sup (Testutil.rng (5 + i)) req) in
-  let a, b = on_two_domains call in
-  Alcotest.(check (pair bool bool)) "both device calls saw the other inside" (true, true) (a, b);
-  Alcotest.(check int) "two successes counted" 2 (Sup.stats sup).Sup.successes
-
-(* concurrent callers through a faulty device: the injector's private
-   stream and the supervisor's counters stay consistent, nothing raises *)
-let shared_supervisor_counts_concurrent_faults () =
-  let faulty =
-    Backend.with_faults
-      { Backend.fail_rate = 0.3; fault_seed = 9 }
-      Backend.best_of
-  in
-  let sup = Sup.create ~policy:{ Sup.timeout_us = infinity; retries = 1 } faulty in
-  let req = request (glass_ising (Testutil.rng 83)) in
-  let per_domain = 150 in
-  let run i =
-    let rng = Testutil.rng (89 + i) in
-    let ok = ref 0 in
-    for _ = 1 to per_domain do
-      match Sup.sample sup rng req with Ok _ -> incr ok | Error _ -> ()
-    done;
-    !ok
-  in
-  let ok0, ok1 = on_two_domains run in
-  let s = Sup.stats sup in
-  Alcotest.(check int) "calls = submitted" (2 * per_domain) s.Sup.calls;
-  Alcotest.(check int) "successes = Ok results observed" (ok0 + ok1) s.Sup.successes;
-  Alcotest.(check bool) "the injector fired" true (s.Sup.failures > 0)
-
-(* ------------------------------------------------------------------ *)
 (* end-to-end degradation *)
 
 let full_fault_hybrid_equals_classic () =
@@ -371,10 +311,6 @@ let suite =
         Alcotest.test_case "breaker lifecycle" `Quick breaker_lifecycle;
         Alcotest.test_case "failed probe reopens" `Quick probe_failure_reopens_breaker;
         Alcotest.test_case "metrics exported" `Quick supervisor_metrics_exported;
-        Alcotest.test_case "shared: device calls overlap" `Quick
-          shared_supervisor_overlaps_device_calls;
-        Alcotest.test_case "shared: concurrent faults counted" `Quick
-          shared_supervisor_counts_concurrent_faults;
       ] );
     ( "anneal.backend",
       [
