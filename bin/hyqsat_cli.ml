@@ -459,17 +459,31 @@ let serve_main socket port metrics_port workers queue_capacity per_client grace 
         };
     }
   in
+  let ready = ref false in
   let report =
-    Server.Daemon.run ~obs ~stop
-      ~on_ready:(fun r ->
-        Option.iter
-          (Printf.printf "c listening on unix socket %s\n%!")
-          r.Server.Daemon.r_unix_socket;
-        Option.iter (Printf.printf "c listening on tcp 127.0.0.1:%d\n%!") r.Server.Daemon.r_tcp_port;
-        Option.iter
-          (Printf.printf "c metrics on http://127.0.0.1:%d/metrics\n%!")
-          r.Server.Daemon.r_metrics_port)
-      config
+    try
+      Server.Daemon.run ~obs ~stop
+        ~on_ready:(fun r ->
+          ready := true;
+          Option.iter
+            (Printf.printf "c listening on unix socket %s\n%!")
+            r.Server.Daemon.r_unix_socket;
+          Option.iter
+            (Printf.printf "c listening on tcp 127.0.0.1:%d\n%!")
+            r.Server.Daemon.r_tcp_port;
+          Option.iter
+            (Printf.printf "c metrics on http://127.0.0.1:%d/metrics\n%!")
+            r.Server.Daemon.r_metrics_port)
+        config
+    with Unix.Unix_error (e, fn, addr) when not !ready ->
+      (* a listener that cannot be set up is a flag error; the daemon
+         has already freed what it opened, and [addr] names the socket
+         path or port *)
+      Obs.Ctx.close obs;
+      Printf.eprintf "hyqsat serve: %s: %s\n"
+        (String.trim (fn ^ " " ^ addr))
+        (Unix.error_message e);
+      exit 2
   in
   Obs.Ctx.close obs;
   if json_out then print_endline (Server.Drain.to_json_string report)

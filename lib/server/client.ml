@@ -63,43 +63,3 @@ let handshake ?(client = "hyqsat-client") t =
   | P.Error_msg { code; reason } ->
       raise (Protocol_error (Printf.sprintf "handshake rejected (%s): %s" code reason))
   | _ -> raise (Protocol_error "handshake: unexpected reply")
-
-let http_get ~port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      write_all fd (Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path);
-      let buf = Bytes.create 65536 in
-      let out = Buffer.create 1024 in
-      let rec slurp () =
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes out buf 0 n;
-            slurp ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> slurp ()
-      in
-      slurp ();
-      let response = Buffer.contents out in
-      let body =
-        (* headers end at the first blank line *)
-        let rec find i =
-          if i + 3 >= String.length response then None
-          else if String.sub response i 4 = "\r\n\r\n" then Some (i + 4)
-          else find (i + 1)
-        in
-        match find 0 with
-        | Some i -> String.sub response i (String.length response - i)
-        | None -> ""
-      in
-      match String.split_on_char ' ' response with
-      | _ :: "200" :: _ -> body
-      | _ ->
-          let status =
-            match String.index_opt response '\r' with
-            | Some i -> String.sub response 0 i
-            | None -> response
-          in
-          raise (Protocol_error ("http: " ^ status)))

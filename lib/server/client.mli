@@ -26,7 +26,3 @@ val recv : ?timeout_s:float -> t -> Protocol.server_msg
 val handshake : ?client:string -> t -> unit
 (** [Hello] / [Welcome] exchange.  @raise Protocol_error if the server
     answers anything else. *)
-
-val http_get : port:int -> string -> string
-(** Loopback HTTP GET (the metrics endpoint); returns the response body.
-    @raise Protocol_error on a non-200 status. *)

@@ -108,21 +108,15 @@ let frame payload =
   Bytes.blit_string payload 0 b header_bytes n;
   Bytes.unsafe_to_string b
 
-(* writer: queued frames flattened into one pending string with an
+(* writer: queued bytes flattened into one pending buffer with an
    offset; short writes only move the offset *)
 
-type writer = { mutable out : Buffer.t; mutable off : int }
+type writer = { out : Buffer.t; mutable off : int }
 
 let writer () = { out = Buffer.create 1024; off = 0 }
 let pending w = Buffer.length w.out - w.off
 
-let push w payload =
-  (* compact when everything queued so far has been written *)
-  if w.off > 0 && w.off = Buffer.length w.out then begin
-    Buffer.clear w.out;
-    w.off <- 0
-  end;
-  Buffer.add_string w.out (frame payload)
+let push w bytes = Buffer.add_string w.out bytes
 
 let to_write w ?max () =
   let avail = pending w in

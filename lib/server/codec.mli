@@ -6,8 +6,9 @@
     payload-agnostic).  The {!decoder} is an incremental push parser: feed
     it whatever byte slices the socket produced, ask for the next complete
     frame, repeat — partial headers and split payloads are just "not yet".
-    The {!writer} is the mirror image for short writes: frames are queued
-    whole and drained in as many partial writes as the socket takes.
+    The {!writer} is the output side of a connection: it queues bytes as
+    given (a {!frame}, or a raw reply such as an HTTP response) and drains
+    them in as many partial writes as the socket takes.
 
     Both directions enforce a hard maximum payload size: an incoming
     length field beyond the limit poisons the decoder (the stream cannot
@@ -68,7 +69,8 @@ type writer
 val writer : unit -> writer
 
 val push : writer -> string -> unit
-(** Queue one payload, framed. *)
+(** Queue bytes as given, after everything queued before; frame a
+    payload with {!frame} first. *)
 
 val pending : writer -> int
 (** Bytes queued and not yet consumed by {!advance}. *)

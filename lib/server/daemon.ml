@@ -40,38 +40,39 @@ let streamed_span = function "job" | "attempt" | "race" | "member" -> true | _ -
 type conn = {
   fd : Unix.file_descr;
   key : int;
-  kind : [ `Proto | `Http ];
-  dec : Codec.decoder;
-  wr : Codec.writer;  (* protocol connections *)
-  http_in : Buffer.t;
-  mutable http_out : string;  (* raw bytes for HTTP connections *)
-  mutable http_off : int;
+  kind : [ `Proto of Codec.decoder | `Http of Buffer.t ];  (* with its input state *)
+  out : Codec.writer;  (* framed replies, or one raw HTTP response *)
   mutable client : string;
   mutable subscribed : bool;
   mutable closing : bool;  (* close once output drains *)
 }
 
-let conn_pending c =
-  match c.kind with
-  | `Proto -> Codec.pending c.wr
-  | `Http -> String.length c.http_out - c.http_off
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* a listening socket, closed again if [bind] or [listen] fails; the
+   error then names the address as [label] *)
+let listen domain addr ~label =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  try
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd addr;
+    Unix.listen fd 16;
+    fd
+  with Unix.Unix_error (e, fn, _) ->
+    close_quietly fd;
+    raise (Unix.Unix_error (e, fn, label))
 
 let listen_unix path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 16;
-  fd
+  if Sys.file_exists path then Unix.unlink path;
+  listen Unix.PF_UNIX (Unix.ADDR_UNIX path) ~label:path
 
 let listen_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 16;
-  let bound =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  (fd, bound)
+  listen Unix.PF_INET
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+    ~label:(Printf.sprintf "127.0.0.1:%d" port)
+
+(* the port a TCP listener got (0 for a Unix socket) *)
+let bound_port fd = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0
 
 let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> ())
     (config : config) =
@@ -79,17 +80,30 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     invalid_arg "Daemon.run: no listener configured";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
 
+  (* Each resource is freed by the [Fun.protect] that follows it, so on
+     every exit — a drain, a failed bind, a raising [on_ready] or loop —
+     they go in reverse order: sockets, span tap, workers, self-pipe. *)
+
   (* self-pipe: worker domains and the span tap wake the select *)
   let pipe_r, pipe_w = Unix.pipe () in
+  Fun.protect ~finally:(fun () ->
+      close_quietly pipe_r;
+      close_quietly pipe_w)
+  @@ fun () ->
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
   let wake () = try ignore (Unix.write pipe_w (Bytes.make 1 '!') 0 1) with _ -> () in
 
   let dispatch = Dispatch.create ~obs ~on_complete:wake config.dispatch in
+  (* after a drain the cancel finds nothing running; after a raise it
+     stops the running jobs instead of waiting for them *)
+  Fun.protect ~finally:(fun () ->
+      Dispatch.cancel_running dispatch;
+      Dispatch.shutdown dispatch)
+  @@ fun () ->
 
   (* live span tap: a sink doing a cheap append under the ctx mutex,
-     fanned out to subscribers from the event loop; detached before the
-     self-pipe closes *)
+     fanned out to subscribers from the event loop *)
   let subscribers = Atomic.make 0 in
   let ev_mutex = Mutex.create () in
   let ev_queue = ref [] in
@@ -108,39 +122,36 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     }
   in
   Obs.Ctx.attach obs tap;
+  Fun.protect ~finally:(fun () -> Obs.Ctx.detach obs tap) @@ fun () ->
 
-  let proto_listeners = ref [] in
-  let http_listeners = ref [] in
-  Option.iter (fun p -> proto_listeners := listen_unix p :: !proto_listeners) config.unix_socket;
-  let tcp_bound =
-    Option.map
-      (fun p ->
-        let fd, bound = listen_tcp p in
-        proto_listeners := fd :: !proto_listeners;
-        bound)
-      config.tcp_port
+  let listeners = ref [] in
+  let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
+  Fun.protect ~finally:(fun () ->
+      Hashtbl.iter (fun _ c -> close_quietly c.fd) conns;
+      List.iter (fun (_, fd) -> close_quietly fd) !listeners;
+      Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) config.unix_socket)
+  @@ fun () ->
+  (* owned by the teardown above as soon as it is bound; its TCP port *)
+  let listen_on kind fd =
+    listeners := !listeners @ [ (kind, fd) ];
+    bound_port fd
   in
-  let metrics_bound =
-    Option.map
-      (fun p ->
-        let fd, bound = listen_tcp p in
-        http_listeners := fd :: !http_listeners;
-        bound)
-      config.metrics_port
-  in
+  Option.iter (fun p -> ignore (listen_on `Proto (listen_unix p))) config.unix_socket;
+  let tcp_bound = Option.map (fun p -> listen_on `Proto (listen_tcp p)) config.tcp_port in
+  let metrics_bound = Option.map (fun p -> listen_on `Http (listen_tcp p)) config.metrics_port in
   on_ready
     { r_unix_socket = config.unix_socket; r_tcp_port = tcp_bound; r_metrics_port = metrics_bound };
 
-  let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
   let next_key = ref 0 in
   let read_buf = Bytes.create 65536 in
+  let live () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
 
   let close_conn c =
     if c.subscribed then Atomic.decr subscribers;
     Hashtbl.remove conns c.key;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ())
+    close_quietly c.fd
   in
-  let send c msg = Codec.push c.wr (P.encode_server msg) in
+  let send c msg = Codec.push c.out (Codec.frame (P.encode_server msg)) in
   let metric name = Obs.Metrics.incr obs name in
 
   let accept_on kind lfd =
@@ -154,28 +165,24 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
         (* nothing to accept now; out of descriptors, the client stays in
            the listen backlog until a connection closes *)
         ()
-    | fd, _addr when Hashtbl.length conns >= max_connections -> (
-        try Unix.close fd with Unix.Unix_error _ -> ())
+    | fd, _addr when Hashtbl.length conns >= max_connections -> close_quietly fd
     | fd, _addr ->
         Unix.set_nonblock fd;
         incr next_key;
         let key = !next_key in
-        let c =
+        let kind =
+          match kind with `Proto -> `Proto (Codec.decoder ()) | `Http -> `Http (Buffer.create 256)
+        in
+        Hashtbl.replace conns key
           {
             fd;
             key;
             kind;
-            dec = Codec.decoder ();
-            wr = Codec.writer ();
-            http_in = Buffer.create 256;
-            http_out = "";
-            http_off = 0;
+            out = Codec.writer ();
             client = Printf.sprintf "conn-%d" key;
             subscribed = false;
             closing = false;
-          }
-        in
-        Hashtbl.replace conns key c;
+          };
         metric "connections_total"
   in
 
@@ -217,9 +224,9 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     | P.Bye -> c.closing <- true
   in
 
-  let handle_proto_input c =
+  let handle_proto_input c dec =
     let rec frames () =
-      match Codec.next c.dec with
+      match Codec.next dec with
       | Ok None -> ()
       | Ok (Some payload) ->
           (match P.decode_client payload with
@@ -252,33 +259,23 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     | 0 -> close_conn c
     | n -> (
         match c.kind with
-        | `Proto ->
-            Codec.feed c.dec ~len:n read_buf;
-            handle_proto_input c
-        | `Http when c.http_out = "" ->
+        | `Proto dec ->
+            Codec.feed dec ~len:n read_buf;
+            handle_proto_input c dec
+        | `Http _ when c.closing -> () (* answered: the rest of the request is dropped *)
+        | `Http request ->
             Option.iter
               (fun response ->
-                c.http_out <- response;
+                Codec.push c.out response;
                 c.closing <- true)
-              (Metrics_http.on_read ~metrics:metrics_body c.http_in read_buf n)
-        | `Http -> () (* answered: the rest of the request is dropped *))
+              (Metrics_http.on_read ~metrics:metrics_body request read_buf n))
   in
 
   let handle_writable c =
     try
-      match c.kind with
-      | `Proto ->
-          let chunk = Codec.to_write c.wr ~max:65536 () in
-          if chunk <> "" then begin
-            let n = Unix.write_substring c.fd chunk 0 (String.length chunk) in
-            Codec.advance c.wr n
-          end
-      | `Http ->
-          let avail = String.length c.http_out - c.http_off in
-          if avail > 0 then begin
-            let n = Unix.write_substring c.fd c.http_out c.http_off avail in
-            c.http_off <- c.http_off + n
-          end
+      let chunk = Codec.to_write c.out ~max:65536 () in
+      if chunk <> "" then
+        Codec.advance c.out (Unix.write_substring c.fd chunk 0 (String.length chunk))
     with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | Unix.Unix_error _ -> close_conn c
@@ -316,10 +313,10 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
     if evs <> [] then
       Hashtbl.iter
         (fun _ c ->
-          if c.kind = `Proto && c.subscribed && not c.closing then
+          if c.subscribed && not c.closing then
             List.iter
               (fun (r : Obs.Ctx.span_record) ->
-                if Codec.pending c.wr > events_backlog_bytes then
+                if Codec.pending c.out > events_backlog_bytes then
                   metric "events_dropped_total"
                 else
                   send c
@@ -342,106 +339,72 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
   let draining = ref false in
   let drain_t0 = ref 0. in
   let grace_deadline = ref infinity in
-  let cancelled_running = ref false in
-  let drained_at = ref 0. in
-  let finished = ref false in
 
-  let close_listeners () =
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !proto_listeners;
-    proto_listeners := []
-  in
-
-  while not !finished do
+  while not (!draining && Dispatch.idle dispatch) do
     if Atomic.get stop && not !draining then begin
       draining := true;
       drain_t0 := Unix.gettimeofday ();
       grace_deadline := !drain_t0 +. config.dispatch.Dispatch.grace_s;
-      close_listeners ();
-      Dispatch.begin_drain dispatch
+      let proto, http = List.partition (fun (kind, _) -> kind = `Proto) !listeners in
+      List.iter (fun (_, fd) -> close_quietly fd) proto;
+      listeners := http;
+      List.iter deliver_completion (Dispatch.begin_drain dispatch)
     end;
-    if !draining && (not !cancelled_running) && Unix.gettimeofday () > !grace_deadline
-    then begin
-      cancelled_running := true;
+    if Unix.gettimeofday () > !grace_deadline then begin
+      grace_deadline := infinity;
       Dispatch.cancel_running dispatch
     end;
     let reads =
-      (pipe_r :: !proto_listeners) @ !http_listeners
+      (pipe_r :: List.map snd !listeners)
       @ Hashtbl.fold
-          (fun _ c acc ->
-            if c.kind = `Proto && Codec.pending c.wr > output_backlog_bytes then acc
-            else c.fd :: acc)
+          (fun _ c acc -> if Codec.pending c.out > output_backlog_bytes then acc else c.fd :: acc)
           conns []
     in
-    let writes = Hashtbl.fold (fun _ c acc -> if conn_pending c > 0 then c.fd :: acc else acc) conns [] in
+    let writes =
+      Hashtbl.fold (fun _ c acc -> if Codec.pending c.out > 0 then c.fd :: acc else acc) conns []
+    in
     let timeout = if !draining then 0.02 else 0.2 in
     let readable, writable, _ =
       try Unix.select reads writes [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    if List.mem pipe_r readable then begin
-      let scratch = Bytes.create 256 in
-      let rec drain_pipe () =
-        match Unix.read pipe_r scratch 0 256 with
-        | 256 -> drain_pipe ()
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      drain_pipe ()
-    end;
-    List.iter
-      (fun lfd -> if List.mem lfd readable then accept_on `Proto lfd)
-      !proto_listeners;
-    List.iter (fun lfd -> if List.mem lfd readable then accept_on `Http lfd) !http_listeners;
-    let live = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
-    List.iter (fun c -> if List.mem c.fd readable then handle_readable c) live;
+    (* wake-up bytes left over keep the pipe readable for the next select *)
+    if List.mem pipe_r readable then
+      (try ignore (Unix.read pipe_r read_buf 0 (Bytes.length read_buf))
+       with Unix.Unix_error _ -> ());
+    List.iter (fun (kind, lfd) -> if List.mem lfd readable then accept_on kind lfd) !listeners;
+    List.iter (fun c -> if List.mem c.fd readable then handle_readable c) (live ());
     List.iter deliver_completion (Dispatch.take_completions dispatch);
     deliver_events ();
-    let live = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+    let live = live () in
     List.iter (fun c -> if List.mem c.fd writable then handle_writable c) live;
-    List.iter (fun c -> if c.closing && conn_pending c = 0 then close_conn c) live;
-    if !draining && Dispatch.idle dispatch then begin
-      drained_at := Unix.gettimeofday ();
-      finished := true
-    end
+    List.iter (fun c -> if c.closing && Codec.pending c.out = 0 then close_conn c) live
   done;
+  let report =
+    { (Dispatch.counters dispatch) with Drain.wall_s = Unix.gettimeofday () -. !drain_t0 }
+  in
 
   (* goodbye: tell every client what the drain did, with a short best-effort
-     flush — a stuck client must not block shutdown *)
-  let cs = Dispatch.counters dispatch in
+     flush — a stuck client must not block shutdown.  The flush walks a
+     snapshot, since a failed write closes its connection *)
   let bye =
     P.Drained
       {
-        accepted = cs.Dispatch.accepted;
-        completed = cs.Dispatch.completed;
-        cancelled = cs.Dispatch.cancelled_queued + cs.Dispatch.cancelled_running;
+        accepted = report.Drain.accepted;
+        completed = report.Drain.completed;
+        cancelled = Drain.cancelled report;
       }
   in
-  Hashtbl.iter (fun _ c -> if c.kind = `Proto then send c bye) conns;
+  List.iter (fun c -> match c.kind with `Proto _ -> send c bye | `Http _ -> ()) (live ());
   let flush_deadline = Unix.gettimeofday () +. 1.0 in
   let rec flush () =
-    let pending = Hashtbl.fold (fun _ c acc -> acc + conn_pending c) conns 0 in
-    if pending > 0 && Unix.gettimeofday () < flush_deadline then begin
-      let writes = Hashtbl.fold (fun _ c acc -> if conn_pending c > 0 then c.fd :: acc else acc) conns [] in
-      match Unix.select [] writes [] 0.05 with
+    let pending = List.filter (fun c -> Codec.pending c.out > 0) (live ()) in
+    if pending <> [] && Unix.gettimeofday () < flush_deadline then
+      match Unix.select [] (List.map (fun c -> c.fd) pending) [] 0.05 with
       | _, writable, _ ->
-          Hashtbl.iter (fun _ c -> if List.mem c.fd writable then handle_writable c) conns;
+          List.iter (fun c -> if List.mem c.fd writable then handle_writable c) pending;
           flush ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush ()
-    end
   in
   flush ();
-  Obs.Ctx.detach obs tap;
-  Dispatch.shutdown dispatch;
-  Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;
-  close_listeners ();
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !http_listeners;
-  (try Unix.close pipe_r with Unix.Unix_error _ -> ());
-  (try Unix.close pipe_w with Unix.Unix_error _ -> ());
-  Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) config.unix_socket;
-  {
-    Drain.accepted = cs.Dispatch.accepted;
-    completed = cs.Dispatch.completed;
-    cancelled_queued = cs.Dispatch.cancelled_queued;
-    cancelled_running = cs.Dispatch.cancelled_running;
-    wall_s = (if !draining then !drained_at -. !drain_t0 else 0.);
-  }
+  report

@@ -20,7 +20,8 @@
     [unknown:cancelled] exactly once, gives running jobs
     [dispatch.grace_s] seconds before cancelling them cooperatively,
     sends every client a final [Drained] message, flushes telemetry, and
-    returns the {!Drain.report}. *)
+    returns the {!Drain.report}.  Whatever way it exits, [run] first frees
+    everything it opened, in reverse order (DESIGN.md §5h). *)
 
 type config = {
   unix_socket : string option;  (** path; replaced if it already exists *)
@@ -49,4 +50,10 @@ val run :
     nobody sets), then drain and return the report.  [on_ready] fires
     once every listener is bound — tests use it to learn ephemeral
     ports and to order client connects after the bind.
+
+    A listener that cannot be set up (its existing path cannot be
+    removed, or [bind]/[listen] fails) raises [Unix.Unix_error (e, fn,
+    addr)] whose [addr] is the socket path or ["127.0.0.1:PORT"]; that
+    error, or one [on_ready] raises, is re-raised after everything [run]
+    opened has been freed.
     @raise Invalid_argument if no listener is configured. *)

@@ -33,13 +33,6 @@ type completion = {
   result : Batch.job_result;
 }
 
-type counters = {
-  accepted : int;
-  completed : int;
-  cancelled_queued : int;
-  cancelled_running : int;
-}
-
 type entry = {
   e_client : string;
   e_conn : int;
@@ -60,10 +53,9 @@ type t = {
   (* worker domains append here; everything else is event-loop-only *)
   comp_mutex : Mutex.t;
   mutable comp_queue : completion list;  (* newest first; reversed on take *)
-  mutable drained : completion list;  (* drain-cancelled queue entries, event-loop only *)
   mutable running : int;
   mutable draining : bool;
-  mutable counters : counters;
+  mutable counters : Drain.report;  (* [wall_s] stays 0 *)
   (* event-loop-only: one learnt-clause pool per "client\x00session-name" *)
   sessions : (string, Batch.Warm.t) Hashtbl.t;
 }
@@ -79,10 +71,10 @@ let create ?(obs = Obs.Ctx.null) ?(on_complete = fun () -> ()) config =
     cancel = Atomic.make false;
     comp_mutex = Mutex.create ();
     comp_queue = [];
-    drained = [];
     running = 0;
     draining = false;
-    counters = { accepted = 0; completed = 0; cancelled_queued = 0; cancelled_running = 0 };
+    counters =
+      { accepted = 0; completed = 0; cancelled_queued = 0; cancelled_running = 0; wall_s = 0. };
     sessions = Hashtbl.create 8;
   }
 
@@ -103,10 +95,8 @@ let run_entry t entry ~worker =
   Mutex.unlock t.comp_mutex;
   t.on_complete ()
 
-let queued t = Jobq.length t.queue
 let running t = t.running
 let counters t = t.counters
-let draining t = t.draining
 
 let pump t =
   let rec go () =
@@ -217,7 +207,7 @@ let submit t ~client ~conn (js : Protocol.job_spec) =
                   retry_after_s = Some (retry_hint t);
                 }
           | `Ok position ->
-              t.counters <- { t.counters with accepted = t.counters.accepted + 1 };
+              t.counters <- { t.counters with Drain.accepted = t.counters.Drain.accepted + 1 };
               let queued = Jobq.length t.queue in
               pump t;
               Accepted { position; queued }
@@ -229,13 +219,11 @@ let record_retirement t (c : completion) ~was_running =
   t.counters <-
     (match c.result.Batch.outcome with
     | Job.Unknown Job.Cancelled when was_running ->
-        { cs with cancelled_running = cs.cancelled_running + 1 }
+        { cs with Drain.cancelled_running = cs.Drain.cancelled_running + 1 }
     | Job.Unknown Job.Cancelled -> { cs with cancelled_queued = cs.cancelled_queued + 1 }
     | _ -> { cs with completed = cs.completed + 1 })
 
 let take_completions t =
-  let dropped = List.rev t.drained in
-  t.drained <- [];
   Mutex.lock t.comp_mutex;
   let batch = List.rev t.comp_queue in
   t.comp_queue <- [];
@@ -246,10 +234,10 @@ let take_completions t =
       record_retirement t c ~was_running:true)
     batch;
   pump t;
-  dropped @ batch
+  batch
 
 let idle t =
-  Jobq.is_empty t.queue && t.running = 0 && t.drained = []
+  Jobq.is_empty t.queue && t.running = 0
   &&
   (Mutex.lock t.comp_mutex;
    let empty = t.comp_queue = [] in
@@ -257,11 +245,11 @@ let idle t =
    empty)
 
 let begin_drain t =
-  if not t.draining then begin
+  if t.draining then []
+  else begin
     t.draining <- true;
     let now = Unix.gettimeofday () in
-    let dropped = Jobq.clear t.queue in
-    List.iter
+    List.map
       (fun entry ->
         let c =
           {
@@ -274,8 +262,8 @@ let begin_drain t =
           }
         in
         record_retirement t c ~was_running:false;
-        t.drained <- c :: t.drained)
-      dropped
+        c)
+      (Jobq.clear t.queue)
   end
 
 let cancel_running t = Atomic.set t.cancel true

@@ -48,13 +48,6 @@ type completion = {
           [result.error] ({!Service.Batch.process}) *)
 }
 
-type counters = {
-  accepted : int;
-  completed : int;  (** retired with a real (non-cancelled) outcome *)
-  cancelled_queued : int;
-  cancelled_running : int;
-}
-
 type t
 
 val create : ?obs:Obs.Ctx.t -> ?on_complete:(unit -> unit) -> config -> t
@@ -89,22 +82,23 @@ val take_completions : t -> completion list
     updates {!counters}, and feeds freed worker slots from the queue.
     Non-blocking; call after [on_complete] fired. *)
 
-val queued : t -> int
-
 val running : t -> int
 
 val idle : t -> bool
 (** No job queued, running, or finished-but-unretired. *)
 
-val counters : t -> counters
+val counters : t -> Drain.report
+(** Jobs accepted, and retired by {!take_completions} or {!begin_drain},
+    so far: [completed] counts real (non-cancelled) outcomes.  [wall_s] is
+    always 0 — the daemon fills in its drain's wall time. *)
 
-val draining : t -> bool
-
-val begin_drain : t -> unit
+val begin_drain : t -> completion list
 (** Stop accepting ([submit] answers ["draining"]) and cancel every
-    queued job: each is retired through {!take_completions} exactly once
-    as an [unknown:cancelled] completion.  Running jobs keep going —
-    follow with {!cancel_running} when the grace period lapses. *)
+    queued job: each is retired here, once, and returned (in queue
+    order) as an [unknown:cancelled] completion; a second call returns
+    [[]].  Running jobs keep going and still retire through
+    {!take_completions} — follow with {!cancel_running} when the grace
+    period lapses. *)
 
 val cancel_running : t -> unit
 (** Flip the cooperative cancel flag: in-flight solves stop within ~128

@@ -55,7 +55,7 @@ let codec_partial_reads () =
 let codec_short_writes () =
   let payloads = [ "one"; "two-two"; String.make 100 'z' ] in
   let w = Codec.writer () in
-  List.iter (Codec.push w) payloads;
+  List.iter (fun p -> Codec.push w (Codec.frame p)) payloads;
   (* drain in 7-byte chunks, as a slow socket would *)
   let out = Buffer.create 64 in
   while Codec.pending w > 0 do
@@ -365,7 +365,7 @@ let dispatch_hostile_header_reject () =
   | Dispatch.Rejected { code = "parse"; _ } -> ()
   | _ -> Alcotest.fail "a hostile header should be rejected with code parse");
   Alcotest.(check bool) "nothing queued or running" true (Dispatch.idle d);
-  Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Dispatch.accepted;
+  Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Drain.accepted;
   Dispatch.shutdown d
 
 (* the front door checks each numeric field once and refuses a bad value
@@ -392,7 +392,7 @@ let dispatch_field_rejects () =
       ("format", { base with format = Some "opb" });
     ];
   Alcotest.(check bool) "nothing queued or running" true (Dispatch.idle d);
-  Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Dispatch.accepted;
+  Alcotest.(check int) "nothing accepted" 0 (Dispatch.counters d).Drain.accepted;
   Dispatch.shutdown d
 
 let dispatch_priority_order () =
@@ -412,11 +412,13 @@ let dispatch_drain_exactly_once () =
   List.iter
     (fun id -> ignore (Dispatch.submit d ~client:"a" ~conn:1 (wire_spec ~id sat_dimacs)))
     [ 0; 1; 2; 3; 4 ];
-  Dispatch.begin_drain d;
+  let dropped = Dispatch.begin_drain d in
+  Alcotest.(check int) "a second drain returns nothing" 0
+    (List.length (Dispatch.begin_drain d));
   (match Dispatch.submit d ~client:"a" ~conn:1 (wire_spec ~id:9 sat_dimacs) with
   | Dispatch.Rejected { code = "draining"; _ } -> ()
   | _ -> Alcotest.fail "submits during drain must be rejected");
-  let retired = retire_all d in
+  let retired = dropped @ retire_all d in
   let ids = List.sort compare (List.map (fun c -> c.Dispatch.job_id) retired) in
   Alcotest.(check (list int)) "every accepted job retires exactly once" [ 0; 1; 2; 3; 4 ] ids;
   let cancelled =
@@ -425,11 +427,13 @@ let dispatch_drain_exactly_once () =
       retired
   in
   Alcotest.(check int) "the four queued jobs were cancelled" 4 (List.length cancelled);
+  Alcotest.(check (list int)) "begin_drain returns the queued jobs" [ 1; 2; 3; 4 ]
+    (List.map (fun c -> c.Dispatch.job_id) dropped);
   let cs = Dispatch.counters d in
-  Alcotest.(check int) "accepted" 5 cs.Dispatch.accepted;
-  Alcotest.(check int) "cancelled_queued" 4 cs.Dispatch.cancelled_queued;
-  Alcotest.(check int) "accounting balances" cs.Dispatch.accepted
-    (cs.Dispatch.completed + cs.Dispatch.cancelled_queued + cs.Dispatch.cancelled_running);
+  Alcotest.(check int) "accepted" 5 cs.Drain.accepted;
+  Alcotest.(check int) "cancelled_queued" 4 cs.Drain.cancelled_queued;
+  Alcotest.(check int) "accounting balances" cs.Drain.accepted
+    (cs.Drain.completed + Drain.cancelled cs);
   Dispatch.shutdown d
 
 (* ------------------------------------------------------------------ *)
@@ -613,6 +617,53 @@ let temp_socket () =
   Sys.remove path;
   path
 
+(* loopback HTTP GET against the metrics endpoint: the response body; a
+   non-200 status fails the test *)
+let http_get ~port path =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let request = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
+      let rec write_all off =
+        if off < String.length request then
+          write_all (off + Unix.write_substring fd request off (String.length request - off))
+      in
+      write_all 0;
+      let buf = Bytes.create 65536 in
+      let out = Buffer.create 1024 in
+      let rec slurp () =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes out buf 0 n;
+            slurp ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> slurp ()
+      in
+      slurp ();
+      let response = Buffer.contents out in
+      let body =
+        (* headers end at the first blank line *)
+        let rec find i =
+          if i + 3 >= String.length response then None
+          else if String.sub response i 4 = "\r\n\r\n" then Some (i + 4)
+          else find (i + 1)
+        in
+        match find 0 with
+        | Some i -> String.sub response i (String.length response - i)
+        | None -> ""
+      in
+      match String.split_on_char ' ' response with
+      | _ :: "200" :: _ -> body
+      | _ ->
+          let status =
+            match String.index_opt response '\r' with
+            | Some i -> String.sub response 0 i
+            | None -> response
+          in
+          Alcotest.failf "http: %s" status)
+
 let daemon_end_to_end () =
   let socket = temp_socket () in
   let obs = Obs.Ctx.create () in
@@ -685,7 +736,7 @@ let daemon_end_to_end () =
           true (model <> None))
     [ (0, "sat", "model"); (1, "unsat", "proof"); (2, "sat", "model"); (3, "unsat", "proof") ];
   (* scrape the metrics endpoint while the daemon is live *)
-  let body = Client.http_get ~port:metrics_port "/metrics" in
+  let body = http_get ~port:metrics_port "/metrics" in
   let has_sub s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -693,7 +744,7 @@ let daemon_end_to_end () =
   in
   Alcotest.(check bool) "metrics expose jobs_total" true (has_sub body "jobs_total");
   Alcotest.(check bool) "health endpoint answers" true
-    (has_sub (Client.http_get ~port:metrics_port "/healthz") "ok");
+    (has_sub (http_get ~port:metrics_port "/healthz") "ok");
   (* graceful stop: the server says goodbye with a drain summary *)
   Atomic.set stop true;
   let rec await_drained n =
@@ -870,6 +921,115 @@ let daemon_drain_cancels_queued () =
       if outcome <> "sat" && outcome <> "unknown:cancelled" then
         Alcotest.failf "job %d: unexpected outcome %s" id outcome)
     outcomes
+
+(* this process's open descriptors and OS threads (a worker domain is one) *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let os_threads () =
+  let ic = open_in "/proc/self/status" in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec find () =
+        let line = input_line ic in
+        if String.starts_with ~prefix:"Threads:" line then
+          int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
+        else find ()
+      in
+      find ())
+
+(* a daemon that fails to start frees everything it opened: listening
+   sockets and the socket file, the self-pipe and the worker domains.
+   After one warm-up failure, three more failures of each kind leave the
+   process with the descriptors and threads it had, and the error names
+   the address it could not bind *)
+let daemon_failed_start_frees_everything () =
+  if not (Sys.file_exists "/proc/self/fd") then begin
+    print_endline "skipped: no /proc/self/fd to count descriptors in";
+    Alcotest.skip ()
+  end;
+  let dispatch = { Dispatch.default_config with Dispatch.workers = 2 } in
+  let missing =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "hyqsat-missing-%d" (Unix.getpid ())))
+      "x.sock"
+  in
+  let socket = temp_socket () in
+  let dir = temp_socket () in
+  Unix.mkdir dir 0o700;
+  let held = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let obs = Obs.Ctx.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close held with Unix.Unix_error _ -> ());
+      Unix.rmdir dir;
+      Obs.Ctx.close obs)
+    (fun () ->
+      Unix.bind held (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen held 1;
+      let held_port =
+        match Unix.getsockname held with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+      in
+      let cases =
+        [
+          ( "socket in a missing directory",
+            { Daemon.default_config with Daemon.unix_socket = Some missing; dispatch },
+            ignore,
+            function Unix.Unix_error (Unix.ENOENT, "bind", arg) -> arg = missing | _ -> false );
+          ( "TCP port already held",
+            {
+              Daemon.default_config with
+              Daemon.unix_socket = Some socket;
+              tcp_port = Some held_port;
+              dispatch;
+            },
+            ignore,
+            function
+            | Unix.Unix_error (Unix.EADDRINUSE, "bind", arg) ->
+                arg = Printf.sprintf "127.0.0.1:%d" held_port
+            | _ -> false );
+          ( "socket path is a directory",
+            { Daemon.default_config with Daemon.unix_socket = Some dir; dispatch },
+            ignore,
+            function Unix.Unix_error (_, "unlink", arg) -> arg = dir | _ -> false );
+          ( "on_ready raises",
+            { Daemon.default_config with Daemon.unix_socket = Some socket; dispatch },
+            (fun _ -> raise Exit),
+            ( = ) Exit );
+        ]
+      in
+      let fail_once (name, config, on_ready, expected) =
+        (match Daemon.run ~obs ~on_ready config with
+        | _ -> Alcotest.failf "%s: the daemon started" name
+        | exception e ->
+            if not (expected e) then
+              Alcotest.failf "%s: unexpected exception %s" name (Printexc.to_string e));
+        Alcotest.(check bool) (name ^ ": no socket file left") false (Sys.file_exists socket)
+      in
+      (* read once the counts have held still for 100 ms (at most 2 s): a
+         joined domain's OS thread may take a moment to exit *)
+      let settled () =
+        let read () = (open_fds (), os_threads ()) in
+        let rec go last same n =
+          if same = 5 || n = 0 then last
+          else begin
+            Unix.sleepf 0.02;
+            let now = read () in
+            if now = last then go last (same + 1) (n - 1) else go now 0 (n - 1)
+          end
+        in
+        go (read ()) 0 100
+      in
+      fail_once (List.hd cases);
+      let warm = settled () in
+      List.iter
+        (fun case ->
+          for _ = 1 to 3 do
+            fail_once case
+          done)
+        cases;
+      Alcotest.(check (pair int int)) "open fds and threads as after the warm-up" warm (settled ()))
 
 (* the blank line that ends a request is found however reads split it,
    and a request that fills the cap without one is answered 431 *)
@@ -1205,5 +1365,7 @@ let suite =
         Alcotest.test_case "connection cap" `Quick daemon_connection_cap;
         Alcotest.test_case "output backpressure on a non-reading client" `Quick
           daemon_output_backpressure;
+        Alcotest.test_case "failed start frees everything" `Quick
+          daemon_failed_start_frees_everything;
       ] );
   ]
