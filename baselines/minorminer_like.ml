@@ -110,27 +110,4 @@ let embed ?(seed = 7) ?(max_rounds = 16) ?(timeout_s = 300.) g ~nodes ~edges =
   done;
   if !timed_out || overlaps () || not (all_embedded ()) then
     { embedding = None; rounds_used = !rounds }
-  else begin
-    let emb = Embed.Embedding.create g in
-    Hashtbl.iter (fun node c -> Embed.Embedding.set_chain emb node c) chains;
-    (* register a physical coupler per problem edge *)
-    let ok = ref true in
-    List.iter
-      (fun (i, j) ->
-        let ci = Option.value ~default:[] (Hashtbl.find_opt chains i) in
-        let cj = Option.value ~default:[] (Hashtbl.find_opt chains j) in
-        let found = ref false in
-        List.iter
-          (fun qi ->
-            List.iter
-              (fun qj ->
-                if (not !found) && Chimera.Graph.adjacent g qi qj then begin
-                  found := true;
-                  Embed.Embedding.set_edge_coupler emb i j (qi, qj)
-                end)
-              cj)
-          ci;
-        if not !found then ok := false)
-      edges;
-    { embedding = (if !ok then Some emb else None); rounds_used = !rounds }
-  end
+  else { embedding = Route.placement g chains ~edges; rounds_used = !rounds }

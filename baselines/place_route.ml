@@ -75,12 +75,7 @@ let embed ?(timeout_s = 300.) g ~nodes ~edges =
         if (not !failed) && Unix.gettimeofday () -. t0 <= timeout_s then begin
           let ci = Hashtbl.find chains i in
           let cj = Hashtbl.find chains j in
-          let already =
-            List.exists
-              (fun qi -> List.exists (fun qj -> Chimera.Graph.adjacent g qi qj) cj)
-              ci
-          in
-          if not already then
+          if Route.first_coupler g ci cj = None then
             match
               Route.bfs_path g
                 ~passable:(fun q -> not used.(q))
@@ -98,25 +93,5 @@ let embed ?(timeout_s = 300.) g ~nodes ~edges =
         end
         else if Unix.gettimeofday () -. t0 > timeout_s then failed := true)
       edges;
-    if !failed then None
-    else begin
-      let emb = Embed.Embedding.create g in
-      Hashtbl.iter (fun node c -> Embed.Embedding.set_chain emb node c) chains;
-      List.iter
-        (fun (i, j) ->
-          let ci = Hashtbl.find chains i and cj = Hashtbl.find chains j in
-          let found = ref false in
-          List.iter
-            (fun qi ->
-              List.iter
-                (fun qj ->
-                  if (not !found) && Chimera.Graph.adjacent g qi qj then begin
-                    found := true;
-                    Embed.Embedding.set_edge_coupler emb i j (qi, qj)
-                  end)
-                cj)
-            ci)
-        edges;
-      Some emb
-    end
+    if !failed then None else Route.placement g chains ~edges
   end

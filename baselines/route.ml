@@ -112,3 +112,22 @@ let bfs_path g ~passable ~sources ~targets =
       let rec collect q acc = if parent.(q) = -1 then q :: acc else collect parent.(q) (q :: acc) in
       collect target [])
     !found
+
+let first_coupler g ci cj =
+  List.find_map
+    (fun qi -> Option.map (fun qj -> (qi, qj)) (List.find_opt (Chimera.Graph.adjacent g qi) cj))
+    ci
+
+let placement g chains ~edges =
+  let chain v = Option.value ~default:[] (Hashtbl.find_opt chains v) in
+  let couplers =
+    List.filter_map
+      (fun (i, j) -> Option.map (fun c -> ((i, j), c)) (first_coupler g (chain i) (chain j)))
+      edges
+  in
+  if List.compare_lengths couplers edges < 0 then None
+  else
+    Some
+      (Embed.Embedding.make g
+         ~chains:(Hashtbl.fold (fun node c acc -> (node, c) :: acc) chains [])
+         ~couplers)

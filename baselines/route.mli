@@ -1,5 +1,6 @@
-(** Shortest-path routing over the Chimera qubit graph, shared by the
-    Minorminer-like and place-and-route baseline embedders. *)
+(** Shortest-path routing over the Chimera qubit graph and the coupler
+    search between two chains, shared by the Minorminer-like and
+    place-and-route baseline embedders. *)
 
 val dijkstra :
   Chimera.Graph.t -> cost:(int -> float) -> sources:int list -> float array * int array
@@ -17,3 +18,14 @@ val bfs_path :
 (** Unweighted BFS from [sources] through [passable] qubits to the first
     qubit satisfying [targets]; the returned path starts at a source and ends
     at the target.  Targets need not be passable. *)
+
+val first_coupler : Chimera.Graph.t -> int list -> int list -> (int * int) option
+(** [first_coupler g ci cj] is the first hardware coupler [(qi, qj)] with
+    [qi] in [ci] and [qj] in [cj], scanning [ci] then [cj] in list order. *)
+
+val placement :
+  Chimera.Graph.t -> (int, int list) Hashtbl.t -> edges:(int * int) list ->
+  Embed.Embedding.t option
+(** [placement g chains ~edges] is the placement of the node → chain
+    table [chains] with each problem edge on its {!first_coupler}, or
+    [None] when some edge's chains have no coupler between them. *)

@@ -15,44 +15,11 @@ exception Unembedded_term of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Unembedded_term s)) fmt
 
-let chain_of job node =
-  match Embed.Embedding.chain job.embedding node with
-  | Some c -> c
-  | None -> fail "node %d has no chain" node
-
-(* physical coupler realising a logical edge: the registered one, else any
-   adjacent qubit pair between the chains *)
-let coupler_of job u v =
-  match Embed.Embedding.edge_coupler job.embedding u v with
-  | Some (qu, qv) -> if u < v then (qu, qv) else (qv, qu)
-  | None ->
-      let cu = chain_of job u and cv = chain_of job v in
-      let g = job.embedding.Embed.Embedding.graph in
-      let found = ref None in
-      List.iter
-        (fun qu ->
-          List.iter
-            (fun qv ->
-              if !found = None && Chimera.Graph.adjacent g qu qv then found := Some (qu, qv))
-            cv)
-        cu;
-      (match !found with Some c -> c | None -> fail "edge (%d,%d) has no coupler" u v)
-
-(* [slots.(v)] is node [v]'s index in the sorted node array, or -1: one
-   dense table per call, sized by the largest node *)
-let slot_table nodes =
-  let n = Array.length nodes in
-  let slots = Array.make (if n = 0 then 0 else nodes.(n - 1) + 1) (-1) in
-  Array.iteri (fun k v -> slots.(v) <- k) nodes;
-  slots
-
-let slot_of slots v = if v >= 0 && v < Array.length slots then slots.(v) else -1
-
 (* steepest-descent repair on the logical objective: models the machine-side
    post-processing D-Wave applies to raw samples (paper's related work [6]);
    chain breaks and anneal residue mostly vanish here while genuinely
    frustrated (unsatisfiable) problems keep a positive energy floor.
-   [value] holds one bool per embedding node (indexed by [slots]), and
+   [value] holds one bool per placement node (indexed by [slots]), and
    [vars] are the objective's variables, all of them nodes *)
 let greedy_descent objective ~slots ~vars value =
   let vars = Array.of_list vars in
@@ -99,16 +66,15 @@ let post_sweeps num_spins = max 8 (num_spins / 2)
 let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(domains = 1)
     ~sample rng job =
   if reads < 1 then invalid_arg "Machine.run_via: reads";
-  let g = job.embedding.Embed.Embedding.graph in
-  (* embedding nodes, ascending, with their chains: every per-node table
-     below is an array indexed by a node's position here *)
-  let nodes = Array.of_list (Embed.Embedding.nodes job.embedding) in
-  let slots = slot_table nodes in
+  let emb = job.embedding in
+  (* the placement's wiring: ascending nodes with their chains, node slots,
+     the physical index and the chain couplers; every per-node table below
+     is an array indexed by a node's slot *)
+  let { Embed.Embedding.nodes; chains; slots; phys; num_phys = n_phys; chain_couplers; _ } = emb in
   let vars = Qubo.Pbq.vars job.objective in
   List.iter
-    (fun v -> if slot_of slots v < 0 then fail "objective var %d not in embedding" v)
+    (fun v -> if Embed.Embedding.slot emb v < 0 then fail "objective var %d not in embedding" v)
     vars;
-  let chains = Array.map (chain_of job) nodes in
   (* normalise to hardware range and move to spin space: one logical spin
      per variable of the normalised objective, in ascending order, all of
      them nodes *)
@@ -120,59 +86,32 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(dom
   let logical_h, logical_j, logical_offset =
     Sparse_ising.of_qubo normalized ~n:num_spins ~spin:(fun v -> spin_of_slot.(slots.(v)))
   in
-  (* dense physical index over the qubits of all chains, in first-touch
-     order *)
-  let phys_of_qubit = Array.make (Chimera.Graph.num_qubits g) (-1) in
-  let n_phys = ref 0 in
-  Array.iter
-    (List.iter (fun q ->
-         if phys_of_qubit.(q) < 0 then begin
-           phys_of_qubit.(q) <- !n_phys;
-           incr n_phys
-         end))
-    chains;
-  let n_phys = !n_phys in
-  let phys q =
-    let p = phys_of_qubit.(q) in
-    if p < 0 then fail "qubit %d is in no chain" q else p
-  in
   let h = Array.make n_phys 0. in
   (* distribute each logical field over its chain *)
   Array.iteri
     (fun k chain ->
       let i = spin_of_slot.(k) in
       let field = if i < 0 then 0. else logical_h.(i) in
-      let share = field /. float_of_int (List.length chain) in
-      List.iter (fun q -> h.(phys_of_qubit.(q)) <- share) chain)
+      let share = field /. float_of_int (Array.length chain) in
+      Array.iter (fun q -> h.(phys.(q)) <- share) chain)
     chains;
-  (* logical couplings onto their physical couplers, then ferromagnetic
-     chain couplers on every internal hardware edge.  The list order is
+  (* logical couplings onto their registered couplers, then ferromagnetic
+     couplers on every internal chain edge.  The list order is
      [Sparse_ising.build]'s insertion order, which fixes its CSR order and
      with it every float sum the kernel makes: keep it *)
   let couplings = ref [] in
   List.iter
     (fun ((iu, iv), c) ->
-      let qu, qv = coupler_of job var_of_spin.(iu) var_of_spin.(iv) in
-      couplings := ((phys qu, phys qv), c) :: !couplings)
+      let u = var_of_spin.(iu) and v = var_of_spin.(iv) in
+      match Embed.Embedding.edge_coupler emb u v with
+      | Some (qu, qv) -> couplings := ((phys.(qu), phys.(qv)), c) :: !couplings
+      | None -> fail "edge (%d,%d) has no coupler" u v)
     logical_j;
-  Array.iter
-    (fun chain ->
-      let rec pairs = function
-        | [] -> ()
-        | q :: rest ->
-            List.iter
-              (fun q' ->
-                if Chimera.Graph.adjacent g q q' then
-                  couplings :=
-                    ((phys_of_qubit.(q), phys_of_qubit.(q')), -.chain_strength) :: !couplings)
-              rest;
-            pairs rest
-      in
-      pairs chain)
-    chains;
-  let ising =
-    Sparse_ising.build ~n:n_phys ~h ~couplings:!couplings ~offset:logical_offset
-  in
+  for c = 0 to (Array.length chain_couplers / 2) - 1 do
+    let pair = (chain_couplers.(2 * c), chain_couplers.((2 * c) + 1)) in
+    couplings := (pair, -.chain_strength) :: !couplings
+  done;
+  let ising = Sparse_ising.build ~n:n_phys ~h ~couplings:!couplings ~offset:logical_offset in
   (* chain-coherent initial spins, mirroring how physical chains freeze out
      as single logical degrees of freedom; drawn before the device call so
      a failed call consumes exactly one draw block either way *)
@@ -180,7 +119,7 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(dom
   Array.iter
     (fun chain ->
       let s = if Stats.Rng.bool rng then 1 else -1 in
-      List.iter (fun q -> init.(phys_of_qubit.(q)) <- s) chain)
+      Array.iter (fun q -> init.(phys.(q)) <- s) chain)
     chains;
   let request = { Backend.ising; noise; reads; init = Some init; domains } in
   match (sample rng request : (Backend.response, Backend.failure) result) with
@@ -193,11 +132,9 @@ let run_via ?(obs = Obs.Ctx.null) ?(noise = Noise.noise_free) ?(reads = 1) ?(dom
       Array.iteri
         (fun k chain ->
           let up =
-            List.fold_left
-              (fun acc q -> if spins.(phys_of_qubit.(q)) = 1 then acc + 1 else acc)
-              0 chain
+            Array.fold_left (fun acc q -> if spins.(phys.(q)) = 1 then acc + 1 else acc) 0 chain
           in
-          let len = List.length chain in
+          let len = Array.length chain in
           if up > 0 && up < len then incr chain_breaks;
           value.(k) <-
             (if 2 * up > len then true else if 2 * up < len then false else Stats.Rng.bool rng))

@@ -30,8 +30,9 @@ type outcome = {
 }
 
 exception Unembedded_term of string
-(** An objective term touches a node without a chain or an edge without a
-    realisable coupler. *)
+(** An objective variable is no node of the placement, or an objective edge
+    has no registered coupler.  The machine searches no hardware graph: it
+    programs the wiring {!Embed.Embedding.make} derived. *)
 
 val run_via :
   ?obs:Obs.Ctx.t ->
@@ -44,12 +45,14 @@ val run_via :
   (outcome, Backend.failure) result
 (** One annealing cycle through an arbitrary device call — pass
     [Supervisor.sample sup] for a supervised backend, or
-    [Backend.sample b] for a bare one.  The machine builds the physical
-    Ising, draws chain-coherent initial spins (before the device call, so
-    a failing call always consumes the same caller-RNG prefix as a
-    succeeding one), issues exactly one [sample], and on [Ok] unembeds by
-    majority vote.  [Error f] is returned untouched for the caller to
-    degrade on; callers of the infallible simulator skip it.
+    [Backend.sample b] for a bare one.  The machine fills the placement's
+    wiring (chains, physical index, registered and chain couplers) with
+    the normalised objective's coefficients, draws chain-coherent initial
+    spins (before the device call, so a failing call always consumes the
+    same caller-RNG prefix as a succeeding one), issues exactly one
+    [sample], and on [Ok] unembeds by majority vote.  [Error f] is
+    returned untouched for the caller to degrade on; callers of the
+    infallible simulator skip it.
 
     [reads] (default 1) requests the multi-sample device mode (best of
     [reads] anneals, fanned over [domains] on the process-wide

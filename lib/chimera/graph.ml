@@ -28,10 +28,10 @@ let coords_of_id t id =
     index = rest mod 4;
   }
 
-(* on qubit ids directly, without building coordinate records: the
-   machine layer asks this for every qubit pair of every chain on each
-   annealer call.  [id mod 8] is orientation·4 + index, so two qubits of
-   the same orientation share an index iff it is equal *)
+(* on qubit ids, without coordinate records; placements list their chain
+   couplers, so no annealer call asks this per chain pair any more.
+   [id mod 8] is orientation·4 + index, so two qubits of the same
+   orientation share an index iff it is equal *)
 let adjacent t a b =
   if a = b then false
   else
@@ -88,7 +88,19 @@ let crossing t ~vline ~hline =
   ( id_of_coords t { row; col; orientation = Vertical; index = vk },
     id_of_coords t { row; col; orientation = Horizontal; index = hk } )
 
+(* a vertical qubit's larger neighbours are its cell's horizontal qubits,
+   then the one below; a horizontal qubit's is the one to its right *)
+let iter_upper_neighbors t id f =
+  let cell = id / 8 in
+  if id mod 8 < 4 then begin
+    for k = 4 to 7 do
+      f ((cell * 8) + k)
+    done;
+    if cell / t.cols < t.rows - 1 then f (id + (8 * t.cols))
+  end
+  else if cell mod t.cols < t.cols - 1 then f (id + 8)
+
 let iter_couplers t f =
   for id = 0 to num_qubits t - 1 do
-    List.iter (fun nb -> if nb > id then f id nb) (neighbors t id)
+    iter_upper_neighbors t id (f id)
   done

@@ -36,6 +36,9 @@ val adjacent : t -> int -> int -> bool
 
 val neighbors : t -> int -> int list
 
+val iter_upper_neighbors : t -> int -> (int -> unit) -> unit
+(** [f] on each neighbour with a larger id, ascending, allocating nothing. *)
+
 (** {2 Line abstraction (used by the HyQSAT embedder)} *)
 
 val num_vertical_lines : t -> int

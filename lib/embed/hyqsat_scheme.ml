@@ -21,7 +21,7 @@ type state = {
   hline_used : bool array array; (* hline -> column -> used *)
   rows_needed : (int, int list) Hashtbl.t;
   segments : (int, (int * int * int) list) Hashtbl.t; (* node -> (hline, c1, c2) *)
-  edges_done : (int * int, (int * int) option) Hashtbl.t; (* edge -> physical coupler *)
+  edges_done : (int * int, int * int) Hashtbl.t; (* edge -> physical coupler *)
   mutable journal : undo list;
 }
 
@@ -102,7 +102,7 @@ let register_targets st req hl =
       let coupler = if req.key < y then (hq, vq) else (vq, hq) in
       let key = norm_edge req.key y in
       st.journal <- U_edge (fst key, snd key) :: st.journal;
-      Hashtbl.replace st.edges_done key (Some coupler))
+      Hashtbl.replace st.edges_done key coupler)
     req.targets
 
 (* try to place one requirement: first by extending one of the key's
@@ -183,53 +183,41 @@ let allocate_vlines st clause =
     true
   end
 
+(* the qubits of a horizontal line between columns [c1] and [c2] *)
+let segment_qubits g (hl, c1, c2) =
+  List.filteri (fun c _ -> c >= c1 && c <= c2) (Chimera.Graph.horizontal_line_qubits g hl)
+
 let build_embedding st =
-  let emb = Embedding.create st.graph in
+  let segments node = Option.value ~default:[] (Hashtbl.find_opt st.segments node) in
   (* variables: contiguous vertical run covering every needed row, plus own
      horizontal segments *)
-  Hashtbl.iter
-    (fun node vl ->
-      let rows = Option.value ~default:[] (Hashtbl.find_opt st.rows_needed node) in
-      let rmin, rmax =
-        match rows with
-        | [] -> (0, 0)
-        | r :: rest -> (List.fold_left min r rest, List.fold_left max r rest)
-      in
-      let vqubits =
-        List.filteri
-          (fun r _ -> r >= rmin && r <= rmax)
-          (Chimera.Graph.vertical_line_qubits st.graph vl)
-      in
-      let hqubits =
-        List.concat_map
-          (fun (hl, c1, c2) ->
-            List.filteri
-              (fun c _ -> c >= c1 && c <= c2)
-              (Chimera.Graph.horizontal_line_qubits st.graph hl))
-          (Option.value ~default:[] (Hashtbl.find_opt st.segments node))
-      in
-      Embedding.set_chain emb node (vqubits @ hqubits))
-    st.vline_of_node;
+  let variables =
+    Hashtbl.fold
+      (fun node vl acc ->
+        let rows = Option.value ~default:[] (Hashtbl.find_opt st.rows_needed node) in
+        let rmin, rmax =
+          match rows with
+          | [] -> (0, 0)
+          | r :: rest -> (List.fold_left min r rest, List.fold_left max r rest)
+        in
+        let vqubits =
+          List.filteri
+            (fun r _ -> r >= rmin && r <= rmax)
+            (Chimera.Graph.vertical_line_qubits st.graph vl)
+        in
+        (node, vqubits @ List.concat_map (segment_qubits st.graph) (segments node)) :: acc)
+      st.vline_of_node []
+  in
   (* auxiliaries: horizontal segments only *)
-  Hashtbl.iter
-    (fun node segs ->
-      if not (Hashtbl.mem st.vline_of_node node) then
-        Embedding.set_chain emb node
-          (List.concat_map
-             (fun (hl, c1, c2) ->
-               List.filteri
-                 (fun c _ -> c >= c1 && c <= c2)
-                 (Chimera.Graph.horizontal_line_qubits st.graph hl))
-             segs))
-    st.segments;
-  (* registered physical couplers *)
-  Hashtbl.iter
-    (fun (i, j) coupler ->
-      match coupler with
-      | Some (qi, qj) -> Embedding.set_edge_coupler emb i j (qi, qj)
-      | None -> ())
-    st.edges_done;
-  emb
+  let chains =
+    Hashtbl.fold
+      (fun node segs acc ->
+        if Hashtbl.mem st.vline_of_node node then acc
+        else (node, List.concat_map (segment_qubits st.graph) segs) :: acc)
+      st.segments variables
+  in
+  let couplers = Hashtbl.fold (fun e c acc -> (e, c) :: acc) st.edges_done [] in
+  Embedding.make st.graph ~chains ~couplers
 
 let embed graph clauses ~aux_of_clause =
   if Array.length aux_of_clause <> Array.length clauses then

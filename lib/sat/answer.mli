@@ -22,8 +22,5 @@ val label : t -> string
     ["unknown:cancelled"], ["unknown:cert-failed"] — the strings used in
     telemetry JSON; byte-stable. *)
 
-val reason_label : reason -> string
-(** The part after ["unknown:"] in {!label}. *)
-
 val is_decisive : t -> bool
 (** [true] for [Sat _] and [Unsat]. *)

@@ -10,9 +10,6 @@ type t = private Lit.t array
 val make : Lit.t list -> t
 (** [make lits] builds a clause, deduplicating and sorting [lits]. *)
 
-val of_array : Lit.t array -> t
-(** Like {!make}, from an array (the array is copied). *)
-
 val of_dimacs : int list -> t
 (** [of_dimacs ints] builds a clause from signed DIMACS literals. *)
 

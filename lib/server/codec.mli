@@ -18,9 +18,6 @@
 val magic : string
 (** ["HQF1"] — protocol family and framing version. *)
 
-val header_bytes : int
-(** 8: magic plus 32-bit big-endian payload length. *)
-
 val default_max_frame : int
 (** 4 MiB. *)
 

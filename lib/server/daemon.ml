@@ -62,8 +62,19 @@ let listen domain addr ~label =
     close_quietly fd;
     raise (Unix.Unix_error (e, fn, label))
 
+(* a socket some process still accepts on is refused as [EADDRINUSE]; only
+   a stale one, whose connect is refused, is unlinked first *)
 let listen_unix path =
-  if Sys.file_exists path then Unix.unlink path;
+  (if Sys.file_exists path then
+     let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     match Fun.protect ~finally:(fun () -> close_quietly probe) (fun () ->
+               Unix.set_nonblock probe;
+               Unix.connect probe (Unix.ADDR_UNIX path))
+     with
+     | () | (exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)) ->
+         raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
+     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> Unix.unlink path
+     | exception Unix.Unix_error _ -> ());
   listen Unix.PF_UNIX (Unix.ADDR_UNIX path) ~label:path
 
 let listen_tcp port =
@@ -126,17 +137,23 @@ let run ?(obs = Obs.Ctx.null) ?(stop = Atomic.make false) ?(on_ready = fun _ -> 
 
   let listeners = ref [] in
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
+  (* the socket file this run bound, the only one its teardown removes *)
+  let bound_path = ref None in
   Fun.protect ~finally:(fun () ->
       Hashtbl.iter (fun _ c -> close_quietly c.fd) conns;
       List.iter (fun (_, fd) -> close_quietly fd) !listeners;
-      Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) config.unix_socket)
+      Option.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !bound_path)
   @@ fun () ->
   (* owned by the teardown above as soon as it is bound; its TCP port *)
   let listen_on kind fd =
     listeners := !listeners @ [ (kind, fd) ];
     bound_port fd
   in
-  Option.iter (fun p -> ignore (listen_on `Proto (listen_unix p))) config.unix_socket;
+  Option.iter
+    (fun p ->
+      ignore (listen_on `Proto (listen_unix p));
+      bound_path := Some p)
+    config.unix_socket;
   let tcp_bound = Option.map (fun p -> listen_on `Proto (listen_tcp p)) config.tcp_port in
   let metrics_bound = Option.map (fun p -> listen_on `Http (listen_tcp p)) config.metrics_port in
   on_ready

@@ -24,7 +24,9 @@
     everything it opened, in reverse order (DESIGN.md §5h). *)
 
 type config = {
-  unix_socket : string option;  (** path; replaced if it already exists *)
+  unix_socket : string option;
+      (** path; a stale socket there is replaced, one that still accepts
+          connections is refused with [EADDRINUSE] *)
   tcp_port : int option;  (** loopback only; [Some 0] = ephemeral *)
   metrics_port : int option;  (** loopback HTTP [/metrics]; [Some 0] = ephemeral *)
   dispatch : Dispatch.config;
@@ -51,9 +53,10 @@ val run :
     once every listener is bound — tests use it to learn ephemeral
     ports and to order client connects after the bind.
 
-    A listener that cannot be set up (its existing path cannot be
-    removed, or [bind]/[listen] fails) raises [Unix.Unix_error (e, fn,
-    addr)] whose [addr] is the socket path or ["127.0.0.1:PORT"]; that
-    error, or one [on_ready] raises, is re-raised after everything [run]
-    opened has been freed.
+    A listener that cannot be set up (a live daemon answers on its
+    socket path, its stale path cannot be removed, or [bind]/[listen]
+    fails) raises [Unix.Unix_error (e, fn, addr)] whose [addr] is the
+    socket path or ["127.0.0.1:PORT"]; that error, or one [on_ready]
+    raises, is re-raised after everything [run] opened has been freed.
+    The socket file is removed on exit only if this run bound it.
     @raise Invalid_argument if no listener is configured. *)

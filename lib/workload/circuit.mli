@@ -22,9 +22,6 @@ val assert_false : t -> wire -> unit
 val assert_any : t -> wire list -> unit
 (** At least one of the wires is true (a raw CNF clause). *)
 
-val full_adder : t -> wire -> wire -> wire -> wire * wire
-(** [(sum, carry)] of three input bits. *)
-
 val ripple_adder : t -> wire list -> wire list -> wire list
 (** LSB-first addition; the result has one extra carry-out bit. *)
 

@@ -249,16 +249,24 @@ let machine_noise_keeps_schedule () =
     clean;
   Alcotest.(check int) "noisy equals clean" clean (sweeps Noise.default_2000q)
 
+(* a variable outside the placement, and an edge whose chains touch (qubits
+   0 and 4 share a cell's coupler) but that registers no coupler *)
 let machine_rejects_unembedded () =
   let g = Chimera.Graph.create ~rows:2 ~cols:2 in
+  let raises what ~chains objective =
+    let embedding = Embed.Embedding.make g ~chains ~couplers:[] in
+    Alcotest.(check bool) what true
+      (try
+         ignore (run_via (Testutil.rng 1) { Machine.embedding; objective });
+         false
+       with Machine.Unembedded_term _ -> true)
+  in
   let obj = Qubo.Pbq.create () in
   Qubo.Pbq.add_linear obj 0 1.0;
-  let job = { Machine.embedding = Embed.Embedding.create g; objective = obj } in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (run_via (Testutil.rng 1) job);
-       false
-     with Machine.Unembedded_term _ -> true)
+  raises "variable outside the placement" ~chains:[] obj;
+  let edge = Qubo.Pbq.create () in
+  Qubo.Pbq.add_quad edge 0 1 1.0;
+  raises "edge without a registered coupler" ~chains:[ (0, [ 0 ]); (1, [ 4 ]) ] edge
 
 (* the QUBO ↔ Ising transform: the spin form's energy equals the QUBO's at
    every assignment, x = (1 + s)/2 *)

@@ -33,6 +33,12 @@ let adjacency_symmetric_and_matches_neighbors () =
     for b = 0 to n - 1 do
       if G.adjacent g a b && not (List.mem b nbs) then Alcotest.failf "%d-%d not a neighbour" a b
     done;
+    let upper = ref [] in
+    G.iter_upper_neighbors g a (fun b -> upper := b :: !upper);
+    Alcotest.(check (list int))
+      "larger neighbours, ascending"
+      (List.sort Int.compare (List.filter (fun b -> b > a) nbs))
+      (List.rev !upper);
     (* no self loops *)
     Alcotest.(check bool) "no self loop" false (G.adjacent g a a)
   done

@@ -138,44 +138,79 @@ let baselines_honour_timeout () =
 
 let validate_rejects_broken () =
   let g = G.create ~rows:2 ~cols:2 in
-  let emb = Embedding.create g in
+  let rejected what ~chains ~couplers ~edges =
+    match Embedding.validate (Embedding.make g ~chains ~couplers) ~edges with
+    | Error _ -> ()
+    | Ok () -> Alcotest.fail (what ^ " accepted")
+  in
   (* disconnected chain: two qubits in different cells, not coupled *)
-  Embedding.set_chain emb 0 [ 0; 15 ];
-  (match Embedding.validate emb ~edges:[] with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "disconnected chain accepted");
-  (* overlapping chains *)
-  let emb2 = Embedding.create g in
-  Embedding.set_chain emb2 0 [ 0 ];
-  Embedding.set_chain emb2 1 [ 0 ];
-  (match Embedding.validate emb2 ~edges:[] with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "overlap accepted");
-  (* missing edge realisation *)
-  let emb3 = Embedding.create g in
-  Embedding.set_chain emb3 0 [ 0 ];
-  Embedding.set_chain emb3 1 [ 1 ];
+  rejected "disconnected chain" ~chains:[ (0, [ 0; 15 ]) ] ~couplers:[] ~edges:[];
+  rejected "overlap" ~chains:[ (0, [ 0 ]); (1, [ 0 ]) ] ~couplers:[] ~edges:[];
   (* qubits 0 and 1 are two vertical qubits of one cell: not adjacent *)
-  match Embedding.validate emb3 ~edges:[ (0, 1) ] with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "unrealised edge accepted"
+  rejected "unrealised edge" ~chains:[ (0, [ 0 ]); (1, [ 1 ]) ] ~couplers:[] ~edges:[ (0, 1) ];
+  (* qubits 0 and 4 share a cell's K4,4 coupler, but the edge registers
+     none: the device is programmed from registered couplers only *)
+  rejected "unregistered edge" ~chains:[ (0, [ 0 ]); (1, [ 4 ]) ] ~couplers:[] ~edges:[ (0, 1) ];
+  (* a coupler must start and end in its edge's chains *)
+  Alcotest.check_raises "coupler outside its chains"
+    (Invalid_argument "Embedding.make: coupler outside its chains") (fun () ->
+      ignore (Embedding.make g ~chains:[ (0, [ 0 ]); (1, [ 5 ]) ] ~couplers:[ ((0, 1), (0, 4)) ]))
+
+(* a random clause queue (the locality generator above) and its placement
+   on an 8×8 graph, with the problem edges of the embedded prefix *)
+let queue_arb =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 5 30 >>= fun m ->
+      int_bound 10000 >>= fun seed -> return (m, seed))
+
+let place_queue (m, seed) =
+  let r = Testutil.rng seed in
+  let n = max 6 (m / 2) in
+  let enc = encode_queue ~n (locality_queue r ~n ~m) in
+  let res = Testutil.embed_encoded (G.create ~rows:8 ~cols:8) enc in
+  let _, edges = problem_graph_of_prefix enc res.Hyq.embedded_clauses in
+  (res.Hyq.embedding, edges)
 
 let embedding_respects_queue_random =
-  QCheck.Test.make ~name:"hyqsat embedding always a valid minor" ~count:25
-    (QCheck.make
-       QCheck.Gen.(
-         int_range 5 30 >>= fun m ->
-         int_bound 10000 >>= fun seed ->
-         return (m, seed)))
-    (fun (m, seed) ->
-      let r = Testutil.rng seed in
-      let n = max 6 (m / 2) in
-      let clauses = locality_queue r ~n ~m in
-      let enc = encode_queue ~n clauses in
-      let g = G.create ~rows:8 ~cols:8 in
-      let res = Testutil.embed_encoded g enc in
-      let _, edges = problem_graph_of_prefix enc res.Hyq.embedded_clauses in
-      match Embedding.validate res.Hyq.embedding ~edges with Ok () -> true | Error _ -> false)
+  QCheck.Test.make ~name:"hyqsat embedding always a valid minor" ~count:25 queue_arb (fun q ->
+      let emb, edges = place_queue q in
+      match Embedding.validate emb ~edges with Ok () -> true | Error _ -> false)
+
+(* the oracle for [make]'s wiring: a first-touch physical index over the
+   chains, and every adjacent qubit pair of each chain found by asking
+   [adjacent] of all pairs, chain by chain in ascending pair order *)
+let pairwise_wiring emb =
+  let phys = Hashtbl.create 64 in
+  Array.iter
+    (Array.iter (fun q ->
+         if not (Hashtbl.mem phys q) then Hashtbl.replace phys q (Hashtbl.length phys)))
+    emb.Embedding.chains;
+  let rec pairs = function
+    | [] -> []
+    | q :: rest ->
+        List.filter_map
+          (fun q' ->
+            if G.adjacent emb.Embedding.graph q q' then
+              Some [ Hashtbl.find phys q; Hashtbl.find phys q' ]
+            else None)
+          rest
+        @ pairs rest
+  in
+  let chains = Array.to_list emb.Embedding.chains in
+  (phys, List.concat (List.concat_map (fun c -> pairs (Array.to_list c)) chains))
+
+let wiring_matches_pairwise_scan =
+  QCheck.Test.make ~name:"placement wiring equals the pairwise scan, every edge registered"
+    ~count:25 queue_arb (fun q ->
+      let emb, edges = place_queue q in
+      let phys, chain_couplers = pairwise_wiring emb in
+      emb.Embedding.num_phys = Hashtbl.length phys
+      && Array.for_all
+           (Array.for_all (fun q -> emb.Embedding.phys.(q) = Hashtbl.find phys q))
+           emb.Embedding.chains
+      && Array.to_list emb.Embedding.chain_couplers = chain_couplers
+      && List.for_all (fun (i, j) -> Embedding.edge_coupler emb i j <> None) edges)
 
 let suite =
   [
@@ -186,6 +221,7 @@ let suite =
         Alcotest.test_case "small hardware caps clauses" `Quick hyqsat_small_hardware_caps_clauses;
         Alcotest.test_case "chain structure" `Quick hyqsat_chain_structure;
         QCheck_alcotest.to_alcotest embedding_respects_queue_random;
+        QCheck_alcotest.to_alcotest wiring_matches_pairwise_scan;
       ] );
     ( "embed.minorminer",
       [

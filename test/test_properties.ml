@@ -60,17 +60,14 @@ let embedding_qubits_disjoint =
       let res = Testutil.embed_encoded g enc in
       let emb = res.Embed.Hyqsat_scheme.embedding in
       let seen = Hashtbl.create 256 in
-      List.for_all
-        (fun node ->
-          List.for_all
-            (fun qubit ->
-              if Hashtbl.mem seen qubit then false
-              else begin
-                Hashtbl.replace seen qubit ();
-                true
-              end)
-            (Option.value ~default:[] (Embed.Embedding.chain emb node)))
-        (Embed.Embedding.nodes emb))
+      Array.for_all
+        (Array.for_all (fun qubit ->
+             if Hashtbl.mem seen qubit then false
+             else begin
+               Hashtbl.replace seen qubit ();
+               true
+             end))
+        emb.Embed.Embedding.chains)
 
 let warmup_scales_with_sqrt_k () =
   (* 4x the clauses (at fixed ratio) should le roughly double the warm-up *)

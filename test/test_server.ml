@@ -1220,6 +1220,48 @@ let daemon_output_backpressure () =
    [max_connections]): the 257th client is accepted and closed at once,
    and an admitted client is still served.  Every client is a plain socket
    in this thread *)
+(* a second daemon on a live daemon's socket path is refused with
+   EADDRINUSE and takes nothing over: the path stays, and the first daemon
+   still answers on it.  The second daemon is told to stop at once, so a
+   daemon that did take the path would return instead of serving *)
+let daemon_refuses_live_socket () =
+  let socket = temp_socket () in
+  let stop = Atomic.make false in
+  let ready = Atomic.make false in
+  let config = { Daemon.default_config with Daemon.unix_socket = Some socket } in
+  let th =
+    Thread.create
+      (fun () -> ignore (Daemon.run ~stop ~on_ready:(fun _ -> Atomic.set ready true) config))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join th)
+    (fun () ->
+      let rec await_ready n =
+        if not (Atomic.get ready) then begin
+          if n = 0 then Alcotest.fail "daemon never became ready";
+          Unix.sleepf 0.01;
+          await_ready (n - 1)
+        end
+      in
+      await_ready 500;
+      (match Daemon.run ~stop:(Atomic.make true) config with
+      | _ -> Alcotest.fail "a second daemon started on a live socket"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, "bind", path) ->
+          Alcotest.(check string) "the error names the path" socket path);
+      Alcotest.(check bool) "socket file still there" true (Sys.file_exists socket);
+      let t = Client.connect_unix socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close t)
+        (fun () ->
+          Client.handshake t;
+          Client.send t (Protocol.Ping 9);
+          match Client.recv ~timeout_s:5. t with
+          | Protocol.Pong 9 -> ()
+          | _ -> Alcotest.fail "the first daemon got no Ping through"))
+
 let daemon_connection_cap () =
   let cap = 256 in
   let socket = temp_socket () in
@@ -1367,5 +1409,7 @@ let suite =
           daemon_output_backpressure;
         Alcotest.test_case "failed start frees everything" `Quick
           daemon_failed_start_frees_everything;
+        Alcotest.test_case "second daemon refused on a live socket" `Quick
+          daemon_refuses_live_socket;
       ] );
   ]
