@@ -51,11 +51,3 @@ let partition ?(confidence = 0.9) m =
     unsat_cut := mid
   end;
   { sat_cut = !sat_cut; unsat_cut = !unsat_cut }
-
-type interval = Satisfiable | Near_satisfiable | Uncertain | Near_unsatisfiable
-
-let classify p e =
-  if e <= 1e-9 then Satisfiable
-  else if e <= p.sat_cut then Near_satisfiable
-  else if e <= p.unsat_cut then Uncertain
-  else Near_unsatisfiable

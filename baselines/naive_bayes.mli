@@ -1,9 +1,10 @@
 (** Two-class Gaussian Naive Bayes over a scalar feature.
 
-    The HyQSAT backend (paper §V-A, Fig 8) fits one Gaussian to the annealer
-    energy of satisfiable problems and one to unsatisfiable problems, then
-    partitions the energy axis into confidence intervals at a 90 % posterior
-    factor. *)
+    The HyQSAT backend's offline fit (paper §V-A, Fig 8): one Gaussian to
+    the annealer energy of satisfiable problems and one to unsatisfiable
+    problems, then the energy axis partitioned into confidence intervals at
+    a 90 % posterior factor.  At run time the backend sorts energies by two
+    constant cuts ({!Hyqsat.Backend.classify}). *)
 
 type t = {
   sat : Gaussian.t;      (** energy distribution of satisfiable problems *)
@@ -36,10 +37,3 @@ val partition : ?confidence:float -> t -> partition
     confidence [0.9]).  Energies in [(sat_cut, unsat_cut]] are "uncertain".
     If the classes are so well separated that the posterior never dips below
     the confidence on one side, the cut degenerates to the crossing point. *)
-
-type interval = Satisfiable | Near_satisfiable | Uncertain | Near_unsatisfiable
-
-val classify : partition -> float -> interval
-(** The paper's four intervals: energy 0 ⇒ [Satisfiable];
-    (0, sat_cut] ⇒ [Near_satisfiable]; (sat_cut, unsat_cut] ⇒ [Uncertain];
-    above ⇒ [Near_unsatisfiable]. *)

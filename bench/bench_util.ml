@@ -24,16 +24,12 @@ let wall f =
   let y = f () in
   (y, Unix.gettimeofday () -. t0)
 
-(* median of a non-empty list: the right estimator when comparing two
+(* median (NaN for an empty list): the right estimator when comparing two
    measured paths (e.g. wire vs direct) — the min of each path can come
    from different machine states and their difference go negative *)
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then Float.nan
-  else if n land 1 = 1 then a.(n / 2)
-  else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
+let median = function
+  | [] -> Float.nan
+  | xs -> Baselines.Descriptive.percentile (Array.of_list xs) 50.
 
 (* committed BENCH_*.json files live at the repo root (nearest ancestor
    with a dune-project), wherever the bench was launched from *)
@@ -84,10 +80,10 @@ let bechamel_ns ?(quota_s = 0.25) name f =
   | Some (est :: _) -> est
   | _ -> Float.nan
 
-let geomean xs = Stats.Descriptive.geomean (Array.of_list xs)
-let mean xs = Stats.Descriptive.mean (Array.of_list xs)
-let fmin xs = Stats.Descriptive.min (Array.of_list xs)
-let fmax xs = Stats.Descriptive.max (Array.of_list xs)
+let geomean xs = Baselines.Descriptive.geomean (Array.of_list xs)
+let mean xs = Baselines.Descriptive.mean (Array.of_list xs)
+let fmin xs = Baselines.Descriptive.min (Array.of_list xs)
+let fmax xs = Baselines.Descriptive.max (Array.of_list xs)
 
 let is_sat = function Cdcl.Solver.Sat _ -> true | _ -> false
 

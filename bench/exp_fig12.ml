@@ -34,10 +34,10 @@ let run (ctx : Bench_util.ctx) =
   let xs sel = Array.of_list (List.map sel !rows) in
   Bench_util.hr ();
   Printf.printf "correlation(conflict proportion, log reduction) = %+.2f\n"
-    (Stats.Descriptive.correlation
+    (Baselines.Descriptive.correlation
        (xs (fun (c, _, _) -> c))
        (xs (fun (_, _, r) -> log r)));
   Printf.printf "correlation(log classic time,   log reduction) = %+.2f\n"
-    (Stats.Descriptive.correlation
+    (Baselines.Descriptive.correlation
        (xs (fun (_, t, _) -> log (Float.max 1e-6 t)))
        (xs (fun (_, _, r) -> log r)))

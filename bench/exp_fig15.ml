@@ -40,7 +40,7 @@ let uncertain_share model samples =
     List.length
       (List.filter
          (fun e ->
-           let p = Stats.Naive_bayes.posterior_sat model e in
+           let p = Baselines.Naive_bayes.posterior_sat model e in
            p > 0.1 && p < 0.9)
          samples)
   in
@@ -71,16 +71,12 @@ let run (ctx : Bench_util.ctx) =
   let measure adjust salt =
     let rng = Bench_util.rng_of ctx (1510 + salt) in
     let graph = Chimera.Graph.standard_2000q () in
-    let calib = Hyqsat.Calibration.calibrate ~problems:cal_problems ~adjust rng graph in
-    let samples =
-      Array.to_list calib.Hyqsat.Calibration.sat_energies
-      @ Array.to_list calib.Hyqsat.Calibration.unsat_energies
+    let { Baselines.Calibration.model; sat_energies; unsat_energies; _ } =
+      Baselines.Calibration.calibrate ~problems:cal_problems ~adjust rng graph
     in
-    ( uncertain_share calib.Hyqsat.Calibration.model samples,
-      100.
-      *. Stats.Naive_bayes.accuracy calib.Hyqsat.Calibration.model
-           ~sat:calib.Hyqsat.Calibration.sat_energies
-           ~unsat:calib.Hyqsat.Calibration.unsat_energies )
+    let samples = Array.to_list sat_energies @ Array.to_list unsat_energies in
+    ( uncertain_share model samples,
+      100. *. Baselines.Naive_bayes.accuracy model ~sat:sat_energies ~unsat:unsat_energies )
   in
   let u0, a0 = measure false 0 in
   let u1, a1 = measure true 1 in

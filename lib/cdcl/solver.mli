@@ -118,8 +118,6 @@ val bump_var : t -> Sat.Lit.var -> float -> unit
 
 (** {2 Introspection} *)
 
-val decision_level : t -> int
-
 val is_decided : t -> bool
 (** [true] once the search has concluded (SAT or UNSAT). *)
 

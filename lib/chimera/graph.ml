@@ -9,7 +9,6 @@ let create ~rows ~cols =
   { rows; cols }
 
 let standard_2000q () = create ~rows:16 ~cols:16
-let rows t = t.rows
 let cols t = t.cols
 let num_qubits t = t.rows * t.cols * 8
 

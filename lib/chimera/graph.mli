@@ -24,7 +24,6 @@ val create : rows:int -> cols:int -> t
 val standard_2000q : unit -> t
 (** The 16×16 D-Wave 2000Q graph. *)
 
-val rows : t -> int
 val cols : t -> int
 val num_qubits : t -> int
 

@@ -1,7 +1,8 @@
 (** HyQSAT backend: from a QA outcome to CDCL guidance (paper §V).
 
-    The annealer's energy is classified into the four confidence intervals;
-    the matching feedback strategy is applied to the solver:
+    The annealer's energy is classified into the four confidence intervals
+    that two constant cuts, {!sat_cut} and {!unsat_cut}, mark on the energy
+    axis; the matching feedback strategy is applied to the solver:
 
     {ol
     {- {b Strategy 1} — all clauses embedded and energy 0: verify the
@@ -20,9 +21,22 @@ type enabled = { s1 : bool; s2 : bool; s4 : bool }
 
 val all_enabled : enabled
 
-val classify :
-  Calibration.t -> all_embedded:bool -> energy:float -> strategy
-(** Map an energy reading to the feedback strategy of §V-B's table. *)
+val sat_cut : float
+(** [1.2]: an energy in (0, [sat_cut]] is "near satisfiable". *)
+
+val unsat_cut : float
+(** [6.5]: an energy above [unsat_cut] is "near unsatisfiable"; one in
+    ([sat_cut], [unsat_cut]] is "uncertain".
+
+    Both cuts are per-device constants, not options: the Gaussian Naive
+    Bayes fit of paper §V-A (Fig. 8) is made offline by [bench fig8], which
+    prints these two values next to the cuts it fits. *)
+
+val classify : all_embedded:bool -> energy:float -> strategy
+(** Map an energy reading to the feedback strategy of §V-B's table: energy
+    0 ([<= 1e-9]) gives strategy 1 when every clause is embedded and
+    strategy 2 otherwise; (0, {!sat_cut}] gives 2; ({!sat_cut},
+    {!unsat_cut}] gives 3; above gives 4. *)
 
 type applied = {
   strategy : strategy;
@@ -33,7 +47,6 @@ type applied = {
 val apply :
   ?enabled:enabled ->
   ?hint_filter:(Sat.Lit.var -> bool -> bool) ->
-  Calibration.t ->
   Cdcl.Solver.t ->
   Sat.Cnf.t ->
   Frontend.prepared ->

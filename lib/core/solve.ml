@@ -137,8 +137,8 @@ let warm_up (config : Hybrid_solver.config) ~obs ~root ~embed_cache ~max_iterati
                 | None -> false
               in
               let applied =
-                Backend.apply ~enabled:config.strategies ~hint_filter
-                  Calibration.simulator_default solver f prepared outcome
+                Backend.apply ~enabled:config.strategies ~hint_filter solver f prepared
+                  outcome
               in
               let s = strategy_index applied.Backend.strategy in
               tally.backend_s <- tally.backend_s +. applied.Backend.time_s;

@@ -1,3 +1,7 @@
+(* [d_sub objective s] is Equation 7's [d_{i,j}]: the max of [|B_x|/2] over
+   the sub-clause's variables and [|J_{x1,x2}|] over its variable pairs, as
+   coefficients of the global [objective].  Returns [1.0] if every involved
+   coefficient vanished. *)
 let d_sub objective (s : Encode.sub) =
   let m = ref 0. in
   let rec pairs = function
@@ -10,6 +14,7 @@ let d_sub objective (s : Encode.sub) =
   pairs s.Encode.sub_vars;
   if !m = 0. then 1.0 else !m
 
+(* restore all α to 1 *)
 let reset (t : Encode.t) = Array.iter (fun s -> s.Encode.alpha <- 1.) t.Encode.subs
 
 let eps = 1e-9

@@ -9,12 +9,6 @@
     normalisation divides by the same number while weak sub-clauses now sit
     on a steeper slope. *)
 
-val d_sub : Pbq.t -> Encode.sub -> float
-(** [d_sub objective s] is Equation 7's [d_{i,j}]: the max of [|B_x|/2] over
-    the sub-clause's variables and [|J_{x1,x2}|] over its variable pairs, as
-    coefficients of the global [objective].  Returns [1.0] if every involved
-    coefficient vanished. *)
-
 val adjust : Encode.t -> Pbq.t
 (** Sets every sub-clause's [alpha] to [d*/d_{i,j}] in place, using the
     current α = 1 baseline objective — then caps: when boosted sub-clauses
@@ -31,6 +25,3 @@ val adjust : Encode.t -> Pbq.t
     term for term and in the same table iteration order.  It goes stale as
     soon as any α changes again: [Frontend.prepare] rebuilds it after
     {!Encode.set_clause_weights} rescales the α's for MaxSAT weights. *)
-
-val reset : Encode.t -> unit
-(** Restore all α to 1. *)

@@ -20,19 +20,7 @@ let is_tautology c =
 
 let vars c = List.sort_uniq Int.compare (List.map Lit.var (lits c))
 
-let compare c1 c2 =
-  let n = Int.compare (Array.length c1) (Array.length c2) in
-  if n <> 0 then n
-  else
-    let rec go i =
-      if i >= Array.length c1 then 0
-      else
-        let d = Lit.compare c1.(i) c2.(i) in
-        if d <> 0 then d else go (i + 1)
-    in
-    go 0
-
-let equal c1 c2 = compare c1 c2 = 0
+let equal c1 c2 = Array.length c1 = Array.length c2 && Array.for_all2 Int.equal c1 c2
 
 let pp fmt c =
   Format.fprintf fmt "(%a)"

@@ -24,6 +24,5 @@ val is_tautology : t -> bool
 val vars : t -> Lit.var list
 (** Sorted distinct variables of the clause. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,11 +1,12 @@
 (** Length-prefixed wire framing.
 
-    A frame is an 8-byte header — the 4 magic bytes {!magic} followed by
-    the payload length as a big-endian unsigned 32-bit integer — and then
-    the payload (UTF-8 JSON at the protocol layer; the codec is
-    payload-agnostic).  The {!decoder} is an incremental push parser: feed
-    it whatever byte slices the socket produced, ask for the next complete
-    frame, repeat — partial headers and split payloads are just "not yet".
+    A frame is an 8-byte header — the 4 magic bytes ["HQF1"] (protocol
+    family and framing version) followed by the payload length as a
+    big-endian unsigned 32-bit integer — and then the payload (UTF-8 JSON
+    at the protocol layer; the codec is payload-agnostic).  The {!decoder}
+    is an incremental push parser: feed it whatever byte slices the socket
+    produced, ask for the next complete frame, repeat — partial headers and
+    split payloads are just "not yet".
     The {!writer} is the output side of a connection: it queues bytes as
     given (a {!frame}, or a raw reply such as an HTTP response) and drains
     them in as many partial writes as the socket takes.
@@ -14,9 +15,6 @@
     length field beyond the limit poisons the decoder (the stream cannot
     be resynchronised after a bad header), and junk input fails fast on
     the magic check rather than being interpreted as a gigantic length. *)
-
-val magic : string
-(** ["HQF1"] — protocol family and framing version. *)
 
 val default_max_frame : int
 (** 4 MiB. *)

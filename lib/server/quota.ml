@@ -4,7 +4,6 @@ let create ~limit =
   if limit < 1 then invalid_arg "Quota.create: limit must be >= 1";
   { limit; loads = Hashtbl.create 16 }
 
-let limit t = t.limit
 let load t client = match Hashtbl.find_opt t.loads client with Some n -> n | None -> 0
 
 let admit t client =

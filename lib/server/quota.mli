@@ -12,8 +12,6 @@ val create : limit:int -> t
 (** [limit] jobs in flight per client.  @raise Invalid_argument if
     [limit < 1]. *)
 
-val limit : t -> int
-
 val admit : t -> string -> bool
 (** Charge one slot to the client if under the limit; [false] (and no
     charge) otherwise. *)

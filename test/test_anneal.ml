@@ -58,7 +58,7 @@ let sampler_best_of_improves () =
   in
   let ising = SI.build ~n ~h ~couplings ~offset:0. in
   let mean_energy reads =
-    Stats.Descriptive.mean
+    Baselines.Descriptive.mean
       (Array.init 20 (fun _ -> SI.energy ising (Sampler.sample ~reads ~schedule:shallow r ising)))
   in
   let single = mean_energy 1 in
@@ -162,7 +162,7 @@ let machine_noise_raises_energy_spread () =
   let clean = energies Noise.noise_free 17 in
   let noisy = energies Noise.default_2000q 17 in
   Alcotest.(check bool) "noisy mean > clean mean" true
-    (Stats.Descriptive.mean noisy > Stats.Descriptive.mean clean)
+    (Baselines.Descriptive.mean noisy > Baselines.Descriptive.mean clean)
 
 (* the repair's logical anneal runs [max 8 (spins / 2)] sweeps; the bare
    device call gets no [obs], so only the repair counts sweeps *)

@@ -2,7 +2,7 @@
    hybrid solver. *)
 
 module Queue_ = Hyqsat.Clause_queue
-module Calibration = Hyqsat.Calibration
+module Calibration = Baselines.Calibration
 module Frontend = Hyqsat.Frontend
 module Backend = Hyqsat.Backend
 module Hybrid = Hyqsat.Hybrid_solver
@@ -86,29 +86,14 @@ let queue_empty_formula () =
 
 (* ---- calibration ---- *)
 
-(* the distribution the paper reports for D-Wave 2000Q (Fig. 8): cuts at
-   4.5 and 8 *)
-let paper_calibration =
-  {
-    Calibration.model =
-      {
-        Stats.Naive_bayes.sat = { Stats.Gaussian.mu = 1.8; sigma = 1.9 };
-        unsat = { Stats.Gaussian.mu = 9.5; sigma = 2.6 };
-        prior_sat = 0.5;
-      };
-    partition = { Stats.Naive_bayes.sat_cut = 4.5; unsat_cut = 8.0 };
-    sat_energies = [||];
-    unsat_energies = [||];
-  }
-
 let calibration_separates_classes () =
   let rng = Testutil.rng 207 in
   let g = Chimera.Graph.standard_2000q () in
   let c = Calibration.calibrate ~problems:8 ~noise:Anneal.Noise.noise_free rng g in
   Alcotest.(check bool) "collected sat" true (Array.length c.Calibration.sat_energies >= 4);
   Alcotest.(check bool) "collected unsat" true (Array.length c.Calibration.unsat_energies >= 4);
-  let mean_sat = Stats.Descriptive.mean c.Calibration.sat_energies in
-  let mean_unsat = Stats.Descriptive.mean c.Calibration.unsat_energies in
+  let mean_sat = Baselines.Descriptive.mean c.Calibration.sat_energies in
+  let mean_unsat = Baselines.Descriptive.mean c.Calibration.unsat_energies in
   Alcotest.(check bool) "unsat energies higher" true (mean_unsat > mean_sat)
 
 (* ---- frontend ---- *)
@@ -250,17 +235,17 @@ let frontend_cache_bound_to_graph () =
 (* ---- backend ---- *)
 
 let backend_classification () =
-  let c = paper_calibration in
-  Alcotest.(check bool) "zero energy + all -> S1" true
-    (Backend.classify c ~all_embedded:true ~energy:0.0 = Backend.S1_solved);
-  Alcotest.(check bool) "zero energy partial -> S2" true
-    (Backend.classify c ~all_embedded:false ~energy:0.0 = Backend.S2_keep_assignment);
-  Alcotest.(check bool) "energy 2 -> S2" true
-    (Backend.classify c ~all_embedded:true ~energy:2.0 = Backend.S2_keep_assignment);
-  Alcotest.(check bool) "energy 6 -> S3" true
-    (Backend.classify c ~all_embedded:true ~energy:6.0 = Backend.S3_none);
-  Alcotest.(check bool) "energy 12 -> S4" true
-    (Backend.classify c ~all_embedded:true ~energy:12.0 = Backend.S4_reach_conflict)
+  (* the shipped cuts at their edges: each interval is closed above *)
+  let check label all_embedded energy expect =
+    Alcotest.(check bool) label true (Backend.classify ~all_embedded ~energy = expect)
+  in
+  check "zero energy + all -> S1" true 0.0 Backend.S1_solved;
+  check "zero energy partial -> S2" false 0.0 Backend.S2_keep_assignment;
+  check "energy 1.2 -> S2" true 1.2 Backend.S2_keep_assignment;
+  check "just above 1.2 -> S3" true (Float.succ 1.2) Backend.S3_none;
+  check "energy 6.5 -> S3" true 6.5 Backend.S3_none;
+  check "just above 6.5 -> S4" true (Float.succ 6.5) Backend.S4_reach_conflict;
+  check "energy 50 -> S4" true 50.0 Backend.S4_reach_conflict
 
 let backend_strategy1_verifies () =
   (* an S1 sample that does NOT satisfy the formula must not be trusted *)
@@ -281,7 +266,7 @@ let backend_strategy1_verifies () =
           time_us = 130.;
         }
       in
-      let applied = Backend.apply paper_calibration solver f p fake in
+      let applied = Backend.apply solver f p fake in
       (match applied.Backend.solved with
       | Some model ->
           Alcotest.(check bool) "only a real model is reported" true
@@ -289,7 +274,6 @@ let backend_strategy1_verifies () =
       | None -> ())
 
 let backend_ablation_masks () =
-  let c = paper_calibration in
   let rng = Testutil.rng 211 in
   let g = Chimera.Graph.standard_2000q () in
   let f = Workload.Uniform.generate rng ~num_vars:12 ~num_clauses:20 in
@@ -307,7 +291,7 @@ let backend_ablation_masks () =
         }
       in
       let off = { Backend.s1 = true; s2 = true; s4 = false } in
-      let applied = Backend.apply ~enabled:off c solver f p outcome in
+      let applied = Backend.apply ~enabled:off solver f p outcome in
       Alcotest.(check bool) "s4 disabled -> S3" true
         (applied.Backend.strategy = Backend.S3_none)
 
