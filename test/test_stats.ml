@@ -79,6 +79,23 @@ let nb_model () =
   Alcotest.(check bool) "posterior at sat_cut ~confidence" true
     (Baselines.Naive_bayes.posterior_sat m p.Baselines.Naive_bayes.sat_cut >= 0.88)
 
+let nb_partition_intervals () =
+  (* the fitted cuts mark the four intervals of paper §V-A on the energy
+     axis: 0 (satisfiable), (0, sat_cut] (near satisfiable), (sat_cut,
+     unsat_cut] (uncertain) and above unsat_cut (near unsatisfiable) *)
+  let m =
+    Baselines.Naive_bayes.fit
+      ~sat:[| 1.0; 2.0; 3.0; 2.5; 1.5 |]
+      ~unsat:[| 9.0; 10.0; 11.0; 10.5; 9.5 |]
+  in
+  let p = Baselines.Naive_bayes.partition m in
+  let sat_cut = p.Baselines.Naive_bayes.sat_cut
+  and unsat_cut = p.Baselines.Naive_bayes.unsat_cut in
+  Alcotest.(check bool) "zero energy below the sat cut" true (0.0 < sat_cut);
+  Alcotest.(check bool) "far energy near unsatisfiable" true (50.0 > unsat_cut);
+  Alcotest.(check bool) "small energy near satisfiable" true (1.0 > 0.0 && 1.0 <= sat_cut);
+  Alcotest.(check bool) "uncertain band between the cuts" true (sat_cut <= unsat_cut)
+
 let nb_posterior_monotone =
   QCheck.Test.make ~name:"posterior decreases with energy between class means" ~count:50
     QCheck.(pair (float_range 0. 3.) (float_range 0. 3.))
@@ -116,6 +133,7 @@ let suite =
     ( "stats.naive_bayes",
       [
         Alcotest.test_case "model" `Quick nb_model;
+        Alcotest.test_case "intervals" `Quick nb_partition_intervals;
         QCheck_alcotest.to_alcotest nb_posterior_monotone;
       ] );
   ]
